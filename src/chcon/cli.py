@@ -19,7 +19,6 @@ from .config import RunConfig
 from .bounds import CapacityBracket, capacity_bracket, memory_time_bound, overhead_lower_bound
 from .channels import (
     ChannelError,
-    KrausChannel,
     is_extreme_point,
     is_unitary_channel,
     kraus_to_choi,

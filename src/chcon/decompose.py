@@ -19,9 +19,7 @@ from .channels import (
     ChoiMatrix,
     KrausChannel,
     channel_from_bloch_transfer,
-    choi_distance,
     compose,
-    extremality_gap,
     is_extreme_point,
     is_unitary_channel,
     kraus_to_choi,

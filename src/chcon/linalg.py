@@ -47,13 +47,6 @@ def is_unitary(u: np.ndarray, tol: float) -> bool:
     return u.shape == (d, d) and np.linalg.norm(dag(u) @ u - np.eye(d), 2) <= tol
 
 
-def kron_all(mats) -> np.ndarray:
-    out = np.array([[1.0 + 0j]])
-    for m in mats:
-        out = np.kron(out, m)
-    return out
-
-
 def partial_trace(rho: np.ndarray, dims: tuple[int, ...], keep: tuple[int, ...]) -> np.ndarray:
     """Trace out every tensor factor not listed in ``keep``.
 
@@ -74,15 +67,10 @@ def partial_trace(rho: np.ndarray, dims: tuple[int, ...], keep: tuple[int, ...])
 
 
 def partial_transpose(rho: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
-    """Transpose the second tensor factor of a (dim_a * dim_b) square matrix."""
-    t = rho.reshape(dim_a, dim_b, dim_a, dim_b)
-    return t.transpose(0, 3, 2, 1).reshape(dim_a * dim_b, dim_a * dim_b)
-
-
-def swap_factors(mat: np.ndarray, dim_1: int, dim_2: int) -> np.ndarray:
-    """Reorder a matrix on C^{dim_1} (x) C^{dim_2} to C^{dim_2} (x) C^{dim_1}."""
-    t = mat.reshape(dim_1, dim_2, dim_1, dim_2)
-    return t.transpose(1, 0, 3, 2).reshape(dim_1 * dim_2, dim_1 * dim_2)
+    """Transpose the second tensor factor of a (dim_a * dim_b) square matrix,
+    or of every matrix in a stack of them."""
+    t = rho.reshape(*rho.shape[:-2], dim_a, dim_b, dim_a, dim_b)
+    return t.swapaxes(-3, -1).reshape(rho.shape)
 
 
 def psd_project(a: np.ndarray) -> np.ndarray:
@@ -116,27 +104,6 @@ def sqrtm_psd(a: np.ndarray) -> np.ndarray:
     w, v = np.linalg.eigh(herm_part(a))
     w = np.sqrt(np.clip(w, 0.0, None))
     return (v * w) @ dag(v)
-
-
-def inv_sqrtm_support(a: np.ndarray, rel_tol: float) -> np.ndarray:
-    """Generalized inverse square root on the support of a PSD matrix.
-
-    Eigenvalues below ``rel_tol`` times the largest one count as zero.
-    """
-    w, v = np.linalg.eigh(herm_part(a))
-    top = max(float(w[-1]), 0.0)
-    cut = rel_tol * top
-    inv = np.where(w > cut, 1.0 / np.sqrt(np.clip(w, cut if cut > 0 else 1.0, None)), 0.0)
-    if top == 0.0:
-        inv = np.zeros_like(w)
-    return (v * inv) @ dag(v)
-
-
-def support_projector(a: np.ndarray, rel_tol: float) -> np.ndarray:
-    w, v = np.linalg.eigh(herm_part(a))
-    top = max(float(w[-1]), 0.0)
-    keep = w > rel_tol * top if top > 0 else np.zeros_like(w, dtype=bool)
-    return (v[:, keep]) @ dag(v[:, keep])
 
 
 def sign_operator(a: np.ndarray) -> np.ndarray:

@@ -111,8 +111,6 @@ class SepConfig:
     max_iter: int = 10000
     obj_tol: float = 1e-8
     barrier_stages: tuple = (1e-4, 1e-6, 1e-8, 1e-10, 1e-12)
-    dykstra_iters: int = 400
-    dykstra_tol: float = 1e-12
     seed: int = 0
     with_upper: bool = False
     fw_iters: int = 120
@@ -149,65 +147,53 @@ def _method_tag(dim_a: int, dim_b: int) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _chi2_trace_term(tau: np.ndarray, w: np.ndarray, v: np.ndarray) -> float:
-    """Tr(tau S^{-1/2} tau S^{-1/2}) from the eigendecomposition (w, v) of S."""
-    floor = max(float(w[-1]), 0.0) * EIG_FLOOR + 1e-300
-    h = 1.0 / np.sqrt(np.clip(w, floor, None))
-    t2 = la.dag(v) @ tau @ v
-    return float(np.real(np.sum((np.abs(t2) ** 2) * np.outer(h, h))))
-
-
-def _chi2_value_grad(tau: np.ndarray, sigma: np.ndarray, mu: float) -> tuple[float, np.ndarray]:
-    """Value and gradient of chi2(tau, sigma) - mu * logdet(sigma) in sigma.
+def _chi2_value_grad(
+    tau: np.ndarray, w: np.ndarray, v: np.ndarray, mu: float = 0.0
+) -> tuple[float, np.ndarray]:
+    """Value and gradient of chi2(tau, sigma) - mu * logdet(sigma) in sigma,
+    given the eigendecomposition sigma = v diag(w) v^dag with every w > 0.
 
     Uses the Daleckii-Krein derivative of s -> s^{-1/2} on the eigenbasis of
-    sigma.  Requires sigma positive definite numerically (eigenvalues are
-    floored relative to the largest).
+    sigma.  Callers choose how to treat non-positive eigenvalues.
     """
-    w, v = np.linalg.eigh(la.herm_part(sigma))
-    top = max(float(w[-1]), EIG_FLOOR)
-    wf = np.clip(w, top * EIG_FLOOR, None)
-    h = 1.0 / np.sqrt(wf)
+    roots = np.sqrt(w)
+    h = 1.0 / roots
     t2 = la.dag(v) @ tau @ v
     value = float(np.real(np.sum((np.abs(t2) ** 2) * np.outer(h, h)))) - 1.0
 
     # Divided differences of g(s) = s^{-1/2}; the closed form
     # (g(a) - g(b)) / (a - b) = -1 / (sqrt(ab) (sqrt(a) + sqrt(b)))
     # is exact, has no cancellation, and covers coincident eigenvalues.
-    roots = np.sqrt(wf)
     phi = -1.0 / (np.outer(roots, roots) * (roots[:, None] + roots[None, :]))
     b = t2 @ (h[:, None] * t2)  # = tau' G tau' in the eigenbasis
-    grad_eig = 2.0 * b * phi
-    if mu > 0.0:
-        value -= mu * float(np.sum(np.log(wf)))
-        grad_eig = grad_eig - mu * np.diag(1.0 / wf)
-    grad = v @ grad_eig @ la.dag(v)
-    return value, la.herm_part(grad)
-
-
-def _chi2_interior_value_grad(
-    tau: np.ndarray, sigma: np.ndarray, mu: float
-) -> tuple[float, np.ndarray | None]:
-    """chi2(tau, sigma) - mu logdet(sigma), +inf outside the open PSD cone.
-
-    The barrier keeps iterates strictly positive so the partial-transpose
-    constraint can be enforced by exact projection without a second wall.
-    """
-    w, v = np.linalg.eigh(la.herm_part(sigma))
-    if float(w[0]) <= 0.0:
-        return math.inf, None
-    h = 1.0 / np.sqrt(w)
-    t2 = la.dag(v) @ tau @ v
-    value = float(np.real(np.sum((np.abs(t2) ** 2) * np.outer(h, h)))) - 1.0
-    roots = np.sqrt(w)
-    phi = -1.0 / (np.outer(roots, roots) * (roots[:, None] + roots[None, :]))
-    b = t2 @ (h[:, None] * t2)
     grad_eig = 2.0 * b * phi
     if mu > 0.0:
         value -= mu * float(np.sum(np.log(w)))
         grad_eig = grad_eig - mu * np.diag(1.0 / w)
     grad = v @ grad_eig @ la.dag(v)
     return value, la.herm_part(grad)
+
+
+def _interior_chi2(taus, weights, mu: float):
+    """Barrier objective on stacks of blocks,
+
+        value_grad(x) = sum_k weights_k (chi2(taus_k, x_k) - mu logdet x_k + 1) - 1,
+
+    +inf outside the open PSD cone.  The barrier keeps iterates strictly
+    positive, so the partial-transpose constraint is enforced by exact
+    projection without a second wall.
+    """
+
+    def value_grad(x):
+        # Iterates are Hermitian up to rounding; eigh reads one triangle.
+        w, v = np.linalg.eigh(x)
+        if float(w[:, 0].min()) <= 0.0:
+            return math.inf, None
+        parts = [_chi2_value_grad(t, wk, vk, mu) for t, wk, vk in zip(taus, w, v)]
+        value = sum(c * (f + 1.0) for c, (f, _) in zip(weights, parts)) - 1.0
+        return value, np.stack([c * g for c, (_, g) in zip(weights, parts)])
+
+    return value_grad
 
 
 # ---------------------------------------------------------------------------
@@ -220,28 +206,23 @@ def _proj_ppt_cone(x: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
     return la.partial_transpose(la.psd_project(pt), dim_a, dim_b)
 
 
-def project_pt_trace(
-    x: np.ndarray, dim_a: int, dim_b: int, iters: int = 400, tol: float = 1e-12
-) -> np.ndarray:
-    """Dykstra projection onto {Tr = 1} intersect {x^PT >= 0}.
+def _project_pt_trace_blocks(xs: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
+    """Exact projection of a stack of blocks onto {sum_k Tr x_k = 1, every x_k^PT >= 0}.
 
-    These two sets meet transversally (the hyperplane passes through the
-    cone's interior), so the alternation converges in a handful of cycles,
-    unlike the nearly tangent PSD/PT pair.
+    The partial transpose only permutes matrix entries and keeps the trace,
+    so it is a Frobenius isometry taking this set onto the block-diagonal
+    density matrices.  Their projection is one batched eigendecomposition
+    with the eigenvalues of all blocks projected jointly onto the simplex.
     """
-    x = la.herm_part(x)
-    d = x.shape[0]
-    q = np.zeros_like(x)
-    prev = x
-    for _ in range(iters):
-        y = prev - ((float(np.real(np.trace(prev))) - 1.0) / d) * np.eye(d)
-        z = _proj_ppt_cone(y + q, dim_a, dim_b)
-        q = y + q - z
-        if np.linalg.norm(z - prev) < tol:
-            prev = z
-            break
-        prev = z
-    return prev
+    xs = 0.5 * (xs + xs.conj().swapaxes(-1, -2))
+    w, v = np.linalg.eigh(la.partial_transpose(xs, dim_a, dim_b))
+    w = la.simplex_project(w.reshape(-1)).reshape(w.shape)
+    return la.partial_transpose((v * w[:, None, :]) @ v.conj().swapaxes(-1, -2), dim_a, dim_b)
+
+
+def project_pt_trace(x: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
+    """Exact projection onto {Tr = 1} intersect {x^PT >= 0}."""
+    return _project_pt_trace_blocks(np.asarray(x)[None], dim_a, dim_b)[0]
 
 
 def project_ppt_density(
@@ -289,11 +270,14 @@ def separable_twirl(tau: np.ndarray, dim_a: int, dim_b: int, mix: float = 0.1) -
 def _accelerated_pgd(value_grad, proj, x0, max_iter, stall_tol):
     """Projected gradient with Nesterov extrapolation and adaptive restart.
 
-    ``value_grad(list) -> (f, grads)`` and ``proj(list) -> list`` operate on
-    lists of Hermitian matrices.  Stops after three consecutive objective
-    decreases below ``stall_tol``.  Returns (x, iterations, converged).
+    ``value_grad(x) -> (f, grad)`` and ``proj(x) -> x`` operate on (n, d, d)
+    stacks of Hermitian blocks.  ``x0`` must be feasible with a finite
+    objective; it is taken as given, since re-projecting a warm start with
+    an eigenvalue near zero can push it out of the open PSD cone.  Stops
+    after three consecutive objective decreases below ``stall_tol``.
+    Returns (x, iterations, converged).
     """
-    x = proj([m.copy() for m in x0])
+    x = x0
     f_x, g_x = value_grad(x)
     if not math.isfinite(f_x):
         raise ChannelError("optimizer started outside the feasible interior")
@@ -304,25 +288,23 @@ def _accelerated_pgd(value_grad, proj, x0, max_iter, stall_tol):
     stall = 0
     momentum = False
 
-    def trial(base, grads, alpha):
+    def trial(base, grad, alpha):
         # Cap the raw excursion so projections stay numerically meaningful;
         # the sufficient-decrease test below still sees the actual move.
-        gnorm = math.sqrt(sum(float(np.linalg.norm(g) ** 2) for g in grads))
+        gnorm = float(np.linalg.norm(grad))
         alpha = min(alpha, 1e3 / gnorm) if gnorm > 0 else alpha
-        return proj([m - alpha * g for m, g in zip(base, grads)])
+        return proj(base - alpha * grad)
 
     while iters < max_iter:
-        cand = trial(y, g_y, step)
-        f_c, g_c = value_grad(cand)
-        inner = sum(float(np.real(np.vdot(g, c - m))) for g, c, m in zip(g_y, cand, y))
-        delta_sq = sum(float(np.linalg.norm(c - m) ** 2) for c, m in zip(cand, y))
         halvings = 0
-        while f_c > f_y + inner + delta_sq / (2 * step) + 1e-14 and halvings < 60:
-            step *= 0.5
+        while True:
             cand = trial(y, g_y, step)
             f_c, g_c = value_grad(cand)
-            inner = sum(float(np.real(np.vdot(g, c - m))) for g, c, m in zip(g_y, cand, y))
-            delta_sq = sum(float(np.linalg.norm(c - m) ** 2) for c, m in zip(cand, y))
+            move = cand - y
+            model = float(np.real(np.vdot(g_y, move))) + np.linalg.norm(move) ** 2 / (2 * step)
+            if f_c <= f_y + model + 1e-14 or halvings >= 60:
+                break
+            step *= 0.5
             halvings += 1
         iters += 1
         if f_c > f_x - 1e-15:
@@ -344,7 +326,7 @@ def _accelerated_pgd(value_grad, proj, x0, max_iter, stall_tol):
         beta = (t - 1.0) / t_new
         # The extrapolated launch point may leave the feasible region (the
         # objective then reports +inf); fall back to the plain iterate.
-        y = [c + beta * (c - m) for c, m in zip(cand, x)]
+        y = cand + beta * (cand - x)
         f_y, g_y = value_grad(y)
         x, f_x, g_x = cand, f_c, g_c
         t = t_new
@@ -364,6 +346,24 @@ def _accelerated_pgd(value_grad, proj, x0, max_iter, stall_tol):
     return x, iters, False
 
 
+def _barrier_path(taus, weights, proj, x0, cfg: SepConfig):
+    """Minimize the ``_interior_chi2`` objective down ``cfg.barrier_stages``;
+    each stage warm-starts from the last and all stages share the
+    ``cfg.max_iter`` budget.  Yields (x, total iterations, converged) after
+    every stage."""
+    x, total_iters = x0, 0
+    last = cfg.barrier_stages[-1]
+    for mu in cfg.barrier_stages:
+        budget = cfg.max_iter - total_iters
+        if budget <= 0:
+            break
+        stall_tol = cfg.obj_tol * 1e-2 if mu == last else max(cfg.obj_tol * 1e-2, mu * 1e-2)
+        value_grad = _interior_chi2(taus, weights, mu)
+        x, it, converged = _accelerated_pgd(value_grad, proj, x, budget, stall_tol)
+        total_iters += it
+        yield x, total_iters, converged
+
+
 def _pgd_chi2(tau, dim_a, dim_b, sigma0, cfg: SepConfig) -> tuple[float, np.ndarray, int, bool]:
     """Barrier path following for the positive cone combined with exact
     projection onto the partial-transpose cone and the unit-trace plane.
@@ -371,32 +371,22 @@ def _pgd_chi2(tau, dim_a, dim_b, sigma0, cfg: SepConfig) -> tuple[float, np.ndar
     The binding constraint at a chi-square optimum is the partial-transpose
     one, which the projection handles with no conditioning penalty; the
     positivity barrier stays inactive for minimizers of full support and is
-    laddered down through cfg.barrier_stages.
+    laddered down through cfg.barrier_stages.  The cold start is projected
+    once; later stages start from the previous stage's feasible iterate.
     """
 
-    def proj(ms):
-        return [project_pt_trace(ms[0], dim_a, dim_b, cfg.dykstra_iters, cfg.dykstra_tol)]
+    def proj(x):
+        # Through the public name, so per-layer profiles see the projection.
+        return project_pt_trace(x[0], dim_a, dim_b)[None]
 
-    sigma = [np.asarray(sigma0, dtype=complex)]
-    total_iters = 0
-    converged = False
-    last = cfg.barrier_stages[-1]
+    start = proj(np.asarray(sigma0, dtype=complex)[None])
     best_val, best_sigma = math.inf, sigma0
-    for mu in cfg.barrier_stages:
-        def value_grad(ms, _mu=mu):
-            v, g = _chi2_interior_value_grad(tau, ms[0], _mu)
-            return v, [g]
-
-        budget = cfg.max_iter - total_iters
-        if budget <= 0:
-            break
-        stall_tol = cfg.obj_tol * 1e-2 if mu == last else max(cfg.obj_tol * 1e-2, mu * 1e-2)
-        sigma, it, converged = _accelerated_pgd(value_grad, proj, sigma, budget, stall_tol)
-        total_iters += it
-        if float(np.linalg.eigvalsh(la.herm_part(sigma[0]))[0]) > -1e-12:
-            raw = float(max(chi2_divergence(tau, sigma[0]), 0.0))
+    total_iters, converged = 0, False
+    for x, total_iters, converged in _barrier_path([tau], [1.0], proj, start, cfg):
+        if float(np.linalg.eigvalsh(la.herm_part(x[0]))[0]) > -1e-12:
+            raw = float(max(chi2_divergence(tau, x[0]), 0.0))
             if raw < best_val:
-                best_val, best_sigma = raw, sigma[0]
+                best_val, best_sigma = raw, x[0]
     return best_val, best_sigma, total_iters, converged
 
 
@@ -570,7 +560,9 @@ def chisep_upper_ensemble(s: BipartiteState, cfg: SepConfig = SepConfig()):
     tau = s.matrix
 
     def obj(sigma):
-        return _chi2_value_grad(tau, sigma, 0.0)
+        # Ensemble states may be singular: floor eigenvalues relative to the largest.
+        w, v = np.linalg.eigh(la.herm_part(sigma))
+        return _chi2_value_grad(tau, np.clip(w, max(float(w[-1]), EIG_FLOOR) * EIG_FLOOR, None), v)
 
     sigma, ensemble = _frank_wolfe_separable(obj, s.dim_a, s.dim_b, cfg)
     return float(max(chi2_divergence(tau, sigma), 0.0)), ensemble
@@ -611,7 +603,7 @@ def dsep(s: BipartiteState, cfg: SepConfig = SepConfig()) -> SepApproxResult:
     it = 0
     for it in range(1, cfg.admm_iters + 1):
         x = tau - _soft_threshold_eig(tau - (z - u), rho)
-        z_new = project_ppt_density(x + u, s.dim_a, s.dim_b, cfg.dykstra_iters, cfg.dykstra_tol)
+        z_new = project_ppt_density(x + u, s.dim_a, s.dim_b)
         u = u + x - z_new
         val = la.trace_norm(tau - z_new)
         if val < best_val:
@@ -709,47 +701,15 @@ def chisep_ccqq_blockdiag(s: CcQqState, cfg: SepConfig = SepConfig()) -> SepAppr
     blocks = [b for b in s.blocks if b.prob > 1e-15]
     n = len(blocks)
     d = s.dim_a * s.dim_b
-    mats = [np.eye(d) / (n * d) for _ in range(n)]
-    total_dim = n * d
+    taus, weights = [b.rho for b in blocks], [b.prob**2 for b in blocks]
 
-    def proj(ms):
-        # Dykstra between the product of PT cones and the total-trace plane.
-        cur = [la.herm_part(m) for m in ms]
-        corr = [np.zeros_like(m) for m in ms]
-        prev = cur
-        for _ in range(cfg.dykstra_iters):
-            excess = (sum(float(np.real(np.trace(m))) for m in prev) - 1.0) / total_dim
-            y = [m - excess * np.eye(d) for m in prev]
-            z = [_proj_ppt_cone(m + c, s.dim_a, s.dim_b) for m, c in zip(y, corr)]
-            corr = [m + c - zz for m, c, zz in zip(y, corr, z)]
-            change = math.sqrt(sum(float(np.linalg.norm(a - b) ** 2) for a, b in zip(z, prev)))
-            prev = z
-            if change < cfg.dykstra_tol:
-                break
-        return prev
+    def proj(x):
+        return _project_pt_trace_blocks(x, s.dim_a, s.dim_b)
 
-    total_iters = 0
-    converged = False
-    last = cfg.barrier_stages[-1]
-    for mu in cfg.barrier_stages:
-        def value_grad(ms, _mu=mu):
-            total = -1.0
-            grads = []
-            for blk, m in zip(blocks, ms):
-                # The interior variant subtracts 1 internally; undo per block.
-                v, g = _chi2_interior_value_grad(blk.rho, m, _mu)
-                if not math.isfinite(v):
-                    return math.inf, None
-                total += blk.prob**2 * (v + 1.0)
-                grads.append(blk.prob**2 * g)
-            return total, grads
-
-        budget = cfg.max_iter - total_iters
-        if budget <= 0:
-            break
-        stall_tol = cfg.obj_tol * 1e-2 if mu == last else max(cfg.obj_tol * 1e-2, mu * 1e-2)
-        mats, it, converged = _accelerated_pgd(value_grad, proj, mats, budget, stall_tol)
-        total_iters += it
+    # The start I / (n d) is feasible and strictly positive.
+    mats, total_iters, converged = np.stack([np.eye(d) / (n * d)] * n), 0, False
+    for mats, total_iters, converged in _barrier_path(taus, weights, proj, mats, cfg):
+        pass
 
     # Final value without barrier, from the true chi-square definition.
     value = -1.0

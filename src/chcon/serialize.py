@@ -51,6 +51,8 @@ def channel_from_json(obj: dict) -> KrausChannel:
         raise ChannelError("channel spec must be a JSON object")
     if "preset" in obj:
         params = {k: v for k, v in obj.items() if k != "preset"}
+        if "matrix" in params:
+            params["matrix"] = matrix_from_json(params["matrix"])
         return preset(obj["preset"], **params)
     if "kraus" not in obj:
         raise ChannelError("channel spec needs either 'preset' or 'kraus'")

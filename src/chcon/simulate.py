@@ -25,12 +25,9 @@ from .config import CHISEP_THRESHOLD, DEFAULT_QUBIT_CAP, MAX_BLOCKS, DEFAULT_TOL
 from .separability import (
     BipartiteState,
     CcQqState,
-    CcQqBlock,
     SepConfig,
     SeparableChannel,
-    chisep,
     dsep,
-    is_ppt,
     local_product_channel,
 )
 

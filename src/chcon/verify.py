@@ -23,7 +23,6 @@ from .channels import (
     choi_distance,
     depolarizing,
     amplitude_damping,
-    kraus_to_choi,
 )
 from .config import CHISEP_THRESHOLD
 from .contraction import eta_chi_lower, eta_tr, eta_tr_upper_choi, eta_tr_upper_minoutev

@@ -15,6 +15,7 @@ from chcon.channels import (
 )
 from chcon.sampling import haar_unitary, random_channel, random_density, random_pure
 from chcon.separability import (
+    _project_pt_trace_blocks,
     BipartiteState,
     CcQqState,
     SepConfig,
@@ -79,15 +80,59 @@ class TestPpt:
         assert is_ppt(werner(1 / 3))
 
 
+def random_herm(rng, *shape) -> np.ndarray:
+    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return 0.5 * (x + x.conj().swapaxes(-1, -2))
+
+
+def normal_cone_excess(xs, zs, dim_a: int, dim_b: int) -> float:
+    """max over feasible y of Re<x - z, y - z> for the projection z of x onto
+    {sum_k Tr y_k = 1, every y_k^PT >= 0}; it is <= 0 exactly when z is the
+    projection.  The maximum sits at an extreme point, a single block equal
+    to PT(|psi><psi|), so it is a largest eigenvalue."""
+    residual = la.partial_transpose(xs - zs, dim_a, dim_b)
+    top = float(np.linalg.eigvalsh(residual)[:, -1].max())
+    return top - float(np.real(np.vdot(xs - zs, zs)))
+
+
+def feasible_points(rng, dim_a: int, dim_b: int) -> list:
+    """Unit-trace PPT states: separable twirls and product states."""
+    d = dim_a * dim_b
+    twirl = separable_twirl(random_density(rng, d), dim_a, dim_b)
+    product = np.kron(random_density(rng, dim_a), random_density(rng, dim_b))
+    return [twirl, product, np.eye(d) / d]
+
+
 class TestProjection:
     def test_pt_trace_projection_feasible(self):
-        for i in range(20):
-            rng = seeded(71, i)
-            x = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-            x = la.herm_part(x)
-            z = project_pt_trace(x, 2, 2)
-            assert np.trace(z).real == pytest.approx(1.0, abs=1e-9)
-            assert la.min_eig(la.partial_transpose(z, 2, 2)) >= -1e-10
+        for dim_a, dim_b in [(2, 2), (2, 3), (3, 2)]:
+            d = dim_a * dim_b
+            for i in range(20):
+                rng = seeded(71, dim_a, dim_b, i)
+                x = random_herm(rng, d, d)
+                z = project_pt_trace(x, dim_a, dim_b)
+                assert np.trace(z).real == pytest.approx(1.0, abs=1e-9)
+                assert la.min_eig(la.partial_transpose(z, dim_a, dim_b)) >= -1e-10
+                assert np.linalg.norm(project_pt_trace(z, dim_a, dim_b) - z) <= 1e-10
+                # Optimality: x - P(x) lies in the normal cone at P(x).
+                for y in feasible_points(rng, dim_a, dim_b):
+                    assert np.real(np.vdot(x - z, y - z)) <= 1e-10
+                assert normal_cone_excess(x[None], z[None], dim_a, dim_b) <= 1e-10
+
+    def test_block_projection(self):
+        for i in range(10):
+            rng = seeded(74, i)
+            xs = random_herm(rng, 3, 6, 6)
+            zs = _project_pt_trace_blocks(xs, 2, 3)
+            assert sum(np.trace(z).real for z in zs) == pytest.approx(1.0, abs=1e-9)
+            for z in zs:
+                assert la.min_eig(la.partial_transpose(z, 2, 3)) >= -1e-10
+            weights = rng.dirichlet(np.ones(3))
+            ys = np.stack([w * feasible_points(rng, 2, 3)[0] for w in weights])
+            assert np.real(np.vdot(xs - zs, ys - zs)) <= 1e-10
+            assert normal_cone_excess(xs, zs, 2, 3) <= 1e-10
+            single = _project_pt_trace_blocks(xs[:1], 2, 3)[0]
+            assert np.allclose(single, project_pt_trace(xs[0], 2, 3), atol=1e-14)
 
     def test_twirl_is_separable_and_full_rank(self):
         t = separable_twirl(bell_state().matrix, 2, 2)

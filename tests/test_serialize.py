@@ -6,8 +6,17 @@ import math
 import numpy as np
 import pytest
 
+import chcon.linalg as la
 from chcon import serialize as ser
-from chcon.channels import ChannelError, amplitude_damping, bell_state, choi_distance, depolarizing
+from chcon.channels import (
+    ChannelError,
+    amplitude_damping,
+    bell_state,
+    choi_distance,
+    depolarizing,
+    is_unitary_channel,
+    unitary_channel,
+)
 from chcon.contraction import eta_tr, eta_tr_upper_minoutev
 from chcon.decompose import p2_certificate, p_constant
 from chcon.sampling import random_channel, random_density
@@ -41,6 +50,15 @@ class TestChannels:
         assert choi_distance(ch, depolarizing(0.25)) < 1e-12
         ad = ser.channel_from_json({"preset": "amplitude_damping", "gamma": 0.3})
         assert choi_distance(ad, amplitude_damping(0.3)) < 1e-12
+
+    def test_unitary_preset_reads_complex_pairs(self):
+        pauli_x = ser.matrix_to_json(la.PAULI_X)
+        ch = ser.channel_from_json({"preset": "unitary", "matrix": pauli_x})
+        assert choi_distance(ch, unitary_channel(la.PAULI_X)) < 1e-12
+        assert is_unitary_channel(ch)
+        not_unitary = [[[1, 0], [1, 0]], [[0, 0], [1, 0]]]
+        with pytest.raises(ChannelError, match="not unitary"):
+            ser.channel_from_json({"preset": "unitary", "matrix": not_unitary})
 
     def test_dim_mismatch_rejected(self):
         doc = ser.channel_to_json(depolarizing(0.25))

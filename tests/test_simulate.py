@@ -283,6 +283,18 @@ class TestDoubledExperiment:
         assert rep.steps[1].chisep_value == pytest.approx(expected, abs=1e-6)
         assert all(s.factor_ok for s in rep.steps[1:])
 
+    @pytest.mark.parametrize("p", [0.08, 0.13, 0.3])
+    def test_dephasing_warm_starts_stay_feasible(self, p):
+        # Later barrier stages warm-start from iterates with an eigenvalue
+        # near zero; re-projecting them used to leave the open PSD cone.
+        from chcon.channels import dephasing
+
+        rep = doubled_memory_experiment(1, dephasing(p), 3, bell(), p_value=p)
+        # Both qubits scale the Bell coherence by (1 - p) per step.
+        for i, s in enumerate(rep.steps):
+            assert s.chisep_value == pytest.approx((1 - p) ** (4 * i), abs=1e-6)
+        assert all(s.factor_ok for s in rep.steps[1:])
+
     def test_amplitude_damping_monotone_and_endgame(self):
         rep = doubled_memory_experiment(1, amplitude_damping(0.3), 6, bell(), seed=2)
         chis = [s.chisep_value for s in rep.steps]
