@@ -27,6 +27,7 @@ from .channels import (
     to_bloch_affine,
 )
 from .config import DEFAULT_TOL, EPSILON_0, Tolerances
+from .contraction import sign_ascent
 from .decompose import PConstantReport
 from .sampling import random_pure, rng_from
 
@@ -221,29 +222,12 @@ def overhead_lower_bound(
 
 
 def _max_pure_deviation(ch: KrausChannel, restarts: int, seed: int, max_iter: int = 200) -> float:
-    """max over pure inputs of || T(psi psi) - psi psi ||_1 via the same
-    sign-operator alternating ascent used for contraction coefficients."""
+    """max over pure inputs of || T(psi psi) - psi psi ||_1: the sign-operator
+    ascent of the contraction coefficients, run on the map T - I."""
     d = ch.in_dim
-    tmat = ch.transfer_matrix() - np.eye(d * d)
-    tadj = la.dag(tmat)
-
-    best = 0.0
-    for i in range(restarts):
-        rng = rng_from(seed, 7000 + i)
-        psi = random_pure(rng, d)
-        prev = -np.inf
-        for _ in range(max_iter):
-            img = (tmat @ np.outer(psi, psi.conj()).reshape(-1)).reshape(d, d)
-            val = la.trace_norm(img)
-            if val <= prev + 1e-12:
-                break
-            prev = val
-            s_op = la.sign_operator(img)
-            x = la.herm_part((tadj @ s_op.reshape(-1)).reshape(d, d))
-            w, v = np.linalg.eigh(x)
-            psi = v[:, -1]
-        best = max(best, prev)
-    return best
+    starts = np.array([random_pure(rng_from(seed, 7000 + i), d) for i in range(restarts)])
+    norms, _, _ = sign_ascent(ch.transfer_matrix() - np.eye(d * d), (starts,), max_iter, 1e-12)
+    return float(np.max(norms, initial=0.0))
 
 
 @dataclass(frozen=True)

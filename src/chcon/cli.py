@@ -111,7 +111,7 @@ def cmd_analyze(args) -> int:
         report["eta_chi_lower"] = ser.contraction_report_to_json(
             eta_chi_lower(ch, trials=args.trials, seed=args.seed)
         )
-        ind = independence_trivial(ch, seed=args.seed)
+        ind = independence_trivial(ch)
         report["independence"] = {
             "certified": ind.certified,
             "status": ind.status,
@@ -351,7 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--restarts", type=int, default=12, help="multi-start restarts")
         p.add_argument("--trials", type=int, default=None, help="sample count override")
         p.add_argument("--out", default=None, help="write the JSON report to this path")
-        p.add_argument("--format", dest="fmt", choices=("json", "jsonl", "csv"), default="json")
 
     p_an = sub.add_parser("analyze", help="full single-channel report")
     p_an.add_argument("channel", help="channel spec file (JSON)")
@@ -379,6 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--trailing-noise", dest="trailing_noise",
                        choices=("on", "off"), default="off")
     p_sim.add_argument("--record-chisep", dest="record_chisep", action="store_true")
+    p_sim.add_argument("--format", dest="fmt", choices=("json", "jsonl", "csv"), default="json")
     common(p_sim)
     p_sim.set_defaults(fn=cmd_simulate)
 
@@ -405,7 +405,6 @@ def main(argv=None) -> int:
             restarts=args.restarts,
             trials=args.trials if args.trials is not None else 200,
             out=args.out,
-            fmt=args.fmt,
         )
     except ValueError as exc:
         return _fail(str(exc))

@@ -7,7 +7,6 @@ the module default), so callers can loosen or tighten globally.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field, replace
 
 
@@ -50,16 +49,6 @@ DEFAULT_QUBIT_CAP = 4
 
 # Cap on classical mixture blocks tracked by the simulator.
 MAX_BLOCKS = 256
-
-
-def thread_count() -> int:
-    """Worker-thread cap from CHCON_THREADS (default 1 = sequential)."""
-    raw = os.environ.get("CHCON_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
 
 
 @dataclass(frozen=True)

@@ -10,15 +10,13 @@ only ever reported as a sampled lower estimate.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import linalg as la
 from .channels import ChannelError, KrausChannel, adjoint, compose, kraus_to_choi, to_bloch_affine
-from .config import thread_count
 from .divergences import chi2_divergence
 from .sampling import random_density, random_full_rank_density, random_pure, rng_from
 
@@ -75,17 +73,80 @@ def _require_endomorphism(ch: KrausChannel):
         raise ChannelError("contraction coefficients require in_dim == out_dim")
 
 
-def _multistart(worker, restarts: int):
-    """Run ``worker(index)`` for each restart; deterministic result order."""
-    n = thread_count()
-    if n > 1:
-        with ThreadPoolExecutor(max_workers=n) as ex:
-            return list(ex.map(worker, range(restarts)))
-    return [worker(i) for i in range(restarts)]
+def _apply_transfer(tmat: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Apply a transfer matrix to a square matrix or a stack of them."""
+    # Stacked matrix-vector products keep each restart's bits identical to a
+    # one-restart run; a single matrix-matrix product would not.
+    return (tmat @ x.reshape(*x.shape[:-2], -1, 1)).reshape(x.shape)
 
 
-def _apply_transfer(tmat: np.ndarray, x: np.ndarray, d: int) -> np.ndarray:
-    return (tmat @ x.reshape(-1)).reshape(d, d)
+def _proj(v: np.ndarray) -> np.ndarray:
+    """The rank-one projectors v v^dag of a stack of vectors."""
+    return v[..., :, None] * v.conj()[..., None, :]
+
+
+def _batched_ascent(step, state, max_iter: int, tol: float, sense: float = 1.0):
+    """Run every restart of a multistart search at once.
+
+    ``state`` holds one (R, d) array per iterate vector; row r is restart r.
+    ``step`` maps the rows of the live restarts to (value, witness, next):
+    the objective of this step, the vectors it belongs to, and the next
+    iterate.  A restart stops at the first step whose value does not beat
+    its best so far by more than ``tol`` (``sense`` +1 ascends, -1
+    descends) and keeps that step's witness; a restart still live after
+    ``max_iter`` steps keeps its last iterate.  Returns the best value, the
+    final vectors and the step count, all per restart.
+    """
+    state = [np.array(s, dtype=complex) for s in state]
+    best = np.full(len(state[0]), -np.inf)
+    steps = np.zeros(len(best), dtype=int)
+    live = np.arange(len(best))
+    for _ in range(max_iter):
+        if live.size == 0:
+            break
+        val, here, nxt = step(*(s[live] for s in state))
+        stop = sense * val <= best[live] + tol
+        best[live] = np.maximum(best[live], sense * val)
+        steps[live] += 1
+        for s, h, n in zip(state, here, nxt):
+            s[live] = np.where(stop[:, None], h, n)
+        live = live[~stop]
+    return sense * best, state, steps
+
+
+def _sign_step(tmat: np.ndarray, tadj: np.ndarray, psi: np.ndarray, phi: np.ndarray | None = None):
+    """One sign-operator step on Delta = psi psi^dag (- phi phi^dag).
+
+    A single eigensolve of T(Delta) gives both its trace norm and its sign
+    S; the next psi (and phi) is the top (and bottom) eigenvector of
+    T^dag(S).
+    """
+    delta = _proj(psi) if phi is None else _proj(psi) - _proj(phi)
+    w, v = np.linalg.eigh(la.herm_part(_apply_transfer(tmat, delta)))
+    sign = (v * np.where(w >= 0, 1.0, -1.0)[..., None, :]) @ la.dag(v)
+    _, u = np.linalg.eigh(la.herm_part(_apply_transfer(tadj, sign)))
+    if phi is None:
+        return np.abs(w).sum(axis=-1), (psi,), (u[..., -1],)
+    return np.abs(w).sum(axis=-1), (psi, phi), (u[..., -1], u[..., 0])
+
+
+def sign_ascent(tmat: np.ndarray, starts: tuple, max_iter: int, tol: float):
+    """Multistart ascent of || T(Delta) ||_1 for the transfer matrix ``tmat``.
+
+    ``starts`` is (psi,) for Delta = psi psi^dag or (psi, phi) for
+    Delta = psi psi^dag - phi phi^dag, each an (R, d) stack of unit
+    vectors.  Returns (trace norms, final vectors, steps) per restart.
+    """
+    return _batched_ascent(partial(_sign_step, tmat, la.dag(tmat)), starts, max_iter, tol)
+
+
+def _min_eigvec_step(amat: np.ndarray, psi: np.ndarray, phi: np.ndarray):
+    """psi, then phi: the smallest eigenvectors of A(phi phi^dag), A(psi psi^dag)."""
+    w1, v1 = np.linalg.eigh(la.herm_part(_apply_transfer(amat, _proj(phi))))
+    psi = v1[..., 0]
+    w2, v2 = np.linalg.eigh(la.herm_part(_apply_transfer(amat, _proj(psi))))
+    phi = v2[..., 0]
+    return np.minimum(w1[..., 0], w2[..., 0]), (psi, phi), (psi, phi)
 
 
 def evaluate_pair(ch: KrausChannel, pair: OrthogonalPair) -> float:
@@ -95,8 +156,7 @@ def evaluate_pair(ch: KrausChannel, pair: OrthogonalPair) -> float:
 
 def _random_orthogonal_pair(rng: np.random.Generator, d: int) -> tuple[np.ndarray, np.ndarray]:
     h = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    h = 0.5 * (h + la.dag(h))
-    q = expm(1j * h)
+    q = la.expi(la.herm_part(h))
     return q[:, 0], q[:, 1]
 
 
@@ -125,39 +185,19 @@ def eta_tr(
             restarts=0, iterations=0, seed=seed, method="bloch_exact",
         )
 
-    tmat = ch.transfer_matrix()
-    tadj = la.dag(tmat)
-
-    def ascend(index: int):
-        rng = rng_from(seed, index)
-        psi, phi = _random_orthogonal_pair(rng, d)
-        best = -np.inf
-        iters = 0
-        for _ in range(max_iter):
-            delta = np.outer(psi, psi.conj()) - np.outer(phi, phi.conj())
-            img = _apply_transfer(tmat, delta, d)
-            val = 0.5 * la.trace_norm(img)
-            iters += 1
-            if val <= best + tol:
-                best = max(best, val)
-                break
-            best = val
-            s_op = la.sign_operator(img)
-            x = la.herm_part(_apply_transfer(tadj, s_op, d))
-            w, v = np.linalg.eigh(x)
-            psi, phi = v[:, -1], v[:, 0]
-        return best, (psi, phi), iters
-
-    results = _multistart(ascend, restarts)
-    best_idx = int(np.argmax([r[0] for r in results]))
-    value, (psi, phi), _ = results[best_idx]
-    total_iters = int(sum(r[2] for r in results))
+    starts = np.array([_random_orthogonal_pair(rng_from(seed, i), d) for i in range(restarts)])
+    # The maximand is half the trace norm.  Halving is exact in floating
+    # point, so stopping the norm ascent at 2 * tol is the same stop test.
+    norms, (psi, phi), steps = sign_ascent(
+        ch.transfer_matrix(), (starts[:, 0], starts[:, 1]), max_iter, 2 * tol
+    )
+    best = int(np.argmax(norms))
     return ContractionReport(
-        value=float(min(max(value, 0.0), 1.0)),
+        value=float(min(max(0.5 * norms[best], 0.0), 1.0)),
         kind="eta_tr_estimate",
-        witness=OrthogonalPair(psi=psi, phi=phi),
+        witness=OrthogonalPair(psi=psi[best], phi=phi[best]),
         restarts=restarts,
-        iterations=total_iters,
+        iterations=int(steps.sum()),
         seed=seed,
         method="multistart_sign_ascent",
     )
@@ -170,45 +210,23 @@ def min_output_eigenvalue(
 
     The bilinear form is symmetric under swapping (psi, phi) because the
     superoperator T^dag o T is self-adjoint, so alternating smallest-
-    eigenvector steps descend monotonically.  Returns (value, (psi, phi),
-    iterations); the value is an upper estimate of the true minimum.
+    eigenvector steps descend monotonically.  Restart i < d starts from the
+    i-th basis vector, later ones from a random pure state.  Returns
+    (value, (psi, phi), iterations); the value is an upper estimate of the
+    true minimum.
     """
     _require_endomorphism(ch)
     d = ch.in_dim
     tmat = ch.transfer_matrix()
     amat = la.dag(tmat) @ tmat
-
-    def descend(index: int):
-        rng = rng_from(seed, index)
-        if index < d:
-            phi = np.zeros(d, dtype=complex)
-            phi[index] = 1.0
-        else:
-            phi = random_pure(rng, d)
-        psi = phi
-        best = np.inf
-        iters = 0
-        for _ in range(max_iter):
-            m1 = la.herm_part(_apply_transfer(amat, np.outer(phi, phi.conj()), d))
-            w, v = np.linalg.eigh(m1)
-            psi = v[:, 0]
-            val = float(w[0])
-            m2 = la.herm_part(_apply_transfer(amat, np.outer(psi, psi.conj()), d))
-            w2, v2 = np.linalg.eigh(m2)
-            phi = v2[:, 0]
-            val = min(val, float(w2[0]))
-            iters += 1
-            if val >= best - tol:
-                best = min(best, val)
-                break
-            best = val
-        return best, (psi, phi), iters
-
-    results = _multistart(descend, restarts)
-    best_idx = int(np.argmin([r[0] for r in results]))
-    value, pair, _ = results[best_idx]
-    total_iters = int(sum(r[2] for r in results))
-    return max(float(value), 0.0), pair, total_iters
+    starts = np.array(
+        [np.eye(d)[i] if i < d else random_pure(rng_from(seed, i), d) for i in range(restarts)]
+    )
+    vals, (psi, phi), steps = _batched_ascent(
+        partial(_min_eigvec_step, amat), (starts, starts), max_iter, tol, sense=-1.0
+    )
+    best = int(np.argmin(vals))
+    return max(float(vals[best]), 0.0), (psi[best], phi[best]), int(steps.sum())
 
 
 def eta_tr_upper_minoutev(
@@ -242,17 +260,20 @@ def lambda_min_choi_of_adjoint_composition(ch: KrausChannel) -> float:
     return float(kraus_to_choi(comp).eigenvalues()[0])
 
 
+def _choi_bound(lam: float, d: int, n_copies: int = 1) -> float:
+    """sqrt(1 - (lam / d^2)^n) with lam clamped at zero, capped at one."""
+    return min(float(np.sqrt(max(1.0 - (max(lam, 0.0) / d**2) ** n_copies, 0.0))), 1.0)
+
+
 def eta_tr_upper_choi(ch: KrausChannel, n_copies: int = 1, seed: int = 0) -> ContractionReport:
     """Upper bound sqrt(1 - (lmin(C_{T^dag o T}) / d^2)^n) for the n-fold
     tensor power, using multiplicativity of the smallest Choi eigenvalue."""
     _require_endomorphism(ch)
     if n_copies < 1:
         raise ChannelError("n_copies must be positive")
-    d = ch.in_dim
     lam = max(lambda_min_choi_of_adjoint_composition(ch), 0.0)
-    value = float(np.sqrt(max(1.0 - (lam / d**2) ** n_copies, 0.0)))
     return ContractionReport(
-        value=min(value, 1.0),
+        value=_choi_bound(lam, ch.in_dim, n_copies),
         kind="eta_tr_upper_choi",
         witness=None,
         restarts=0,
@@ -346,6 +367,8 @@ class IndependenceReport:
     eigenvalue): when it is positive the minimal-output-eigenvalue upper
     bound on the trace-norm contraction coefficient is strictly below one,
     certifying that no orthogonal pair stays perfectly distinguishable.
+    ``eta_upper_bound`` is the certified Choi bound of the same eigenvalue,
+    the value of ``eta_tr_upper_choi``.
     """
 
     certified: bool
@@ -357,14 +380,13 @@ class IndependenceReport:
         return self.certified
 
 
-def independence_trivial(ch: KrausChannel, seed: int = 0) -> IndependenceReport:
+def independence_trivial(ch: KrausChannel) -> IndependenceReport:
     _require_endomorphism(ch)
     lam_choi = lambda_min_choi_of_adjoint_composition(ch)
-    upper = eta_tr_upper_minoutev(ch, seed=seed)
     certified = lam_choi > 1e-10
     return IndependenceReport(
         certified=certified,
         status="certified_alpha_one" if certified else "unknown",
-        eta_upper_bound=upper.value,
+        eta_upper_bound=_choi_bound(lam_choi, ch.in_dim),
         lambda_min_choi=float(lam_choi),
     )

@@ -12,7 +12,8 @@ PAULIS = (I2, PAULI_X, PAULI_Y, PAULI_Z)
 
 
 def dag(a: np.ndarray) -> np.ndarray:
-    return a.conj().T
+    """Conjugate transpose of a matrix, or of every matrix in a stack."""
+    return a.conj().swapaxes(-1, -2)
 
 
 def frozen(a: np.ndarray) -> np.ndarray:
@@ -106,11 +107,10 @@ def sqrtm_psd(a: np.ndarray) -> np.ndarray:
     return (v * w) @ dag(v)
 
 
-def sign_operator(a: np.ndarray) -> np.ndarray:
-    """Hermitian sign of a Hermitian matrix (zero eigenvalues count as +1)."""
-    w, v = np.linalg.eigh(herm_part(a))
-    s = np.where(w >= 0, 1.0, -1.0)
-    return (v * s) @ dag(v)
+def expi(h: np.ndarray) -> np.ndarray:
+    """The unitary exp(i h) of a Hermitian matrix, from its eigendecomposition."""
+    w, v = np.linalg.eigh(h)
+    return (v * np.exp(1j * w)) @ dag(v)
 
 
 def vec_row(k: np.ndarray) -> np.ndarray:

@@ -88,13 +88,11 @@ def random_near_identity_qubit_channel(
     """Qubit channel close to the identity: small random Pauli mixing plus a
     small random amplitude damping, conjugated by near-identity unitaries."""
     from .channels import amplitude_damping, compose, depolarizing, unitary_channel
-    from scipy.linalg import expm
 
     p = strength * rng.uniform(0.0, 1.0)
     gamma = strength * rng.uniform(0.0, 1.0)
     h = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    h = 0.5 * (h + la.dag(h))
-    u = expm(1j * strength * h)
+    u = la.expi(strength * la.herm_part(h))
     ch = compose(amplitude_damping(gamma), depolarizing(p))
     return compose(unitary_channel(u), ch)
 

@@ -214,10 +214,9 @@ def _project_pt_trace_blocks(xs: np.ndarray, dim_a: int, dim_b: int) -> np.ndarr
     density matrices.  Their projection is one batched eigendecomposition
     with the eigenvalues of all blocks projected jointly onto the simplex.
     """
-    xs = 0.5 * (xs + xs.conj().swapaxes(-1, -2))
-    w, v = np.linalg.eigh(la.partial_transpose(xs, dim_a, dim_b))
+    w, v = np.linalg.eigh(la.partial_transpose(la.herm_part(xs), dim_a, dim_b))
     w = la.simplex_project(w.reshape(-1)).reshape(w.shape)
-    return la.partial_transpose((v * w[:, None, :]) @ v.conj().swapaxes(-1, -2), dim_a, dim_b)
+    return la.partial_transpose((v * w[:, None, :]) @ la.dag(v), dim_a, dim_b)
 
 
 def project_pt_trace(x: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:

@@ -118,6 +118,16 @@ class TestSimulate:
         assert len(lines) == 3
         assert all(abs(l["total_prob"] - 1.0) < 1e-9 for l in lines)
 
+    def test_csv_format(self, tmp_path):
+        (tmp_path / "doubled.json").write_text(json.dumps(
+            {"n": 1, "steps": 2, "noise": {"preset": "depolarizing", "p": 0.25}, "p": 0.375}
+        ))
+        res = run_cli("simulate", str(tmp_path / "doubled.json"), "--doubled", "--format", "csv")
+        assert res.returncode == 0
+        lines = res.stdout.strip().splitlines()
+        assert lines[0].startswith("step,total_prob,blocks,chisep")
+        assert [line.split(",")[0] for line in lines[1:]] == ["0", "1", "2"]
+
     def test_bad_circuit_exits_two(self, tmp_path):
         (tmp_path / "bad.json").write_text('{"layers": [{"kind": "mystery"}], "noise": {"preset": "identity"}}')
         res = run_cli("simulate", str(tmp_path / "bad.json"))
@@ -170,6 +180,27 @@ class TestVerify:
     def test_verify_requires_suite_or_replay(self):
         res = run_cli("verify")
         assert res.returncode == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "ch.json"],
+    ["bound", "--p", "0.5", "--n", "1", "--T", "4"],
+    ["verify", "trace-chi2"],
+])
+def test_format_only_on_simulate(argv):
+    # Only simulate honours --format; elsewhere it is a usage error.
+    res = run_cli(*argv, "--format", "csv")
+    assert res.returncode == 2
+    assert "unrecognized arguments: --format" in res.stderr
+
+
+def test_import_leaves_scipy_linalg_out():
+    res = subprocess.run(
+        [sys.executable, "-c", "import sys, chcon.cli; print('scipy.linalg' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"
 
 
 class TestDeterminism:

@@ -16,9 +16,11 @@ from chcon.channels import (
     tensor,
     unitary_channel,
 )
+from chcon.bounds import _max_pure_deviation
 from chcon.contraction import (
     ContractionReport,
     OrthogonalPair,
+    _random_orthogonal_pair,
     eta_chi_lower,
     eta_tr,
     eta_tr_upper_choi,
@@ -26,8 +28,9 @@ from chcon.contraction import (
     evaluate_pair,
     independence_trivial,
     min_output_eigenvalue,
+    sign_ascent,
 )
-from chcon.sampling import random_channel
+from chcon.sampling import random_channel, random_pure, rng_from
 
 from conftest import seeded
 
@@ -162,6 +165,150 @@ class TestSandwich:
                 assert up.extras["lambda_min_out"] >= upc.extras["lambda_min_choi"] - 1e-8
 
 
+def _apply(tmat, x):
+    d = x.shape[0]
+    return (tmat @ x.reshape(-1)).reshape(d, d)
+
+
+def _sign(a):
+    w, v = np.linalg.eigh(la.herm_part(a))
+    return (v * np.where(w >= 0, 1.0, -1.0)) @ la.dag(v)
+
+
+def ref_sign_ascent(tmat, psi, phi, max_iter=300, tol=1e-9):
+    """One restart of the eta_tr ascent, written as a plain loop."""
+    tadj = la.dag(tmat)
+    best, iters = -np.inf, 0
+    for _ in range(max_iter):
+        img = _apply(tmat, np.outer(psi, psi.conj()) - np.outer(phi, phi.conj()))
+        val = 0.5 * la.trace_norm(img)
+        iters += 1
+        if val <= best + tol:
+            best = max(best, val)
+            break
+        best = val
+        _, v = np.linalg.eigh(la.herm_part(_apply(tadj, _sign(img))))
+        psi, phi = v[:, -1], v[:, 0]
+    return best, (psi, phi), iters
+
+
+def ref_deviation_ascent(tmat, psi, max_iter=200, tol=1e-12):
+    """One restart of the pure-deviation ascent on T - I, as a plain loop."""
+    tadj = la.dag(tmat)
+    prev, iters = -np.inf, 0
+    for _ in range(max_iter):
+        img = _apply(tmat, np.outer(psi, psi.conj()))
+        val = la.trace_norm(img)
+        iters += 1
+        if val <= prev + tol:
+            break
+        prev = val
+        _, v = np.linalg.eigh(la.herm_part(_apply(tadj, _sign(img))))
+        psi = v[:, -1]
+    return prev, iters
+
+
+def ref_min_eigvec_descent(amat, phi, max_iter=200, tol=1e-12):
+    """One restart of the min-output-eigenvalue descent, as a plain loop."""
+    psi, best, iters = phi, np.inf, 0
+    for _ in range(max_iter):
+        w, v = np.linalg.eigh(la.herm_part(_apply(amat, np.outer(phi, phi.conj()))))
+        psi, val = v[:, 0], float(w[0])
+        w2, v2 = np.linalg.eigh(la.herm_part(_apply(amat, np.outer(psi, psi.conj()))))
+        phi, val = v2[:, 0], min(val, float(w2[0]))
+        iters += 1
+        if val >= best - tol:
+            best = min(best, val)
+            break
+        best = val
+    return best, (psi, phi), iters
+
+
+def _same_ray(a, b):
+    return abs(abs(np.vdot(a, b)) - 1.0) < 1e-8
+
+
+def _kernel_channels():
+    qubit = random_channel(seeded(60, 2), 2)
+    return {
+        "qutrit": random_channel(seeded(60, 3), 3),
+        "ququart": random_channel(seeded(60, 4), 4),
+        "doubled_qubit": tensor(qubit, qubit),
+    }
+
+
+class TestBatchedKernel:
+    """The batched multistart kernel against per-restart reference loops."""
+
+    @pytest.mark.parametrize("name", ["qutrit", "ququart", "doubled_qubit"])
+    def test_eta_tr_matches_sequential(self, name):
+        ch = _kernel_channels()[name]
+        restarts, seed = 16, 4
+        tmat = ch.transfer_matrix()
+        ref = [
+            ref_sign_ascent(tmat, *_random_orthogonal_pair(rng_from(seed, i), ch.in_dim))
+            for i in range(restarts)
+        ]
+        best = int(np.argmax([r[0] for r in ref]))
+        rep = eta_tr(ch, restarts=restarts, seed=seed)
+        assert rep.value == pytest.approx(ref[best][0], abs=1e-10)
+        assert rep.iterations == sum(r[2] for r in ref)
+        assert _same_ray(rep.witness.psi, ref[best][1][0])
+        assert _same_ray(rep.witness.phi, ref[best][1][1])
+
+    @pytest.mark.parametrize("name", ["qutrit", "ququart", "doubled_qubit"])
+    def test_min_output_eigenvalue_matches_sequential(self, name):
+        ch = _kernel_channels()[name]
+        restarts, seed, d = 10, 2, ch.in_dim
+        tmat = ch.transfer_matrix()
+        amat = la.dag(tmat) @ tmat
+        starts = [np.eye(d, dtype=complex)[i] if i < d else random_pure(rng_from(seed, i), d)
+                  for i in range(restarts)]
+        ref = [ref_min_eigvec_descent(amat, phi) for phi in starts]
+        best = int(np.argmin([r[0] for r in ref]))
+        lam, (psi, phi), iters = min_output_eigenvalue(ch, restarts=restarts, seed=seed)
+        assert lam == pytest.approx(max(ref[best][0], 0.0), abs=1e-10)
+        assert iters == sum(r[2] for r in ref)
+        assert _same_ray(psi, ref[best][1][0])
+        assert _same_ray(phi, ref[best][1][1])
+
+    @pytest.mark.parametrize("name", ["qutrit", "ququart", "doubled_qubit"])
+    def test_pure_deviation_matches_sequential(self, name):
+        ch = _kernel_channels()[name]
+        restarts, seed, d = 8, 3, ch.in_dim
+        tmat = ch.transfer_matrix() - np.eye(d * d)
+        starts = np.array([random_pure(rng_from(seed, 7000 + i), d) for i in range(restarts)])
+        ref = [ref_deviation_ascent(tmat, psi) for psi in starts]
+        norms, _, steps = sign_ascent(tmat, (starts,), 200, 1e-12)
+        assert np.argmax(norms) == np.argmax([r[0] for r in ref])
+        assert list(steps) == [r[1] for r in ref]
+        assert norms == pytest.approx([r[0] for r in ref], abs=1e-10)
+        assert _max_pure_deviation(ch, restarts, seed) == pytest.approx(
+            max(r[0] for r in ref), abs=1e-10
+        )
+
+    def test_restarts_stay_independent(self):
+        # Adding restarts only adds rows: the first k restarts give the same
+        # values with or without the others.
+        ch = _kernel_channels()["qutrit"]
+        tmat = ch.transfer_matrix()
+        ref = [ref_sign_ascent(tmat, *_random_orthogonal_pair(rng_from(5, i), 3))[0]
+               for i in range(6)]
+        for k in range(1, 7):
+            assert eta_tr(ch, restarts=k, seed=5).value == pytest.approx(max(ref[:k]), abs=1e-10)
+
+
+def test_expi_matches_scipy_expm():
+    from scipy.linalg import expm
+
+    rng = seeded(61)
+    for d in (2, 3, 4):
+        for _ in range(5):
+            h = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            h = la.herm_part(h)
+            assert np.abs(la.expi(h) - expm(1j * h)).max() < 1e-12
+
+
 class TestEtaChi:
     def test_identity_is_one(self):
         assert eta_chi_lower(identity_channel(), trials=30, seed=1).value == pytest.approx(1.0)
@@ -197,6 +344,12 @@ class TestIndependence:
         assert not bool(rep)
         assert rep.status == "unknown"
         assert rep.eta_upper_bound == pytest.approx(1.0)
+
+    def test_upper_bound_is_certified_choi_bound(self):
+        ch = random_channel(seeded(62), 3)
+        rep = independence_trivial(ch)
+        assert rep.eta_upper_bound == eta_tr_upper_choi(ch).value
+        assert rep.eta_upper_bound >= eta_tr(ch).value
 
     def test_dephasing_unknown(self):
         # Dephasing keeps the computational basis orthogonal, so nothing can
