@@ -303,17 +303,26 @@ def cmd_simulate(args) -> int:
 def cmd_verify(args) -> int:
     if args.replay:
         dump = _load_json(args.replay)
-        suite = dump.get("suite")
-        if suite not in SUITES:
-            return _fail(f"replay file names unknown suite {suite!r}")
-        results = [
-            replay_violation(suite, v, dump.get("config", {})) for v in dump.get("violations", [])
-        ]
-        still = [r for r in results if r.get("still_violates")]
-        doc = {"suite": suite, "replayed": len(results), "still_violating": len(still),
-               "results": results}
+        # `verify all` writes {"reports": [...]}; a single suite writes one report.
+        dumps = dump["reports"] if "reports" in dump else [dump]
+        docs = []
+        for rep in dumps:
+            suite = rep.get("suite")
+            if suite not in SUITES:
+                return _fail(f"replay file names unknown suite {suite!r}")
+            try:
+                results = [
+                    replay_violation(suite, v, rep.get("config", {}))
+                    for v in rep.get("violations", [])
+                ]
+            except (KeyError, TypeError) as exc:
+                return _fail(f"malformed {suite} record in replay file: {exc}")
+            still = [r for r in results if r["still_violates"]]
+            docs.append({"suite": suite, "replayed": len(results), "still_violating": len(still),
+                         "results": results})
+        doc = {"reports": docs} if "reports" in dump else docs[0]
         _emit(ser.dumps_canonical(doc), args.out)
-        return VIOLATION_ERROR if still else 0
+        return VIOLATION_ERROR if any(d["still_violating"] for d in docs) else 0
 
     if args.suite is None:
         return _fail("verify needs a suite name or --replay FILE")

@@ -16,7 +16,7 @@ from functools import partial
 import numpy as np
 
 from . import linalg as la
-from .channels import ChannelError, KrausChannel, adjoint, compose, kraus_to_choi, to_bloch_affine
+from .channels import ChannelError, KrausChannel, adjoint, bloch_transfer, compose, kraus_to_choi
 from .divergences import chi2_divergence
 from .sampling import random_density, random_full_rank_density, random_pure, rng_from
 
@@ -172,9 +172,8 @@ def eta_tr(
     _require_endomorphism(ch)
     d = ch.in_dim
     if ch.is_qubit():
-        aff = to_bloch_affine(ch)
-        _, m = aff.transfer()
-        u_sv, s, vt = np.linalg.svd(m)
+        _, m = bloch_transfer(ch)
+        _, s, vt = np.linalg.svd(m)
         value = float(min(max(s[0], 0.0), 1.0))
         n = vt[0]
         pair = OrthogonalPair(

@@ -212,23 +212,23 @@ def cp_order_margin(choi_n: ChoiMatrix, choi_m: ChoiMatrix, q: float) -> float:
     return la.min_eig(choi_n.matrix - q * choi_m.matrix)
 
 
-def max_cp_weight(
-    n: KrausChannel, m: KrausChannel, tol: Tolerances = DEFAULT_TOL, bisect_tol: float = 1e-9
-) -> float:
-    """Largest q in [0, 1] keeping N - q M completely positive (bisection)."""
-    cn, cm = kraus_to_choi(n), kraus_to_choi(m)
-    if cp_order_margin(cn, cm, 1.0) >= -tol.psd:
-        return 1.0
-    lo, hi = 0.0, 1.0
-    if cp_order_margin(cn, cm, 0.0) < -tol.psd:
+def max_cp_weight(n: KrausChannel, m: KrausChannel, tol: Tolerances = DEFAULT_TOL) -> float:
+    """Largest q in [0, 1] keeping N - q M completely positive.
+
+    Closed form q = min(1, 2^-D_max(C_M || C_N)) = min(1, 1 / lmax(C_N^{+1/2}
+    C_M C_N^{+1/2})) on the support of C_N (Datta, arXiv:0803.2770), and
+    q = 0 when the support of C_M leaves that of C_N.  Supports are taken at
+    the relative threshold ``tol.supp``.
+    """
+    cm = kraus_to_choi(m).matrix
+    w, v = np.linalg.eigh(kraus_to_choi(n).matrix)
+    supp = w > tol.supp * w[-1]
+    kernel = v[:, ~supp]
+    if np.real(np.trace(la.dag(kernel) @ cm @ kernel)) > tol.supp * w[-1]:
         return 0.0
-    while hi - lo > bisect_tol:
-        mid = 0.5 * (lo + hi)
-        if cp_order_margin(cn, cm, mid) >= -tol.psd:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    s = v[:, supp] / np.sqrt(w[supp])
+    lam = np.linalg.eigvalsh(la.dag(s) @ cm @ s)[-1]
+    return 1.0 if lam <= 1.0 else float(1.0 / lam)
 
 
 def _certificate(q: float, m: KrausChannel, method: str) -> ExtremalCertificate:

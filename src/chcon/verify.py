@@ -2,8 +2,12 @@
 inequalities on seeded random corpora and reports violations with full
 replayable witnesses.
 
-Every instance is generated from (seed, index) alone, so a dumped witness
-replays to the same numbers; reports contain no timestamps and serialize
+Each suite has one check that takes an instance and returns its record and
+its verdict, ``(record, violates)``.  The suite draws every instance from
+(seed, index) alone and reports the records that violate;
+``replay_violation`` decodes the instance from a dumped record and runs the
+same check under the dump's configuration, so a dumped witness replays to
+the same numbers.  Reports contain no timestamps and serialize
 deterministically.
 """
 
@@ -16,7 +20,7 @@ import numpy as np
 
 from . import linalg as la
 from . import serialize as ser
-from .bounds import CapacityBracket, overhead_lower_bound, verify_stability_lemma
+from .bounds import CapacityBracket, capacity_bracket, overhead_lower_bound, verify_stability_lemma
 from .channels import (
     KrausChannel,
     bell_state,
@@ -26,9 +30,10 @@ from .channels import (
 )
 from .config import CHISEP_THRESHOLD
 from .contraction import eta_chi_lower, eta_tr, eta_tr_upper_choi, eta_tr_upper_minoutev
-from .decompose import corner_feasibility, is_entanglement_breaking, unital_split
+from .decompose import corner_feasibility, is_entanglement_breaking, p_constant, unital_split
 from .divergences import chi2_divergence, trace_distance
 from .sampling import (
+    haar_unitary,
     random_channel,
     random_density,
     random_full_rank_density,
@@ -90,6 +95,19 @@ def _report(suite, cfg, checks, violations, extras=None):
     )
 
 
+def _failing(checks) -> list:
+    """The records of the (record, violates) pairs that violate."""
+    return [record for record, violates in checks if violates]
+
+
+def _kraus_to_json(ch: KrausChannel) -> list:
+    return [ser.matrix_to_json(k) for k in ch.kraus]
+
+
+def _kraus_from_json(record: dict) -> KrausChannel:
+    return KrausChannel.from_kraus([ser.matrix_from_json(k) for k in record["kraus"]])
+
+
 # ---------------------------------------------------------------------------
 # Squared trace distance vs chi-square
 # ---------------------------------------------------------------------------
@@ -98,31 +116,28 @@ def _report(suite, cfg, checks, violations, extras=None):
 def _trace_chi2_instance(seed: int, index: int):
     rng = rng_from(seed, index)
     d = int(rng.choice([2, 3, 4]))
-    rho = random_density(rng, d)
-    sigma = random_full_rank_density(rng, d, floor=1e-3)
-    return d, rho, sigma
+    return random_density(rng, d), random_full_rank_density(rng, d, floor=1e-3)
+
+
+def _check_trace_chi2(index, rho, sigma):
+    td = trace_distance(rho, sigma)
+    chi = chi2_divergence(rho, sigma)
+    record = {
+        "index": index,
+        "dim": rho.shape[0],
+        "trace_distance_sq": td * td,
+        "chi2": chi,
+        "rho": ser.matrix_to_json(rho),
+        "sigma": ser.matrix_to_json(sigma),
+    }
+    return record, td * td > chi + 1e-8
 
 
 def suite_trace_chi2(cfg: VerifyConfig) -> SuiteReport:
     """||rho - sigma||_1^2 <= chi2(rho, sigma) + 1e-8 on full-rank sigma."""
     n = cfg.n(1000)
-    violations = []
-    for i in range(n):
-        d, rho, sigma = _trace_chi2_instance(cfg.seed, i)
-        td = trace_distance(rho, sigma)
-        chi = chi2_divergence(rho, sigma)
-        if td * td > chi + 1e-8:
-            violations.append(
-                {
-                    "index": i,
-                    "dim": d,
-                    "trace_distance_sq": td * td,
-                    "chi2": chi,
-                    "rho": ser.matrix_to_json(rho),
-                    "sigma": ser.matrix_to_json(sigma),
-                }
-            )
-    return _report("trace-chi2", cfg, n, violations)
+    checks = (_check_trace_chi2(i, *_trace_chi2_instance(cfg.seed, i)) for i in range(n))
+    return _report("trace-chi2", cfg, n, _failing(checks))
 
 
 # ---------------------------------------------------------------------------
@@ -136,51 +151,42 @@ def _eta_upper_instance(seed: int, index: int) -> KrausChannel:
     return random_channel(rng, d)
 
 
+def _check_eta_upper(index, ch, cfg):
+    est = eta_tr(ch, restarts=cfg.restarts, seed=cfg.seed + index).value
+    up = eta_tr_upper_minoutev(ch, restarts=cfg.restarts, seed=cfg.seed + index)
+    lam_out = up.extras["lambda_min_out"]
+    lam_choi = eta_tr_upper_choi(ch).extras["lambda_min_choi"]
+    record = {
+        "index": index,
+        "eta_estimate": est,
+        "minout_bound": up.value,
+        "lambda_min_out": lam_out,
+        "lambda_min_choi": lam_choi,
+        "kraus": _kraus_to_json(ch),
+    }
+    return record, est > up.value + 1e-6 or lam_out < lam_choi - 1e-8
+
+
 def suite_eta_upper(cfg: VerifyConfig) -> SuiteReport:
     """Estimated trace-norm contraction <= sqrt(1 - lmin_out/d^2) + 1e-6 and
     lmin_out >= lmin(Choi of the adjoint composition) - 1e-8."""
     n = cfg.n(500)
-    violations = []
-    for i in range(n):
-        ch = _eta_upper_instance(cfg.seed, i)
-        est = eta_tr(ch, restarts=cfg.restarts, seed=cfg.seed + i).value
-        up = eta_tr_upper_minoutev(ch, restarts=cfg.restarts, seed=cfg.seed + i)
-        upc = eta_tr_upper_choi(ch)
-        lam_out = up.extras["lambda_min_out"]
-        lam_choi = upc.extras["lambda_min_choi"]
-        bad = est > up.value + 1e-6 or lam_out < lam_choi - 1e-8
-        if bad:
-            violations.append(
-                {
-                    "index": i,
-                    "eta_estimate": est,
-                    "minout_bound": up.value,
-                    "lambda_min_out": lam_out,
-                    "lambda_min_choi": lam_choi,
-                    "kraus": [ser.matrix_to_json(k) for k in ch.kraus],
-                }
-            )
-    return _report("eta-upper", cfg, n, violations)
+    checks = (_check_eta_upper(i, _eta_upper_instance(cfg.seed, i), cfg) for i in range(n))
+    return _report("eta-upper", cfg, n, _failing(checks))
+
+
+def _check_chi2_vs_trace(index, ch, cfg):
+    chi_est = eta_chi_lower(ch, trials=50, seed=cfg.seed + index).value
+    tr_est = eta_tr(ch, restarts=cfg.restarts, seed=cfg.seed + index).value
+    record = {"index": index, "eta_chi_lower": chi_est, "eta_tr": tr_est, "kraus": _kraus_to_json(ch)}
+    return record, chi_est > tr_est + 1e-6
 
 
 def suite_chi2_vs_trace_contraction(cfg: VerifyConfig) -> SuiteReport:
     """Sampled chi-square contraction estimate <= trace-norm estimate + 1e-6."""
     n = cfg.n(200)
-    violations = []
-    for i in range(n):
-        ch = _eta_upper_instance(cfg.seed, i)
-        chi_est = eta_chi_lower(ch, trials=50, seed=cfg.seed + i).value
-        tr_est = eta_tr(ch, restarts=cfg.restarts, seed=cfg.seed + i).value
-        if chi_est > tr_est + 1e-6:
-            violations.append(
-                {
-                    "index": i,
-                    "eta_chi_lower": chi_est,
-                    "eta_tr": tr_est,
-                    "kraus": [ser.matrix_to_json(k) for k in ch.kraus],
-                }
-            )
-    return _report("chi2-vs-trace-contraction", cfg, n, violations)
+    checks = (_check_chi2_vs_trace(i, _eta_upper_instance(cfg.seed, i), cfg) for i in range(n))
+    return _report("chi2-vs-trace-contraction", cfg, n, _failing(checks))
 
 
 # ---------------------------------------------------------------------------
@@ -224,45 +230,44 @@ def mix_channels(weight: float, a: KrausChannel, b: KrausChannel) -> KrausChanne
     return KrausChannel.from_kraus(ops)
 
 
+def _check_unital_split(index, ch):
+    try:
+        sp = unital_split(ch)
+        err = choi_distance(ch, mix_channels(sp.p1, sp.unitary_part, sp.eb_part))
+        eb_ok = is_entanglement_breaking(sp.eb_part)
+    except Exception as exc:  # noqa: BLE001 - suite reports, never raises
+        return {"index": index, "error": str(exc), "kraus": _kraus_to_json(ch)}, True
+    record = {
+        "index": index,
+        "reconstruction_error": err,
+        "eb_part_ppt": eb_ok,
+        "p1": sp.p1,
+        "kraus": _kraus_to_json(ch),
+    }
+    return record, not (err <= 1e-7 and eb_ok and sp.p1 > 0.0)
+
+
+def _check_unital_pin():
+    """Pinned cross-check: depolarizing(0.2) against the independent oracle."""
+    p1 = unital_split(depolarizing(0.2)).p1
+    oracle = p1_bisect_oracle((0.8, 0.8, 0.8))
+    record = {"index": "depolarizing(0.2)", "p1": p1, "oracle": oracle}
+    return record, not (abs(p1 - 0.3) <= 1e-6 and abs(p1 - oracle) <= 1e-6)
+
+
 def suite_unital_split(cfg: VerifyConfig) -> SuiteReport:
     """Random unital non-unitary qubit channels split into unitary plus
     entanglement-breaking parts: reconstruction within 1e-7, the breaking
     part confirmed by the partial-transpose test, the weight positive, and
     the depolarizing pin cross-checked against the bisection oracle."""
     n = cfg.n(300)
-    violations = []
-    for i in range(n):
-        rng = rng_from(cfg.seed, i)
-        ch = random_unital_qubit_channel(rng)
-        try:
-            sp = unital_split(ch)
-            recon = mix_channels(sp.p1, sp.unitary_part, sp.eb_part)
-            err = choi_distance(ch, recon)
-            eb_ok = is_entanglement_breaking(sp.eb_part)
-            ok = err <= 1e-7 and eb_ok and sp.p1 > 0.0
-        except Exception as exc:  # noqa: BLE001 - suite reports, never raises
-            violations.append({"index": i, "error": str(exc),
-                               "kraus": [ser.matrix_to_json(k) for k in ch.kraus]})
-            continue
-        if not ok:
-            violations.append(
-                {
-                    "index": i,
-                    "reconstruction_error": err,
-                    "eb_part_ppt": eb_ok,
-                    "p1": sp.p1,
-                    "kraus": [ser.matrix_to_json(k) for k in ch.kraus],
-                }
-            )
-    # Pinned cross-check: depolarizing(0.2) against the independent oracle.
-    sp = unital_split(depolarizing(0.2))
-    oracle = p1_bisect_oracle((0.8, 0.8, 0.8))
-    pin_ok = abs(sp.p1 - 0.3) <= 1e-6 and abs(sp.p1 - oracle) <= 1e-6
-    if not pin_ok:
-        violations.append({"index": "depolarizing(0.2)", "p1": sp.p1, "oracle": oracle})
+    checks = [
+        _check_unital_split(i, random_unital_qubit_channel(rng_from(cfg.seed, i))) for i in range(n)
+    ]
+    pin = _check_unital_pin()
     return _report(
-        "unital-split", cfg, n + 1, violations,
-        extras={"depolarizing_p1": sp.p1, "bisect_oracle": oracle},
+        "unital-split", cfg, n + 1, _failing(checks + [pin]),
+        extras={"depolarizing_p1": pin[0]["p1"], "bisect_oracle": pin[0]["oracle"]},
     )
 
 
@@ -275,35 +280,35 @@ def _bell() -> BipartiteState:
     return BipartiteState.from_matrix(bell_state().matrix, 2, 2)
 
 
-def _traj_violations(rep, index, noise, steps, tol=1e-3):
+def _trajectory_checks(index, noise, steps, cfg, p_value=None, unital=None):
+    """Run one doubled-memory trajectory; return its report and a (record,
+    violates) pair for every step's contraction factor and for the endgame
+    distance."""
+    rep = doubled_memory_experiment(
+        1, noise, steps, _bell(), p_value=p_value, unital_noise=unital,
+        sep_cfg=SepConfig(seed=cfg.seed), seed=cfg.seed,
+    )
     context = {
         "index": index,
         "steps": steps,
         "p_value": rep.extras["p_value"],
         "unital": rep.extras["unital_noise"],
-        "kraus": [ser.matrix_to_json(k) for k in noise.kraus],
+        "kraus": _kraus_to_json(noise),
     }
-    out = []
-    for s in rep.steps[1:]:
-        if s.factor_ok is False:
-            out.append(
-                {
-                    **context,
-                    "step": s.index,
-                    "chisep": s.chisep_value,
-                    "ratio": s.ratio,
-                    "factor_bound": s.factor_bound,
-                }
-            )
-    if rep.endgame_dsep is not None and rep.endgame_dsep > 0.25 + tol:
-        out.append(
-            {
-                **context,
-                "endgame_step": rep.endgame_step,
-                "endgame_dsep": rep.endgame_dsep,
-            }
+    checks = [
+        (
+            {**context, "step": s.index, "chisep": s.chisep_value, "ratio": s.ratio,
+             "factor_bound": s.factor_bound},
+            s.factor_ok is False,
         )
-    return out
+        for s in rep.steps[1:]
+    ]
+    if rep.endgame_dsep is not None:
+        checks.append((
+            {**context, "endgame_step": rep.endgame_step, "endgame_dsep": rep.endgame_dsep},
+            rep.endgame_dsep > 0.25 + 1e-3,
+        ))
+    return rep, checks
 
 
 def suite_doubled_unital(cfg: VerifyConfig, steps: int = 5) -> SuiteReport:
@@ -311,23 +316,13 @@ def suite_doubled_unital(cfg: VerifyConfig, steps: int = 5) -> SuiteReport:
     experiment for unital noise, checked at every step, plus the pinned
     depolarizing(0.25) ten-step run and its endgame distance."""
     n = cfg.n(20)
-    sep_cfg = SepConfig(seed=cfg.seed)
     violations = []
-    from .decompose import unital_split as do_split
-
     for i in range(n):
-        rng = rng_from(cfg.seed, i)
-        noise = random_unital_qubit_channel(rng, max_weight=0.95)
-        p1 = do_split(noise).p1
-        rep = doubled_memory_experiment(
-            1, noise, steps, _bell(), p_value=p1, unital_noise=True, sep_cfg=sep_cfg, seed=cfg.seed
-        )
-        violations.extend(_traj_violations(rep, i, noise, steps))
-    pinned = doubled_memory_experiment(
-        1, depolarizing(0.25), 10, _bell(), p_value=0.375, unital_noise=True,
-        sep_cfg=sep_cfg, seed=cfg.seed,
-    )
-    violations.extend(_traj_violations(pinned, "depolarizing(0.25)", depolarizing(0.25), 10))
+        noise = random_unital_qubit_channel(rng_from(cfg.seed, i), max_weight=0.95)
+        _, checks = _trajectory_checks(i, noise, steps, cfg, unital_split(noise).p1, True)
+        violations += _failing(checks)
+    pinned, checks = _trajectory_checks("depolarizing(0.25)", depolarizing(0.25), 10, cfg, 0.375, True)
+    violations += _failing(checks)
     return _report(
         "doubled-contraction-unital", cfg, n + 1, violations,
         extras={
@@ -343,22 +338,14 @@ def suite_doubled_nonunital(cfg: VerifyConfig, steps: int = 5) -> SuiteReport:
     chi-square distance stays above the 1/16 threshold, with the pinned
     amplitude-damping(0.3) ten-step run."""
     n = cfg.n(20)
-    sep_cfg = SepConfig(seed=cfg.seed)
     violations = []
-    from .decompose import p_constant
-
     for i in range(n):
-        rng = rng_from(cfg.seed, 10_000 + i)
-        noise = random_nonunital_qubit_channel(rng, min_nonunitality=0.05)
+        noise = random_nonunital_qubit_channel(rng_from(cfg.seed, 10_000 + i), min_nonunitality=0.05)
         p = p_constant(noise, candidates=32, eb_candidates=16, seed=cfg.seed + i).p
-        rep = doubled_memory_experiment(
-            1, noise, steps, _bell(), p_value=p, unital_noise=False, sep_cfg=sep_cfg, seed=cfg.seed
-        )
-        violations.extend(_traj_violations(rep, i, noise, steps))
-    pinned = doubled_memory_experiment(
-        1, amplitude_damping(0.3), 10, _bell(), sep_cfg=sep_cfg, seed=cfg.seed
-    )
-    violations.extend(_traj_violations(pinned, "amplitude_damping(0.3)", amplitude_damping(0.3), 10))
+        _, checks = _trajectory_checks(i, noise, steps, cfg, p, False)
+        violations += _failing(checks)
+    pinned, checks = _trajectory_checks("amplitude_damping(0.3)", amplitude_damping(0.3), 10, cfg)
+    violations += _failing(checks)
     return _report(
         "doubled-contraction-nonunital", cfg, n + 1, violations,
         extras={
@@ -382,7 +369,7 @@ def _random_two_block_state(seed: int, index: int, entangled_bias: bool = False)
     for b in range(2):
         if entangled_bias:
             w = rng.uniform(0.6, 1.0)
-            u = np.kron(_haar2(rng), _haar2(rng))
+            u = np.kron(haar_unitary(rng, 2), haar_unitary(rng, 2))
             rho = w * bell_state().matrix + (1.0 - w) * np.eye(4) / 4
             rho = u @ rho @ la.dag(u)
         else:
@@ -391,10 +378,16 @@ def _random_two_block_state(seed: int, index: int, entangled_bias: bool = False)
     return CcQqState.from_blocks(2, 2, blocks)
 
 
-def _haar2(rng):
-    from .sampling import haar_unitary
+def _check_ccqq_formula(index, s, cfg):
+    sep_cfg = SepConfig(seed=cfg.seed)
+    f = chisep_ccqq(s, sep_cfg).value
+    d = chisep_ccqq_blockdiag(s, sep_cfg).value
+    return {"index": index, "formula": f, "direct": d, "state": ser.ccqq_to_json(s)}, abs(f - d) > 1e-3
 
-    return haar_unitary(rng, 2)
+
+def _check_ccqq_bound(index, s, cfg):
+    val = chisep_ccqq(s, SepConfig(seed=cfg.seed, obj_tol=1e-6, max_iter=2000)).value
+    return {"index": index, "value": val, "state": ser.ccqq_to_json(s)}, val > 3.0 + 1e-6
 
 
 def suite_ccqq_formula(cfg: VerifyConfig, n_bound: int | None = None) -> SuiteReport:
@@ -403,26 +396,16 @@ def suite_ccqq_formula(cfg: VerifyConfig, n_bound: int | None = None) -> SuiteRe
     and the dimensional bound dA dB - 1 holds with 1e-6 slack."""
     n_agree = cfg.n(50)
     n_bound = n_bound if n_bound is not None else 4 * n_agree
-    sep_cfg = SepConfig(seed=cfg.seed)
-    fast_cfg = SepConfig(seed=cfg.seed, obj_tol=1e-6, max_iter=2000)
-    violations = []
-    worst_gap = 0.0
-    for i in range(n_agree):
-        s = _random_two_block_state(cfg.seed, i)
-        f = chisep_ccqq(s, sep_cfg).value
-        d = chisep_ccqq_blockdiag(s, sep_cfg).value
-        worst_gap = max(worst_gap, abs(f - d))
-        if abs(f - d) > 1e-3:
-            violations.append(
-                {"index": i, "formula": f, "direct": d, "state": ser.ccqq_to_json(s)}
-            )
-    for i in range(n_bound):
-        s = _random_two_block_state(cfg.seed, 50_000 + i, entangled_bias=(i % 2 == 0))
-        val = chisep_ccqq(s, fast_cfg).value
-        if val > 3.0 + 1e-6:
-            violations.append({"index": 50_000 + i, "value": val, "state": ser.ccqq_to_json(s)})
+    agree = [_check_ccqq_formula(i, _random_two_block_state(cfg.seed, i), cfg) for i in range(n_agree)]
+    bound = [
+        _check_ccqq_bound(
+            50_000 + i, _random_two_block_state(cfg.seed, 50_000 + i, entangled_bias=(i % 2 == 0)), cfg
+        )
+        for i in range(n_bound)
+    ]
+    worst_gap = max([0.0] + [abs(r["formula"] - r["direct"]) for r, _ in agree])
     return _report(
-        "ccqq-formula", cfg, n_agree + n_bound, violations,
+        "ccqq-formula", cfg, n_agree + n_bound, _failing(agree + bound),
         extras={"worst_formula_gap": worst_gap, "bound_states": n_bound},
     )
 
@@ -447,38 +430,36 @@ def sep_step_instance(seed: int, index: int):
     return state, channel
 
 
+def _check_sep_step(index, state, channel, cfg, epsilon=CHISEP_THRESHOLD):
+    """Raises when the instance does not meet the step's chi-square precondition."""
+    rep = verify_contraction_step(state, channel, epsilon, SepConfig(seed=cfg.seed))
+    record = {
+        "index": index,
+        "chi_in": rep.chi_in,
+        "chi_out": rep.chi_out,
+        "eta_upper": rep.eta_upper,
+        "rhs": rep.rhs,
+        "state": ser.ccqq_to_json(state),
+        "channel": ser.separable_channel_to_json(channel),
+    }
+    return record, not rep.passed
+
+
 def suite_sep_step(cfg: VerifyConfig, epsilon: float = CHISEP_THRESHOLD) -> SuiteReport:
     """One separable-channel step contracts the chi-square separability
     distance by at least the eps^2/100 margin, using the certified upper
     bound on the channel's contraction coefficient."""
     n = cfg.n(50)
-    sep_cfg = SepConfig(seed=cfg.seed)
-    violations = []
-    accepted = 0
-    index = 0
+    checks = []
     attempts = 0
-    while accepted < n and attempts < 20 * n:
-        state, channel = sep_step_instance(cfg.seed, index)
-        index += 1
+    while len(checks) < n and attempts < 20 * n:
+        state, channel = sep_step_instance(cfg.seed, attempts)
         attempts += 1
         try:
-            rep = verify_contraction_step(state, channel, epsilon, sep_cfg)
+            checks.append(_check_sep_step(attempts - 1, state, channel, cfg, epsilon))
         except Exception:
             continue  # precondition not met; draw the next instance
-        accepted += 1
-        if not rep.passed:
-            violations.append(
-                {
-                    "index": index - 1,
-                    "chi_in": rep.chi_in,
-                    "chi_out": rep.chi_out,
-                    "eta_upper": rep.eta_upper,
-                    "rhs": rep.rhs,
-                    "state": ser.ccqq_to_json(state),
-                    "channel": ser.separable_channel_to_json(channel),
-                }
-            )
-    return _report("sep-step-contraction", cfg, accepted, violations,
+    return _report("sep-step-contraction", cfg, len(checks), _failing(checks),
                    extras={"epsilon": epsilon, "attempts": attempts})
 
 
@@ -487,30 +468,30 @@ def suite_sep_step(cfg: VerifyConfig, epsilon: float = CHISEP_THRESHOLD) -> Suit
 # ---------------------------------------------------------------------------
 
 
+def _check_stability(index, ch, cfg):
+    rep = verify_stability_lemma(ch, restarts=cfg.restarts, seed=cfg.seed + index)
+    record = {
+        "index": index,
+        "epsilon": rep.epsilon,
+        "extended_estimate": rep.extended_estimate,
+        "extended_bound": rep.extended_bound,
+        "doubled_estimate": rep.doubled_estimate,
+        "doubled_bound": rep.doubled_bound,
+        "kraus": _kraus_to_json(ch),
+    }
+    # The lemma only covers channels within 0.1 of the identity.
+    return record, not (rep.epsilon > 0.1 or rep.passed)
+
+
 def suite_stability(cfg: VerifyConfig, strength: float = 0.05) -> SuiteReport:
     """Channels within 0.1 of the identity in induced trace norm satisfy the
     sqrt(2 eps) extension bound (and its doubled form)."""
     n = cfg.n(100)
-    violations = []
-    for i in range(n):
-        rng = rng_from(cfg.seed, i)
-        ch = random_near_identity_qubit_channel(rng, strength)
-        rep = verify_stability_lemma(ch, restarts=cfg.restarts, seed=cfg.seed + i)
-        if rep.epsilon > 0.1:
-            continue
-        if not rep.passed:
-            violations.append(
-                {
-                    "index": i,
-                    "epsilon": rep.epsilon,
-                    "extended_estimate": rep.extended_estimate,
-                    "extended_bound": rep.extended_bound,
-                    "doubled_estimate": rep.doubled_estimate,
-                    "doubled_bound": rep.doubled_bound,
-                    "kraus": [ser.matrix_to_json(k) for k in ch.kraus],
-                }
-            )
-    return _report("near-identity-stability", cfg, n, violations)
+    checks = (
+        _check_stability(i, random_near_identity_qubit_channel(rng_from(cfg.seed, i), strength), cfg)
+        for i in range(n)
+    )
+    return _report("near-identity-stability", cfg, n, _failing(checks))
 
 
 # ---------------------------------------------------------------------------
@@ -518,35 +499,36 @@ def suite_stability(cfg: VerifyConfig, strength: float = 0.05) -> SuiteReport:
 # ---------------------------------------------------------------------------
 
 
+def _overhead_checks(cfg):
+    """(record, violates) for each pinned overhead-calculator fact."""
+    br = capacity_bracket(depolarizing(0.4), restarts=4, seed=cfg.seed)
+    ob = overhead_lower_bound(10, math.log2(100), 0.3, br)
+    checks = [({"case": "depolarizing(0.4)", "expected": "impossible"}, not ob.impossible)]
+
+    trivial = CapacityBracket(0.0, 1.0, "none", "trivial_log_d")
+    ob2 = overhead_lower_bound(1, 40.0, 0.5, trivial)
+    checks.append((
+        {"case": "p=0.5,T=2^40", "alpha": ob2.alpha, "bound": ob2.bound_value},
+        not (abs(ob2.alpha - 0.25) < 1e-12 and abs(ob2.bound_value - 10.0) < 1e-9),
+    ))
+
+    grid = {
+        (ni, ti): overhead_lower_bound(ni, 8.0 * ti, 0.5, trivial).bound_value
+        for ni in range(1, 6)
+        for ti in range(1, 6)
+    }
+    for (ni, ti), val in grid.items():
+        for case, prev in (("monotone_n", (ni - 1, ti)), ("monotone_T", (ni, ti - 1))):
+            if prev in grid:
+                checks.append(({"case": case, "at": [ni, ti]}, val < grid[prev] - 1e-12))
+    return checks
+
+
 def suite_overhead(cfg: VerifyConfig) -> SuiteReport:
     """Pinned overhead-calculator facts: zero-capacity depolarizing noise is
     impossible, the alpha log T term evaluates exactly, and the bound is
     monotone over an n x T grid."""
-    violations = []
-    from .bounds import capacity_bracket
-
-    br = capacity_bracket(depolarizing(0.4), restarts=4, seed=cfg.seed)
-    ob = overhead_lower_bound(10, math.log2(100), 0.3, br)
-    if not ob.impossible:
-        violations.append({"case": "depolarizing(0.4)", "expected": "impossible"})
-
-    trivial = CapacityBracket(0.0, 1.0, "none", "trivial_log_d")
-    ob2 = overhead_lower_bound(1, 40.0, 0.5, trivial)
-    if not (abs(ob2.alpha - 0.25) < 1e-12 and abs(ob2.bound_value - 10.0) < 1e-9):
-        violations.append({"case": "p=0.5,T=2^40", "alpha": ob2.alpha, "bound": ob2.bound_value})
-
-    grid_vals = {}
-    for ni in range(1, 6):
-        for ti in range(1, 6):
-            res = overhead_lower_bound(ni, 8.0 * ti, 0.5, trivial)
-            grid_vals[(ni, ti)] = res.bound_value
-    for ni in range(1, 6):
-        for ti in range(1, 6):
-            if ni > 1 and grid_vals[(ni, ti)] < grid_vals[(ni - 1, ti)] - 1e-12:
-                violations.append({"case": "monotone_n", "at": [ni, ti]})
-            if ti > 1 and grid_vals[(ni, ti)] < grid_vals[(ni, ti - 1)] - 1e-12:
-                violations.append({"case": "monotone_T", "at": [ni, ti]})
-    return _report("overhead-calculator", cfg, 2 + 25, violations)
+    return _report("overhead-calculator", cfg, 2 + 25, _failing(_overhead_checks(cfg)))
 
 
 SUITES = {
@@ -576,95 +558,53 @@ def run_suite(name: str, cfg: VerifyConfig) -> SuiteReport:
 # ---------------------------------------------------------------------------
 
 
+def _same_check(checks, violation, keys):
+    """The pair in ``checks`` whose ``keys`` match the dumped record; a check
+    that no longer runs does not violate."""
+    for record, violates in checks:
+        if all(record.get(k) == violation.get(k) for k in keys):
+            return record, violates
+    return None, False
+
+
 def replay_violation(suite: str, violation: dict, config: dict) -> dict:
     """Re-evaluate one dumped counterexample from its embedded witness.
 
-    Returns the violation dict extended with ``replayed`` (the recomputed
-    numbers) and ``still_violates``.
+    The instance is decoded from the record and run through the suite's own
+    check with the dump's configuration.  Returns the violation dict
+    extended with ``replayed`` (the check's fresh record) and
+    ``still_violates`` (its verdict).
     """
-    seed = int(config.get("seed", 0))
-    restarts = int(config.get("restarts", 12))
-    out = dict(violation)
+    cfg = VerifyConfig(**config)
+    v = violation
     if suite == "trace-chi2":
-        rho = ser.matrix_from_json(violation["rho"])
-        sigma = ser.matrix_from_json(violation["sigma"])
-        td = trace_distance(rho, sigma)
-        chi = chi2_divergence(rho, sigma)
-        out["replayed"] = {"trace_distance_sq": td * td, "chi2": chi}
-        out["still_violates"] = bool(td * td > chi + 1e-8)
-    elif suite in ("eta-upper", "chi2-vs-trace-contraction"):
-        ch = KrausChannel.from_kraus([ser.matrix_from_json(k) for k in violation["kraus"]])
-        i = int(violation["index"])
-        est = eta_tr(ch, restarts=restarts, seed=seed + i).value
-        if suite == "eta-upper":
-            up = eta_tr_upper_minoutev(ch, restarts=restarts, seed=seed + i)
-            upc = eta_tr_upper_choi(ch)
-            out["replayed"] = {
-                "eta_estimate": est,
-                "minout_bound": up.value,
-                "lambda_min_out": up.extras["lambda_min_out"],
-                "lambda_min_choi": upc.extras["lambda_min_choi"],
-            }
-            out["still_violates"] = bool(
-                est > up.value + 1e-6
-                or up.extras["lambda_min_out"] < upc.extras["lambda_min_choi"] - 1e-8
-            )
-        else:
-            chi_est = eta_chi_lower(ch, trials=50, seed=seed + i).value
-            out["replayed"] = {"eta_chi_lower": chi_est, "eta_tr": est}
-            out["still_violates"] = bool(chi_est > est + 1e-6)
+        record, violates = _check_trace_chi2(
+            v["index"], ser.matrix_from_json(v["rho"]), ser.matrix_from_json(v["sigma"])
+        )
+    elif suite == "eta-upper":
+        record, violates = _check_eta_upper(v["index"], _kraus_from_json(v), cfg)
+    elif suite == "chi2-vs-trace-contraction":
+        record, violates = _check_chi2_vs_trace(v["index"], _kraus_from_json(v), cfg)
     elif suite == "unital-split":
-        ch = (
-            depolarizing(0.2)
-            if violation.get("index") == "depolarizing(0.2)"
-            else KrausChannel.from_kraus([ser.matrix_from_json(k) for k in violation["kraus"]])
+        record, violates = (
+            _check_unital_pin() if "oracle" in v else _check_unital_split(v["index"], _kraus_from_json(v))
         )
-        sp = unital_split(ch)
-        recon = mix_channels(sp.p1, sp.unitary_part, sp.eb_part)
-        err = choi_distance(ch, recon)
-        eb_ok = is_entanglement_breaking(sp.eb_part)
-        out["replayed"] = {"reconstruction_error": err, "eb_part_ppt": eb_ok, "p1": sp.p1}
-        out["still_violates"] = bool(err > 1e-7 or not eb_ok or sp.p1 <= 0.0)
     elif suite in ("doubled-contraction-unital", "doubled-contraction-nonunital"):
-        noise = KrausChannel.from_kraus([ser.matrix_from_json(k) for k in violation["kraus"]])
-        rep = doubled_memory_experiment(
-            1, noise, int(violation["steps"]), _bell(),
-            p_value=float(violation["p_value"]), unital_noise=bool(violation["unital"]),
-            sep_cfg=SepConfig(seed=seed), seed=seed,
+        _, checks = _trajectory_checks(
+            v["index"], _kraus_from_json(v), int(v["steps"]), cfg, float(v["p_value"]), bool(v["unital"])
         )
-        new = _traj_violations(rep, violation["index"], noise, int(violation["steps"]))
-        out["replayed"] = {"violations": len(new)}
-        out["still_violates"] = bool(new)
+        record, violates = _same_check(checks, v, ("step",))
     elif suite == "ccqq-formula":
-        s = ser.ccqq_from_json(violation["state"])
-        sep_cfg = SepConfig(seed=seed)
-        f = chisep_ccqq(s, sep_cfg).value
-        if "direct" in violation:
-            d = chisep_ccqq_blockdiag(s, sep_cfg).value
-            out["replayed"] = {"formula": f, "direct": d}
-            out["still_violates"] = bool(abs(f - d) > 1e-3)
-        else:
-            out["replayed"] = {"value": f}
-            out["still_violates"] = bool(f > 3.0 + 1e-6)
+        check = _check_ccqq_formula if "direct" in v else _check_ccqq_bound
+        record, violates = check(v["index"], ser.ccqq_from_json(v["state"]), cfg)
     elif suite == "sep-step-contraction":
-        s = ser.ccqq_from_json(violation["state"])
-        channel = ser.separable_channel_from_json(violation["channel"])
-        rep = verify_contraction_step(s, channel, CHISEP_THRESHOLD, SepConfig(seed=seed))
-        out["replayed"] = {"chi_in": rep.chi_in, "chi_out": rep.chi_out, "rhs": rep.rhs}
-        out["still_violates"] = not rep.passed
+        record, violates = _check_sep_step(
+            v["index"], ser.ccqq_from_json(v["state"]), ser.separable_channel_from_json(v["channel"]), cfg
+        )
     elif suite == "near-identity-stability":
-        ch = KrausChannel.from_kraus([ser.matrix_from_json(k) for k in violation["kraus"]])
-        rep = verify_stability_lemma(ch, restarts=restarts, seed=seed + int(violation["index"]))
-        out["replayed"] = {
-            "epsilon": rep.epsilon,
-            "extended_estimate": rep.extended_estimate,
-            "doubled_estimate": rep.doubled_estimate,
-        }
-        out["still_violates"] = not rep.passed
+        record, violates = _check_stability(v["index"], _kraus_from_json(v), cfg)
     elif suite == "overhead-calculator":
-        rep = suite_overhead(VerifyConfig(seed=seed, restarts=restarts))
-        out["replayed"] = {"violations": len(rep.violations)}
-        out["still_violates"] = not rep.passed
+        record, violates = _same_check(_overhead_checks(cfg), v, ("case", "at"))
     else:
         raise KeyError(f"no replay handler for suite {suite!r}")
-    return out
+    return {**violation, "replayed": record, "still_violates": bool(violates)}

@@ -181,6 +181,36 @@ class TestVerify:
         res = run_cli("verify")
         assert res.returncode == 2
 
+    @pytest.mark.parametrize("config, record", [
+        ({"seed": 0, "note": 1}, {"index": 0, "rho": [[[1.0, 0.0]]], "sigma": [[[1.0, 0.0]]]}),
+        ({"seed": 0}, {"index": 0}),
+    ])
+    def test_malformed_replay_record_exits_two(self, tmp_path, config, record):
+        path = tmp_path / "dump.json"
+        path.write_text(json.dumps({"suite": "trace-chi2", "config": config, "violations": [record]}))
+        res = run_cli("verify", "--replay", str(path))
+        assert res.returncode == 2
+        assert "malformed trace-chi2 record" in res.stderr
+
+    def test_replay_of_verify_all_report(self, tmp_path):
+        # `verify all` writes {"reports": [...]}; replay checks every suite in
+        # it and exits 1 because the unitary channel's error record still fails.
+        all_path = tmp_path / "all.json"
+        res = run_cli("verify", "all", "--trials", "1", "--restarts", "2", "--out", str(all_path))
+        assert res.returncode == 0, res.stderr
+        doc = json.loads(all_path.read_text())
+        unitary = [[[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]]
+        split = next(r for r in doc["reports"] if r["suite"] == "unital-split")
+        split["violations"] = [{"index": 0, "error": "unitary channel", "kraus": unitary}]
+        all_path.write_text(json.dumps(doc))
+        res = run_cli("verify", "--replay", str(all_path))
+        assert res.returncode == 1, res.stderr
+        replayed = json.loads(res.stdout)["reports"]
+        assert [r["suite"] for r in replayed] == [r["suite"] for r in doc["reports"]]
+        assert [r["still_violating"] for r in replayed] == [
+            int(r["suite"] == "unital-split") for r in doc["reports"]
+        ]
+
 
 @pytest.mark.parametrize("argv", [
     ["analyze", "ch.json"],

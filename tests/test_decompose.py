@@ -14,6 +14,7 @@ from chcon.channels import (
     dephasing,
     depolarizing,
     identity_channel,
+    kraus_to_choi,
     unitary_channel,
 )
 from chcon.decompose import (
@@ -21,6 +22,7 @@ from chcon.decompose import (
     barycentric_weights,
     corner_feasibility,
     corner_max_q,
+    cp_order_margin,
     eb_peel_weight,
     is_entanglement_breaking,
     max_cp_weight,
@@ -133,15 +135,37 @@ class TestUnitalSplit:
 
 class TestCpOrder:
     def test_mixture_recovers_component_weight(self):
+        ad = amplitude_damping(0.3)
         mix = KrausChannel.from_kraus(
-            [np.sqrt(0.5) * k for k in amplitude_damping(0.3).kraus] + [np.sqrt(0.5) * np.eye(2)]
+            [np.sqrt(0.5) * k for k in ad.kraus] + [np.sqrt(0.5) * np.eye(2)]
         )
-        q = max_cp_weight(mix, amplitude_damping(0.3))
-        assert q == pytest.approx(0.5, abs=1e-6)
+        q = max_cp_weight(mix, ad)
+        assert q == pytest.approx(0.5, abs=1e-12)
+        assert cp_order_margin(kraus_to_choi(mix), kraus_to_choi(ad), q) >= -1e-12
 
     def test_self_weight_is_one(self):
         ch = amplitude_damping(0.4)
         assert max_cp_weight(ch, ch) == pytest.approx(1.0)
+
+    def test_rank_two_channel_peels_no_full_rank_part(self):
+        # Amplitude damping has a rank-2 Choi matrix, so no channel with a
+        # full-rank Choi matrix sits below it: the peel weight is exactly 0.
+        assert eb_peel_weight(amplitude_damping(0.3)) == 0.0
+
+    def test_random_weights_are_maximal_cp_peels(self):
+        for i in range(40):
+            m = random_nonunital_qubit_channel(seeded(63, i), min_nonunitality=0.02)
+            b = random_nonunital_qubit_channel(seeded(64, i), min_nonunitality=0.02)
+            w = 0.1 + 0.8 * i / 40
+            n = KrausChannel.from_kraus(
+                [np.sqrt(w) * k for k in m.kraus] + [np.sqrt(1 - w) * k for k in b.kraus]
+            )
+            cn, cm = kraus_to_choi(n), kraus_to_choi(m)
+            q = max_cp_weight(n, m)
+            assert q >= w - 1e-12
+            assert cp_order_margin(cn, cm, q) >= -1e-12
+            if q < 1.0:
+                assert cp_order_margin(cn, cm, min(1.0, q * (1 + 1e-6))) < 0.0
 
 
 class TestP2Certificate:
