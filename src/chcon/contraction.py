@@ -89,6 +89,7 @@ def _batched_ascent(step, state, max_iter: int, tol: float, sense: float = 1.0):
     """Run every restart of a multistart search at once.
 
     ``state`` holds one (R, d) array per iterate vector; row r is restart r.
+    Each array keeps its dtype, so ``step`` must return rows of that dtype.
     ``step`` maps the rows of the live restarts to (value, witness, next):
     the objective of this step, the vectors it belongs to, and the next
     iterate.  A restart stops at the first step whose value does not beat
@@ -97,7 +98,7 @@ def _batched_ascent(step, state, max_iter: int, tol: float, sense: float = 1.0):
     ``max_iter`` steps keeps its last iterate.  Returns the best value, the
     final vectors and the step count, all per restart.
     """
-    state = [np.array(s, dtype=complex) for s in state]
+    state = [np.array(s) for s in state]
     best = np.full(len(state[0]), -np.inf)
     steps = np.zeros(len(best), dtype=int)
     live = np.arange(len(best))
@@ -219,7 +220,8 @@ def min_output_eigenvalue(
     tmat = ch.transfer_matrix()
     amat = la.dag(tmat) @ tmat
     starts = np.array(
-        [np.eye(d)[i] if i < d else random_pure(rng_from(seed, i), d) for i in range(restarts)]
+        [np.eye(d)[i] if i < d else random_pure(rng_from(seed, i), d) for i in range(restarts)],
+        dtype=complex,
     )
     vals, (psi, phi), steps = _batched_ascent(
         partial(_min_eigvec_step, amat), (starts, starts), max_iter, tol, sense=-1.0

@@ -212,6 +212,28 @@ def cp_order_margin(choi_n: ChoiMatrix, choi_m: ChoiMatrix, q: float) -> float:
     return la.min_eig(choi_n.matrix - q * choi_m.matrix)
 
 
+def _choi_support(n: KrausChannel, tol: Tolerances) -> tuple[np.ndarray, np.ndarray, float]:
+    """One eigendecomposition of C_N, shared by every candidate M.
+
+    Returns the kernel basis of C_N, its support basis scaled by the inverse
+    square roots of the eigenvalues (columns of C_N^{+1/2}), and the support
+    threshold ``tol.supp * lmax(C_N)``.
+    """
+    w, v = np.linalg.eigh(kraus_to_choi(n).matrix)
+    supp = w > tol.supp * w[-1]
+    return v[:, ~supp], v[:, supp] / np.sqrt(w[supp]), tol.supp * w[-1]
+
+
+def _max_cp_weight_on(support: tuple[np.ndarray, np.ndarray, float], m: KrausChannel) -> float:
+    """:func:`max_cp_weight` for the C_N support from :func:`_choi_support`."""
+    kernel, s, threshold = support
+    cm = kraus_to_choi(m).matrix
+    if np.real(np.trace(la.dag(kernel) @ cm @ kernel)) > threshold:
+        return 0.0
+    lam = np.linalg.eigvalsh(la.dag(s) @ cm @ s)[-1]
+    return 1.0 if lam <= 1.0 else float(1.0 / lam)
+
+
 def max_cp_weight(n: KrausChannel, m: KrausChannel, tol: Tolerances = DEFAULT_TOL) -> float:
     """Largest q in [0, 1] keeping N - q M completely positive.
 
@@ -220,15 +242,7 @@ def max_cp_weight(n: KrausChannel, m: KrausChannel, tol: Tolerances = DEFAULT_TO
     q = 0 when the support of C_M leaves that of C_N.  Supports are taken at
     the relative threshold ``tol.supp``.
     """
-    cm = kraus_to_choi(m).matrix
-    w, v = np.linalg.eigh(kraus_to_choi(n).matrix)
-    supp = w > tol.supp * w[-1]
-    kernel = v[:, ~supp]
-    if np.real(np.trace(la.dag(kernel) @ cm @ kernel)) > tol.supp * w[-1]:
-        return 0.0
-    s = v[:, supp] / np.sqrt(w[supp])
-    lam = np.linalg.eigvalsh(la.dag(s) @ cm @ s)[-1]
-    return 1.0 if lam <= 1.0 else float(1.0 / lam)
+    return _max_cp_weight_on(_choi_support(n, tol), m)
 
 
 def _certificate(q: float, m: KrausChannel, method: str) -> ExtremalCertificate:
@@ -288,13 +302,14 @@ def p2_certificate(
         if best.m_extremal:
             return best
 
+    support = _choi_support(ch, tol)
     for i in range(candidates):
         rng = rng_from(seed, i)
         try:
             m = random_extremal_nonunital_qubit_channel(rng)
         except RuntimeError:
             continue
-        q = max_cp_weight(ch, m, tol)
+        q = _max_cp_weight_on(support, m)
         if q <= 1e-6:
             continue
         cand = _certificate(q, m, method="extremal_peel")
@@ -310,11 +325,12 @@ def eb_peel_weight(
 ) -> float:
     """Best q with N >= q B over random entanglement-breaking candidates B
     (a lower bound on the entanglement-breaking weight of N)."""
+    support = _choi_support(ch, tol)
     best = 0.0
     for i in range(candidates):
         rng = rng_from(seed, 1_000_000 + i)
         b = random_eb_qubit_channel(rng)
-        best = max(best, max_cp_weight(ch, b, tol))
+        best = max(best, _max_cp_weight_on(support, b))
     return best
 
 

@@ -126,11 +126,26 @@ def su2_from_rotation(r: np.ndarray) -> np.ndarray:
     """SU(2) element whose Bloch-sphere conjugation action equals ``r``.
 
     ``r`` must be in SO(3); the result is fixed up to global sign, resolved
-    towards a non-negative real trace.
+    towards a non-negative real trace.  The unit quaternion (w, x, y, z) of
+    ``r`` comes from Shepperd's method: each of 1 + tr r and 1 + 2 r_kk - tr r
+    is four times a squared component, and the largest of them, with sums
+    and differences of off-diagonal entries, gives the quaternion times four
+    times that component, which is then normalized.
     """
-    from scipy.spatial.transform import Rotation
-
-    x, y, z, w = Rotation.from_matrix(np.asarray(r, dtype=float)).as_quat()
+    r = np.asarray(r, dtype=float)
+    tr = np.trace(r)
+    k = int(np.argmax([tr, r[0, 0], r[1, 1], r[2, 2]]))
+    if k == 0:
+        q = np.array([1.0 + tr, r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]])
+    else:
+        i = k - 1
+        j, l = (i + 1) % 3, (i + 2) % 3
+        q = np.empty(4)
+        q[0] = r[l, j] - r[j, l]
+        q[1 + i] = 1.0 + 2.0 * r[i, i] - tr
+        q[1 + j] = r[j, i] + r[i, j]
+        q[1 + l] = r[l, i] + r[i, l]
+    w, x, y, z = q / np.linalg.norm(q)
     u = w * I2 - 1j * (x * PAULI_X + y * PAULI_Y + z * PAULI_Z)
     if np.real(np.trace(u)) < 0:
         u = -u

@@ -8,6 +8,8 @@ import pytest
 import chcon.linalg as la
 from chcon.bounds import (
     CapacityBracket,
+    _bloch_images,
+    _coherent_info_value_grad,
     MemoryTimeBound,
     capacity_bracket,
     coherent_info_lower,
@@ -19,6 +21,7 @@ from chcon.bounds import (
 )
 from chcon.channels import (
     ChannelError,
+    KrausChannel,
     amplitude_damping,
     completely_depolarizing,
     dephasing,
@@ -26,7 +29,7 @@ from chcon.channels import (
     identity_channel,
 )
 from chcon.decompose import p_constant
-from chcon.sampling import random_near_identity_qubit_channel
+from chcon.sampling import random_channel, random_near_identity_qubit_channel, rng_from
 
 from conftest import seeded
 
@@ -85,6 +88,83 @@ class TestCoherentInformation:
     def test_entropy_convention(self):
         assert entropy_bits(np.diag([1.0, 0.0])) == pytest.approx(0.0)
         assert entropy_bits(np.eye(2) / 2) == pytest.approx(1.0)
+
+
+def nelder_mead_reference(ch, restarts, seed, max_iter=400):
+    """The per-restart Nelder-Mead search that coherent_info_lower ran before
+    its batched ascent, kept as the reference it must not fall below."""
+    from scipy.optimize import minimize
+
+    def neg_ic(r3):
+        r = np.asarray(r3, dtype=float)
+        nrm = np.linalg.norm(r)
+        if nrm > 1.0 - 1e-12:
+            r = r * ((1.0 - 1e-12) / nrm)
+        return -coherent_information(ch, la.bloch_state(r))
+
+    best = 0.0
+    for i in range(restarts):
+        rng = rng_from(seed, i)
+        x0 = np.zeros(3) if i == 0 else rng.uniform(-0.7, 0.7, size=3)
+        res = minimize(neg_ic, x0, method="Nelder-Mead",
+                       options={"maxiter": max_iter, "xatol": 1e-9, "fatol": 1e-11})
+        best = max(best, -float(res.fun))
+    return best
+
+
+def kernel_channels():
+    """Presets and seeded random qubit channels of Choi rank 1-4; every other
+    one is mixed with the identity, so many have positive coherent information."""
+    chans = [identity_channel(), completely_depolarizing(), amplitude_damping(0.25),
+             amplitude_damping(0.45), dephasing(0.3), depolarizing(0.05), depolarizing(0.2)]
+    for i in range(20):
+        ch = random_channel(seeded(95, i), 2, env_dim=1 + i % 4)
+        if i % 2 == 0:
+            w = 0.5 + 0.02 * i
+            ch = KrausChannel.from_kraus(
+                [np.sqrt(w) * np.eye(2)] + [np.sqrt(1 - w) * k for k in ch.kraus]
+            )
+        chans.append(ch)
+    return chans
+
+
+def interior_points(rng, n):
+    x = rng.standard_normal((n, 3))
+    return x / np.linalg.norm(x, axis=1, keepdims=True) * rng.uniform(0.0, 0.95, (n, 1))
+
+
+class TestCoherentInfoKernel:
+    @pytest.mark.parametrize("index", range(27))
+    def test_never_below_nelder_mead(self, index):
+        ch = kernel_channels()[index]
+        ref = nelder_mead_reference(ch, restarts=4, seed=index)
+        assert coherent_info_lower(ch, restarts=4, seed=index) == pytest.approx(ref, abs=1e-9)
+
+    def test_hoisted_objective_matches_complementary_output(self):
+        for index, ch in enumerate(kernel_channels()):
+            a, e = _bloch_images(ch)
+            x = interior_points(seeded(96, index), 8)
+            values, _ = _coherent_info_value_grad(a, e, x)
+            ref = [coherent_information(ch, la.bloch_state(r)) for r in x]
+            assert np.abs(values - ref).max() < 1e-12
+
+    def test_gradient_matches_central_differences(self):
+        h = 1e-6
+        for index, ch in enumerate(kernel_channels()):
+            a, e = _bloch_images(ch)
+            x = interior_points(seeded(97, index), 4)
+            _, grad = _coherent_info_value_grad(a, e, x)
+            for i in range(3):
+                step = h * np.eye(3)[i]
+                up, _ = _coherent_info_value_grad(a, e, x + step)
+                down, _ = _coherent_info_value_grad(a, e, x - step)
+                assert grad[:, i] == pytest.approx((up - down) / (2 * h), abs=1e-6)
+
+    def test_repeat_calls_are_identical(self):
+        ch = kernel_channels()[19]
+        first = coherent_info_lower(ch, restarts=6, seed=3)
+        assert first > 0.0
+        assert coherent_info_lower(ch, restarts=6, seed=3) == first
 
 
 class TestCapacityBracket:

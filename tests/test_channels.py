@@ -203,6 +203,42 @@ class TestBlochAffine:
             assert worst < 1e-7
 
 
+def _rotations():
+    """Random SO(3) matrices, the identity and pi rotations about several axes."""
+    from scipy.spatial.transform import Rotation
+
+    mats = [Rotation.random(random_state=i).as_matrix() for i in range(200)]
+    mats += [np.eye(3), np.diag([1.0, -1.0, -1.0]), np.diag([-1.0, 1.0, -1.0]),
+             np.diag([-1.0, -1.0, 1.0])]
+    for axis in ([1, 1, 0], [1, 1, 1], [0, 1, -1], [0.3, -0.2, 0.9]):
+        n = np.array(axis, dtype=float) / np.linalg.norm(axis)
+        mats.append(Rotation.from_rotvec(np.pi * n).as_matrix())
+        mats.append(Rotation.from_rotvec((np.pi - 1e-9) * n).as_matrix())
+    return mats
+
+
+class TestSu2FromRotation:
+    def test_matches_scipy_quaternion(self):
+        from scipy.spatial.transform import Rotation
+
+        for r in _rotations():
+            x, y, z, w = Rotation.from_matrix(r).as_quat()
+            ref = w * la.I2 - 1j * (x * la.PAULI_X + y * la.PAULI_Y + z * la.PAULI_Z)
+            u = la.su2_from_rotation(r)
+            assert np.real(np.trace(u)) >= 0.0
+            if abs(np.trace(u)) < 1e-9:  # pi rotation: the sign is not fixed
+                assert min(np.abs(u - ref).max(), np.abs(u + ref).max()) < 1e-12
+            else:
+                ref = ref if np.real(np.trace(ref)) >= 0 else -ref
+                assert np.abs(u - ref).max() < 1e-12
+
+    def test_round_trip(self):
+        for r in _rotations():
+            u = la.su2_from_rotation(r)
+            assert np.allclose(la.dag(u) @ u, np.eye(2), atol=1e-12)
+            assert np.abs(la.rotation_from_su2(u) - r).max() < 1e-12
+
+
 class TestAlgebra:
     def test_compose_with_identity(self):
         ch = amplitude_damping(0.3)

@@ -233,6 +233,22 @@ def test_import_leaves_scipy_linalg_out():
     assert res.stdout.strip() == "False"
 
 
+def test_analyze_and_bound_import_no_scipy(spec_dir):
+    # The capacity search and the Bloch normal form run on numpy alone.
+    code = (
+        "import sys, chcon.cli as cli\n"
+        f"path = {str(spec_dir / 'ad03.json')!r}\n"
+        "rc = [cli.main(['analyze', path, '--restarts', '4', '--out', path + '.a']),\n"
+        "      cli.main(['bound', path, '--n', '2', '--log2-T', '40', '--out', path + '.b'])]\n"
+        "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[0, 0] []"
+    bound = json.loads((spec_dir / "ad03.json.b").read_text())
+    assert bound["overhead"]["capacity_bracket"]["lower"] > 0.3
+
+
 class TestDeterminism:
     def test_analyze_byte_identical(self, spec_dir):
         a = run_cli("analyze", str(spec_dir / "ad03.json"), "--restarts", "4", "--seed", "11")

@@ -17,8 +17,11 @@ from chcon.channels import (
     kraus_to_choi,
     unitary_channel,
 )
+from chcon.config import DEFAULT_TOL
 from chcon.decompose import (
     ExtremalCertificate,
+    _choi_support,
+    _max_cp_weight_on,
     barycentric_weights,
     corner_feasibility,
     corner_max_q,
@@ -32,8 +35,11 @@ from chcon.decompose import (
     unital_split,
 )
 from chcon.sampling import (
+    random_eb_qubit_channel,
+    random_extremal_nonunital_qubit_channel,
     random_nonunital_qubit_channel,
     random_unital_qubit_channel,
+    rng_from,
 )
 
 from conftest import seeded
@@ -166,6 +172,26 @@ class TestCpOrder:
             assert cp_order_margin(cn, cm, q) >= -1e-12
             if q < 1.0:
                 assert cp_order_margin(cn, cm, min(1.0, q * (1 + 1e-6))) < 0.0
+
+
+    @pytest.mark.parametrize("index", range(4))
+    def test_shared_support_equals_per_candidate_calls(self, index):
+        # p2_certificate and eb_peel_weight decompose C_N once for all their
+        # candidates; every weight must equal a per-candidate max_cp_weight.
+        ad = amplitude_damping(0.3)
+        m = random_nonunital_qubit_channel(seeded(65, index), min_nonunitality=0.02)
+        n = KrausChannel.from_kraus(
+            [np.sqrt(0.6) * k for k in m.kraus] + [np.sqrt(0.4) * k for k in ad.kraus]
+        )
+        seed = 7 + index
+        support = _choi_support(n, DEFAULT_TOL)
+        eb = [random_eb_qubit_channel(rng_from(seed, 1_000_000 + i)) for i in range(32)]
+        peels = [random_extremal_nonunital_qubit_channel(rng_from(seed, i)) for i in range(32)]
+        for cand in eb + peels + [ad, n]:
+            assert _max_cp_weight_on(support, cand) == max_cp_weight(n, cand)
+        assert eb_peel_weight(n, candidates=32, seed=seed) == max(
+            max_cp_weight(n, b) for b in eb
+        )
 
 
 class TestP2Certificate:
