@@ -124,11 +124,6 @@ def tetrahedron_coords(
     return aff.lam, aff.post_unitary, aff.pre_unitary
 
 
-def octahedron_residual(lam) -> float:
-    """How far |lam_x| + |lam_y| + |lam_z| exceeds 1 (<= 0 means inside)."""
-    return float(np.abs(np.asarray(lam, dtype=float)).sum() - 1.0)
-
-
 def corner_feasibility(lam: np.ndarray, corner: int, q: float) -> float:
     """Octahedron excess of the peeled part (lam - (1-q) v) / q at weight q."""
     v = np.array(TETRA_CORNERS[corner])

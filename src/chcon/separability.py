@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg as la
-from .channels import ChannelError, DensityState, KrausChannel
+from .channels import ChannelError, DensityState, KrausChannel, check_density_stack
 from .config import DEFAULT_TOL, Tolerances
 from .divergences import chi2_divergence
 from .sampling import random_pure, rng_from
@@ -50,6 +50,21 @@ class BipartiteState:
         return self.state.matrix
 
 
+def block_label(values) -> tuple:
+    """A classical label as a flat tuple of ints (other entries become strings)."""
+    if type(values) is tuple and all(type(v) is int for v in values):
+        return values
+    flat = np.atleast_1d(np.asarray(values, dtype=object))
+    return tuple(int(v) if isinstance(v, (int, np.integer)) else str(v) for v in flat)
+
+
+def check_total_probability(probs) -> None:
+    """Raise unless the block probabilities sum to 1 within 1e-12."""
+    total = sum(probs, 0.0)
+    if abs(total - 1.0) > 1e-12:
+        raise ChannelError(f"block probabilities sum to {total}, not 1")
+
+
 @dataclass(frozen=True)
 class CcQqBlock:
     x: tuple
@@ -69,23 +84,49 @@ class CcQqState:
 
     @classmethod
     def from_blocks(cls, dim_a: int, dim_b: int, blocks, tol: Tolerances = DEFAULT_TOL):
-        def label(values) -> tuple:
-            flat = np.atleast_1d(np.asarray(values, dtype=object))
-            return tuple(int(v) if isinstance(v, (int, np.integer)) else str(v) for v in flat)
+        """Validated state from ``(x, y, prob, rho)`` tuples.
 
-        out = []
-        total = 0.0
+        The block matrices are checked together as one ``(B, d, d)`` stack by
+        :func:`check_density_stack`; each block's ``rho`` is a read-only view
+        into that stack.
+        """
+        d = dim_a * dim_b
+        labels, probs, mats = [], [], []
         for x, y, p, rho in blocks:
             if p < -1e-15:
                 raise ChannelError("block probabilities must be non-negative")
-            st = DensityState.from_matrix(rho, tol)
-            if st.dim != dim_a * dim_b:
+            m = np.asarray(rho, dtype=complex)
+            if m.ndim != 2 or m.shape[0] != m.shape[1]:
+                raise ChannelError(f"density matrix must be square, got shape {m.shape}")
+            if m.shape[0] != d:
                 raise ChannelError("block dimension mismatch")
-            out.append(CcQqBlock(x=label(x), y=label(y), prob=float(p), rho=st.matrix))
-            total += float(p)
-        if abs(total - 1.0) > 1e-12:
-            raise ChannelError(f"block probabilities sum to {total}, not 1")
-        return cls(dim_a=dim_a, dim_b=dim_b, blocks=tuple(out))
+            labels.append((block_label(x), block_label(y)))
+            probs.append(float(p))
+            mats.append(m)
+        rhos = np.array(mats, dtype=complex).reshape(len(mats), d, d)
+        check_density_stack(rhos, tol)
+        return cls.from_checked_stack(dim_a, dim_b, labels, probs, rhos)
+
+    @classmethod
+    def from_checked_stack(cls, dim_a: int, dim_b: int, labels, probs, rhos: np.ndarray):
+        """State from labels ``(x, y)``, probabilities and a ``(B, d, d)`` stack
+        whose matrices already passed :func:`check_density_stack`, or are
+        convex combinations of matrices that did.
+
+        Only the probability total is checked here.  The stack is frozen and
+        each block's ``rho`` is a view into it.
+        """
+        check_total_probability(probs)
+        rhos.setflags(write=False)
+        blocks = tuple(
+            CcQqBlock(x=x, y=y, prob=p, rho=rho) for (x, y), p, rho in zip(labels, probs, rhos)
+        )
+        return cls(dim_a=dim_a, dim_b=dim_b, blocks=blocks)
+
+    def rho_stack(self) -> np.ndarray:
+        """The block density matrices as one ``(B, d, d)`` array."""
+        d = self.dim_a * self.dim_b
+        return np.array([b.rho for b in self.blocks], dtype=complex).reshape(-1, d, d)
 
     @classmethod
     def single(cls, state: BipartiteState):

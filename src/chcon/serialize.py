@@ -15,7 +15,7 @@ import numpy as np
 
 from .channels import ChannelError, KrausChannel, preset
 from .contraction import ContractionReport, OrthogonalPair, StatePair
-from .separability import BipartiteState, CcQqState, SepApproxResult, SeparableChannel
+from .separability import BipartiteState, CcQqState, SeparableChannel
 from .decompose import ExtremalCertificate, PConstantReport
 from .bounds import CapacityBracket, MemoryTimeBound, OverheadBound
 
@@ -130,21 +130,6 @@ def contraction_report_to_json(rep: ContractionReport) -> dict:
         "method": rep.method,
         "extras": {k: _json_float(v) if isinstance(v, float) else v for k, v in rep.extras.items()},
     }
-
-
-def sep_result_to_json(res: SepApproxResult, include_minimizer: bool = True) -> dict:
-    out = {
-        "value": _json_float(res.value),
-        "method": res.method,
-        "iterations": res.iterations,
-        "converged": res.converged,
-        "extras": {
-            k: v for k, v in res.extras.items() if isinstance(v, (int, float, str, bool, list))
-        },
-    }
-    if include_minimizer and res.minimizer is not None:
-        out["minimizer"] = matrix_to_json(res.minimizer.matrix)
-    return out
 
 
 def certificate_to_json(cert: ExtremalCertificate) -> dict:

@@ -20,13 +20,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg as la
-from .channels import ChannelError, KrausChannel
+from .channels import ChannelError, KrausChannel, check_density_stack
 from .config import CHISEP_THRESHOLD, DEFAULT_QUBIT_CAP, MAX_BLOCKS, DEFAULT_TOL, Tolerances
 from .separability import (
     BipartiteState,
     CcQqState,
     SepConfig,
     SeparableChannel,
+    block_label,
+    check_total_probability,
     dsep,
     local_product_channel,
 )
@@ -160,70 +162,93 @@ def circuit_metrics(c: NoisyCircuit) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 
-def _apply_to_qubit(rho: np.ndarray, ops, q: int, n: int) -> np.ndarray:
-    """Apply a single-qubit Kraus channel to qubit ``q`` of an n-qubit state."""
-    d = 2**n
-    t = rho.reshape([2] * (2 * n))
-    out = np.zeros_like(t)
-    for k in ops:
-        tmp = np.tensordot(k, t, axes=([1], [q]))
-        tmp = np.moveaxis(tmp, 0, q)
-        tmp = np.tensordot(k.conj(), tmp, axes=([1], [n + q]))
-        tmp = np.moveaxis(tmp, 0, n + q)
-        out = out + tmp
-    return out.reshape(d, d)
-
-
 def apply_iid_noise(state: CcQqState, noise: KrausChannel, layout: RegisterLayout) -> CcQqState:
     """One round of the i.i.d. noise: the single-qubit channel acts on every
-    qubit in every block; classical labels and probabilities are untouched."""
+    qubit in every block; classical labels and probabilities are untouched.
+
+    The noise's superoperator ``S[a, b, c, e] = sum_k K[a, c] conj(K[b, e])``
+    is built once and contracted with each qubit's (row, column) axis pair
+    of the ``(B, d, d)`` block stack: ``n`` tensordots per call, whatever
+    the block and Kraus counts.  The result is validated as one stack.
+    """
     if not noise.is_qubit():
         raise ChannelError("noise must be a qubit channel")
     n = layout.n_qubits
-    if state.dim_a * state.dim_b != 2**n:
+    d = state.dim_a * state.dim_b
+    if d != 2**n:
         raise ChannelError("state dimension does not match the layout")
-    blocks = []
-    for blk in state.blocks:
-        rho = blk.rho
-        for q in range(n):
-            rho = _apply_to_qubit(rho, noise.kraus, q, n)
-        blocks.append((blk.x, blk.y, blk.prob, rho))
-    return CcQqState.from_blocks(state.dim_a, state.dim_b, blocks)
+    kraus = np.asarray(noise.kraus)
+    sup = np.einsum("kac,kbe->abce", kraus, kraus.conj())
+    count = len(state.blocks)
+    t = state.rho_stack().reshape((count,) + (2,) * (2 * n))
+    for q in range(n):
+        t = np.tensordot(sup, t, axes=([2, 3], [1 + q, 1 + n + q]))
+        t = np.moveaxis(t, (0, 1), (1 + q, 1 + n + q))
+    rhos = np.ascontiguousarray(t).reshape(count, d, d)
+    check_density_stack(rhos)
+    labels = [(b.x, b.y) for b in state.blocks]
+    return CcQqState.from_checked_stack(
+        state.dim_a, state.dim_b, labels, [b.prob for b in state.blocks], rhos
+    )
 
 
-def _merge_blocks(state: CcQqState) -> CcQqState:
-    merged: dict = {}
-    for blk in state.blocks:
-        if blk.prob < 1e-15:
-            continue
-        key = (blk.x, blk.y)
-        if key in merged:
-            p0, r0 = merged[key]
-            merged[key] = (p0 + blk.prob, r0 + blk.prob * blk.rho)
-        else:
-            merged[key] = (blk.prob, blk.prob * blk.rho)
-    if len(merged) > MAX_BLOCKS:
-        raise ChannelError(f"block count {len(merged)} exceeds the cap of {MAX_BLOCKS}")
-    blocks = [(x, y, p, r / p) for (x, y), (p, r) in merged.items()]
-    return CcQqState.from_blocks(state.dim_a, state.dim_b, blocks)
+def _apply_kraus_stack(kraus, rhos: np.ndarray) -> np.ndarray:
+    """``sum_k K rho K^dag`` for every matrix of a ``(B, d, d)`` stack."""
+    ks = np.asarray(kraus)[:, None]
+    return (ks @ rhos[None] @ la.dag(ks)).sum(axis=0)
+
+
+def _merge_checked(dim_a: int, dim_b: int, labels, probs, rhos: np.ndarray) -> CcQqState:
+    """Validate a layer's pre-merge block stack once, then sum the blocks that
+    share a label into their probability-weighted mixture.
+
+    Blocks of mass below 1e-15 are dropped.  A merged block is a convex
+    combination of validated blocks, so by Weyl's inequality it meets the
+    same Hermitian, PSD and trace bounds and is not checked again.
+    """
+    check_density_stack(rhos)
+    check_total_probability(probs)
+    groups: dict = {}
+    for i, (key, p) in enumerate(zip(labels, probs)):
+        if p >= 1e-15:
+            groups.setdefault(key, []).append(i)
+    if len(groups) > MAX_BLOCKS:
+        raise ChannelError(f"block count {len(groups)} exceeds the cap of {MAX_BLOCKS}")
+    weights = np.zeros((len(groups), len(probs)))
+    for g, idx in enumerate(groups.values()):
+        weights[g, idx] = [probs[i] for i in idx]
+    totals = weights.sum(axis=1)
+    merged = np.tensordot(weights / totals[:, None], rhos, axes=1)
+    return CcQqState.from_checked_stack(dim_a, dim_b, list(groups), totals.tolist(), merged)
 
 
 def _apply_gate_layer(state: CcQqState, layer: GateLayer) -> CcQqState:
-    blocks = []
-    for blk in state.blocks:
+    """Apply each distinct channel (the layer's, or a label's control) to its
+    group of blocks with one batched Kraus product."""
+    out_a, out_b = state.dim_a, state.dim_b
+    if isinstance(layer.channel, SeparableChannel):
+        out_a, out_b = layer.channel.a_out, layer.channel.b_out
+    d_out = out_a * out_b
+    rhos = state.rho_stack()
+    groups: dict = {}
+    for i, blk in enumerate(state.blocks):
         channel = layer.channel
         if layer.controls is not None:
             channel = layer.controls.get((blk.x, blk.y), layer.channel)
+        groups.setdefault(id(channel), (channel, []))[1].append(i)
+    out = np.empty((len(rhos), d_out, d_out), dtype=complex)
+    for channel, idx in groups.values():
         if channel is None:
-            blocks.append((blk.x, blk.y, blk.prob, blk.rho))
-            continue
-        rho = channel.apply(blk.rho)
-        blocks.append((blk.x, blk.y, blk.prob, rho))
-    out_a, out_b = state.dim_a, state.dim_b
-    first = layer.channel
-    if isinstance(first, SeparableChannel):
-        out_a, out_b = first.a_out, first.b_out
-    return _merge_blocks(CcQqState.from_blocks(out_a, out_b, blocks))
+            result = rhos[idx]
+        else:
+            if isinstance(channel, SeparableChannel):
+                channel = channel.channel
+            result = _apply_kraus_stack(channel.kraus, rhos[idx])
+        if result.shape[1:] != (d_out, d_out):
+            raise ChannelError("block dimension mismatch")
+        out[idx] = result
+    labels = [(b.x, b.y) for b in state.blocks]
+    return _merge_checked(out_a, out_b, labels, [b.prob for b in state.blocks], out)
 
 
 def _store_outcome(layout: RegisterLayout, x: tuple, y: tuple, store: str, value: int):
@@ -250,21 +275,28 @@ def _apply_instrument_layer(
     d = state.dim_a * state.dim_b
     if np.linalg.norm(total - np.eye(d), 2) > tol.tp:
         raise ChannelError("instrument outcomes do not sum to a trace-preserving map")
-    blocks = []
-    for blk in state.blocks:
-        for value, ops in layer.outcomes:
-            rho = sum(k @ blk.rho @ la.dag(k) for k in ops)
-            p_out = float(np.real(np.trace(rho)))
+    rhos = state.rho_stack()
+    # (outcome, block) stacks of the unnormalised post-measurement states.
+    posts = np.stack([_apply_kraus_stack(ops, rhos) for _, ops in layer.outcomes])
+    p_outs = np.trace(posts, axis1=-2, axis2=-1).real
+    labels, probs, o_idx, b_idx = [], [], [], []
+    for i, blk in enumerate(state.blocks):
+        for o, (value, _) in enumerate(layer.outcomes):
+            p_out = float(p_outs[o, i])
             if p_out <= 1e-15:
                 continue
             x, y = _store_outcome(layout, blk.x, blk.y, layer.store, value)
-            blocks.append((x, y, blk.prob * p_out, rho / p_out))
-    return _merge_blocks(CcQqState.from_blocks(state.dim_a, state.dim_b, blocks))
+            labels.append((block_label(x), block_label(y)))
+            probs.append(blk.prob * p_out)
+            o_idx.append(o)
+            b_idx.append(i)
+    out = posts[o_idx, b_idx] / p_outs[o_idx, b_idx][:, None, None]
+    return _merge_checked(state.dim_a, state.dim_b, labels, probs, out)
 
 
 def _apply_classical_layer(state: CcQqState, layer: ClassicalLayer) -> CcQqState:
-    blocks = []
-    for blk in state.blocks:
+    labels, probs, src = [], [], []
+    for i, blk in enumerate(state.blocks):
         key = (blk.x, blk.y)
         successors = layer.update.get(key, [(1.0, key)])
         mass = sum(p for p, _ in successors)
@@ -273,8 +305,10 @@ def _apply_classical_layer(state: CcQqState, layer: ClassicalLayer) -> CcQqState
         for p, (x, y) in successors:
             if p <= 0:
                 continue
-            blocks.append((tuple(x), tuple(y), blk.prob * p, blk.rho))
-    return _merge_blocks(CcQqState.from_blocks(state.dim_a, state.dim_b, blocks))
+            labels.append((block_label(x), block_label(y)))
+            probs.append(blk.prob * p)
+            src.append(i)
+    return _merge_checked(state.dim_a, state.dim_b, labels, probs, state.rho_stack()[src])
 
 
 def apply_layer(

@@ -6,6 +6,7 @@ import pytest
 import chcon.linalg as la
 from chcon.channels import (
     ChannelError,
+    DensityState,
     KrausChannel,
     amplitude_damping,
     bell_state,
@@ -13,7 +14,8 @@ from chcon.channels import (
     depolarizing,
     identity_channel,
 )
-from chcon.separability import BipartiteState, CcQqState, SepConfig
+from chcon.config import MAX_BLOCKS
+from chcon.separability import BipartiteState, CcQqBlock, CcQqState, SepConfig
 from chcon.simulate import (
     ClassicalLayer,
     ClassicalReg,
@@ -23,6 +25,7 @@ from chcon.simulate import (
     QubitReg,
     RegisterLayout,
     apply_iid_noise,
+    apply_layer,
     circuit_metrics,
     doubled_memory_experiment,
     run_noisy_circuit,
@@ -87,6 +90,172 @@ class TestIidNoise:
         )
         out = apply_iid_noise(state, depolarizing(0.9), layout)
         assert [(b.x, round(b.prob, 12)) for b in out.blocks] == [((2,), 0.4), ((1,), 0.6)]
+
+
+def random_density(rng, d: int) -> np.ndarray:
+    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
+def random_unitary(rng, d: int) -> np.ndarray:
+    q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def three_kraus_channel(rng) -> KrausChannel:
+    """A random qubit channel with three Kraus operators (a 6x2 isometry)."""
+    v, _ = np.linalg.qr(rng.normal(size=(6, 2)) + 1j * rng.normal(size=(6, 2)))
+    return KrausChannel.from_kraus([v[2 * k: 2 * k + 2] for k in range(3)])
+
+
+def noise_reference(rho: np.ndarray, noise: KrausChannel, n: int) -> np.ndarray:
+    """The noise applied qubit by qubit through its row-major transfer matrix."""
+    m = noise.transfer_matrix().reshape(2, 2, 2, 2)
+    for q in range(n):
+        t = rho.reshape(2**q, 2, 2 ** (n - q - 1), 2**q, 2, 2 ** (n - q - 1))
+        t = np.einsum("abce,ucvwex->uavwbx", m, t)
+        rho = t.reshape(2**n, 2**n)
+    return rho
+
+
+def random_blocks(rng, n: int, count: int = 3) -> CcQqState:
+    probs = rng.dirichlet(np.ones(count))
+    blocks = [((i,), (), p, random_density(rng, 2**n)) for i, p in enumerate(probs)]
+    return CcQqState.from_blocks(2**n, 1, blocks)
+
+
+def n_qubit_layout(n: int) -> RegisterLayout:
+    return RegisterLayout(
+        qubits=tuple(QubitReg(f"q{i}", "A") for i in range(n)),
+        classical=(ClassicalReg("c0", 4, "A"),),
+    )
+
+
+NOISES = {
+    "amplitude_damping": lambda rng: amplitude_damping(0.37),
+    "three_kraus": three_kraus_channel,
+    "depolarizing": lambda rng: depolarizing(0.21),
+}
+
+
+class TestNoiseStepReference:
+    """The stacked superoperator noise step against a per-qubit transfer-matrix
+    reference, on multi-block states."""
+
+    @pytest.mark.parametrize("name", sorted(NOISES))
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_transfer_matrix_reference(self, n, name):
+        rng = np.random.default_rng(100 * n + len(name))
+        noise = NOISES[name](rng)
+        state = random_blocks(rng, n)
+        out = apply_iid_noise(state, noise, n_qubit_layout(n))
+        assert [(b.x, b.prob) for b in out.blocks] == [(b.x, b.prob) for b in state.blocks]
+        for before, after in zip(state.blocks, out.blocks):
+            assert np.abs(after.rho - noise_reference(before.rho, noise, n)).max() < 1e-12
+
+    @pytest.mark.parametrize("order", ["noise-first", "layer-first"])
+    @pytest.mark.parametrize("name", sorted(NOISES))
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_noise_order_in_circuit(self, n, name, order):
+        rng = np.random.default_rng(7 + 10 * n + len(name))
+        noise = NOISES[name](rng)
+        unitaries = [random_unitary(rng, 2**n) for _ in range(2)]
+        layers = tuple(GateLayer(channel=KrausChannel.from_kraus([u])) for u in unitaries)
+        circ = NoisyCircuit(layout=n_qubit_layout(n), layers=layers, noise=noise,
+                            noise_order=order)
+        state = random_blocks(rng, n)
+        rep = run_noisy_circuit(circ, state)
+        for before, after in zip(state.blocks, rep.final_state.blocks):
+            rho = before.rho
+            for u in unitaries:
+                if order == "noise-first":
+                    rho = u @ noise_reference(rho, noise, n) @ u.conj().T
+                else:
+                    rho = noise_reference(u @ rho @ u.conj().T, noise, n)
+            assert np.abs(after.rho - rho).max() < 1e-12
+
+
+def one_qubit_memory_layout(size: int = 2) -> RegisterLayout:
+    return RegisterLayout(qubits=(QubitReg("q0", "A"),), classical=(ClassicalReg("c0", size, "A"),))
+
+
+def unchecked_state(blocks) -> CcQqState:
+    """A cc-qq state built without validation, to feed a layer a bad block."""
+    return CcQqState(
+        dim_a=2, dim_b=1,
+        blocks=tuple(CcQqBlock(x=x, y=(), prob=p, rho=np.asarray(r, dtype=complex))
+                     for x, p, r in blocks),
+    )
+
+
+NOT_PSD = np.diag([1.5, -0.5]).astype(complex)
+NOT_HERMITIAN = np.array([[0.5, 0.1], [0.3, 0.5]], dtype=complex)
+
+
+class TestStackedChecks:
+    """Every invariant check still fires when blocks are validated as a stack."""
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (NOT_HERMITIAN, "not Hermitian"),
+            (np.diag([1.0 + 2e-9, -2e-9]).astype(complex), "not positive semidefinite"),
+            (np.diag([0.6, 0.5]).astype(complex), "trace differs from 1"),
+        ],
+    )
+    def test_from_blocks_rejects_bad_block(self, bad, message):
+        with pytest.raises(ChannelError) as single:
+            DensityState.from_matrix(bad)
+        assert message in str(single.value)
+        with pytest.raises(ChannelError) as stacked:
+            CcQqState.from_blocks(2, 1, [((0,), (), 0.5, P0), ((1,), (), 0.5, bad)])
+        assert str(stacked.value) == str(single.value)
+
+    def test_hermitian_residual_is_the_spectral_norm(self):
+        # A - A^H = 2t i X has spectral norm 2t but Frobenius norm 2t sqrt(2).
+        ax = 1j * la.PAULI_X
+        ok = np.eye(2) / 2 + 0.45e-9 * ax
+        CcQqState.from_blocks(2, 1, [((), (), 1.0, ok)])
+        with pytest.raises(ChannelError, match="not Hermitian"):
+            CcQqState.from_blocks(2, 1, [((), (), 1.0, np.eye(2) / 2 + 0.55e-9 * ax)])
+
+    def test_gate_layer_fed_bad_block_raises(self):
+        state = unchecked_state([((0,), 0.5, P0), ((1,), 0.5, NOT_PSD)])
+        layer = GateLayer(channel=identity_channel())
+        with pytest.raises(ChannelError, match="positive semidefinite"):
+            apply_layer(state, layer, one_qubit_memory_layout())
+
+    def test_instrument_layer_fed_bad_block_raises(self):
+        state = unchecked_state([((0,), 0.5, P0), ((1,), 0.5, NOT_HERMITIAN)])
+        half = np.sqrt(0.5) * np.eye(2)
+        layer = InstrumentLayer(outcomes=((0, (half,)), (1, (half,))), store="c0")
+        with pytest.raises(ChannelError, match="not Hermitian"):
+            apply_layer(state, layer, one_qubit_memory_layout())
+
+    def test_classical_layer_fed_bad_block_raises(self):
+        state = unchecked_state([((0,), 0.5, P0), ((1,), 0.5, NOT_PSD)])
+        layer = ClassicalLayer(update={})
+        with pytest.raises(ChannelError, match="positive semidefinite"):
+            apply_layer(state, layer, one_qubit_memory_layout())
+
+    def test_block_cap(self):
+        count = MAX_BLOCKS + 1
+        state = CcQqState.from_blocks(
+            2, 1, [((i,), (), 1.0 / count, P0 if i % 2 else P1) for i in range(count)]
+        )
+        with pytest.raises(ChannelError, match="exceeds the cap"):
+            apply_layer(state, ClassicalLayer(update={}), one_qubit_memory_layout(count))
+
+    def test_classical_merge_is_probability_weighted(self):
+        plus = la.bloch_state([1, 0, 0])
+        state = CcQqState.from_blocks(2, 1, [((0,), (), 0.3, P0), ((1,), (), 0.7, plus)])
+        layer = ClassicalLayer(update={((1,), ()): [(1.0, ((0,), ()))]})
+        out = apply_layer(state, layer, one_qubit_memory_layout())
+        assert len(out.blocks) == 1
+        assert out.blocks[0].x == (0,)
+        assert out.blocks[0].prob == pytest.approx(1.0, abs=1e-15)
+        assert np.abs(out.blocks[0].rho - (0.3 * P0 + 0.7 * plus)).max() < 1e-15
 
 
 class TestRunCircuit:
