@@ -74,13 +74,6 @@ def partial_transpose(rho: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
     return t.swapaxes(-3, -1).reshape(rho.shape)
 
 
-def psd_project(a: np.ndarray) -> np.ndarray:
-    """Frobenius projection of a Hermitian matrix onto the PSD cone."""
-    w, v = np.linalg.eigh(herm_part(a))
-    w = np.clip(w, 0.0, None)
-    return (v * w) @ dag(v)
-
-
 def simplex_project(y: np.ndarray) -> np.ndarray:
     """Euclidean projection of a real vector onto the probability simplex."""
     u = np.sort(y)[::-1]

@@ -4,16 +4,18 @@ the classical-quantum block formula for the chi-square distance.
 The separable set is represented by the positive-partial-transpose (PPT)
 spectrahedron, which is exact for 2x2 and 2x3 bipartitions and a relaxation
 above; results carry a method tag making the distinction explicit.  Two
-independent routes are available for sandwiching: projected-gradient descent
-over the PPT set (from below for dsep, feasible-above for chisep's minimum)
-and explicit separable-ensemble construction via conditional-gradient steps
-over pure product states (certifying from the separable side).
+independent routes give the two sides of a sandwich.  Over the PPT set,
+chisep runs barrier projected-gradient descent and dsep a split ADMM whose
+steps are closed-form density projections; each reports its objective at a
+feasible point.  From the separable side, conditional-gradient steps over
+pure product states build explicit ensembles, whose values are upper bounds.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -25,6 +27,10 @@ from .sampling import random_pure, rng_from
 
 PPT_EXACT_DIMS = {(2, 2), (2, 3), (3, 2)}
 EIG_FLOOR = 1e-14
+# Proximal step of the split ADMM (the soft threshold of dsep's 1-norm).
+ADMM_STEP = 0.25
+# Ensemble size at which conditional-gradient steps re-polish the weights.
+FW_ATOM_CAP = 64
 
 
 # ---------------------------------------------------------------------------
@@ -84,14 +90,15 @@ class CcQqState:
 
     @classmethod
     def from_blocks(cls, dim_a: int, dim_b: int, blocks, tol: Tolerances = DEFAULT_TOL):
-        """Validated state from ``(x, y, prob, rho)`` tuples.
+        """Validated state from ``(x, y, prob, rho)`` tuples with distinct
+        labels ``(x, y)``.
 
         The block matrices are checked together as one ``(B, d, d)`` stack by
         :func:`check_density_stack`; each block's ``rho`` is a read-only view
         into that stack.
         """
         d = dim_a * dim_b
-        labels, probs, mats = [], [], []
+        labels, probs, mats, seen = [], [], [], set()
         for x, y, p, rho in blocks:
             if p < -1e-15:
                 raise ChannelError("block probabilities must be non-negative")
@@ -100,7 +107,11 @@ class CcQqState:
                 raise ChannelError(f"density matrix must be square, got shape {m.shape}")
             if m.shape[0] != d:
                 raise ChannelError("block dimension mismatch")
-            labels.append((block_label(x), block_label(y)))
+            label = (block_label(x), block_label(y))
+            if label in seen:
+                raise ChannelError(f"duplicate block label {label}")
+            seen.add(label)
+            labels.append(label)
             probs.append(float(p))
             mats.append(m)
         rhos = np.array(mats, dtype=complex).reshape(len(mats), d, d)
@@ -155,9 +166,7 @@ class SepConfig:
     seed: int = 0
     with_upper: bool = False
     fw_iters: int = 120
-    fw_atom_cap: int = 64
     admm_iters: int = 3000
-    admm_rho: float = 0.25
 
 
 # ---------------------------------------------------------------------------
@@ -166,8 +175,7 @@ class SepConfig:
 
 
 def is_ppt(s: BipartiteState, tol: float = 1e-9) -> bool:
-    pt = la.partial_transpose(s.matrix, s.dim_a, s.dim_b)
-    return la.min_eig(pt) >= -tol
+    return ppt_min_eigenvalue(s) >= -tol
 
 
 def ppt_min_eigenvalue(s: BipartiteState) -> float:
@@ -242,11 +250,6 @@ def _interior_chi2(taus, weights, mu: float):
 # ---------------------------------------------------------------------------
 
 
-def _proj_ppt_cone(x: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
-    pt = la.partial_transpose(x, dim_a, dim_b)
-    return la.partial_transpose(la.psd_project(pt), dim_a, dim_b)
-
-
 def _project_pt_trace_blocks(xs: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
     """Exact projection of a stack of blocks onto {sum_k Tr x_k = 1, every x_k^PT >= 0}.
 
@@ -265,24 +268,45 @@ def project_pt_trace(x: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
     return _project_pt_trace_blocks(np.asarray(x)[None], dim_a, dim_b)[0]
 
 
-def project_ppt_density(
-    x: np.ndarray, dim_a: int, dim_b: int, iters: int = 400, tol: float = 1e-12
-) -> np.ndarray:
-    """Dykstra projection onto {rho >= 0, Tr rho = 1} intersect {rho^PT >= 0}."""
-    x = la.herm_part(x)
-    p = np.zeros_like(x)
-    q = np.zeros_like(x)
-    prev = x
-    for _ in range(iters):
-        y = la.density_project(prev + p)
-        p = prev + p - y
-        z = _proj_ppt_cone(y + q, dim_a, dim_b)
-        q = y + q - z
-        if np.linalg.norm(z - prev) < tol:
-            prev = z
-            break
-        prev = z
-    return prev
+def _ppt_split(x_step, dim_a: int, dim_b: int, iters: int) -> tuple[np.ndarray, int, bool]:
+    """ADMM over the density matrices z with z^PT >= 0, using a copy x = z
+    for the objective, whose proximal map with step ``ADMM_STEP`` is
+    ``x_step``, and a density copy y = z^PT.  The z-step is one density
+    projection of the average of x + u1 and (y + u2)^PT, because the partial
+    transpose is a Frobenius isometry.  Stops when x - z, y - z^PT and the
+    step in z are below 1e-10.  Returns (z, iterations, converged).
+    """
+    d = dim_a * dim_b
+    z = np.eye(d, dtype=complex) / d
+    u1 = np.zeros_like(z)
+    u2 = np.zeros_like(z)
+    for it in range(1, iters + 1):
+        x = x_step(z - u1)
+        y = la.density_project(la.partial_transpose(z, dim_a, dim_b) - u2)
+        z_new = la.density_project(0.5 * (x + u1 + la.partial_transpose(y + u2, dim_a, dim_b)))
+        zt_new = la.partial_transpose(z_new, dim_a, dim_b)
+        u1 += x - z_new
+        u2 += y - zt_new
+        done = max(map(np.linalg.norm, (x - z_new, y - zt_new, z_new - z))) < 1e-10
+        z = z_new
+        if done:
+            return z, it, True
+    return z, iters, False
+
+
+def project_ppt_density(x: np.ndarray, dim_a: int, dim_b: int, iters: int = 3000) -> np.ndarray:
+    """Frobenius projection onto {rho >= 0, Tr rho = 1} intersect {rho^PT >= 0}.
+
+    The split ADMM of :func:`_ppt_split` with the proximal map of
+    ||x - rho||^2 / 2.  Raises ``ChannelError`` if it stops at ``iters``.
+    """
+    x0 = la.herm_part(np.asarray(x, dtype=complex))
+    z, it, converged = _ppt_split(
+        lambda v: (v + ADMM_STEP * x0) / (1.0 + ADMM_STEP), dim_a, dim_b, iters
+    )
+    if not converged:
+        raise ChannelError(f"PPT density projection did not converge in {it} iterations")
+    return z
 
 
 def separable_twirl(tau: np.ndarray, dim_a: int, dim_b: int, mix: float = 0.1) -> np.ndarray:
@@ -490,57 +514,46 @@ def _product_oracle(
     restarts: int = 6, sweeps: int = 12,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Approximate argmin over pure product states of Tr(G (rho_a x rho_b))
-    by alternating smallest-eigenvector sweeps with multi-starts."""
-    g = la.herm_part(g)
-    best_val, best = math.inf, None
-    for r in range(restarts):
-        b = random_pure(rng, dim_b) if r > 0 else np.ones(dim_b, dtype=complex) / math.sqrt(dim_b)
-        a = None
-        for _ in range(sweeps):
-            rho_b = np.outer(b, b.conj())
-            ma = la.partial_trace(g @ np.kron(np.eye(dim_a), rho_b), (dim_a, dim_b), keep=(0,))
-            wa, va = np.linalg.eigh(la.herm_part(ma))
-            a = va[:, 0]
-            rho_a = np.outer(a, a.conj())
-            mb = la.partial_trace(g @ np.kron(rho_a, np.eye(dim_b)), (dim_a, dim_b), keep=(1,))
-            wb, vb = np.linalg.eigh(la.herm_part(mb))
-            b = vb[:, 0]
-            val = float(wb[0])
-        if val < best_val:
-            best_val, best = val, (a, b)
-    return best
+    by alternating smallest-eigenvector sweeps, all restarts as one batch;
+    the sweep matrices Tr_B[G (1 x |b><b|)] and Tr_A[G (|a><a| x 1)] are
+    einsum contractions of G as the tensor <i j|G|k l>."""
+    g4 = la.herm_part(g).reshape(dim_a, dim_b, dim_a, dim_b)
+    b = np.array(
+        [np.ones(dim_b, dtype=complex) / math.sqrt(dim_b)]
+        + [random_pure(rng, dim_b) for _ in range(restarts - 1)]
+    )
+    for _ in range(sweeps):
+        _, va = np.linalg.eigh(la.herm_part(np.einsum("ijkl,rj,rl->rik", g4, b.conj(), b)))
+        a = va[:, :, 0]
+        wb, vb = np.linalg.eigh(la.herm_part(np.einsum("ijkl,ri,rk->rjl", g4, a.conj(), a)))
+        b = vb[:, :, 0]
+    best = int(np.argmin(wb[:, 0]))
+    return a[best], b[best]
 
 
-def _ensemble_state(ensemble) -> np.ndarray:
-    acc = None
-    for w, rho_a, rho_b in ensemble:
-        term = w * np.kron(rho_a, rho_b)
-        acc = term if acc is None else acc + term
-    return acc
+def _polish_weights(w: np.ndarray, atoms: np.ndarray, grad_fn, steps: int = 200):
+    """Simplex-projected gradient on the ensemble weights (atoms fixed).
 
-
-def _polish_weights(ensemble, grad_fn, steps: int = 200) -> list:
-    """Simplex-projected gradient on the ensemble weights (atoms fixed)."""
-    atoms = [(rho_a, rho_b) for _, rho_a, rho_b in ensemble]
-    mats = [np.kron(a, b) for a, b in atoms]
-    w = np.array([max(x, 0.0) for x, _, _ in ensemble])
+    Returns the weights above 1e-12 and the mask of the atoms they belong to.
+    """
+    flat = atoms.reshape(len(atoms), -1)
+    w = np.clip(w, 0.0, None)
     w = w / w.sum()
     step = 0.5
-    sigma = sum(wi * m for wi, m in zip(w, mats))
-    f, g = grad_fn(sigma)
+    f, g = grad_fn((w @ flat).reshape(atoms.shape[1:]))
     for _ in range(steps):
-        gw = np.array([float(np.real(np.vdot(g, m))) for m in mats])
+        gw = np.real(flat @ g.reshape(-1).conj())
         w_new = la.simplex_project(w - step * gw)
-        sigma_new = sum(wi * m for wi, m in zip(w_new, mats))
-        f_new, g_new = grad_fn(sigma_new)
+        f_new, g_new = grad_fn((w_new @ flat).reshape(atoms.shape[1:]))
         if f_new <= f:
-            w, sigma, f, g = w_new, sigma_new, f_new, g_new
+            w, f, g = w_new, f_new, g_new
             step *= 1.2
         else:
             step *= 0.5
             if step < 1e-12:
                 break
-    return [(float(wi), a, b) for wi, (a, b) in zip(w, atoms) if wi > 1e-12]
+    keep = w > 1e-12
+    return w[keep], keep
 
 
 def _frank_wolfe_separable(tau_like_grad, dim_a, dim_b, cfg: SepConfig, seed_salt: int = 77):
@@ -548,17 +561,22 @@ def _frank_wolfe_separable(tau_like_grad, dim_a, dim_b, cfg: SepConfig, seed_sal
     the separable set, tracking an explicit product ensemble.
 
     ``tau_like_grad(sigma) -> (value, grad)`` must be convex in sigma.
-    Starts from the maximally mixed product (I/dA x I/dB).
+    Starts from the maximally mixed product (I/dA x I/dB).  The ensemble is
+    held as weights over factor stacks (m, dA, dA) and (m, dB, dB) and their
+    (m, D, D) products, so sigma and the weight gradient are one contraction
+    each.  Returns sigma and the ensemble as (weight, rho_A, rho_B) terms.
     """
     rng = rng_from(cfg.seed, seed_salt)
-    ia = np.eye(dim_a) / dim_a
-    ib = np.eye(dim_b) / dim_b
-    ensemble = [(1.0, ia, ib)]
-    sigma = _ensemble_state(ensemble)
-    f, g = tau_like_grad(sigma)
+    fa = np.eye(dim_a, dtype=complex)[None] / dim_a
+    fb = np.eye(dim_b, dtype=complex)[None] / dim_b
+    atoms = np.kron(fa[0], fb[0])[None]
+    w = np.ones(1)
+    sigma = atoms[0]
+    _, g = tau_like_grad(sigma)
     for it in range(cfg.fw_iters):
         a, b = _product_oracle(g, dim_a, dim_b, rng)
-        atom = np.kron(np.outer(a, a.conj()), np.outer(b, b.conj()))
+        rho_a, rho_b = np.outer(a, a.conj()), np.outer(b, b.conj())
+        atom = np.kron(rho_a, rho_b)
         gap = float(np.real(np.vdot(g, sigma - atom)))
         if gap < 1e-12:
             break
@@ -576,17 +594,19 @@ def _frank_wolfe_separable(tau_like_grad, dim_a, dim_b, cfg: SepConfig, seed_sal
         gamma = 0.5 * (lo + hi)
         if gamma <= 1e-14:
             break
-        ensemble = [(w * (1 - gamma), ra, rb) for w, ra, rb in ensemble]
-        ensemble.append((gamma, np.outer(a, a.conj()), np.outer(b, b.conj())))
+        w = np.append((1 - gamma) * w, gamma)
+        fa = np.concatenate([fa, rho_a[None]])
+        fb = np.concatenate([fb, rho_b[None]])
+        atoms = np.concatenate([atoms, atom[None]])
         sigma = (1 - gamma) * sigma + gamma * atom
-        f, g = tau_like_grad(sigma)
-        if (it + 1) % 10 == 0 or len(ensemble) > cfg.fw_atom_cap:
-            ensemble = _polish_weights(ensemble, tau_like_grad)
-            sigma = _ensemble_state(ensemble)
-            f, g = tau_like_grad(sigma)
-    ensemble = _polish_weights(ensemble, tau_like_grad)
-    sigma = _ensemble_state(ensemble)
-    return sigma, ensemble
+        if (it + 1) % 10 == 0 or len(w) > FW_ATOM_CAP:
+            w, keep = _polish_weights(w, atoms, tau_like_grad)
+            fa, fb, atoms = fa[keep], fb[keep], atoms[keep]
+            sigma = np.tensordot(w, atoms, 1)
+        _, g = tau_like_grad(sigma)
+    w, keep = _polish_weights(w, atoms, tau_like_grad)
+    ensemble = [(float(wk), ra, rb) for wk, ra, rb in zip(w, fa[keep], fb[keep])]
+    return np.tensordot(w, atoms[keep], 1), ensemble
 
 
 def chisep_upper_ensemble(s: BipartiteState, cfg: SepConfig = SepConfig()):
@@ -620,12 +640,14 @@ def _soft_threshold_eig(x: np.ndarray, t: float) -> np.ndarray:
 
 
 def dsep(s: BipartiteState, cfg: SepConfig = SepConfig()) -> SepApproxResult:
-    """Minimum of ||tau - zeta||_1 over the PPT set by convex splitting.
+    """Minimum of ||tau - zeta||_1 over the PPT set by the split ADMM.
 
-    Alternates the eigenvalue soft-threshold proximal step of the 1-norm
-    with Dykstra projection onto the PPT density set; the running best over
-    feasible iterates is returned.  Exact (up to tolerance) for 2x2 and 2x3;
-    a lower bound on the separable distance otherwise.
+    The 1-norm enters through its proximal map, an eigenvalue soft
+    threshold.  The value is ||tau - z||_1 at the final iterate z, a density
+    matrix whose partial transpose is positive within the stop tolerance
+    once ``converged``: a feasible, hence upper, value of the PPT minimum.
+    That minimum is the separable distance for 2x2 and 2x3 and a lower
+    bound on it above.
     """
     _check_desk_scale(s)
     tau = s.matrix
@@ -634,29 +656,12 @@ def dsep(s: BipartiteState, cfg: SepConfig = SepConfig()) -> SepApproxResult:
             value=0.0, minimizer=s.state, method=_method_tag(s.dim_a, s.dim_b),
             iterations=0, converged=True, extras={"note": "input is PPT"},
         )
-    d = s.dim_a * s.dim_b
-    rho = cfg.admm_rho
-    z = np.eye(d) / d
-    u = np.zeros_like(tau)
-    best_val, best_z = math.inf, z
-    converged = False
-    it = 0
-    for it in range(1, cfg.admm_iters + 1):
-        x = tau - _soft_threshold_eig(tau - (z - u), rho)
-        z_new = project_ppt_density(x + u, s.dim_a, s.dim_b)
-        u = u + x - z_new
-        val = la.trace_norm(tau - z_new)
-        if val < best_val:
-            best_val, best_z = val, z_new
-        prim = np.linalg.norm(x - z_new)
-        dual = np.linalg.norm(z_new - z)
-        z = z_new
-        if prim < 1e-10 and dual < 1e-10:
-            converged = True
-            break
+    z, it, converged = _ppt_split(
+        lambda v: tau - _soft_threshold_eig(tau - v, ADMM_STEP), s.dim_a, s.dim_b, cfg.admm_iters
+    )
     return SepApproxResult(
-        value=float(best_val),
-        minimizer=DensityState.from_matrix(la.density_project(best_z)),
+        value=la.trace_norm(tau - z),
+        minimizer=DensityState.from_matrix(z),
         method=_method_tag(s.dim_a, s.dim_b),
         iterations=it,
         converged=converged,
@@ -673,8 +678,7 @@ def dsep_upper_ensemble(s: BipartiteState, cfg: SepConfig = SepConfig()):
     minimum).  Returns a SepApproxResult with method ``ensemble_upper_bound``.
     """
     _check_desk_scale(s)
-    inner = dsep(s, cfg)
-    target = inner.minimizer.matrix if inner.minimizer is not None else s.matrix
+    target = dsep(s, cfg).minimizer.matrix
 
     def obj(sigma):
         delta = sigma - target
@@ -788,8 +792,9 @@ class SeparableChannel:
     b_in: int
     b_out: int
 
-    @property
+    @cached_property
     def channel(self) -> KrausChannel:
+        """The product Kraus channel, built on first use and kept."""
         return KrausChannel.from_kraus([np.kron(ka, kb) for ka, kb in self.pairs])
 
     def apply(self, rho: np.ndarray) -> np.ndarray:

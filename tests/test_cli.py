@@ -128,6 +128,25 @@ class TestSimulate:
         assert lines[0].startswith("step,total_prob,blocks,chisep")
         assert [line.split(",")[0] for line in lines[1:]] == ["0", "1", "2"]
 
+    def test_duplicate_ccqq_label_exits_two(self, tmp_path):
+        bell = np.zeros((4, 4))
+        bell[np.ix_([0, 3], [0, 3])] = 0.5
+        flip = np.diag([1.0, 1.0, -1.0, -1.0])
+        blocks = [{"x": [0], "y": [], "p": 0.5, "matrix": [[[v, 0.0] for v in row] for row in m]}
+                  for m in (bell, flip @ bell @ flip)]
+        circuit = {
+            "layout": {"qubits": [{"label": "a", "side": "A"}, {"label": "b", "side": "B"}],
+                       "classical": [{"label": "c0", "size": 2, "side": "A"}]},
+            "noise": {"preset": "identity"},
+            "input": {"kind": "ccqq", "dimA": 2, "dimB": 2, "blocks": blocks},
+            "layers": [],
+        }
+        path = tmp_path / "dup.json"
+        path.write_text(json.dumps(circuit))
+        res = run_cli("simulate", str(path), "--record-chisep")
+        assert res.returncode == 2
+        assert "duplicate block label" in res.stderr
+
     def test_bad_circuit_exits_two(self, tmp_path):
         (tmp_path / "bad.json").write_text('{"layers": [{"kind": "mystery"}], "noise": {"preset": "identity"}}')
         res = run_cli("simulate", str(tmp_path / "bad.json"))

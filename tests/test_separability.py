@@ -8,6 +8,8 @@ import pytest
 import chcon.linalg as la
 from chcon.channels import (
     ChannelError,
+    KrausChannel,
+    amplitude_damping,
     bell_state,
     completely_depolarizing,
     depolarizing,
@@ -15,6 +17,7 @@ from chcon.channels import (
 )
 from chcon.sampling import haar_unitary, random_channel, random_density, random_pure
 from chcon.separability import (
+    _product_oracle,
     _project_pt_trace_blocks,
     BipartiteState,
     CcQqState,
@@ -31,6 +34,7 @@ from chcon.separability import (
     make_separable_channel,
     mixture_of_local_pairs,
     ppt_min_eigenvalue,
+    project_ppt_density,
     project_pt_trace,
     separable_twirl,
     verify_contraction_step,
@@ -103,6 +107,12 @@ def feasible_points(rng, dim_a: int, dim_b: int) -> list:
     return [twirl, product, np.eye(d) / d]
 
 
+def assert_ppt_density(z, dim_a: int, dim_b: int):
+    assert np.trace(z).real == pytest.approx(1.0, abs=1e-9)
+    assert la.min_eig(z) >= -1e-9
+    assert la.min_eig(la.partial_transpose(z, dim_a, dim_b)) >= -1e-9
+
+
 class TestProjection:
     def test_pt_trace_projection_feasible(self):
         for dim_a, dim_b in [(2, 2), (2, 3), (3, 2)]:
@@ -134,11 +144,76 @@ class TestProjection:
             single = _project_pt_trace_blocks(xs[:1], 2, 3)[0]
             assert np.allclose(single, project_pt_trace(xs[0], 2, 3), atol=1e-14)
 
+    @pytest.mark.parametrize("dim_a, dim_b", [(2, 2), (2, 3), (3, 3), (2, 4), (4, 4)])
+    def test_ppt_density_projection_feasible(self, dim_a, dim_b):
+        # Rank-2 states pushed off the set by a Hermitian perturbation.
+        d = dim_a * dim_b
+        rng = seeded(80, dim_a, dim_b)
+        xs = [random_density(rng, d, 2) + random_herm(rng, d, d) / d for _ in range(3)]
+        zs = [project_ppt_density(x, dim_a, dim_b) for x in xs]
+        for x, z in zip(xs, zs):
+            assert_ppt_density(z, dim_a, dim_b)
+            # Optimality: Re<x - z, y - z> <= 0 on points y of the set:
+            # separable ones, the other projections, and the product state
+            # that the oracle finds best for x - z.
+            ys = feasible_points(rng, dim_a, dim_b) + zs
+            a, b = _product_oracle(z - x, dim_a, dim_b, seeded(81, dim_a, dim_b))
+            ys.append(np.kron(np.outer(a, a.conj()), np.outer(b, b.conj())))
+            for y in ys:
+                assert np.real(np.vdot(x - z, y - z)) <= 1e-8
+            # The set lies in both the density set and the PT-trace set.
+            dist = np.linalg.norm(x - z)
+            assert dist >= np.linalg.norm(x - la.density_project(x)) - 1e-9
+            assert dist >= np.linalg.norm(x - project_pt_trace(x, dim_a, dim_b)) - 1e-9
+
     def test_twirl_is_separable_and_full_rank(self):
         t = separable_twirl(bell_state().matrix, 2, 2)
         st = BipartiteState.from_matrix(t, 2, 2)
         assert is_ppt(st)
         assert np.linalg.eigvalsh(t)[0] > 1e-3
+
+
+def product_projector(a, b) -> np.ndarray:
+    v = np.kron(a, b)
+    return np.outer(v, v.conj())
+
+
+def product_oracle_loop(g, dim_a, dim_b, rng, restarts=6, sweeps=12):
+    """Reference for the batched oracle: one restart at a time, with
+    Kronecker products and partial traces.  Returns every restart's final
+    value and product projector."""
+    g = la.herm_part(g)
+    results = []
+    for r in range(restarts):
+        b = random_pure(rng, dim_b) if r > 0 else np.ones(dim_b, dtype=complex) / math.sqrt(dim_b)
+        for _ in range(sweeps):
+            rho_b = np.outer(b, b.conj())
+            ma = la.partial_trace(g @ np.kron(np.eye(dim_a), rho_b), (dim_a, dim_b), keep=(0,))
+            a = np.linalg.eigh(la.herm_part(ma))[1][:, 0]
+            rho_a = np.outer(a, a.conj())
+            mb = la.partial_trace(g @ np.kron(rho_a, np.eye(dim_b)), (dim_a, dim_b), keep=(1,))
+            wb, vb = np.linalg.eigh(la.herm_part(mb))
+            b = vb[:, 0]
+        results.append((float(wb[0]), product_projector(a, b)))
+    return results
+
+
+class TestProductOracle:
+    @pytest.mark.parametrize("dim_a, dim_b", [(2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (4, 4)])
+    def test_batched_matches_per_restart_loop(self, dim_a, dim_b):
+        # The batch returns one of the reference's restarts with the least
+        # value; restarts that reach one optimum tie within rounding, so
+        # which of those wins is not pinned.
+        d = dim_a * dim_b
+        for i in range(5):
+            g = random_herm(seeded(83, dim_a, dim_b, i), d, d)
+            got = product_projector(*_product_oracle(g, dim_a, dim_b, seeded(84, i)))
+            runs = product_oracle_loop(g, dim_a, dim_b, seeded(84, i))
+            best = min(val for val, _ in runs)
+            assert np.real(np.vdot(g, got)) == pytest.approx(best, abs=1e-12)
+            assert min(
+                np.abs(got - proj).max() for val, proj in runs if val <= best + 1e-12
+            ) <= 1e-12
 
 
 class TestDsep:
@@ -168,6 +243,18 @@ class TestDsep:
         big = BipartiteState.from_matrix(np.eye(32) / 32, 4, 8)
         with pytest.raises(ChannelError, match="capped"):
             dsep(big)
+
+    @pytest.mark.parametrize("dim_a, dim_b", [(2, 3), (2, 4), (3, 3)])
+    def test_minimizer_feasible(self, dim_a, dim_b):
+        st = BipartiteState.from_matrix(
+            random_density(seeded(90, dim_a, dim_b, 0), dim_a * dim_b), dim_a, dim_b
+        )
+        assert not is_ppt(st)
+        res = dsep(st)
+        assert res.converged
+        assert_ppt_density(res.minimizer.matrix, dim_a, dim_b)
+        gap = la.trace_norm(st.matrix - res.minimizer.matrix)
+        assert res.value == pytest.approx(gap, abs=1e-12)
 
 
 class TestChisep:
@@ -279,6 +366,15 @@ class TestCcQq:
         with pytest.raises(ChannelError, match="sum"):
             CcQqState.from_blocks(2, 2, [((0,), (0,), 0.7, np.eye(4) / 4)])
 
+    def test_duplicate_label_rejected(self):
+        # Phi+ and Phi- under one label are the separable mixture of the two;
+        # as separate blocks they would score chisep 1.
+        z_a = np.kron(la.PAULI_Z, la.I2)
+        phi_minus = z_a @ bell_state().matrix @ z_a
+        blocks = [((0,), (0,), 0.5, bell_state().matrix), ([0], (0,), 0.5, phi_minus)]
+        with pytest.raises(ChannelError, match="duplicate block label"):
+            CcQqState.from_blocks(2, 2, blocks)
+
 
 class TestSeparableChannels:
     def test_identity_pair(self):
@@ -305,6 +401,24 @@ class TestSeparableChannels:
         v = np.kron(np.array([1, 0]), np.array([0, 1])).astype(complex)
         rho = np.outer(v, v.conj())
         assert not np.allclose(sep.apply(rho), swap @ rho @ swap.conj().T)
+
+    def test_product_channel_built_once(self, monkeypatch):
+        sep = local_product_channel(depolarizing(0.3), amplitude_damping(0.2))
+        assert sep.channel is sep.channel
+        built = []
+        original = KrausChannel.from_kraus.__func__
+
+        def counting(cls, ops):
+            built.append(1)
+            return original(cls, ops)
+
+        monkeypatch.setattr(KrausChannel, "from_kraus", classmethod(counting))
+        blocks = [((b,), (), 0.5, product_state(seeded(85, b)).matrix) for b in range(2)]
+        out = apply_separable_to_ccqq(CcQqState.from_blocks(2, 2, blocks), sep)
+        verify_contraction_step(CcQqState.single(bell()), sep, 0.1)
+        assert built == []
+        for blk, src in zip(out.blocks, blocks):
+            assert np.allclose(blk.rho, sep.channel.apply(src[3]), atol=1e-14)
 
     def test_mixture_of_local_pairs_is_tp(self):
         rng = seeded(79)
