@@ -31,7 +31,6 @@ from .channels import (
     unitary_channel,
     validate_channel,
 )
-from .config import DEFAULT_TOL, RunConfig, Tolerances
 from .contraction import (
     ContractionReport,
     OrthogonalPair,

@@ -18,7 +18,10 @@ from typing import Iterable
 import numpy as np
 
 from . import linalg as la
-from .config import DEFAULT_TOL, Tolerances
+from .config import HERM_TOL, PSD_TOL, TP_TOL
+
+# Eigenvalue threshold below which a Choi eigenvalue counts as zero.
+RANK_TOL = 1e-9
 
 
 class ChannelError(ValueError):
@@ -30,7 +33,7 @@ class ChannelError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def check_density_stack(ms: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> None:
+def check_density_stack(ms: np.ndarray) -> None:
     """Validate a ``(B, d, d)`` stack of density matrices in one pass.
 
     The checks run in order over the whole stack: finite entries, the
@@ -38,21 +41,21 @@ def check_density_stack(ms: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> None:
     Hermitian part, and unit trace.  The residual is the largest
     ``|eigenvalue|`` of the Hermitian matrix ``i (A - A^H)``; it is computed
     only for the matrices whose Frobenius norm ``||A - A^H||_F`` (an upper
-    bound on it) exceeds the tolerance.  The spectra come from one batched
+    bound on it) exceeds ``HERM_TOL``.  The spectra come from one batched
     ``eigvalsh``.  Raises :class:`ChannelError` naming the first failed check.
     """
     if not np.all(np.isfinite(ms)):
         raise ChannelError("density matrix has non-finite entries")
     adj = la.dag(ms)
     skew = ms - adj
-    unsure = skew[np.einsum("bij,bij->b", skew, skew.conj()).real > tol.herm**2]
+    unsure = skew[np.einsum("bij,bij->b", skew, skew.conj()).real > HERM_TOL**2]
     eigs = np.linalg.eigvalsh(np.concatenate((1j * unsure, 0.5 * (ms + adj))))
-    if np.abs(eigs[: len(unsure)]).max(initial=0.0) > tol.herm:
+    if np.abs(eigs[: len(unsure)]).max(initial=0.0) > HERM_TOL:
         raise ChannelError("density matrix is not Hermitian within tolerance")
-    if eigs[len(unsure):, :1].min(initial=0.0) < -tol.psd:
+    if eigs[len(unsure):, :1].min(initial=0.0) < -PSD_TOL:
         raise ChannelError("density matrix is not positive semidefinite within tolerance")
     tr = np.trace(ms, axis1=-2, axis2=-1)
-    if np.abs(tr.real - 1.0).max(initial=0.0) > tol.tp or np.abs(tr.imag).max(initial=0.0) > tol.tp:
+    if np.abs(tr.real - 1.0).max(initial=0.0) > TP_TOL or np.abs(tr.imag).max(initial=0.0) > TP_TOL:
         raise ChannelError("density matrix trace differs from 1 beyond tolerance")
 
 
@@ -64,11 +67,11 @@ class DensityState:
     matrix: np.ndarray
 
     @classmethod
-    def from_matrix(cls, matrix: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> "DensityState":
+    def from_matrix(cls, matrix: np.ndarray) -> "DensityState":
         m = np.asarray(matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ChannelError(f"density matrix must be square, got shape {m.shape}")
-        check_density_stack(m[None], tol)
+        check_density_stack(m[None])
         return cls(dim=m.shape[0], matrix=la.frozen(m))
 
     @classmethod
@@ -143,9 +146,9 @@ class KrausChannel:
         acc = sum(la.dag(k) @ k for k in self.kraus)
         return float(np.linalg.norm(acc - np.eye(self.in_dim), 2))
 
-    def is_unital(self, tol: float = DEFAULT_TOL.tp) -> bool:
+    def is_unital(self) -> bool:
         acc = sum(k @ la.dag(k) for k in self.kraus)
-        return bool(np.linalg.norm(acc - np.eye(self.out_dim), 2) <= tol)
+        return bool(np.linalg.norm(acc - np.eye(self.out_dim), 2) <= TP_TOL)
 
     def is_qubit(self) -> bool:
         return self.in_dim == 2 and self.out_dim == 2
@@ -160,8 +163,8 @@ class ChoiMatrix:
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvalsh(la.herm_part(self.matrix))
 
-    def rank(self, rank_tol: float = 1e-9) -> int:
-        return int(np.sum(self.eigenvalues() > rank_tol))
+    def rank(self) -> int:
+        return int(np.sum(self.eigenvalues() > RANK_TOL))
 
 
 @dataclass(frozen=True)
@@ -198,7 +201,7 @@ class BlochAffine:
 
     @property
     def unital(self) -> bool:
-        return bool(np.linalg.norm(self.t) <= DEFAULT_TOL.tp)
+        return bool(np.linalg.norm(self.t) <= TP_TOL)
 
     def transfer(self) -> tuple[np.ndarray, np.ndarray]:
         """Overall Bloch action (t_total, M) with r -> t_total + M r."""
@@ -207,9 +210,9 @@ class BlochAffine:
         m = ru @ np.diag(self.lam) @ rv
         return ru @ self.t, m
 
-    def to_channel(self, rank_tol: float = 1e-9) -> KrausChannel:
+    def to_channel(self) -> KrausChannel:
         t_total, m = self.transfer()
-        return channel_from_bloch_transfer(t_total, m, rank_tol=rank_tol)
+        return channel_from_bloch_transfer(t_total, m)
 
 
 # ---------------------------------------------------------------------------
@@ -229,15 +232,15 @@ class ChannelValidation:
         return self.tp_ok and self.cp_ok
 
 
-def validate_channel(ch: KrausChannel, tol: Tolerances = DEFAULT_TOL) -> ChannelValidation:
+def validate_channel(ch: KrausChannel) -> ChannelValidation:
     """Report trace-preservation and complete-positivity residuals."""
     tp_res = ch.tp_residual()
     cmin = la.min_eig(kraus_to_choi(ch).matrix)
     return ChannelValidation(
         tp_residual=tp_res,
         choi_min_eigenvalue=cmin,
-        tp_ok=tp_res <= tol.tp,
-        cp_ok=cmin >= -tol.psd,
+        tp_ok=tp_res <= TP_TOL,
+        cp_ok=cmin >= -PSD_TOL,
     )
 
 
@@ -255,10 +258,10 @@ def kraus_to_choi(ch: KrausChannel) -> ChoiMatrix:
     return ChoiMatrix(in_dim=ch.in_dim, out_dim=ch.out_dim, matrix=la.frozen(c))
 
 
-def choi_to_kraus(c: ChoiMatrix, rank_tol: float = 1e-9, tol: Tolerances = DEFAULT_TOL) -> KrausChannel:
+def choi_to_kraus(c: ChoiMatrix, rank_tol: float = RANK_TOL) -> KrausChannel:
     """Minimal Kraus list from the Choi eigendecomposition."""
     w, v = np.linalg.eigh(la.herm_part(c.matrix))
-    if w[0] < -tol.psd:
+    if w[0] < -PSD_TOL:
         raise ChannelError(f"Choi matrix is not PSD (min eigenvalue {w[0]:.3e})")
     ops = []
     for i in range(len(w) - 1, -1, -1):
@@ -269,14 +272,14 @@ def choi_to_kraus(c: ChoiMatrix, rank_tol: float = 1e-9, tol: Tolerances = DEFAU
     return KrausChannel.from_kraus(ops)
 
 
-def canonical_kraus(ch: KrausChannel, rank_tol: float = 1e-9) -> KrausChannel:
+def canonical_kraus(ch: KrausChannel) -> KrausChannel:
     """Re-express a channel with a minimal (Choi-rank) Kraus list."""
-    return choi_to_kraus(kraus_to_choi(ch), rank_tol=rank_tol)
+    return choi_to_kraus(kraus_to_choi(ch))
 
 
-def stinespring(ch: KrausChannel, rank_tol: float = 1e-9) -> StinespringIsometry:
+def stinespring(ch: KrausChannel) -> StinespringIsometry:
     """Isometry V with T(X) = Tr_E(V X V^dag) and env_dim = Choi rank."""
-    minimal = canonical_kraus(ch, rank_tol=rank_tol)
+    minimal = canonical_kraus(ch)
     env = len(minimal.kraus)
     v = np.zeros((minimal.out_dim * env, minimal.in_dim), dtype=complex)
     for e, k in enumerate(minimal.kraus):
@@ -286,9 +289,9 @@ def stinespring(ch: KrausChannel, rank_tol: float = 1e-9) -> StinespringIsometry
     )
 
 
-def complementary_output(ch: KrausChannel, rho: np.ndarray, rank_tol: float = 1e-9) -> np.ndarray:
+def complementary_output(ch: KrausChannel, rho: np.ndarray) -> np.ndarray:
     """Environment (complementary-channel) output state for input rho."""
-    minimal = canonical_kraus(ch, rank_tol=rank_tol)
+    minimal = canonical_kraus(ch)
     r = len(minimal.kraus)
     env = np.empty((r, r), dtype=complex)
     rho = np.asarray(rho, dtype=complex)
@@ -369,7 +372,7 @@ def bloch_transfer(ch: KrausChannel) -> tuple[np.ndarray, np.ndarray]:
     return t, m
 
 
-def channel_from_bloch_transfer(t: np.ndarray, m: np.ndarray, rank_tol: float = 1e-9) -> KrausChannel:
+def channel_from_bloch_transfer(t: np.ndarray, m: np.ndarray, rank_tol: float = RANK_TOL) -> KrausChannel:
     """Qubit channel with the given affine Bloch action (must be CP)."""
     t = np.asarray(t, dtype=float)
     m = np.asarray(m, dtype=float)
@@ -402,12 +405,12 @@ def _signed_rotation_svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     return w @ flip_w, np.diag(lam).copy(), (x @ flip_x).T
 
 
-def to_bloch_affine(ch: KrausChannel, tol: Tolerances = DEFAULT_TOL) -> BlochAffine:
+def to_bloch_affine(ch: KrausChannel) -> BlochAffine:
     """Normal form of a qubit channel; see :class:`BlochAffine` for the
     sign convention."""
     t_total, m = bloch_transfer(ch)
     off = m - np.diag(np.diag(m))
-    if np.max(np.abs(off)) <= tol.tp:
+    if np.max(np.abs(off)) <= TP_TOL:
         lam = np.diag(m).copy()
         ru = np.eye(3)
         rv = np.eye(3)
@@ -427,13 +430,13 @@ def to_bloch_affine(ch: KrausChannel, tol: Tolerances = DEFAULT_TOL) -> BlochAff
 # ---------------------------------------------------------------------------
 
 
-def extremality_gap(ch: KrausChannel, rank_tol: float = 1e-9) -> float:
+def extremality_gap(ch: KrausChannel) -> float:
     """Smallest singular value of the {K_i^dag K_j} linear system.
 
     Computed on the minimal (Choi-rank) Kraus list; the channel is an
     extreme point of the CPTP set iff the gap is positive.
     """
-    minimal = canonical_kraus(ch, rank_tol=rank_tol)
+    minimal = canonical_kraus(ch)
     prods = [la.dag(ki) @ kj for ki in minimal.kraus for kj in minimal.kraus]
     g = np.stack([p.reshape(-1) for p in prods], axis=1)
     if g.shape[1] > g.shape[0]:
@@ -441,16 +444,17 @@ def extremality_gap(ch: KrausChannel, rank_tol: float = 1e-9) -> float:
     return float(np.linalg.svd(g, compute_uv=False)[-1])
 
 
-def is_extreme_point(ch: KrausChannel, tol: float = 1e-8) -> bool:
-    return extremality_gap(ch) > tol
+def is_extreme_point(ch: KrausChannel) -> bool:
+    """Extremality test: the gap of :func:`extremality_gap` exceeds 1e-8."""
+    return extremality_gap(ch) > 1e-8
 
 
-def is_unitary_channel(ch: KrausChannel, tol: float = 1e-9) -> bool:
-    """Choi-rank-1 test (second Choi eigenvalue below ``tol``)."""
+def is_unitary_channel(ch: KrausChannel) -> bool:
+    """Choi-rank-1 test (second Choi eigenvalue below ``RANK_TOL``)."""
     if ch.in_dim != ch.out_dim:
         return False
     w = kraus_to_choi(ch).eigenvalues()
-    return bool(w[-2] < tol) if len(w) >= 2 else True
+    return bool(w[-2] < RANK_TOL) if len(w) >= 2 else True
 
 
 # ---------------------------------------------------------------------------
@@ -462,9 +466,9 @@ def identity_channel(dim: int = 2) -> KrausChannel:
     return KrausChannel.from_kraus([np.eye(dim)])
 
 
-def unitary_channel(u: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> KrausChannel:
+def unitary_channel(u: np.ndarray) -> KrausChannel:
     u = np.asarray(u, dtype=complex)
-    if not la.is_unitary(u, tol.tp):
+    if not la.is_unitary(u, TP_TOL):
         raise ChannelError("matrix is not unitary within tolerance")
     return KrausChannel.from_kraus([u])
 

@@ -15,7 +15,6 @@ import sys
 import numpy as np
 
 from . import serialize as ser
-from .config import RunConfig
 from .bounds import CapacityBracket, capacity_bracket, memory_time_bound, overhead_lower_bound
 from .channels import (
     ChannelError,
@@ -252,7 +251,7 @@ def cmd_simulate(args) -> int:
             else:
                 from .channels import bell_state
 
-                if n != 1:
+                if n > 1:
                     return _fail("doubled runs with n > 1 need an explicit input state")
                 inp = BipartiteState.from_matrix(bell_state().matrix, 2, 2)
             rep = doubled_memory_experiment(
@@ -303,12 +302,16 @@ def cmd_simulate(args) -> int:
 def cmd_verify(args) -> int:
     if args.replay:
         dump = _load_json(args.replay)
+        if not isinstance(dump, dict):
+            return _fail("malformed replay file: expected a JSON object")
         # `verify all` writes {"reports": [...]}; a single suite writes one report.
         dumps = dump["reports"] if "reports" in dump else [dump]
+        if not isinstance(dumps, list) or not all(isinstance(rep, dict) for rep in dumps):
+            return _fail("malformed replay file: \"reports\" must be a list of suite reports")
         docs = []
         for rep in dumps:
             suite = rep.get("suite")
-            if suite not in SUITES:
+            if not isinstance(suite, str) or suite not in SUITES:
                 return _fail(f"replay file names unknown suite {suite!r}")
             try:
                 results = [
@@ -407,16 +410,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits with 2 on usage errors already
         return int(exc.code or 0)
-    try:
-        # Centralized validation of the reproducibility knobs.
-        RunConfig(
-            seed=args.seed,
-            restarts=args.restarts,
-            trials=args.trials if args.trials is not None else 200,
-            out=args.out,
-        )
-    except ValueError as exc:
-        return _fail(str(exc))
+    if not 0 <= args.seed < 2**64:
+        return _fail("seed must fit in 64 unsigned bits")
+    if args.restarts < 1 or (args.trials is not None and args.trials < 1):
+        return _fail("restarts and trials must be positive")
     try:
         return args.fn(args)
     except SystemExit as exc:

@@ -22,6 +22,17 @@ from .sampling import random_density, random_full_rank_density, random_pure, rng
 
 KINDS = ("eta_tr_estimate", "eta_tr_upper_minoutev", "eta_tr_upper_choi", "eta_chi_lower")
 
+# Step budget and stop tolerance of the eta_tr sign ascent.
+ETA_TR_MAX_ITER = 300
+ETA_TR_TOL = 1e-9
+# Step budget and stop tolerance of the minimal-output-eigenvalue descent.
+MIN_OUT_MAX_ITER = 200
+MIN_OUT_TOL = 1e-12
+# Local ascent steps of eta_chi_lower, and the chi-square denominator below
+# which a sampled pair counts as degenerate.
+CHI_ASCENT_STEPS = 200
+CHI_DENOM_FLOOR = 1e-12
+
 
 @dataclass(frozen=True)
 class OrthogonalPair:
@@ -161,9 +172,7 @@ def _random_orthogonal_pair(rng: np.random.Generator, d: int) -> tuple[np.ndarra
     return q[:, 0], q[:, 1]
 
 
-def eta_tr(
-    ch: KrausChannel, restarts: int = 64, seed: int = 0, max_iter: int = 300, tol: float = 1e-9
-) -> ContractionReport:
+def eta_tr(ch: KrausChannel, restarts: int = 64, seed: int = 0) -> ContractionReport:
     """Trace-norm contraction coefficient.
 
     Qubit channels use the closed Bloch form (largest singular value of the
@@ -187,9 +196,9 @@ def eta_tr(
 
     starts = np.array([_random_orthogonal_pair(rng_from(seed, i), d) for i in range(restarts)])
     # The maximand is half the trace norm.  Halving is exact in floating
-    # point, so stopping the norm ascent at 2 * tol is the same stop test.
+    # point, so stopping the norm ascent at 2 * ETA_TR_TOL is the same stop test.
     norms, (psi, phi), steps = sign_ascent(
-        ch.transfer_matrix(), (starts[:, 0], starts[:, 1]), max_iter, 2 * tol
+        ch.transfer_matrix(), (starts[:, 0], starts[:, 1]), ETA_TR_MAX_ITER, 2 * ETA_TR_TOL
     )
     best = int(np.argmax(norms))
     return ContractionReport(
@@ -204,7 +213,7 @@ def eta_tr(
 
 
 def min_output_eigenvalue(
-    ch: KrausChannel, restarts: int = 24, seed: int = 0, max_iter: int = 200, tol: float = 1e-12
+    ch: KrausChannel, restarts: int = 24, seed: int = 0
 ) -> tuple[float, tuple[np.ndarray, np.ndarray], int]:
     """Minimize <psi| (T^dag o T)(|phi><phi|) |psi> over pure pairs.
 
@@ -224,7 +233,7 @@ def min_output_eigenvalue(
         dtype=complex,
     )
     vals, (psi, phi), steps = _batched_ascent(
-        partial(_min_eigvec_step, amat), (starts, starts), max_iter, tol, sense=-1.0
+        partial(_min_eigvec_step, amat), (starts, starts), MIN_OUT_MAX_ITER, MIN_OUT_TOL, sense=-1.0
     )
     best = int(np.argmin(vals))
     return max(float(vals[best]), 0.0), (psi[best], phi[best]), int(steps.sum())
@@ -266,7 +275,7 @@ def _choi_bound(lam: float, d: int, n_copies: int = 1) -> float:
     return min(float(np.sqrt(max(1.0 - (max(lam, 0.0) / d**2) ** n_copies, 0.0))), 1.0)
 
 
-def eta_tr_upper_choi(ch: KrausChannel, n_copies: int = 1, seed: int = 0) -> ContractionReport:
+def eta_tr_upper_choi(ch: KrausChannel, n_copies: int = 1) -> ContractionReport:
     """Upper bound sqrt(1 - (lmin(C_{T^dag o T}) / d^2)^n) for the n-fold
     tensor power, using multiplicativity of the smallest Choi eigenvalue."""
     _require_endomorphism(ch)
@@ -279,24 +288,18 @@ def eta_tr_upper_choi(ch: KrausChannel, n_copies: int = 1, seed: int = 0) -> Con
         witness=None,
         restarts=0,
         iterations=0,
-        seed=seed,
+        seed=0,
         method="choi_eigensolve",
         extras={"lambda_min_choi": lam, "n_copies": n_copies},
     )
 
 
-def eta_chi_lower(
-    ch: KrausChannel,
-    trials: int = 200,
-    seed: int = 0,
-    ascent_steps: int = 200,
-    denom_floor: float = 1e-12,
-) -> ContractionReport:
+def eta_chi_lower(ch: KrausChannel, trials: int = 200, seed: int = 0) -> ContractionReport:
     """Sampled lower estimate of the chi-square contraction coefficient.
 
     Maximizes chi2(T(rho), T(sigma)) / chi2(rho, sigma) over random pairs
     (sigma kept full rank), then refines the best pair by random local
-    ascent.  Degenerate samples (denominator below ``denom_floor``) are
+    ascent.  Degenerate samples (denominator below ``CHI_DENOM_FLOOR``) are
     resampled.
     """
     _require_endomorphism(ch)
@@ -304,7 +307,7 @@ def eta_chi_lower(
 
     def ratio(rho, sigma):
         denom = chi2_divergence(rho, sigma)
-        if not np.isfinite(denom) or denom < denom_floor:
+        if not np.isfinite(denom) or denom < CHI_DENOM_FLOOR:
             return None
         num = chi2_divergence(ch.apply(rho), ch.apply(sigma))
         if not np.isfinite(num):
@@ -331,8 +334,8 @@ def eta_chi_lower(
     if best_pair is not None:
         rho, sigma = best_pair
         rng2 = rng_from(seed, 1)
-        for step in range(ascent_steps):
-            scale = 0.5 * (1.0 - step / ascent_steps) + 1e-3
+        for step in range(CHI_ASCENT_STEPS):
+            scale = 0.5 * (1.0 - step / CHI_ASCENT_STEPS) + 1e-3
             mode = rng2.integers(0, 2)
             rho2, sigma2 = rho, sigma
             if mode == 0:

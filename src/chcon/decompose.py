@@ -27,7 +27,7 @@ from .channels import (
     unitary_channel,
     validate_channel,
 )
-from .config import DEFAULT_TOL, P2_DENOMINATOR, Tolerances
+from .config import P2_DENOMINATOR, PSD_TOL, SUPP_TOL
 from .contraction import lambda_min_choi_of_adjoint_composition
 from .sampling import random_eb_qubit_channel, random_extremal_nonunital_qubit_channel, rng_from
 
@@ -94,11 +94,10 @@ class PConstantReport:
 # ---------------------------------------------------------------------------
 
 
-def _require_unital_qubit(ch: KrausChannel, tol: Tolerances):
+def _require_unital_qubit(ch: KrausChannel):
     if not ch.is_qubit():
         raise ChannelError("tetrahedron geometry applies to qubit channels only")
-    acc = sum(k @ la.dag(k) for k in ch.kraus)
-    if np.linalg.norm(acc - np.eye(2), 2) > tol.tp:
+    if not ch.is_unital():
         raise ChannelError("channel is not unital within tolerance")
 
 
@@ -109,13 +108,11 @@ def barycentric_weights(lam: np.ndarray) -> np.ndarray:
     return np.linalg.solve(a, b)
 
 
-def tetrahedron_coords(
-    ch: KrausChannel, tol: Tolerances = DEFAULT_TOL
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def tetrahedron_coords(ch: KrausChannel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Diagonal form (lambda, U, V) of a unital qubit channel, with lambda
     certified to lie in the Pauli tetrahedron."""
-    _require_unital_qubit(ch, tol)
-    aff = to_bloch_affine(ch, tol)
+    _require_unital_qubit(ch)
+    aff = to_bloch_affine(ch)
     w = barycentric_weights(aff.lam)
     if w.min() < -OCTA_SLACK:
         raise ChannelError(
@@ -131,11 +128,11 @@ def corner_feasibility(lam: np.ndarray, corner: int, q: float) -> float:
     return float(np.abs(lam - (1.0 - q) * v).sum() - q)
 
 
-def corner_max_q(lam: np.ndarray, corner: int, feas_tol: float = OCTA_SLACK) -> float | None:
+def corner_max_q(lam: np.ndarray, corner: int) -> float | None:
     """Largest q in (0, 1] with (lam - (1-q) v)/q inside the octahedron.
 
     The excess h(q) = sum_i |lam_i - (1-q) v_i| - q is piecewise linear and
-    convex, so the feasible set {h <= feas_tol} is an interval; the upper
+    convex, so the feasible set {h <= OCTA_SLACK} is an interval; the upper
     endpoint is found exactly by scanning the linear segments from the right.
     Returns None when no q is feasible for this corner.
     """
@@ -163,22 +160,22 @@ def corner_max_q(lam: np.ndarray, corner: int, feas_tol: float = OCTA_SLACK) -> 
     # No strictly feasible segment; accept a touching minimum (within slack).
     vals = [(h(k), k) for k in ks]
     hmin, qmin = min(vals)
-    if hmin <= feas_tol:
+    if hmin <= OCTA_SLACK:
         return qmin
     return None
 
 
-def unital_split(ch: KrausChannel, tol: Tolerances = DEFAULT_TOL) -> UnitalDecomposition:
+def unital_split(ch: KrausChannel) -> UnitalDecomposition:
     """Maximal split N = (1 - p1) * unitary + p1 * entanglement-breaking.
 
     The unitary part ranges over the four tetrahedron corners in the
     channel's diagonal frame; each corner contributes a one-dimensional
     feasibility problem whose largest weight is solved exactly.
     """
-    _require_unital_qubit(ch, tol)
+    _require_unital_qubit(ch)
     if is_unitary_channel(ch):
         raise ChannelError("unitary channel: the entanglement-breaking weight would be zero")
-    lam, u, v = tetrahedron_coords(ch, tol)
+    lam, u, v = tetrahedron_coords(ch)
     best_q, best_corner = -1.0, -1
     for corner in range(4):
         q = corner_max_q(lam, corner)
@@ -189,9 +186,9 @@ def unital_split(ch: KrausChannel, tol: Tolerances = DEFAULT_TOL) -> UnitalDecom
     p1 = min(best_q, 1.0)
     vtx = np.array(TETRA_CORNERS[best_corner])
     lam_b = (lam - (1.0 - p1) * vtx) / p1
-    u_ch = unitary_channel(u, tol)
-    v_ch = unitary_channel(v, tol)
-    unitary_part = unitary_channel(u @ CORNER_PAULIS[best_corner] @ v, tol)
+    u_ch = unitary_channel(u)
+    v_ch = unitary_channel(v)
+    unitary_part = unitary_channel(u @ CORNER_PAULIS[best_corner] @ v)
     diag_eb = channel_from_bloch_transfer(np.zeros(3), np.diag(lam_b), rank_tol=1e-12)
     eb_part = compose(u_ch, compose(diag_eb, v_ch))
     return UnitalDecomposition(p1=float(p1), unitary_part=unitary_part, eb_part=eb_part, corner=best_corner)
@@ -207,16 +204,16 @@ def cp_order_margin(choi_n: ChoiMatrix, choi_m: ChoiMatrix, q: float) -> float:
     return la.min_eig(choi_n.matrix - q * choi_m.matrix)
 
 
-def _choi_support(n: KrausChannel, tol: Tolerances) -> tuple[np.ndarray, np.ndarray, float]:
+def _choi_support(n: KrausChannel) -> tuple[np.ndarray, np.ndarray, float]:
     """One eigendecomposition of C_N, shared by every candidate M.
 
     Returns the kernel basis of C_N, its support basis scaled by the inverse
     square roots of the eigenvalues (columns of C_N^{+1/2}), and the support
-    threshold ``tol.supp * lmax(C_N)``.
+    threshold ``SUPP_TOL * lmax(C_N)``.
     """
     w, v = np.linalg.eigh(kraus_to_choi(n).matrix)
-    supp = w > tol.supp * w[-1]
-    return v[:, ~supp], v[:, supp] / np.sqrt(w[supp]), tol.supp * w[-1]
+    supp = w > SUPP_TOL * w[-1]
+    return v[:, ~supp], v[:, supp] / np.sqrt(w[supp]), SUPP_TOL * w[-1]
 
 
 def _max_cp_weight_on(support: tuple[np.ndarray, np.ndarray, float], m: KrausChannel) -> float:
@@ -229,15 +226,15 @@ def _max_cp_weight_on(support: tuple[np.ndarray, np.ndarray, float], m: KrausCha
     return 1.0 if lam <= 1.0 else float(1.0 / lam)
 
 
-def max_cp_weight(n: KrausChannel, m: KrausChannel, tol: Tolerances = DEFAULT_TOL) -> float:
+def max_cp_weight(n: KrausChannel, m: KrausChannel) -> float:
     """Largest q in [0, 1] keeping N - q M completely positive.
 
     Closed form q = min(1, 2^-D_max(C_M || C_N)) = min(1, 1 / lmax(C_N^{+1/2}
     C_M C_N^{+1/2})) on the support of C_N (Datta, arXiv:0803.2770), and
     q = 0 when the support of C_M leaves that of C_N.  Supports are taken at
-    the relative threshold ``tol.supp``.
+    the relative threshold ``SUPP_TOL``.
     """
-    return _max_cp_weight_on(_choi_support(n, tol), m)
+    return _max_cp_weight_on(_choi_support(n), m)
 
 
 def _certificate(q: float, m: KrausChannel, method: str) -> ExtremalCertificate:
@@ -257,7 +254,6 @@ def p2_certificate(
     user_cert: tuple[float, KrausChannel] | None = None,
     candidates: int = 256,
     seed: int = 0,
-    tol: Tolerances = DEFAULT_TOL,
 ) -> ExtremalCertificate:
     """Certified lower bound on the non-unital channel constant p2.
 
@@ -269,22 +265,22 @@ def p2_certificate(
     """
     if not ch.is_qubit():
         raise ChannelError("p2 certificates are implemented for qubit channels only")
-    if ch.is_unital(tol.tp):
+    if ch.is_unital():
         raise ChannelError("channel is unital; p2 certificates apply to non-unital channels")
 
     if user_cert is not None:
         q, m = user_cert
         if not 0.0 < q <= 1.0:
             raise ChannelError("user certificate rejected: q outside (0, 1]")
-        report = validate_channel(m, tol)
+        report = validate_channel(m)
         if not report.ok:
             raise ChannelError("user certificate rejected: M is not a valid channel")
-        if m.is_unital(tol.tp):
+        if m.is_unital():
             raise ChannelError("user certificate rejected: M is unital")
         if not is_extreme_point(m):
             raise ChannelError("user certificate rejected: M is not an extreme point")
         margin = cp_order_margin(kraus_to_choi(ch), kraus_to_choi(m), q)
-        if margin < -tol.psd:
+        if margin < -PSD_TOL:
             raise ChannelError(
                 f"user certificate rejected: N - qM is not completely positive (margin {margin:.3e})"
             )
@@ -292,12 +288,12 @@ def p2_certificate(
 
     self_lam = max(lambda_min_choi_of_adjoint_composition(ch), 0.0)
     best: ExtremalCertificate | None = None
-    if self_lam > tol.psd:
+    if self_lam > PSD_TOL:
         best = _certificate(1.0, ch, method="self")
         if best.m_extremal:
             return best
 
-    support = _choi_support(ch, tol)
+    support = _choi_support(ch)
     for i in range(candidates):
         rng = rng_from(seed, i)
         try:
@@ -315,12 +311,10 @@ def p2_certificate(
     return best
 
 
-def eb_peel_weight(
-    ch: KrausChannel, candidates: int = 64, seed: int = 0, tol: Tolerances = DEFAULT_TOL
-) -> float:
+def eb_peel_weight(ch: KrausChannel, candidates: int = 64, seed: int = 0) -> float:
     """Best q with N >= q B over random entanglement-breaking candidates B
     (a lower bound on the entanglement-breaking weight of N)."""
-    support = _choi_support(ch, tol)
+    support = _choi_support(ch)
     best = 0.0
     for i in range(candidates):
         rng = rng_from(seed, 1_000_000 + i)
@@ -334,7 +328,6 @@ def p_constant(
     candidates: int = 256,
     eb_candidates: int = 64,
     seed: int = 0,
-    tol: Tolerances = DEFAULT_TOL,
 ) -> PConstantReport:
     """The channel constant p = max(p1, p2) for a non-unitary qubit channel.
 
@@ -344,18 +337,18 @@ def p_constant(
     """
     if not ch.is_qubit():
         raise ChannelError("the channel constant is defined for qubit channels")
-    report = validate_channel(ch, tol)
+    report = validate_channel(ch)
     if not report.ok:
         raise ChannelError("channel fails validation; cannot certify a constant")
     if is_unitary_channel(ch):
         raise ChannelError("unitary channel: out of scope of the memory-time bound")
-    if ch.is_unital(tol.tp):
-        split = unital_split(ch, tol)
+    if ch.is_unital():
+        split = unital_split(ch)
         return PConstantReport(
             p1=split.p1, p2_lower=0.0, p=split.p1, certification="exact_p1"
         )
-    cert = p2_certificate(ch, candidates=candidates, seed=seed, tol=tol)
-    p1_style = eb_peel_weight(ch, candidates=eb_candidates, seed=seed, tol=tol)
+    cert = p2_certificate(ch, candidates=candidates, seed=seed)
+    p1_style = eb_peel_weight(ch, candidates=eb_candidates, seed=seed)
     p = max(cert.p2_lower, p1_style)
     if p <= 0.0:
         raise ChannelError("could not certify a positive channel constant")
@@ -369,11 +362,11 @@ def p_constant(
 # ---------------------------------------------------------------------------
 
 
-def is_entanglement_breaking(ch: KrausChannel, tol: float = 1e-9) -> bool:
+def is_entanglement_breaking(ch: KrausChannel) -> bool:
     """Positive-partial-transpose test on the Choi matrix (exact for qubit
     channels)."""
     if not ch.is_qubit():
         raise ChannelError("the PPT-of-Choi criterion is asserted for qubit channels only")
     c = kraus_to_choi(ch)
     pt = la.partial_transpose(c.matrix, c.out_dim, c.in_dim)
-    return la.min_eig(pt) >= -tol
+    return la.min_eig(pt) >= -PSD_TOL

@@ -8,7 +8,7 @@ import numpy as np
 
 from . import linalg as la
 from .channels import ChannelError, DensityState
-from .config import DEFAULT_TOL, Tolerances
+from .config import SUPP_TOL
 
 
 def _as_matrix(state) -> np.ndarray:
@@ -29,20 +29,20 @@ def trace_distance(rho, sigma) -> float:
     return float(np.abs(np.linalg.eigvalsh(la.herm_part(rho - sigma))).sum())
 
 
-def chi2_divergence(rho, sigma, tol: Tolerances = DEFAULT_TOL) -> float:
+def chi2_divergence(rho, sigma) -> float:
     """Tr(rho sigma^{-1/2} rho sigma^{-1/2}) - 1 with the generalized inverse.
 
     Returns ``math.inf`` when the support of rho is not contained in the
-    support of sigma (detected at relative eigenvalue threshold tol.supp).
+    support of sigma (detected at relative eigenvalue threshold ``SUPP_TOL``).
     """
     rho, sigma = _as_matrix(rho), _as_matrix(sigma)
     _check_dims(rho, sigma)
     w, v = np.linalg.eigh(la.herm_part(sigma))
     top = max(float(w[-1]), 0.0)
-    keep = w > tol.supp * top
+    keep = w > SUPP_TOL * top
     rho_eig = la.dag(v) @ rho @ v
     outside = float(np.real(np.trace(rho_eig[~keep][:, ~keep]))) if (~keep).any() else 0.0
-    if outside > 10.0 * tol.supp:
+    if outside > 10.0 * SUPP_TOL:
         return math.inf
     r = rho_eig[keep][:, keep]
     s = w[keep]
@@ -51,7 +51,7 @@ def chi2_divergence(rho, sigma, tol: Tolerances = DEFAULT_TOL) -> float:
     return max(val, 0.0)
 
 
-def fidelity(rho, sigma, tol: Tolerances = DEFAULT_TOL) -> float:
+def fidelity(rho, sigma) -> float:
     """Uhlmann fidelity F(rho, sigma) = ||sqrt(rho) sqrt(sigma)||_1^2.
 
     In debug mode every call cross-checks the Fuchs-van de Graaf relation in

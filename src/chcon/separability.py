@@ -21,7 +21,7 @@ import numpy as np
 
 from . import linalg as la
 from .channels import ChannelError, DensityState, KrausChannel, check_density_stack
-from .config import DEFAULT_TOL, Tolerances
+from .config import PSD_TOL, TP_TOL
 from .divergences import chi2_divergence
 from .sampling import random_pure, rng_from
 
@@ -29,6 +29,17 @@ PPT_EXACT_DIMS = {(2, 2), (2, 3), (3, 2)}
 EIG_FLOOR = 1e-14
 # Proximal step of the split ADMM (the soft threshold of dsep's 1-norm).
 ADMM_STEP = 0.25
+# Iteration cap of the split ADMM.
+ADMM_ITERS = 3000
+# Barrier weights laddered down by the chi-square solvers, one stage each.
+BARRIER_STAGES = (1e-4, 1e-6, 1e-8, 1e-10, 1e-12)
+# Weight of the identity in the separable twirl that warm-starts chisep.
+TWIRL_MIX = 0.1
+# Restarts and alternating sweeps of the pure-product linear oracle.
+ORACLE_RESTARTS = 6
+ORACLE_SWEEPS = 12
+# Projected-gradient steps of each ensemble-weight polish.
+POLISH_STEPS = 200
 # Ensemble size at which conditional-gradient steps re-polish the weights.
 FW_ATOM_CAP = 64
 
@@ -45,8 +56,8 @@ class BipartiteState:
     state: DensityState
 
     @classmethod
-    def from_matrix(cls, matrix, dim_a: int, dim_b: int, tol: Tolerances = DEFAULT_TOL):
-        st = DensityState.from_matrix(matrix, tol)
+    def from_matrix(cls, matrix, dim_a: int, dim_b: int):
+        st = DensityState.from_matrix(matrix)
         if st.dim != dim_a * dim_b:
             raise ChannelError(f"state dim {st.dim} != {dim_a} * {dim_b}")
         return cls(dim_a=dim_a, dim_b=dim_b, state=st)
@@ -89,7 +100,7 @@ class CcQqState:
     blocks: tuple[CcQqBlock, ...]
 
     @classmethod
-    def from_blocks(cls, dim_a: int, dim_b: int, blocks, tol: Tolerances = DEFAULT_TOL):
+    def from_blocks(cls, dim_a: int, dim_b: int, blocks):
         """Validated state from ``(x, y, prob, rho)`` tuples with distinct
         labels ``(x, y)``.
 
@@ -115,7 +126,7 @@ class CcQqState:
             probs.append(float(p))
             mats.append(m)
         rhos = np.array(mats, dtype=complex).reshape(len(mats), d, d)
-        check_density_stack(rhos, tol)
+        check_density_stack(rhos)
         return cls.from_checked_stack(dim_a, dim_b, labels, probs, rhos)
 
     @classmethod
@@ -156,17 +167,21 @@ class SepApproxResult:
 
 @dataclass(frozen=True)
 class SepConfig:
-    """Knobs for the separability optimizers; defaults match the documented
-    convergence policy (objective-decrease tolerance 1e-8, 10k iteration cap,
-    restarts from the maximally mixed state and the input's separable twirl)."""
+    """Settings of the separability optimizers.
+
+    max_iter:  iteration cap shared by the barrier stages of the chi-square
+               solvers (default 10k)
+    obj_tol:   objective-decrease tolerance of those solvers (default 1e-8)
+    seed:      seed of the conditional-gradient oracle restarts and of the
+               contraction estimates in :func:`verify_contraction_step`
+    fw_iters:  conditional-gradient steps of the separable-ensemble bounds
+               (default 120)
+    """
 
     max_iter: int = 10000
     obj_tol: float = 1e-8
-    barrier_stages: tuple = (1e-4, 1e-6, 1e-8, 1e-10, 1e-12)
     seed: int = 0
-    with_upper: bool = False
     fw_iters: int = 120
-    admm_iters: int = 3000
 
 
 # ---------------------------------------------------------------------------
@@ -174,8 +189,8 @@ class SepConfig:
 # ---------------------------------------------------------------------------
 
 
-def is_ppt(s: BipartiteState, tol: float = 1e-9) -> bool:
-    return ppt_min_eigenvalue(s) >= -tol
+def is_ppt(s: BipartiteState) -> bool:
+    return ppt_min_eigenvalue(s) >= -PSD_TOL
 
 
 def ppt_min_eigenvalue(s: BipartiteState) -> float:
@@ -268,19 +283,20 @@ def project_pt_trace(x: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
     return _project_pt_trace_blocks(np.asarray(x)[None], dim_a, dim_b)[0]
 
 
-def _ppt_split(x_step, dim_a: int, dim_b: int, iters: int) -> tuple[np.ndarray, int, bool]:
+def _ppt_split(x_step, dim_a: int, dim_b: int) -> tuple[np.ndarray, int, bool]:
     """ADMM over the density matrices z with z^PT >= 0, using a copy x = z
     for the objective, whose proximal map with step ``ADMM_STEP`` is
     ``x_step``, and a density copy y = z^PT.  The z-step is one density
     projection of the average of x + u1 and (y + u2)^PT, because the partial
     transpose is a Frobenius isometry.  Stops when x - z, y - z^PT and the
-    step in z are below 1e-10.  Returns (z, iterations, converged).
+    step in z are below 1e-10, or after ``ADMM_ITERS`` iterations.  Returns
+    (z, iterations, converged).
     """
     d = dim_a * dim_b
     z = np.eye(d, dtype=complex) / d
     u1 = np.zeros_like(z)
     u2 = np.zeros_like(z)
-    for it in range(1, iters + 1):
+    for it in range(1, ADMM_ITERS + 1):
         x = x_step(z - u1)
         y = la.density_project(la.partial_transpose(z, dim_a, dim_b) - u2)
         z_new = la.density_project(0.5 * (x + u1 + la.partial_transpose(y + u2, dim_a, dim_b)))
@@ -291,25 +307,25 @@ def _ppt_split(x_step, dim_a: int, dim_b: int, iters: int) -> tuple[np.ndarray, 
         z = z_new
         if done:
             return z, it, True
-    return z, iters, False
+    return z, ADMM_ITERS, False
 
 
-def project_ppt_density(x: np.ndarray, dim_a: int, dim_b: int, iters: int = 3000) -> np.ndarray:
+def project_ppt_density(x: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
     """Frobenius projection onto {rho >= 0, Tr rho = 1} intersect {rho^PT >= 0}.
 
     The split ADMM of :func:`_ppt_split` with the proximal map of
-    ||x - rho||^2 / 2.  Raises ``ChannelError`` if it stops at ``iters``.
+    ||x - rho||^2 / 2.  Raises ``ChannelError`` if it stops at ``ADMM_ITERS``.
     """
     x0 = la.herm_part(np.asarray(x, dtype=complex))
     z, it, converged = _ppt_split(
-        lambda v: (v + ADMM_STEP * x0) / (1.0 + ADMM_STEP), dim_a, dim_b, iters
+        lambda v: (v + ADMM_STEP * x0) / (1.0 + ADMM_STEP), dim_a, dim_b
     )
     if not converged:
         raise ChannelError(f"PPT density projection did not converge in {it} iterations")
     return z
 
 
-def separable_twirl(tau: np.ndarray, dim_a: int, dim_b: int, mix: float = 0.1) -> np.ndarray:
+def separable_twirl(tau: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
     """Classically correlated shadow of ``tau``: dephased in the product of
     the local reduced-state eigenbases, mixed towards the identity so the
     result is full rank."""
@@ -323,7 +339,7 @@ def separable_twirl(tau: np.ndarray, dim_a: int, dim_b: int, mix: float = 0.1) -
     diag = diag / diag.sum() if diag.sum() > 0 else np.ones_like(diag) / diag.size
     dephased = (basis * diag) @ la.dag(basis)
     d = dim_a * dim_b
-    return (1.0 - mix) * dephased + mix * np.eye(d) / d
+    return (1.0 - TWIRL_MIX) * dephased + TWIRL_MIX * np.eye(d) / d
 
 
 # ---------------------------------------------------------------------------
@@ -411,13 +427,13 @@ def _accelerated_pgd(value_grad, proj, x0, max_iter, stall_tol):
 
 
 def _barrier_path(taus, weights, proj, x0, cfg: SepConfig):
-    """Minimize the ``_interior_chi2`` objective down ``cfg.barrier_stages``;
+    """Minimize the ``_interior_chi2`` objective down ``BARRIER_STAGES``;
     each stage warm-starts from the last and all stages share the
     ``cfg.max_iter`` budget.  Yields (x, total iterations, converged) after
     every stage."""
     x, total_iters = x0, 0
-    last = cfg.barrier_stages[-1]
-    for mu in cfg.barrier_stages:
+    last = BARRIER_STAGES[-1]
+    for mu in BARRIER_STAGES:
         budget = cfg.max_iter - total_iters
         if budget <= 0:
             break
@@ -435,7 +451,7 @@ def _pgd_chi2(tau, dim_a, dim_b, sigma0, cfg: SepConfig) -> tuple[float, np.ndar
     The binding constraint at a chi-square optimum is the partial-transpose
     one, which the projection handles with no conditioning penalty; the
     positivity barrier stays inactive for minimizers of full support and is
-    laddered down through cfg.barrier_stages.  The cold start is projected
+    laddered down through BARRIER_STAGES.  The cold start is projected
     once; later stages start from the previous stage's feasible iterate.
     """
 
@@ -461,8 +477,7 @@ def chisep(s: BipartiteState, cfg: SepConfig = SepConfig()) -> SepApproxResult:
     closure at the state itself).  Otherwise projected-gradient descent with
     a shrinking log-det barrier runs from the maximally mixed state and from
     the input's separable twirl; the lower of the two feasible values is
-    returned.  With ``cfg.with_upper`` a separable-ensemble upper bound is
-    also computed and reported in the extras.
+    returned.
     """
     _check_desk_scale(s)
     tau = s.matrix
@@ -489,11 +504,6 @@ def chisep(s: BipartiteState, cfg: SepConfig = SepConfig()) -> SepApproxResult:
         "final_min_eig_sigma": float(np.linalg.eigvalsh(la.herm_part(sigma))[0]),
         "ppt_min_eig_input": ppt_min_eigenvalue(s),
     }
-    if cfg.with_upper:
-        up_val, ensemble = chisep_upper_ensemble(s, cfg)
-        extras["upper_value"] = up_val
-        extras["upper_gap"] = up_val - value
-        extras["ensemble_terms"] = len(ensemble)
     return SepApproxResult(
         value=value,
         minimizer=DensityState.from_matrix(la.density_project(sigma)),
@@ -510,8 +520,7 @@ def chisep(s: BipartiteState, cfg: SepConfig = SepConfig()) -> SepApproxResult:
 
 
 def _product_oracle(
-    g: np.ndarray, dim_a: int, dim_b: int, rng: np.random.Generator,
-    restarts: int = 6, sweeps: int = 12,
+    g: np.ndarray, dim_a: int, dim_b: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Approximate argmin over pure product states of Tr(G (rho_a x rho_b))
     by alternating smallest-eigenvector sweeps, all restarts as one batch;
@@ -520,9 +529,9 @@ def _product_oracle(
     g4 = la.herm_part(g).reshape(dim_a, dim_b, dim_a, dim_b)
     b = np.array(
         [np.ones(dim_b, dtype=complex) / math.sqrt(dim_b)]
-        + [random_pure(rng, dim_b) for _ in range(restarts - 1)]
+        + [random_pure(rng, dim_b) for _ in range(ORACLE_RESTARTS - 1)]
     )
-    for _ in range(sweeps):
+    for _ in range(ORACLE_SWEEPS):
         _, va = np.linalg.eigh(la.herm_part(np.einsum("ijkl,rj,rl->rik", g4, b.conj(), b)))
         a = va[:, :, 0]
         wb, vb = np.linalg.eigh(la.herm_part(np.einsum("ijkl,ri,rk->rjl", g4, a.conj(), a)))
@@ -531,7 +540,7 @@ def _product_oracle(
     return a[best], b[best]
 
 
-def _polish_weights(w: np.ndarray, atoms: np.ndarray, grad_fn, steps: int = 200):
+def _polish_weights(w: np.ndarray, atoms: np.ndarray, grad_fn):
     """Simplex-projected gradient on the ensemble weights (atoms fixed).
 
     Returns the weights above 1e-12 and the mask of the atoms they belong to.
@@ -541,7 +550,7 @@ def _polish_weights(w: np.ndarray, atoms: np.ndarray, grad_fn, steps: int = 200)
     w = w / w.sum()
     step = 0.5
     f, g = grad_fn((w @ flat).reshape(atoms.shape[1:]))
-    for _ in range(steps):
+    for _ in range(POLISH_STEPS):
         gw = np.real(flat @ g.reshape(-1).conj())
         w_new = la.simplex_project(w - step * gw)
         f_new, g_new = grad_fn((w_new @ flat).reshape(atoms.shape[1:]))
@@ -639,7 +648,7 @@ def _soft_threshold_eig(x: np.ndarray, t: float) -> np.ndarray:
     return (v * w) @ la.dag(v)
 
 
-def dsep(s: BipartiteState, cfg: SepConfig = SepConfig()) -> SepApproxResult:
+def dsep(s: BipartiteState) -> SepApproxResult:
     """Minimum of ||tau - zeta||_1 over the PPT set by the split ADMM.
 
     The 1-norm enters through its proximal map, an eigenvalue soft
@@ -657,7 +666,7 @@ def dsep(s: BipartiteState, cfg: SepConfig = SepConfig()) -> SepApproxResult:
             iterations=0, converged=True, extras={"note": "input is PPT"},
         )
     z, it, converged = _ppt_split(
-        lambda v: tau - _soft_threshold_eig(tau - v, ADMM_STEP), s.dim_a, s.dim_b, cfg.admm_iters
+        lambda v: tau - _soft_threshold_eig(tau - v, ADMM_STEP), s.dim_a, s.dim_b
     )
     return SepApproxResult(
         value=la.trace_norm(tau - z),
@@ -678,7 +687,7 @@ def dsep_upper_ensemble(s: BipartiteState, cfg: SepConfig = SepConfig()):
     minimum).  Returns a SepApproxResult with method ``ensemble_upper_bound``.
     """
     _check_desk_scale(s)
-    target = dsep(s, cfg).minimizer.matrix
+    target = dsep(s).minimizer.matrix
 
     def obj(sigma):
         delta = sigma - target
@@ -801,7 +810,7 @@ class SeparableChannel:
         return self.channel.apply(rho)
 
 
-def make_separable_channel(pairs, tol: Tolerances = DEFAULT_TOL) -> SeparableChannel:
+def make_separable_channel(pairs) -> SeparableChannel:
     """Build and validate a separable channel from explicit factor pairs.
 
     The factor list must be dimension consistent and the derived map trace
@@ -827,7 +836,7 @@ def make_separable_channel(pairs, tol: Tolerances = DEFAULT_TOL) -> SeparableCha
         a_in=a_shape[1], a_out=a_shape[0], b_in=b_shape[1], b_out=b_shape[0],
     )
     res = sep.channel.tp_residual()
-    if res > tol.tp:
+    if res > TP_TOL:
         raise ChannelError(f"factor pairs do not form a channel (TP residual {res:.3e})")
     return sep
 
@@ -878,7 +887,6 @@ def verify_contraction_step(
     t: SeparableChannel,
     epsilon: float,
     cfg: SepConfig = SepConfig(),
-    slack_tol: float = 1e-6,
 ) -> ContractionStepReport:
     """Check one separable-channel step of the chi-square contraction bound.
 
@@ -886,7 +894,8 @@ def verify_contraction_step(
     with eta the certified minimal-output-eigenvalue upper bound on the
     trace-norm contraction coefficient of ``t`` (which upper-bounds the
     chi-square coefficient, making the right side sound).  The sampled
-    chi-square coefficient estimate is reported for diagnostics only.
+    chi-square coefficient estimate is reported for diagnostics only.  The
+    check passes with 1e-6 slack.
     """
     from .contraction import eta_chi_lower, eta_tr_upper_minoutev
 
@@ -904,7 +913,7 @@ def verify_contraction_step(
     rhs = (1.0 - epsilon**2 / 100.0 * (1.0 - eta_up)) * chi_in
     slack = rhs - chi_out
     return ContractionStepReport(
-        passed=bool(chi_out <= rhs + slack_tol),
+        passed=bool(chi_out <= rhs + 1e-6),
         chi_in=chi_in,
         chi_out=chi_out,
         eta_upper=eta_up,

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import linalg as la
 from .channels import ChannelError, KrausChannel, check_density_stack
-from .config import CHISEP_THRESHOLD, DEFAULT_QUBIT_CAP, MAX_BLOCKS, DEFAULT_TOL, Tolerances
+from .config import CHISEP_THRESHOLD, MAX_BLOCKS, QUBIT_CAP, TP_TOL
 from .separability import (
     BipartiteState,
     CcQqState,
@@ -34,6 +34,8 @@ from .separability import (
 )
 
 RATIO_FLOOR = 1e-12
+# Absolute slack of the per-step contraction-factor check.
+FACTOR_TOL = 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -58,7 +60,6 @@ class ClassicalReg:
 class RegisterLayout:
     qubits: tuple[QubitReg, ...]
     classical: tuple[ClassicalReg, ...] = ()
-    qubit_cap: int = DEFAULT_QUBIT_CAP
 
     def __post_init__(self):
         labels = [q.label for q in self.qubits] + [c.label for c in self.classical]
@@ -67,9 +68,9 @@ class RegisterLayout:
         for reg in list(self.qubits) + list(self.classical):
             if reg.side not in ("A", "B"):
                 raise ChannelError("register side must be 'A' or 'B'")
-        if len(self.qubits) > self.qubit_cap:
+        if len(self.qubits) > QUBIT_CAP:
             raise ChannelError(
-                f"{len(self.qubits)} qubits exceed the desk-scale cap of {self.qubit_cap}"
+                f"{len(self.qubits)} qubits exceed the desk-scale cap of {QUBIT_CAP}"
             )
         sides = [q.side for q in self.qubits]
         if "B" in sides and "A" in sides[sides.index("B"):]:
@@ -222,6 +223,18 @@ def _merge_checked(dim_a: int, dim_b: int, labels, probs, rhos: np.ndarray) -> C
     return CcQqState.from_checked_stack(dim_a, dim_b, list(groups), totals.tolist(), merged)
 
 
+def _check_gate_input(channel, dim_a: int, dim_b: int) -> None:
+    """Raise unless a gate channel acts on the (dim_a, dim_b) registers."""
+    if isinstance(channel, SeparableChannel):
+        if channel.a_in != dim_a or channel.b_in != dim_b:
+            raise ChannelError("separable channel dimensions do not match the state")
+    elif channel.in_dim != dim_a * dim_b:
+        raise ChannelError(
+            f"gate channel input dimension {channel.in_dim} does not match "
+            f"the register dimension {dim_a * dim_b}"
+        )
+
+
 def _apply_gate_layer(state: CcQqState, layer: GateLayer) -> CcQqState:
     """Apply each distinct channel (the layer's, or a label's control) to its
     group of blocks with one batched Kraus product."""
@@ -241,6 +254,7 @@ def _apply_gate_layer(state: CcQqState, layer: GateLayer) -> CcQqState:
         if channel is None:
             result = rhos[idx]
         else:
+            _check_gate_input(channel, state.dim_a, state.dim_b)
             if isinstance(channel, SeparableChannel):
                 channel = channel.channel
             result = _apply_kraus_stack(channel.kraus, rhos[idx])
@@ -269,11 +283,17 @@ def _store_outcome(layout: RegisterLayout, x: tuple, y: tuple, store: str, value
 
 
 def _apply_instrument_layer(
-    state: CcQqState, layer: InstrumentLayer, layout: RegisterLayout, tol: Tolerances
+    state: CcQqState, layer: InstrumentLayer, layout: RegisterLayout
 ) -> CcQqState:
-    total = sum(la.dag(k) @ k for _, ops in layer.outcomes for k in ops)
     d = state.dim_a * state.dim_b
-    if np.linalg.norm(total - np.eye(d), 2) > tol.tp:
+    ops = [k for _, outcome_ops in layer.outcomes for k in outcome_ops]
+    for k in ops:
+        if np.shape(k) != (d, d):
+            raise ChannelError(
+                f"instrument operator of shape {np.shape(k)} does not act on the "
+                f"{d}-dimensional register"
+            )
+    if not ops or KrausChannel.from_kraus(ops).tp_residual() > TP_TOL:
         raise ChannelError("instrument outcomes do not sum to a trace-preserving map")
     rhos = state.rho_stack()
     # (outcome, block) stacks of the unnormalised post-measurement states.
@@ -311,13 +331,11 @@ def _apply_classical_layer(state: CcQqState, layer: ClassicalLayer) -> CcQqState
     return _merge_checked(state.dim_a, state.dim_b, labels, probs, state.rho_stack()[src])
 
 
-def apply_layer(
-    state: CcQqState, layer, layout: RegisterLayout, tol: Tolerances = DEFAULT_TOL
-) -> CcQqState:
+def apply_layer(state: CcQqState, layer, layout: RegisterLayout) -> CcQqState:
     if isinstance(layer, GateLayer):
         return _apply_gate_layer(state, layer)
     if isinstance(layer, InstrumentLayer):
-        return _apply_instrument_layer(state, layer, layout, tol)
+        return _apply_instrument_layer(state, layer, layout)
     if isinstance(layer, ClassicalLayer):
         return _apply_classical_layer(state, layer)
     raise ChannelError(f"unknown layer type {type(layer).__name__}")
@@ -366,7 +384,6 @@ def run_noisy_circuit(
     seed: int = 0,
     record_chisep: bool = False,
     sep_cfg: SepConfig | None = None,
-    keep_final_state: bool = True,
 ) -> TrajectoryReport:
     """Run the noisy implementation of the circuit on a cc-qq input.
 
@@ -420,7 +437,7 @@ def run_noisy_circuit(
         seed=seed,
         width=width,
         length=length,
-        final_state=state if keep_final_state else None,
+        final_state=state,
     )
 
 
@@ -435,9 +452,9 @@ def _chisep_of_state(state: CcQqState, cfg: SepConfig) -> float:
 # ---------------------------------------------------------------------------
 
 
-def doubled_layout(n: int, cap: int = DEFAULT_QUBIT_CAP) -> RegisterLayout:
-    if 2 * n > cap:
-        raise ChannelError(f"two copies of {n} qubits exceed the cap of {cap}")
+def doubled_layout(n: int) -> RegisterLayout:
+    if 2 * n > QUBIT_CAP:
+        raise ChannelError(f"two copies of {n} qubits exceed the cap of {QUBIT_CAP}")
     qubits = tuple(QubitReg(label=f"A{i}", side="A") for i in range(n)) + tuple(
         QubitReg(label=f"B{i}", side="B") for i in range(n)
     )
@@ -454,7 +471,6 @@ def doubled_memory_experiment(
     unital_noise: bool | None = None,
     sep_cfg: SepConfig | None = None,
     seed: int = 0,
-    factor_tol: float = 1e-3,
 ) -> TrajectoryReport:
     """Two parallel copies of an n-qubit memory circuit under i.i.d. noise.
 
@@ -467,8 +483,10 @@ def doubled_memory_experiment(
     checked at every step; otherwise only while the distance stays at or
     above the 1/16 threshold.  Once the distance falls below the threshold,
     the 1-norm distance to the separable set of that state is recorded as
-    the endgame check.
+    the endgame check.  Needs n >= 1 and steps >= 0.
     """
+    if n < 1 or steps < 0:
+        raise ChannelError(f"doubled runs need n >= 1 and steps >= 0, got n={n}, steps={steps}")
     layout = doubled_layout(n)
     cfg = sep_cfg or SepConfig()
     if input_state.dim_a != 2**n or input_state.dim_b != 2**n:
@@ -500,7 +518,7 @@ def doubled_memory_experiment(
         precondition = prev_chi >= CHISEP_THRESHOLD
         ok = None
         if unital_noise or precondition:
-            ok = bool(chi <= factor * prev_chi + factor_tol)
+            ok = bool(chi <= factor * prev_chi + FACTOR_TOL)
         ratio = chi / prev_chi if prev_chi > RATIO_FLOOR else None
         out_steps.append(
             TrajectoryStep(
@@ -517,9 +535,7 @@ def doubled_memory_experiment(
         if endgame_step is None and chi < CHISEP_THRESHOLD:
             endgame_step = i
             blk = max(state.blocks, key=lambda b: b.prob)
-            endgame_dsep = dsep(
-                BipartiteState.from_matrix(blk.rho, state.dim_a, state.dim_b), cfg
-            ).value
+            endgame_dsep = dsep(BipartiteState.from_matrix(blk.rho, state.dim_a, state.dim_b)).value
     return TrajectoryReport(
         steps=tuple(out_steps),
         seed=seed,

@@ -53,6 +53,11 @@ from .separability import (
 )
 from .simulate import doubled_memory_experiment
 
+# Steps of each random doubled-memory trajectory (the pinned runs take 10).
+DOUBLED_STEPS = 5
+# Distance from the identity of the near-identity stability corpus.
+STABILITY_STRENGTH = 0.05
+
 
 @dataclass(frozen=True)
 class VerifyConfig:
@@ -311,7 +316,7 @@ def _trajectory_checks(index, noise, steps, cfg, p_value=None, unital=None):
     return rep, checks
 
 
-def suite_doubled_unital(cfg: VerifyConfig, steps: int = 5) -> SuiteReport:
+def suite_doubled_unital(cfg: VerifyConfig) -> SuiteReport:
     """Per-step contraction of the separability chi-square in the doubled
     experiment for unital noise, checked at every step, plus the pinned
     depolarizing(0.25) ten-step run and its endgame distance."""
@@ -319,7 +324,7 @@ def suite_doubled_unital(cfg: VerifyConfig, steps: int = 5) -> SuiteReport:
     violations = []
     for i in range(n):
         noise = random_unital_qubit_channel(rng_from(cfg.seed, i), max_weight=0.95)
-        _, checks = _trajectory_checks(i, noise, steps, cfg, unital_split(noise).p1, True)
+        _, checks = _trajectory_checks(i, noise, DOUBLED_STEPS, cfg, unital_split(noise).p1, True)
         violations += _failing(checks)
     pinned, checks = _trajectory_checks("depolarizing(0.25)", depolarizing(0.25), 10, cfg, 0.375, True)
     violations += _failing(checks)
@@ -333,7 +338,7 @@ def suite_doubled_unital(cfg: VerifyConfig, steps: int = 5) -> SuiteReport:
     )
 
 
-def suite_doubled_nonunital(cfg: VerifyConfig, steps: int = 5) -> SuiteReport:
+def suite_doubled_nonunital(cfg: VerifyConfig) -> SuiteReport:
     """Same contraction check for non-unital noise, asserted only while the
     chi-square distance stays above the 1/16 threshold, with the pinned
     amplitude-damping(0.3) ten-step run."""
@@ -342,7 +347,7 @@ def suite_doubled_nonunital(cfg: VerifyConfig, steps: int = 5) -> SuiteReport:
     for i in range(n):
         noise = random_nonunital_qubit_channel(rng_from(cfg.seed, 10_000 + i), min_nonunitality=0.05)
         p = p_constant(noise, candidates=32, eb_candidates=16, seed=cfg.seed + i).p
-        _, checks = _trajectory_checks(i, noise, steps, cfg, p, False)
+        _, checks = _trajectory_checks(i, noise, DOUBLED_STEPS, cfg, p, False)
         violations += _failing(checks)
     pinned, checks = _trajectory_checks("amplitude_damping(0.3)", amplitude_damping(0.3), 10, cfg)
     violations += _failing(checks)
@@ -430,9 +435,9 @@ def sep_step_instance(seed: int, index: int):
     return state, channel
 
 
-def _check_sep_step(index, state, channel, cfg, epsilon=CHISEP_THRESHOLD):
+def _check_sep_step(index, state, channel, cfg):
     """Raises when the instance does not meet the step's chi-square precondition."""
-    rep = verify_contraction_step(state, channel, epsilon, SepConfig(seed=cfg.seed))
+    rep = verify_contraction_step(state, channel, CHISEP_THRESHOLD, SepConfig(seed=cfg.seed))
     record = {
         "index": index,
         "chi_in": rep.chi_in,
@@ -445,7 +450,7 @@ def _check_sep_step(index, state, channel, cfg, epsilon=CHISEP_THRESHOLD):
     return record, not rep.passed
 
 
-def suite_sep_step(cfg: VerifyConfig, epsilon: float = CHISEP_THRESHOLD) -> SuiteReport:
+def suite_sep_step(cfg: VerifyConfig) -> SuiteReport:
     """One separable-channel step contracts the chi-square separability
     distance by at least the eps^2/100 margin, using the certified upper
     bound on the channel's contraction coefficient."""
@@ -456,11 +461,11 @@ def suite_sep_step(cfg: VerifyConfig, epsilon: float = CHISEP_THRESHOLD) -> Suit
         state, channel = sep_step_instance(cfg.seed, attempts)
         attempts += 1
         try:
-            checks.append(_check_sep_step(attempts - 1, state, channel, cfg, epsilon))
+            checks.append(_check_sep_step(attempts - 1, state, channel, cfg))
         except Exception:
             continue  # precondition not met; draw the next instance
     return _report("sep-step-contraction", cfg, len(checks), _failing(checks),
-                   extras={"epsilon": epsilon, "attempts": attempts})
+                   extras={"epsilon": CHISEP_THRESHOLD, "attempts": attempts})
 
 
 # ---------------------------------------------------------------------------
@@ -483,12 +488,14 @@ def _check_stability(index, ch, cfg):
     return record, not (rep.epsilon > 0.1 or rep.passed)
 
 
-def suite_stability(cfg: VerifyConfig, strength: float = 0.05) -> SuiteReport:
+def suite_stability(cfg: VerifyConfig) -> SuiteReport:
     """Channels within 0.1 of the identity in induced trace norm satisfy the
     sqrt(2 eps) extension bound (and its doubled form)."""
     n = cfg.n(100)
     checks = (
-        _check_stability(i, random_near_identity_qubit_channel(rng_from(cfg.seed, i), strength), cfg)
+        _check_stability(
+            i, random_near_identity_qubit_channel(rng_from(cfg.seed, i), STABILITY_STRENGTH), cfg
+        )
         for i in range(n)
     )
     return _report("near-identity-stability", cfg, n, _failing(checks))

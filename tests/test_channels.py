@@ -186,7 +186,7 @@ class TestBlochAffine:
         for i in range(40):
             ch = random_channel(seeded(77, i), 2)
             aff = to_bloch_affine(ch)
-            assert aff.unital == ch.is_unital(1e-9)
+            assert aff.unital == ch.is_unital()
 
     def test_reconstruction_on_random_channels(self):
         from chcon.divergences import trace_distance

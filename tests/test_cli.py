@@ -153,6 +153,44 @@ class TestSimulate:
         assert res.returncode == 2
         assert "bad circuit" in res.stderr
 
+    @pytest.mark.parametrize("layer", [
+        {"kind": "gate", "channel": {"preset": "identity"}},
+        {"kind": "gate", "channel": {"preset": "identity", "dim": 4},
+         "controls": [{"x": [0], "y": [], "channel": {"preset": "identity"}}]},
+        {"kind": "instrument", "store": "c0", "outcomes": [
+            {"value": 0, "kraus": [[[[1, 0], [0, 0]], [[0, 0], [0, 0]]]]},
+            {"value": 1, "kraus": [[[[0, 0], [0, 0]], [[0, 0], [1, 0]]]]},
+        ]},
+    ], ids=["gate", "control", "instrument"])
+    def test_wrong_sized_layer_operator_exits_two(self, tmp_path, layer):
+        # A 2x2 operator on the 4-dimensional register of one qubit per side.
+        circuit = {
+            "layout": {"qubits": [{"label": "a", "side": "A"}, {"label": "b", "side": "B"}],
+                       "classical": [{"label": "c0", "size": 2, "side": "A"}]},
+            "noise": {"preset": "identity"},
+            "input": {"kind": "bell"},
+            "layers": [layer],
+        }
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(circuit))
+        res = run_cli("simulate", str(path))
+        assert res.returncode == 2, res.stderr
+        assert "bad circuit description" in res.stderr
+        assert "Traceback" not in res.stderr
+
+    @pytest.mark.parametrize("spec, extra", [
+        ({"n": 1, "steps": -3}, []),
+        ({"n": 1}, ["--steps", "-2"]),
+        ({"n": 0, "steps": 2, "input": {"dimA": 1, "dimB": 1, "matrix": [[[1.0, 0.0]]]}}, []),
+    ], ids=["steps-in-spec", "steps-flag", "zero-width"])
+    def test_doubled_out_of_scope_exits_two(self, tmp_path, spec, extra):
+        spec = {**spec, "noise": {"preset": "depolarizing", "p": 0.25}, "p": 0.375}
+        path = tmp_path / "doubled.json"
+        path.write_text(json.dumps(spec))
+        res = run_cli("simulate", str(path), "--doubled", *extra)
+        assert res.returncode == 2, res.stderr
+        assert "doubled runs need n >= 1 and steps >= 0" in res.stderr
+
 
 class TestVerify:
     def test_pass_exit_zero(self):
@@ -211,6 +249,19 @@ class TestVerify:
         assert res.returncode == 2
         assert "malformed trace-chi2 record" in res.stderr
 
+    @pytest.mark.parametrize("dump, message", [
+        ([1, 2], "malformed replay file"),
+        ({"reports": 3}, "malformed replay file"),
+        ({"suite": [1]}, "unknown suite [1]"),
+    ])
+    def test_malformed_replay_file_exits_two(self, tmp_path, dump, message):
+        path = tmp_path / "dump.json"
+        path.write_text(json.dumps(dump))
+        res = run_cli("verify", "--replay", str(path))
+        assert res.returncode == 2
+        assert message in res.stderr
+        assert "Traceback" not in res.stderr
+
     def test_replay_of_verify_all_report(self, tmp_path):
         # `verify all` writes {"reports": [...]}; replay checks every suite in
         # it and exits 1 because the unitary channel's error record still fails.
@@ -266,6 +317,18 @@ def test_analyze_and_bound_import_no_scipy(spec_dir):
     assert res.stdout.strip() == "[0, 0] []"
     bound = json.loads((spec_dir / "ad03.json.b").read_text())
     assert bound["overhead"]["capacity_bracket"]["lower"] > 0.3
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--seed", "-1", "seed must fit in 64 unsigned bits"),
+    ("--seed", str(2**64), "seed must fit in 64 unsigned bits"),
+    ("--restarts", "0", "restarts and trials must be positive"),
+    ("--trials", "0", "restarts and trials must be positive"),
+])
+def test_run_setting_range_checks(flag, value, message):
+    res = run_cli("bound", "--p", "0.5", "--n", "1", "--log2-T", "40", flag, value)
+    assert res.returncode == 2
+    assert message in res.stderr
 
 
 class TestDeterminism:

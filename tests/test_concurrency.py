@@ -5,10 +5,9 @@ import sys
 
 import pytest
 
-from chcon.channels import amplitude_damping, bell_state, dephasing
+from chcon.channels import amplitude_damping, dephasing
 from chcon.contraction import eta_chi_lower, eta_tr
 from chcon.divergences import chi2_divergence
-from chcon.separability import BipartiteState, SepConfig, chisep
 
 RUN = [sys.executable, "-m", "chcon.cli"]
 
@@ -44,11 +43,3 @@ def test_eta_tr_witness_reproduces_value_multistart():
     ch = tensor(amplitude_damping(0.2), dephasing(0.3))
     rep = eta_tr(ch, restarts=6, seed=7)
     assert evaluate_pair(ch, rep.witness) == pytest.approx(rep.value, abs=1e-6)
-
-
-def test_chisep_with_upper_reports_gap():
-    bell = BipartiteState.from_matrix(bell_state().matrix, 2, 2)
-    res = chisep(bell, SepConfig(with_upper=True, fw_iters=60))
-    assert "upper_value" in res.extras
-    assert res.extras["upper_value"] >= res.value - 1e-9
-    assert res.extras["upper_gap"] < 0.01

@@ -17,7 +17,6 @@ from chcon.channels import (
     kraus_to_choi,
     unitary_channel,
 )
-from chcon.config import DEFAULT_TOL
 from chcon.decompose import (
     ExtremalCertificate,
     _choi_support,
@@ -184,7 +183,7 @@ class TestCpOrder:
             [np.sqrt(0.6) * k for k in m.kraus] + [np.sqrt(0.4) * k for k in ad.kraus]
         )
         seed = 7 + index
-        support = _choi_support(n, DEFAULT_TOL)
+        support = _choi_support(n)
         eb = [random_eb_qubit_channel(rng_from(seed, 1_000_000 + i)) for i in range(32)]
         peels = [random_extremal_nonunital_qubit_channel(rng_from(seed, i)) for i in range(32)]
         for cand in eb + peels + [ad, n]:

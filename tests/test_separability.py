@@ -236,7 +236,7 @@ class TestDsep:
 
     def test_method_tags(self):
         assert dsep(bell()).method == "ppt_exact_2x2"
-        cheap = SepConfig(fw_iters=5, admm_iters=50)
+        cheap = SepConfig(fw_iters=5)
         assert dsep_upper_ensemble(bell(), cheap).method == "ensemble_upper_bound"
 
     def test_oversize_rejected(self):
@@ -354,7 +354,7 @@ class TestCcQq:
         )
 
     def test_dimensional_bound(self):
-        fast = SepConfig(obj_tol=1e-6, max_iter=2000, barrier_stages=(1e-4, 1e-6, 1e-8))
+        fast = SepConfig(obj_tol=1e-6, max_iter=2000)
         for i in range(40):
             rng = seeded(78, i)
             p = rng.dirichlet((1, 1))
