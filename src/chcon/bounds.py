@@ -271,6 +271,8 @@ def overhead_lower_bound(
     "impossible" variant; when it is only the trivial value 1 the capacity
     term degenerates to n and is flagged vacuous.
     """
+    if not math.isfinite(log2_t):
+        raise ChannelError(f"log2(T) must be finite, got {log2_t}")
     if n < 1 or log2_t < 0:
         raise ChannelError("need n >= 1 and T >= 1")
     p = p_report.p if isinstance(p_report, PConstantReport) else float(p_report)

@@ -136,7 +136,12 @@ def cmd_bound(args) -> int:
         return _fail("bound needs a channel spec or --p")
     if args.T is None and args.log2_T is None:
         return _fail("bound needs --T or --log2-T")
-    log2_t = float(args.log2_T) if args.log2_T is not None else math.log2(int(args.T))
+    if args.log2_T is not None:
+        log2_t = float(args.log2_T)
+    elif args.T >= 1:
+        log2_t = math.log2(args.T)
+    else:
+        return _fail("need n >= 1 and T >= 1")
     try:
         if args.channel is not None:
             ch = ser.channel_from_json(_load_json(args.channel))

@@ -5,20 +5,23 @@ alternating ascent over orthogonal pure-state pairs (exact in closed form
 for qubit channels), and bounded from above by two certified quantities:
 the minimal-output-eigenvalue bound sqrt(1 - lmin_out/d^2) and the weaker
 Choi-eigenvalue bound sqrt(1 - lmin(C)/d^2).  The chi-square coefficient is
-only ever reported as a sampled lower estimate.
+computed exactly at each full-rank reference state sigma by one spectral
+kernel, batched over stacks of sigma; its supremum over sigma is reported
+as a lower estimate from a seeded search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
+from math import isqrt
 
 import numpy as np
 
 from . import linalg as la
 from .channels import ChannelError, KrausChannel, adjoint, bloch_transfer, compose, kraus_to_choi
-from .divergences import chi2_divergence
-from .sampling import random_density, random_full_rank_density, random_pure, rng_from
+from .config import SUPP_TOL
+from .sampling import random_full_rank_density, random_pure, rng_from
 
 KINDS = ("eta_tr_estimate", "eta_tr_upper_minoutev", "eta_tr_upper_choi", "eta_chi_lower")
 
@@ -28,10 +31,22 @@ ETA_TR_TOL = 1e-9
 # Step budget and stop tolerance of the minimal-output-eigenvalue descent.
 MIN_OUT_MAX_ITER = 200
 MIN_OUT_TOL = 1e-12
-# Local ascent steps of eta_chi_lower, and the chi-square denominator below
-# which a sampled pair counts as degenerate.
-CHI_ASCENT_STEPS = 200
-CHI_DENOM_FLOOR = 1e-12
+# eta_chi_lower scores reference states CHI_CHUNK per kernel call, and
+# ascends from the best CHI_STARTS candidates for at most CHI_ROUNDS steps,
+# each trying CHI_LADDER step lengths from CHI_STEP down by factors of
+# sqrt(2).  A start stops once a step gains no more than CHI_TOL.  Every
+# reference state keeps at least CHI_FLOOR of I/d mixed in.
+CHI_CHUNK = 32
+CHI_STARTS = 2
+CHI_ROUNDS = 8
+CHI_LADDER = 16
+CHI_STEP = 0.5
+CHI_TOL = 1e-12
+CHI_FLOOR = 1e-2
+# Largest accepted ||K^dag K v - v|| at the chosen reference state, and the
+# rounding band around [0, 1] inside which a contraction value is clipped.
+CHI_RESIDUAL_TOL = 1e-8
+CHI_VALUE_BAND = 1e-12
 
 
 @dataclass(frozen=True)
@@ -294,71 +309,179 @@ def eta_tr_upper_choi(ch: KrausChannel, n_copies: int = 1) -> ContractionReport:
     )
 
 
-def eta_chi_lower(ch: KrausChannel, trials: int = 200, seed: int = 0) -> ContractionReport:
-    """Sampled lower estimate of the chi-square contraction coefficient.
+def _kron_t(a: np.ndarray) -> np.ndarray:
+    """A (x) A^T for each matrix of a stack: vec(A X A) = (A (x) A^T) vec(X)
+    in the row-major vec convention of ``transfer_matrix``."""
+    d = a.shape[-1]
+    return np.einsum("...ik,...lj->...ijkl", a, a).reshape(*a.shape[:-2], d * d, d * d)
 
-    Maximizes chi2(T(rho), T(sigma)) / chi2(rho, sigma) over random pairs
-    (sigma kept full rank), then refines the best pair by random local
-    ascent.  Degenerate samples (denominator below ``CHI_DENOM_FLOOR``) are
-    resampled.
+
+def _from_eig(u: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """U diag(f) U^dag for each eigenbasis U and spectrum f of a stack."""
+    return (u * f[..., None, :]) @ la.dag(u)
+
+
+def _chi_kernel(tmat: np.ndarray, sigma: np.ndarray):
+    """The chi-square kernel of each full-rank state of a stack.
+
+    With B = sigma^{1/4} and A = T(sigma)^{-1/4} (the generalized inverse on
+    the support of T(sigma), as in ``chi2_divergence``), the kernel
+    K(Y) = A T(B Y B) A is (A (x) A^T) M (B (x) B^T) in row-major vec form.
+    For X = rho - sigma = B Y B, ||Y||_F^2 = chi2(rho, sigma) and
+    ||K(Y)||_F^2 = chi2(T(rho), T(sigma)).  K's top singular pair is
+    v = vec(sigma^{1/2}) with singular value 1; Tr X = 0 means Y is
+    orthogonal to v.  Returns K^dag K, v, and the eigenbases and quarter
+    powers behind B and A as (w, u, f) triples.
+    """
+    ws, us = np.linalg.eigh(la.herm_part(sigma))
+    wt, ut = np.linalg.eigh(la.herm_part(_apply_transfer(tmat, sigma)))
+    keep = wt > SUPP_TOL * wt[..., -1:]
+    fb = ws**0.25
+    fa = np.where(keep, np.where(keep, wt, 1.0) ** -0.25, 0.0)
+    b, a = _from_eig(us, fb), _from_eig(ut, fa)
+    k = _kron_t(a) @ tmat @ _kron_t(b)
+    v = (b @ b).reshape(*sigma.shape[:-2], -1)
+    v = v / np.linalg.norm(v, axis=-1, keepdims=True)
+    return la.dag(k) @ k, v, (ws, us, fb), (wt, ut, fa)
+
+
+def _deflate(gram: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """K^dag K with its top eigenvalue 1 at v moved to -1.
+
+    Every other eigenvalue is a chi-square ratio over traceless deviations,
+    so the largest eigenvalue is the contraction at sigma, and v can never
+    be its eigenvector.
+    """
+    return gram - 2.0 * _proj(v)
+
+
+def _chi_at(tmat: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """The chi-square contraction at each state of a stack, scored
+    ``CHI_CHUNK`` states per kernel call."""
+    out = []
+    for lo in range(0, len(sigma), CHI_CHUNK):
+        gram, v, _, _ = _chi_kernel(tmat, sigma[lo:lo + CHI_CHUNK])
+        out.append(np.linalg.eigvalsh(_deflate(gram, v))[..., -1])
+    return np.concatenate(out)
+
+
+def _divided_differences(w: np.ndarray, f: np.ndarray, p: float) -> np.ndarray:
+    """Daleckii-Krein matrix of f = w^p: (f_i - f_j) / (w_i - w_j), and
+    p w_i^(p-1) on ties; zero in rows and columns where f is cut to 0."""
+    wi, wj = w[..., :, None], w[..., None, :]
+    fi, fj = f[..., :, None], f[..., None, :]
+    gap = wi - wj
+    tie = np.abs(gap) <= 1e-9 * np.abs(wi)
+    slope = p * np.where(f != 0, f / np.where(f != 0, w, 1.0), 0.0)
+    dd = np.where(tie, slope[..., :, None], (fi - fj) / np.where(tie, 1.0, gap))
+    return np.where((fi != 0) & (fj != 0), dd, 0.0)
+
+
+def _chi_top(tmat: np.ndarray, sigma: np.ndarray):
+    """Value, witness direction, gradient and deflation residual of the
+    chi-square contraction at each state of a stack.
+
+    The top eigenvector of the deflated K^dag K is a Hermitian Y up to a
+    phase.  X = B Y B is a traceless deviation attaining the value, and by
+    Hellmann-Feynman the gradient in sigma is that of ||K(Y)||_F^2 with Y
+    held fixed, taken through A and B by their divided differences.
+    """
+    tadj = la.dag(tmat)
+    gram, v, (ws, us, fb), (wt, ut, fa) = _chi_kernel(tmat, sigma)
+    residual = np.linalg.norm((gram @ v[..., None])[..., 0] - v, axis=-1)
+    lam, vec = np.linalg.eigh(_deflate(gram, v))
+    top = vec[..., -1].reshape(sigma.shape)
+    re, im = la.herm_part(top), la.herm_part(-1j * top)
+    y = np.where(
+        (np.linalg.norm(re, axis=(-2, -1)) >= np.linalg.norm(im, axis=(-2, -1)))[..., None, None], re, im
+    )
+    # Remove rounding along v so that Tr X = 0 holds to machine precision.
+    along = np.einsum("...i,...i->...", v.conj(), y.reshape(v.shape)).real
+    y = y - along[..., None, None] * v.reshape(y.shape)
+    b, a = _from_eig(us, fb), _from_eig(ut, fa)
+    w_out = la.herm_part(_apply_transfer(tmat, b @ y @ b))
+    z = a @ w_out @ a
+    s = la.herm_part(_apply_transfer(tadj, a @ z @ a))
+    scale = 2.0 / np.linalg.norm(y, axis=(-2, -1))[..., None, None] ** 2
+    grad_a = scale * (w_out @ a @ z + z @ a @ w_out)
+    grad_b = scale * (y @ b @ s + s @ b @ y)
+    grad_a = ut @ (_divided_differences(wt, fa, -0.25) * (la.dag(ut) @ grad_a @ ut)) @ la.dag(ut)
+    grad_b = us @ (_divided_differences(ws, fb, 0.25) * (la.dag(us) @ grad_b @ us)) @ la.dag(us)
+    grad = la.herm_part(_apply_transfer(tadj, grad_a) + grad_b)
+    return lam[..., -1], b @ y @ b, grad, residual
+
+
+def _chi_step(tmat: np.ndarray, rows: np.ndarray):
+    """One ascent step from each state of a stack (rows are flattened states).
+
+    The traceless gradient direction is tried at ``CHI_LADDER`` step lengths
+    in one kernel call; each candidate is retracted into the floored state
+    set by clipping the eigenvalues of its floor-free part at zero.  The best
+    candidate is the next iterate if it beats the current value.
+    """
+    d = isqrt(rows.shape[-1])
+    sigma = rows.reshape(-1, d, d)
+    value, _, grad, _ = _chi_top(tmat, sigma)
+    eye = np.eye(d)
+    grad = grad - np.trace(grad, axis1=-2, axis2=-1)[..., None, None] * eye / d
+    norm = np.linalg.norm(grad, axis=(-2, -1))[..., None, None]
+    direction = np.where(norm > 0, grad / np.where(norm > 0, norm, 1.0), 0.0)
+    steps = CHI_STEP * 0.5 ** (np.arange(CHI_LADDER) / 2)
+    base = (sigma - CHI_FLOOR * eye / d) / (1.0 - CHI_FLOOR)
+    w, u = np.linalg.eigh(base[:, None] + steps[:, None, None] * direction[:, None] / (1.0 - CHI_FLOOR))
+    w = np.clip(w, 0.0, None)
+    cand = (1.0 - CHI_FLOOR) * _from_eig(u, w / w.sum(axis=-1, keepdims=True)) + CHI_FLOOR * eye / d
+    cvals = _chi_at(tmat, cand.reshape(-1, d, d)).reshape(len(sigma), CHI_LADDER)
+    pick = np.argmax(cvals, axis=1)
+    better = cvals[np.arange(len(sigma)), pick] > value
+    nxt = np.where(better[:, None, None], cand[np.arange(len(sigma)), pick], sigma)
+    return value, (rows,), (nxt.reshape(rows.shape),)
+
+
+def eta_chi_lower(ch: KrausChannel, trials: int = 200, seed: int = 0) -> ContractionReport:
+    """Lower estimate of the chi-square contraction coefficient.
+
+    For a full-rank reference state sigma, chcon's chi-square divergence is
+    exactly quadratic in X = rho - sigma, so the supremum of
+    chi2(T(rho), T(sigma)) / chi2(rho, sigma) over rho is the largest
+    eigenvalue of K^dag K off its top singular vector (``_chi_kernel``;
+    Temme et al., arXiv:1005.2358).  That value is exact at each sigma; the
+    coefficient is its supremum over sigma, estimated from ``trials``
+    candidates (I/d and Hilbert-Schmidt draws, all mixed with ``CHI_FLOOR``
+    of I/d) and a batched gradient ascent from the best ``CHI_STARTS`` of
+    them.  The witness is sigma* and rho = sigma* + t X on the top
+    eigenvector.  The deflation residual ||K^dag K v - v|| at sigma* is
+    checked, and a value outside [0, 1] beyond rounding raises.
     """
     _require_endomorphism(ch)
     d = ch.in_dim
-
-    def ratio(rho, sigma):
-        denom = chi2_divergence(rho, sigma)
-        if not np.isfinite(denom) or denom < CHI_DENOM_FLOOR:
-            return None
-        num = chi2_divergence(ch.apply(rho), ch.apply(sigma))
-        if not np.isfinite(num):
-            return None
-        return num / denom
-
-    rng = rng_from(seed, 0)
-    best = 0.0
-    best_pair = None
-    drawn = 0
-    budget = 10 * trials
-    while drawn < trials and budget > 0:
-        budget -= 1
-        sigma = random_full_rank_density(rng, d, floor=1e-2)
-        rho = random_density(rng, d)
-        r = ratio(rho, sigma)
-        if r is None:
-            continue
-        drawn += 1
-        if r > best:
-            best, best_pair = r, (rho, sigma)
-
-    iters = 0
-    if best_pair is not None:
-        rho, sigma = best_pair
-        rng2 = rng_from(seed, 1)
-        for step in range(CHI_ASCENT_STEPS):
-            scale = 0.5 * (1.0 - step / CHI_ASCENT_STEPS) + 1e-3
-            mode = rng2.integers(0, 2)
-            rho2, sigma2 = rho, sigma
-            if mode == 0:
-                bump = random_density(rng2, d, rank=1)
-                rho2 = (1 - scale) * rho + scale * bump
-            else:
-                bump = random_full_rank_density(rng2, d, floor=1e-2)
-                sigma2 = (1 - scale) * sigma + scale * bump
-            r = ratio(rho2, sigma2)
-            iters += 1
-            if r is not None and r > best:
-                best, (rho, sigma) = r, (rho2, sigma2)
-        best_pair = (rho, sigma)
-
-    witness = StatePair(rho=la.frozen(best_pair[0]), sigma=la.frozen(best_pair[1])) if best_pair else None
+    tmat = ch.transfer_matrix()
+    draws = random_full_rank_density(rng_from(seed, 0), d, floor=CHI_FLOOR, count=trials - 1)
+    sigmas = np.concatenate([np.eye(d)[None] / d, draws])
+    starts = sigmas[np.argsort(-_chi_at(tmat, sigmas), kind="stable")[:CHI_STARTS]]
+    _, (rows,), steps = _batched_ascent(
+        partial(_chi_step, tmat), (starts.reshape(len(starts), -1),), CHI_ROUNDS, CHI_TOL
+    )
+    # A start still climbing at the step budget ends on an iterate it has not
+    # scored yet, so the final states are scored once more.
+    finals = rows.reshape(-1, d, d)
+    sigma = finals[int(np.argmax(_chi_at(tmat, finals)))]
+    lam, x, _, res = _chi_top(tmat, sigma[None])
+    value, x, residual = float(lam[0]), x[0], float(res[0])
+    if residual > CHI_RESIDUAL_TOL:
+        raise ChannelError(f"chi-square kernel deflation residual {residual:.3e} above {CHI_RESIDUAL_TOL}")
+    if not -CHI_VALUE_BAND <= value <= 1.0 + CHI_VALUE_BAND:
+        raise ChannelError(f"chi-square contraction {value!r} outside [0, 1]")
+    t = np.linalg.eigvalsh(sigma)[0] / (2.0 * np.linalg.norm(x, 2))
     return ContractionReport(
-        value=float(min(max(best, 0.0), 1.0)),
+        value=min(max(value, 0.0), 1.0),
         kind="eta_chi_lower",
-        witness=witness,
+        witness=StatePair(rho=la.frozen(sigma + t * x), sigma=la.frozen(sigma)),
         restarts=trials,
-        iterations=iters,
+        iterations=int(steps.sum()),
         seed=seed,
-        method="sampled_ratio_ascent",
+        method="chi2_kernel_gradient_ascent",
+        extras={"deflation_residual": residual},
     )
 
 

@@ -29,18 +29,24 @@ def random_pure(rng: np.random.Generator, dim: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def random_density(rng: np.random.Generator, dim: int, rank: int | None = None) -> np.ndarray:
-    """Hilbert-Schmidt random state (full-rank when rank is None or dim)."""
+def random_density(
+    rng: np.random.Generator, dim: int, rank: int | None = None, count: int | None = None
+) -> np.ndarray:
+    """Hilbert-Schmidt random state (full-rank when rank is None or dim), or
+    a (count, dim, dim) stack of them drawn in one call."""
     r = dim if rank is None else rank
-    g = rng.standard_normal((dim, r)) + 1j * rng.standard_normal((dim, r))
+    shape = (dim, r) if count is None else (count, dim, r)
+    g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     rho = g @ la.dag(g)
-    return rho / np.trace(rho).real
+    return rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
 
 
-def random_full_rank_density(rng: np.random.Generator, dim: int, floor: float = 1e-3) -> np.ndarray:
+def random_full_rank_density(
+    rng: np.random.Generator, dim: int, floor: float = 1e-3, count: int | None = None
+) -> np.ndarray:
     """Random state mixed with the identity to keep eigenvalues bounded away
     from zero (chi-square denominators stay finite)."""
-    rho = random_density(rng, dim)
+    rho = random_density(rng, dim, count=count)
     return (1.0 - floor) * rho + floor * np.eye(dim) / dim
 
 

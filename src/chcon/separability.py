@@ -893,7 +893,7 @@ def verify_contraction_step(
     Both sides of chi_out <= (1 - eps^2/100 (1 - eta)) chi_in are evaluated
     with eta the certified minimal-output-eigenvalue upper bound on the
     trace-norm contraction coefficient of ``t`` (which upper-bounds the
-    chi-square coefficient, making the right side sound).  The sampled
+    chi-square coefficient, making the right side sound).  The lower
     chi-square coefficient estimate is reported for diagnostics only.  The
     check passes with 1e-6 slack.
     """

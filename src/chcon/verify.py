@@ -188,7 +188,12 @@ def _check_chi2_vs_trace(index, ch, cfg):
 
 
 def suite_chi2_vs_trace_contraction(cfg: VerifyConfig) -> SuiteReport:
-    """Sampled chi-square contraction estimate <= trace-norm estimate + 1e-6."""
+    """Chi-square contraction estimate <= trace-norm estimate + 1e-6.
+
+    The chi-square side is exact at each reference state it tries and so is
+    a lower estimate of the coefficient; the trace-norm side is exact for
+    qubits and a multistart lower estimate above.
+    """
     n = cfg.n(200)
     checks = (_check_chi2_vs_trace(i, _eta_upper_instance(cfg.seed, i), cfg) for i in range(n))
     return _report("chi2-vs-trace-contraction", cfg, n, _failing(checks))

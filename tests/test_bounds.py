@@ -214,6 +214,11 @@ class TestOverheadBound:
         assert ob.bound_value == pytest.approx(10.0)
         assert ob.capacity_term_vacuous
 
+    @pytest.mark.parametrize("log2_t", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_log2_t_rejected(self, log2_t):
+        with pytest.raises(ChannelError, match="must be finite"):
+            overhead_lower_bound(1, log2_t, 0.5, trivial_bracket())
+
     def test_capacity_term_dominates_for_wide_circuits(self):
         br = CapacityBracket(0.8, 0.9, "x", "user_certificate")
         ob = overhead_lower_bound(100, 4.0, 0.5, br)

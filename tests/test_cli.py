@@ -81,6 +81,20 @@ class TestBound:
         assert run_cli("bound", "--n", "1", "--T", "4").returncode == 2
         assert run_cli("bound", "--p", "0.5", "--n", "1").returncode == 2
 
+    @pytest.mark.parametrize("t", ["0", "-4"])
+    def test_nonpositive_T_is_usage_error(self, t):
+        res = run_cli("bound", "--p", "0.5", "--n", "1", "--T", t)
+        assert res.returncode == 2
+        assert "need n >= 1 and T >= 1" in res.stderr
+        assert "Traceback" not in res.stderr
+
+    @pytest.mark.parametrize("log2_t", ["nan", "inf", "-inf"])
+    def test_nonfinite_log2_T_is_usage_error(self, log2_t):
+        res = run_cli("bound", "--p", "0.5", "--n", "1", f"--log2-T={log2_t}")
+        assert res.returncode == 2
+        assert "log2(T) must be finite" in res.stderr
+        assert res.stdout == ""
+
 
 class TestSimulate:
     def test_doubled_stream(self, tmp_path):

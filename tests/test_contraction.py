@@ -5,7 +5,10 @@ import pytest
 
 import chcon.linalg as la
 from chcon.channels import (
+    ChannelError,
+    KrausChannel,
     amplitude_damping,
+    bloch_transfer,
     completely_depolarizing,
     compose,
     adjoint,
@@ -16,10 +19,14 @@ from chcon.channels import (
     tensor,
     unitary_channel,
 )
+import chcon.contraction as contraction
 from chcon.bounds import _max_pure_deviation
 from chcon.contraction import (
+    CHI_FLOOR,
     ContractionReport,
     OrthogonalPair,
+    _chi_at,
+    _chi_top,
     _random_orthogonal_pair,
     eta_chi_lower,
     eta_tr,
@@ -30,7 +37,15 @@ from chcon.contraction import (
     min_output_eigenvalue,
     sign_ascent,
 )
-from chcon.sampling import random_channel, random_pure, rng_from
+from chcon.divergences import chi2_divergence
+from chcon.sampling import (
+    random_channel,
+    random_density,
+    random_full_rank_density,
+    random_pure,
+    random_unital_qubit_channel,
+    rng_from,
+)
 
 from conftest import seeded
 
@@ -330,6 +345,89 @@ class TestEtaChi:
                 chi_est = eta_chi_lower(ch, trials=40, seed=i).value
                 tr_est = eta_tr(ch, restarts=10, seed=i).value
                 assert chi_est <= tr_est + 1e-6
+
+
+def _rank_deficient_qutrit_channel(rng) -> KrausChannel:
+    """A qutrit channel whose outputs all lie in a two-dimensional subspace,
+    so T(sigma) is singular for every sigma."""
+    env = 3
+    g = rng.standard_normal((2 * env, 3)) + 1j * rng.standard_normal((2 * env, 3))
+    q, _ = np.linalg.qr(g)
+    embed = np.linalg.qr(rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2)))[0]
+    return KrausChannel.from_kraus([embed @ q[e::env, :] for e in range(env)])
+
+
+def _kernel_corpus():
+    out = []
+    for d in (2, 3, 4):
+        for i in range(3):
+            out.append(random_channel(seeded(71, d, i), d))
+    out.append(_rank_deficient_qutrit_channel(seeded(72)))
+    return out
+
+
+class TestChiKernel:
+    def test_value_at_sigma_bounds_sampled_ratios(self):
+        # The kernel value at sigma is the supremum over rho of the ratio of
+        # chi-square divergences, so no sampled rho may beat it.
+        for ch in _kernel_corpus():
+            d = ch.in_dim
+            rng = seeded(73, d)
+            sigmas = random_full_rank_density(rng, d, floor=CHI_FLOOR, count=3)
+            values = _chi_at(ch.transfer_matrix(), sigmas)
+            for sigma, value in zip(sigmas, values):
+                for rho in random_density(rng, d, count=50):
+                    ratio = chi2_divergence(ch.apply(rho), ch.apply(sigma)) / chi2_divergence(rho, sigma)
+                    assert ratio <= value + 1e-10
+
+    def test_top_direction_attains_value(self):
+        for ch in _kernel_corpus():
+            d = ch.in_dim
+            sigma = random_full_rank_density(seeded(74, d), d, floor=CHI_FLOOR)
+            value, x, _, residual = (r[0] for r in _chi_top(ch.transfer_matrix(), sigma[None]))
+            assert abs(np.trace(x)) < 1e-12
+            rho = sigma + 0.5 * np.linalg.eigvalsh(sigma)[0] * x / np.linalg.norm(x, 2)
+            ratio = chi2_divergence(ch.apply(rho), ch.apply(sigma)) / chi2_divergence(rho, sigma)
+            assert ratio == pytest.approx(value, abs=1e-8)
+            assert residual < 1e-10
+
+    def test_unital_qubit_between_bloch_square_and_eta_tr(self):
+        # sigma = I/2 is a candidate, where the kernel is the Bloch matrix.
+        for i in range(20):
+            ch = random_unital_qubit_channel(seeded(75, i))
+            s1 = np.linalg.svd(bloch_transfer(ch)[1], compute_uv=False)[0]
+            rep = eta_chi_lower(ch, trials=20, seed=i)
+            assert rep.value >= s1**2 - 1e-12
+            assert rep.value <= eta_tr(ch).value + 1e-9
+
+    def test_deflation_residual_recorded(self):
+        for i, ch in enumerate(_kernel_corpus()):
+            rep = eta_chi_lower(ch, trials=20, seed=i)
+            assert rep.extras["deflation_residual"] < 1e-10
+
+    def test_same_seed_same_report(self):
+        ch = random_channel(seeded(76), 3)
+        a = eta_chi_lower(ch, trials=40, seed=3)
+        b = eta_chi_lower(ch, trials=40, seed=3)
+        assert a.value == b.value
+        assert np.array_equal(a.witness.rho, b.witness.rho)
+        assert np.array_equal(a.witness.sigma, b.witness.sigma)
+
+    def test_untransposed_kernel_is_caught(self, monkeypatch):
+        # Building A (x) A instead of A (x) A^T breaks the top singular pair,
+        # which the deflation residual detects; with that check disabled the
+        # value leaves [0, 1] and is rejected rather than clipped.
+        def untransposed(a):
+            d = a.shape[-1]
+            return np.einsum("...ik,...jl->...ijkl", a, a).reshape(*a.shape[:-2], d * d, d * d)
+
+        ch = random_channel(seeded(77), 3)
+        monkeypatch.setattr(contraction, "_kron_t", untransposed)
+        with pytest.raises(ChannelError, match="deflation residual"):
+            eta_chi_lower(ch, trials=20, seed=0)
+        monkeypatch.setattr(contraction, "CHI_RESIDUAL_TOL", np.inf)
+        with pytest.raises(ChannelError, match="outside"):
+            eta_chi_lower(ch, trials=20, seed=0)
 
 
 class TestIndependence:
