@@ -69,6 +69,10 @@ class CapacityBracket:
     upper_provenance: str
 
     def __post_init__(self):
+        if not (math.isfinite(self.lower) and math.isfinite(self.upper)):
+            raise ChannelError(
+                f"capacity bracket endpoints must be finite, got [{self.lower}, {self.upper}]"
+            )
         if self.lower > self.upper + 1e-12:
             raise ChannelError(
                 f"inconsistent capacity bracket: lower {self.lower} above upper {self.upper}"
@@ -236,7 +240,10 @@ def capacity_bracket(
 ) -> CapacityBracket:
     """Two-sided capacity estimate: coherent information from below; the
     trivial one-qubit rate, a preset table (depolarizing with p > 1/3 has
-    zero capacity), and any user certificate from above."""
+    zero capacity), and any user certificate from above, which must be
+    finite."""
+    if user_upper is not None and not math.isfinite(user_upper):
+        raise ChannelError(f"user capacity upper bound must be finite, got {user_upper}")
     lower = coherent_info_lower(ch, restarts=restarts, seed=seed)
     upper = 1.0
     provenance = "trivial_log_d"

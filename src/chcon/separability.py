@@ -5,8 +5,13 @@ The separable set is represented by the positive-partial-transpose (PPT)
 spectrahedron, which is exact for 2x2 and 2x3 bipartitions and a relaxation
 above; results carry a method tag making the distinction explicit.  Two
 independent routes give the two sides of a sandwich.  Over the PPT set,
-chisep runs barrier projected-gradient descent and dsep a split ADMM whose
-steps are closed-form density projections; each reports its objective at a
+dsep runs a split ADMM whose steps are closed-form density projections, and
+the chi-square solvers share one path: one stacked value-and-gradient
+kernel, one closed-form projection (:func:`project_pt_trace`, a matrix or a
+stack of blocks with a joint trace) and one barrier driver
+(:func:`_min_chi2`) that keeps the best barrier-free stage value.  chisep
+calls the driver on one block per start; the cc-qq block-diagonal
+cross-check calls it once on all blocks.  Each reports its objective at a
 feasible point.  From the separable side, conditional-gradient steps over
 pure product states build explicit ensembles, whose values are upper bounds.
 """
@@ -212,40 +217,45 @@ def _method_tag(dim_a: int, dim_b: int) -> str:
 
 
 def _chi2_value_grad(
-    tau: np.ndarray, w: np.ndarray, v: np.ndarray, mu: float = 0.0
-) -> tuple[float, np.ndarray]:
-    """Value and gradient of chi2(tau, sigma) - mu * logdet(sigma) in sigma,
-    given the eigendecomposition sigma = v diag(w) v^dag with every w > 0.
+    taus: np.ndarray, w: np.ndarray, v: np.ndarray, mu: float = 0.0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Values ``(n,)`` and gradients ``(n, d, d)`` of
+    chi2(tau_k, x_k) - mu * logdet(x_k) in x_k for a stack of ``n`` blocks,
+    given the eigendecompositions x_k = v_k diag(w_k) v_k^dag with every
+    w > 0.
 
     Uses the Daleckii-Krein derivative of s -> s^{-1/2} on the eigenbasis of
-    sigma.  Callers choose how to treat non-positive eigenvalues.
+    each x_k.  Callers choose how to treat non-positive eigenvalues.
     """
     roots = np.sqrt(w)
     h = 1.0 / roots
-    t2 = la.dag(v) @ tau @ v
-    value = float(np.real(np.sum((np.abs(t2) ** 2) * np.outer(h, h)))) - 1.0
+    t2 = la.dag(v) @ taus @ v
+    values = np.sum((np.abs(t2) ** 2) * (h[:, :, None] * h[:, None, :]), axis=(1, 2)) - 1.0
 
     # Divided differences of g(s) = s^{-1/2}; the closed form
     # (g(a) - g(b)) / (a - b) = -1 / (sqrt(ab) (sqrt(a) + sqrt(b)))
     # is exact, has no cancellation, and covers coincident eigenvalues.
-    phi = -1.0 / (np.outer(roots, roots) * (roots[:, None] + roots[None, :]))
-    b = t2 @ (h[:, None] * t2)  # = tau' G tau' in the eigenbasis
+    r_row, r_col = roots[:, :, None], roots[:, None, :]
+    phi = -1.0 / ((r_row * r_col) * (r_row + r_col))
+    b = t2 @ (h[:, :, None] * t2)  # = tau' G tau' in the eigenbasis
     grad_eig = 2.0 * b * phi
     if mu > 0.0:
-        value -= mu * float(np.sum(np.log(w)))
-        grad_eig = grad_eig - mu * np.diag(1.0 / w)
+        values = values - mu * np.sum(np.log(w), axis=1)
+        diag = np.arange(w.shape[1])
+        grad_eig[:, diag, diag] -= mu * (1.0 / w)
     grad = v @ grad_eig @ la.dag(v)
-    return value, la.herm_part(grad)
+    return values, la.herm_part(grad)
 
 
-def _interior_chi2(taus, weights, mu: float):
+def _interior_chi2(taus: np.ndarray, weights: np.ndarray, mu: float):
     """Barrier objective on stacks of blocks,
 
         value_grad(x) = sum_k weights_k (chi2(taus_k, x_k) - mu logdet x_k + 1) - 1,
 
     +inf outside the open PSD cone.  The barrier keeps iterates strictly
     positive, so the partial-transpose constraint is enforced by exact
-    projection without a second wall.
+    projection without a second wall.  With ``mu = 0`` it is the chi-square
+    objective itself.
     """
 
     def value_grad(x):
@@ -253,9 +263,8 @@ def _interior_chi2(taus, weights, mu: float):
         w, v = np.linalg.eigh(x)
         if float(w[:, 0].min()) <= 0.0:
             return math.inf, None
-        parts = [_chi2_value_grad(t, wk, vk, mu) for t, wk, vk in zip(taus, w, v)]
-        value = sum(c * (f + 1.0) for c, (f, _) in zip(weights, parts)) - 1.0
-        return value, np.stack([c * g for c, (_, g) in zip(weights, parts)])
+        values, grads = _chi2_value_grad(taus, w, v, mu)
+        return float(weights @ (values + 1.0)) - 1.0, weights[:, None, None] * grads
 
     return value_grad
 
@@ -265,22 +274,18 @@ def _interior_chi2(taus, weights, mu: float):
 # ---------------------------------------------------------------------------
 
 
-def _project_pt_trace_blocks(xs: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
-    """Exact projection of a stack of blocks onto {sum_k Tr x_k = 1, every x_k^PT >= 0}.
+def project_pt_trace(x: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
+    """Exact projection of a matrix onto {Tr x = 1, x^PT >= 0}, or of an
+    ``(n, d, d)`` stack onto {sum_k Tr x_k = 1, every x_k^PT >= 0}.
 
     The partial transpose only permutes matrix entries and keeps the trace,
-    so it is a Frobenius isometry taking this set onto the block-diagonal
+    so it is a Frobenius isometry taking this set onto the (block-diagonal)
     density matrices.  Their projection is one batched eigendecomposition
     with the eigenvalues of all blocks projected jointly onto the simplex.
     """
-    w, v = np.linalg.eigh(la.partial_transpose(la.herm_part(xs), dim_a, dim_b))
+    w, v = np.linalg.eigh(la.partial_transpose(la.herm_part(np.asarray(x)), dim_a, dim_b))
     w = la.simplex_project(w.reshape(-1)).reshape(w.shape)
-    return la.partial_transpose((v * w[:, None, :]) @ la.dag(v), dim_a, dim_b)
-
-
-def project_pt_trace(x: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
-    """Exact projection onto {Tr = 1} intersect {x^PT >= 0}."""
-    return _project_pt_trace_blocks(np.asarray(x)[None], dim_a, dim_b)[0]
+    return la.partial_transpose((v * w[..., None, :]) @ la.dag(v), dim_a, dim_b)
 
 
 def _ppt_split(x_step, dim_a: int, dim_b: int) -> tuple[np.ndarray, int, bool]:
@@ -354,8 +359,9 @@ def _accelerated_pgd(value_grad, proj, x0, max_iter, stall_tol):
     stacks of Hermitian blocks.  ``x0`` must be feasible with a finite
     objective; it is taken as given, since re-projecting a warm start with
     an eigenvalue near zero can push it out of the open PSD cone.  Stops
-    after three consecutive objective decreases below ``stall_tol``.
-    Returns (x, iterations, converged).
+    after three stalls with no larger decrease in between; a stall is a
+    decrease below ``stall_tol``, or no decrease after a plain (not
+    extrapolated) step.  Returns (x, iterations, converged).
     """
     x = x0
     f_x, g_x = value_grad(x)
@@ -388,129 +394,113 @@ def _accelerated_pgd(value_grad, proj, x0, max_iter, stall_tol):
             halvings += 1
         iters += 1
         if f_c > f_x - 1e-15:
-            if momentum:
-                # Extrapolation overshot: restart from the best iterate.
-                y, f_y, g_y = x, f_x, g_x
-                t = 1.0
-                momentum = False
-                continue
-            stall += 1
-            if stall >= 3:
-                return x, iters, True
-            y, f_y, g_y = x, f_x, g_x
-            t = 1.0
-            momentum = False
-            continue
-        decrease = f_x - f_c
-        t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-        beta = (t - 1.0) / t_new
-        # The extrapolated launch point may leave the feasible region (the
-        # objective then reports +inf); fall back to the plain iterate.
-        y = cand + beta * (cand - x)
-        f_y, g_y = value_grad(y)
-        x, f_x, g_x = cand, f_c, g_c
-        t = t_new
-        momentum = True
-        if not math.isfinite(f_y):
-            y, f_y, g_y = x, f_x, g_x
-            t = 1.0
-            momentum = False
-        if halvings == 0:
-            step *= 1.2
-        if decrease < stall_tol + 1e-14:
-            stall += 1
-            if stall >= 3:
-                return x, iters, True
+            # No decrease.  After an extrapolated launch it is an overshoot,
+            # not a stall; either way restart from the best iterate.
+            stalled, restart = not momentum, True
         else:
-            stall = 0
+            decrease = f_x - f_c
+            t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+            beta = (t - 1.0) / t_new
+            # The extrapolated launch point may leave the feasible region (the
+            # objective then reports +inf); fall back to the plain iterate.
+            y = cand + beta * (cand - x)
+            f_y, g_y = value_grad(y)
+            x, f_x, g_x = cand, f_c, g_c
+            t = t_new
+            momentum = True
+            restart = not math.isfinite(f_y)
+            if halvings == 0:
+                step *= 1.2
+            stalled = decrease < stall_tol + 1e-14
+            if not stalled:
+                stall = 0
+        if stalled:
+            stall += 1
+            if stall >= 3:
+                return x, iters, True
+        if restart:
+            y, f_y, g_y = x, f_x, g_x
+            t = 1.0
+            momentum = False
     return x, iters, False
 
 
-def _barrier_path(taus, weights, proj, x0, cfg: SepConfig):
-    """Minimize the ``_interior_chi2`` objective down ``BARRIER_STAGES``;
-    each stage warm-starts from the last and all stages share the
-    ``cfg.max_iter`` budget.  Yields (x, total iterations, converged) after
-    every stage."""
-    x, total_iters = x0, 0
-    last = BARRIER_STAGES[-1]
+def _min_chi2(taus, weights, x0, dim_a: int, dim_b: int, cfg: SepConfig):
+    """Minimize sum_k weights_k (chi2(taus_k, x_k) + 1) - 1 over stacks x
+    with sum_k Tr x_k = 1 and every x_k^PT >= 0.
+
+    Barrier path following: each of ``BARRIER_STAGES`` minimizes the
+    ``_interior_chi2`` objective by accelerated projected gradient, warm
+    started from the previous stage, and all stages share the
+    ``cfg.max_iter`` budget.  The binding constraint at a chi-square optimum
+    is the partial-transpose one, which :func:`project_pt_trace` handles
+    with no conditioning penalty; the positivity barrier stays inactive for
+    minimizers of full support.  After every stage the iterate is scored
+    without barrier (``mu = 0``) and the best one is kept.  ``x0`` must be
+    feasible and strictly positive.  Returns (value, x, iterations,
+    converged), with ``converged`` from the last stage run.
+    """
+    taus = np.asarray(taus, dtype=complex)
+    weights = np.asarray(weights, dtype=float)
+    score = _interior_chi2(taus, weights, 0.0)
+
+    def proj(x):
+        # Through the public name, so per-layer profiles see the projection.
+        return project_pt_trace(x, dim_a, dim_b)
+
+    best_val, best_x = math.inf, x0
+    x, total_iters, converged = x0, 0, False
     for mu in BARRIER_STAGES:
         budget = cfg.max_iter - total_iters
         if budget <= 0:
             break
-        stall_tol = cfg.obj_tol * 1e-2 if mu == last else max(cfg.obj_tol * 1e-2, mu * 1e-2)
-        value_grad = _interior_chi2(taus, weights, mu)
-        x, it, converged = _accelerated_pgd(value_grad, proj, x, budget, stall_tol)
+        stall_tol = cfg.obj_tol * 1e-2
+        if mu != BARRIER_STAGES[-1]:
+            stall_tol = max(stall_tol, mu * 1e-2)
+        x, it, converged = _accelerated_pgd(_interior_chi2(taus, weights, mu), proj, x, budget, stall_tol)
         total_iters += it
-        yield x, total_iters, converged
-
-
-def _pgd_chi2(tau, dim_a, dim_b, sigma0, cfg: SepConfig) -> tuple[float, np.ndarray, int, bool]:
-    """Barrier path following for the positive cone combined with exact
-    projection onto the partial-transpose cone and the unit-trace plane.
-
-    The binding constraint at a chi-square optimum is the partial-transpose
-    one, which the projection handles with no conditioning penalty; the
-    positivity barrier stays inactive for minimizers of full support and is
-    laddered down through BARRIER_STAGES.  The cold start is projected
-    once; later stages start from the previous stage's feasible iterate.
-    """
-
-    def proj(x):
-        # Through the public name, so per-layer profiles see the projection.
-        return project_pt_trace(x[0], dim_a, dim_b)[None]
-
-    start = proj(np.asarray(sigma0, dtype=complex)[None])
-    best_val, best_sigma = math.inf, sigma0
-    total_iters, converged = 0, False
-    for x, total_iters, converged in _barrier_path([tau], [1.0], proj, start, cfg):
-        if float(np.linalg.eigvalsh(la.herm_part(x[0]))[0]) > -1e-12:
-            raw = float(max(chi2_divergence(tau, x[0]), 0.0))
-            if raw < best_val:
-                best_val, best_sigma = raw, x[0]
-    return best_val, best_sigma, total_iters, converged
+        value = score(x)[0]
+        if value < best_val:
+            best_val, best_x = value, x
+    return max(best_val, 0.0), best_x, total_iters, converged
 
 
 def chisep(s: BipartiteState, cfg: SepConfig = SepConfig()) -> SepApproxResult:
     """Minimum chi-square divergence from ``s`` to the PPT set.
 
     Separable inputs short-circuit to zero (the infimum is attained in the
-    closure at the state itself).  Otherwise projected-gradient descent with
-    a shrinking log-det barrier runs from the maximally mixed state and from
-    the input's separable twirl; the lower of the two feasible values is
-    returned.
+    closure at the state itself).  Otherwise :func:`_min_chi2` runs from the
+    maximally mixed state and from the input's separable twirl, each start
+    projected once; the lower of the two feasible values is returned, and
+    both are kept in ``extras["start_values"]``.
     """
     _check_desk_scale(s)
     tau = s.matrix
     d = s.dim_a * s.dim_b
-    if is_ppt(s):
+    ppt_min = ppt_min_eigenvalue(s)
+    if ppt_min >= -PSD_TOL:
         return SepApproxResult(
             value=0.0, minimizer=s.state, method=_method_tag(s.dim_a, s.dim_b),
             iterations=0, converged=True,
             extras={"note": "input is PPT; chi-square distance zero in the closure",
-                    "ppt_min_eig": ppt_min_eigenvalue(s)},
+                    "ppt_min_eig": ppt_min},
         )
-    starts = [np.eye(d) / d, separable_twirl(tau, s.dim_a, s.dim_b)]
-    best = None
-    iters = 0
-    conv = True
-    for s0 in starts:
-        val, sig, it, ok = _pgd_chi2(tau, s.dim_a, s.dim_b, s0, cfg)
-        iters += it
-        conv = conv and ok
-        if best is None or val < best[0]:
-            best = (val, sig)
-    value, sigma = best
-    extras = {
-        "final_min_eig_sigma": float(np.linalg.eigvalsh(la.herm_part(sigma))[0]),
-        "ppt_min_eig_input": ppt_min_eigenvalue(s),
-    }
+    dims = (s.dim_a, s.dim_b)
+    starts = np.array([np.eye(d) / d, separable_twirl(tau, *dims)], dtype=complex)
+    runs = [_min_chi2(tau[None], [1.0], project_pt_trace(s0[None], *dims), *dims, cfg) for s0 in starts]
+    value, x, _, _ = min(runs, key=lambda run: run[0])
+    sigma = x[0]
     return SepApproxResult(
         value=value,
         minimizer=DensityState.from_matrix(la.density_project(sigma)),
         method=_method_tag(s.dim_a, s.dim_b),
-        iterations=iters,
-        converged=conv,
-        extras=extras,
+        iterations=sum(run[2] for run in runs),
+        converged=all(run[3] for run in runs),
+        extras={
+            "final_min_eig_sigma": float(np.linalg.eigvalsh(la.herm_part(sigma))[0]),
+            "ppt_min_eig_input": ppt_min,
+            "start_values": [run[0] for run in runs],
+        },
     )
 
 
@@ -631,7 +621,9 @@ def chisep_upper_ensemble(s: BipartiteState, cfg: SepConfig = SepConfig()):
     def obj(sigma):
         # Ensemble states may be singular: floor eigenvalues relative to the largest.
         w, v = np.linalg.eigh(la.herm_part(sigma))
-        return _chi2_value_grad(tau, np.clip(w, max(float(w[-1]), EIG_FLOOR) * EIG_FLOOR, None), v)
+        w = np.clip(w, max(float(w[-1]), EIG_FLOOR) * EIG_FLOOR, None)
+        values, grads = _chi2_value_grad(tau[None], w[None], v[None])
+        return float(values[0]), grads[0]
 
     sigma, ensemble = _frank_wolfe_separable(obj, s.dim_a, s.dim_b, cfg)
     return float(max(chi2_divergence(tau, sigma), 0.0)), ensemble
@@ -748,39 +740,24 @@ def chisep_ccqq_blockdiag(s: CcQqState, cfg: SepConfig = SepConfig()) -> SepAppr
 
     The variable is one unnormalized PSD-and-PT-PSD matrix per classical
     label with unit total trace; the objective sum_b p_b^2 Tr(rho_b S_b^-1/2
-    rho_b S_b^-1/2) - 1 is minimized by joint projected gradient.  Serves as
-    the independent cross-check of the closed block formula.
+    rho_b S_b^-1/2) - 1 is minimized over all blocks at once by the same
+    :func:`_min_chi2` that :func:`chisep` runs per block.  Serves as the
+    independent cross-check of the closed block formula, which solves each
+    block alone and combines the values.
     """
     blocks = [b for b in s.blocks if b.prob > 1e-15]
     n = len(blocks)
     d = s.dim_a * s.dim_b
-    taus, weights = [b.rho for b in blocks], [b.prob**2 for b in blocks]
-
-    def proj(x):
-        return _project_pt_trace_blocks(x, s.dim_a, s.dim_b)
-
     # The start I / (n d) is feasible and strictly positive.
-    mats, total_iters, converged = np.stack([np.eye(d) / (n * d)] * n), 0, False
-    for mats, total_iters, converged in _barrier_path(taus, weights, proj, mats, cfg):
-        pass
-
-    # Final value without barrier, from the true chi-square definition.
-    value = -1.0
-    for blk, m in zip(blocks, mats):
-        q_b = float(np.real(np.trace(m)))
-        if q_b <= 1e-300:
-            return SepApproxResult(
-                value=math.inf, minimizer=None, method=_method_tag(s.dim_a, s.dim_b),
-                iterations=total_iters, converged=False,
-                extras={"note": "a block weight collapsed"},
-            )
-        sigma_b = m / q_b
-        value += blk.prob**2 / q_b * (max(chi2_divergence(blk.rho, sigma_b), 0.0) + 1.0)
+    value, mats, iters, converged = _min_chi2(
+        [b.rho for b in blocks], [b.prob**2 for b in blocks],
+        np.stack([np.eye(d) / (n * d)] * n), s.dim_a, s.dim_b, cfg,
+    )
     return SepApproxResult(
-        value=float(max(value, 0.0)),
+        value=value,
         minimizer=None,
         method=_method_tag(s.dim_a, s.dim_b),
-        iterations=total_iters,
+        iterations=iters,
         converged=converged,
         extras={"block_traces": [float(np.real(np.trace(m))) for m in mats]},
     )

@@ -366,6 +366,7 @@ class TrajectoryReport:
     length: int
     endgame_step: int | None = None
     endgame_dsep: float | None = None
+    endgame_dsep_converged: bool | None = None
     final_state: CcQqState | None = None
     extras: dict = field(default_factory=dict)
 
@@ -483,7 +484,8 @@ def doubled_memory_experiment(
     checked at every step; otherwise only while the distance stays at or
     above the 1/16 threshold.  Once the distance falls below the threshold,
     the 1-norm distance to the separable set of that state is recorded as
-    the endgame check.  Needs n >= 1 and steps >= 0.
+    the endgame check, with the solver's convergence flag.  Needs n >= 1 and
+    steps >= 0.
     """
     if n < 1 or steps < 0:
         raise ChannelError(f"doubled runs need n >= 1 and steps >= 0, got n={n}, steps={steps}")
@@ -509,7 +511,7 @@ def doubled_memory_experiment(
         TrajectoryStep(index=0, total_prob=total_probability(state), block_count=1, chisep_value=chi)
     ]
     endgame_step = None
-    endgame_dsep = None
+    endgame = None
     for i in range(1, steps + 1):
         prev_chi = chi
         state = apply_iid_noise(state, noise, layout)
@@ -535,14 +537,15 @@ def doubled_memory_experiment(
         if endgame_step is None and chi < CHISEP_THRESHOLD:
             endgame_step = i
             blk = max(state.blocks, key=lambda b: b.prob)
-            endgame_dsep = dsep(BipartiteState.from_matrix(blk.rho, state.dim_a, state.dim_b)).value
+            endgame = dsep(BipartiteState.from_matrix(blk.rho, state.dim_a, state.dim_b))
     return TrajectoryReport(
         steps=tuple(out_steps),
         seed=seed,
         width=2 * n,
         length=steps,
         endgame_step=endgame_step,
-        endgame_dsep=endgame_dsep,
+        endgame_dsep=None if endgame is None else endgame.value,
+        endgame_dsep_converged=None if endgame is None else endgame.converged,
         final_state=state,
         extras={
             "p_value": p_value,

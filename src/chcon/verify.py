@@ -293,7 +293,7 @@ def _bell() -> BipartiteState:
 def _trajectory_checks(index, noise, steps, cfg, p_value=None, unital=None):
     """Run one doubled-memory trajectory; return its report and a (record,
     violates) pair for every step's contraction factor and for the endgame
-    distance."""
+    distance, which also violates when its solver did not converge."""
     rep = doubled_memory_experiment(
         1, noise, steps, _bell(), p_value=p_value, unital_noise=unital,
         sep_cfg=SepConfig(seed=cfg.seed), seed=cfg.seed,
@@ -315,8 +315,9 @@ def _trajectory_checks(index, noise, steps, cfg, p_value=None, unital=None):
     ]
     if rep.endgame_dsep is not None:
         checks.append((
-            {**context, "endgame_step": rep.endgame_step, "endgame_dsep": rep.endgame_dsep},
-            rep.endgame_dsep > 0.25 + 1e-3,
+            {**context, "endgame_step": rep.endgame_step, "endgame_dsep": rep.endgame_dsep,
+             "endgame_dsep_converged": rep.endgame_dsep_converged},
+            rep.endgame_dsep > 0.25 + 1e-3 or rep.endgame_dsep_converged is False,
         ))
     return rep, checks
 

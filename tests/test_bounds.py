@@ -187,6 +187,16 @@ class TestCapacityBracket:
         with pytest.raises(ChannelError, match="below the computed lower"):
             capacity_bracket(identity_channel(), user_upper=0.5, restarts=4)
 
+    @pytest.mark.parametrize("upper", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_user_upper_rejected(self, upper):
+        with pytest.raises(ChannelError, match="must be finite"):
+            capacity_bracket(amplitude_damping(0.25), user_upper=upper, restarts=4)
+
+    @pytest.mark.parametrize("lower, upper", [(0.0, math.nan), (0.0, math.inf), (math.nan, 1.0)])
+    def test_nonfinite_endpoints_rejected(self, lower, upper):
+        with pytest.raises(ChannelError, match="must be finite"):
+            CapacityBracket(lower, upper, "none", "user_certificate")
+
     def test_user_upper_tightens(self):
         br = capacity_bracket(amplitude_damping(0.25), user_upper=0.8, restarts=6)
         assert br.upper == pytest.approx(0.8)

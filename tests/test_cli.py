@@ -95,6 +95,15 @@ class TestBound:
         assert "log2(T) must be finite" in res.stderr
         assert res.stdout == ""
 
+    @pytest.mark.parametrize("upper", ["nan", "inf"])
+    def test_nonfinite_capacity_upper_is_usage_error(self, spec_dir, upper):
+        for source in (["--p", "0.5"], [str(spec_dir / "ad03.json"), "--restarts", "2"]):
+            res = run_cli("bound", *source, "--n", "1", "--log2-T", "40",
+                          f"--capacity-upper={upper}")
+            assert res.returncode == 2
+            assert "must be finite" in res.stderr
+            assert res.stdout == ""
+
 
 class TestSimulate:
     def test_doubled_stream(self, tmp_path):
@@ -109,6 +118,7 @@ class TestSimulate:
         assert len(steps) == 4
         assert steps[1]["factor_ok"] is True
         assert summary["endgame_dsep"] is not None
+        assert summary["endgame_dsep_converged"] is True
 
     def test_plain_circuit(self, tmp_path):
         circuit = {

@@ -15,10 +15,11 @@ from chcon.channels import (
     depolarizing,
     identity_channel,
 )
+from chcon.divergences import chi2_divergence
 from chcon.sampling import haar_unitary, random_channel, random_density, random_pure
 from chcon.separability import (
+    _chi2_value_grad,
     _product_oracle,
-    _project_pt_trace_blocks,
     BipartiteState,
     CcQqState,
     SepConfig,
@@ -133,7 +134,7 @@ class TestProjection:
         for i in range(10):
             rng = seeded(74, i)
             xs = random_herm(rng, 3, 6, 6)
-            zs = _project_pt_trace_blocks(xs, 2, 3)
+            zs = project_pt_trace(xs, 2, 3)
             assert sum(np.trace(z).real for z in zs) == pytest.approx(1.0, abs=1e-9)
             for z in zs:
                 assert la.min_eig(la.partial_transpose(z, 2, 3)) >= -1e-10
@@ -141,7 +142,7 @@ class TestProjection:
             ys = np.stack([w * feasible_points(rng, 2, 3)[0] for w in weights])
             assert np.real(np.vdot(xs - zs, ys - zs)) <= 1e-10
             assert normal_cone_excess(xs, zs, 2, 3) <= 1e-10
-            single = _project_pt_trace_blocks(xs[:1], 2, 3)[0]
+            single = project_pt_trace(xs[:1], 2, 3)[0]
             assert np.allclose(single, project_pt_trace(xs[0], 2, 3), atol=1e-14)
 
     @pytest.mark.parametrize("dim_a, dim_b", [(2, 2), (2, 3), (3, 3), (2, 4), (4, 4)])
@@ -257,6 +258,34 @@ class TestDsep:
         assert res.value == pytest.approx(gap, abs=1e-12)
 
 
+class TestChi2Kernel:
+    @pytest.mark.parametrize("d", [4, 6])
+    @pytest.mark.parametrize("mu", [0.0, 1e-2])
+    def test_stacked_gradient_matches_central_differences(self, d, mu):
+        rng = seeded(86, d)
+        taus = np.stack([random_density(rng, d) for _ in range(3)])
+        xs = np.stack([0.8 * random_density(rng, d) + 0.2 * np.eye(d) / d for _ in range(3)])
+        directions = random_herm(rng, 3, d, d)
+
+        def values(x):
+            w, v = np.linalg.eigh(x)
+            return _chi2_value_grad(taus, w, v, mu)
+
+        vals, grads = values(xs)
+        assert vals.shape == (3,) and grads.shape == (3, d, d)
+        h = 1e-6
+        fd = (values(xs + h * directions)[0] - values(xs - h * directions)[0]) / (2 * h)
+        exact = np.real(np.einsum("kij,kij->k", grads.conj(), directions))
+        np.testing.assert_allclose(fd, exact, rtol=1e-6, atol=1e-6)
+        for k in range(3):
+            w, v = np.linalg.eigh(xs[k])
+            val_k, grad_k = _chi2_value_grad(taus[k:k + 1], w[None], v[None], mu)
+            assert val_k[0] == pytest.approx(vals[k], rel=1e-12, abs=1e-12)
+            assert np.allclose(grad_k[0], grads[k], atol=1e-12)
+            barrier = mu * float(np.sum(np.log(w)))
+            assert vals[k] + barrier == pytest.approx(chi2_divergence(taus[k], xs[k]), abs=1e-10)
+
+
 class TestChisep:
     def test_product_state_zero_with_note(self):
         res = chisep(product_state(seeded(73)))
@@ -277,7 +306,9 @@ class TestChisep:
 
     def test_werner_closed_forms(self):
         for w in (0.45, 0.6, 0.8, 1.0):
-            assert chisep(werner(w)).value == pytest.approx(werner_chisep(w), abs=1e-6)
+            res = chisep(werner(w))
+            assert res.value == pytest.approx(werner_chisep(w), abs=1e-6)
+            assert min(res.extras["start_values"]) == res.value
 
     def test_dsep_squared_below_chisep(self):
         for i in range(15):
@@ -318,6 +349,17 @@ class TestCcQq:
     def test_single_block_collapses_to_chisep(self):
         s = CcQqState.single(bell())
         assert chisep_ccqq(s).value == pytest.approx(chisep(bell()).value, abs=1e-9)
+
+    def test_blockdiag_single_block_matches_chisep(self):
+        for dim_a, dim_b, mat in [
+            (2, 2, werner(0.8).matrix),
+            (2, 3, random_density(seeded(87, 2, 3), 6, 2)),
+        ]:
+            st = BipartiteState.from_matrix(mat, dim_a, dim_b)
+            assert not is_ppt(st)
+            direct = chisep_ccqq_blockdiag(CcQqState.single(st))
+            assert direct.value == pytest.approx(chisep(st).value, abs=1e-6)
+            assert direct.extras["block_traces"] == [pytest.approx(1.0, abs=1e-12)]
 
     def test_two_product_blocks_zero(self):
         blocks = []

@@ -441,6 +441,7 @@ class TestDoubledExperiment:
         assert rep.steps[1].chisep_value == pytest.approx(0.0, abs=1e-9)
         assert rep.endgame_step == 1
         assert rep.endgame_dsep == pytest.approx(0.0, abs=1e-9)
+        assert rep.endgame_dsep_converged is True
 
     def test_depolarizing_025_case(self):
         rep = doubled_memory_experiment(1, depolarizing(0.25), 3, bell(), p_value=0.375)
@@ -470,6 +471,7 @@ class TestDoubledExperiment:
         assert all(b <= a + 1e-9 for a, b in zip(chis, chis[1:]))
         assert rep.endgame_step is not None
         assert rep.endgame_dsep <= 0.25 + 1e-3
+        assert rep.endgame_dsep_converged is True
 
     def test_cap_exceeded(self):
         with pytest.raises(ChannelError, match="cap"):

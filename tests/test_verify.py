@@ -8,7 +8,13 @@ import pytest
 
 import chcon.verify as V
 from chcon import serialize as ser
-from chcon.channels import ChannelError, KrausChannel, amplitude_damping, depolarizing
+from chcon.channels import (
+    ChannelError,
+    KrausChannel,
+    amplitude_damping,
+    completely_depolarizing,
+    depolarizing,
+)
 from chcon.decompose import p_constant, unital_split
 from chcon.sampling import (
     random_near_identity_qubit_channel,
@@ -16,7 +22,7 @@ from chcon.sampling import (
     random_unital_qubit_channel,
     rng_from,
 )
-from chcon.separability import SepConfig, chisep_ccqq
+from chcon.separability import SepApproxResult, SepConfig, chisep_ccqq
 
 SEED = 7
 
@@ -102,6 +108,26 @@ def test_trajectory_records_cover_the_endgame():
     cfg = V.VerifyConfig(seed=SEED)
     for suite in ("doubled-contraction-unital", "doubled-contraction-nonunital"):
         assert any("endgame_dsep" in r for r, _ in SEEDED_CHECKS[suite](cfg))
+
+
+def test_unconverged_endgame_dsep_violates(monkeypatch):
+    # Completely depolarizing noise reaches the endgame at step 1, where a
+    # small but unconverged distance must still fail the check.
+    import chcon.simulate
+
+    stub = SepApproxResult(value=0.01, minimizer=None, method="ppt_exact_2x2",
+                           iterations=3000, converged=False)
+    monkeypatch.setattr(chcon.simulate, "dsep", lambda s: stub)
+    cfg = V.VerifyConfig(seed=SEED)
+    rep, checks = V._trajectory_checks("stub", completely_depolarizing(), 1, cfg, 1.0, True)
+    assert rep.endgame_dsep == 0.01 and rep.endgame_dsep_converged is False
+    [(record, violates)] = [(r, bad) for r, bad in checks if "endgame_dsep" in r]
+    assert record["endgame_dsep"] == 0.01 and record["endgame_dsep_converged"] is False
+    assert violates
+    monkeypatch.undo()
+    rep, checks = V._trajectory_checks("real", completely_depolarizing(), 1, cfg, 1.0, True)
+    assert rep.endgame_dsep_converged is True
+    assert not any(bad for r, bad in checks if "endgame_dsep" in r)
 
 
 def test_unital_split_error_witness_replays():
