@@ -31,7 +31,6 @@ from .channels import (
     KrausChannel,
     canonical_kraus,
     choi_distance,
-    complementary_output,
     depolarizing,
     identity_channel,
     tensor,
@@ -107,24 +106,13 @@ def memory_time_bound(n: int, p_report: PConstantReport | float) -> MemoryTimeBo
 # ---------------------------------------------------------------------------
 
 
-def entropy_bits(rho: np.ndarray) -> float:
-    w = np.linalg.eigvalsh(la.herm_part(np.asarray(rho, dtype=complex)))
-    w = w[w > ENTROPY_EIG_FLOOR]
-    return float(-np.sum(w * np.log2(w)))
-
-
-def coherent_information(ch: KrausChannel, rho: np.ndarray) -> float:
-    """Single-use coherent information S(T(rho)) - S(env(rho))."""
-    return entropy_bits(ch.apply(rho)) - entropy_bits(complementary_output(ch, rho))
-
-
 def _bloch_images(ch: KrausChannel) -> tuple[np.ndarray, np.ndarray]:
     """Images of I/2 and sigma_i/2 under a qubit channel T and under its
     complement T^c, as (4, 2, 2) and (4, r, r) stacks (r the Choi rank).
 
     The input with Bloch vector x maps to a[0] + sum_i x_i a[i] and to
     e[0] + sum_i x_i e[i]; T^c(X)_jk = Tr(K_j X K_k^dag) for the minimal
-    Kraus list, as in :func:`complementary_output`.
+    Kraus list.
     """
     k = np.array(canonical_kraus(ch).kraus)
     basis = 0.5 * np.array(la.PAULIS)
@@ -137,8 +125,8 @@ def _entropy_value_grad(images: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, 
     """S(images[0] + sum_i x_i images[i]) in bits for each row of ``x``, and
     its gradient -Tr(images[i] log2 rho), from one batched eigensolve.
 
-    The value drops eigenvalues at or below ``ENTROPY_EIG_FLOOR`` as
-    :func:`entropy_bits` does; the logarithm is floored there.  The gradient
+    The value drops eigenvalues at or below ``ENTROPY_EIG_FLOOR``; the
+    logarithm is floored there.  The gradient
     omits -Tr(images[i]) / ln 2, which is zero for a trace-preserving map.
     """
     w, v = np.linalg.eigh(images[0] + np.einsum("ri,ijk->rjk", x, images[1:]))

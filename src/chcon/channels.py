@@ -119,6 +119,8 @@ class KrausChannel:
         if not mats:
             raise ChannelError("Kraus list must be nonempty")
         out_dim, in_dim = mats[0].shape
+        if out_dim < 1 or in_dim < 1:
+            raise ChannelError(f"Kraus operators of shape {mats[0].shape} act on an empty space")
         for k in mats:
             if k.ndim != 2 or k.shape != (out_dim, in_dim):
                 raise ChannelError(
@@ -289,18 +291,6 @@ def stinespring(ch: KrausChannel) -> StinespringIsometry:
     )
 
 
-def complementary_output(ch: KrausChannel, rho: np.ndarray) -> np.ndarray:
-    """Environment (complementary-channel) output state for input rho."""
-    minimal = canonical_kraus(ch)
-    r = len(minimal.kraus)
-    env = np.empty((r, r), dtype=complex)
-    rho = np.asarray(rho, dtype=complex)
-    for i, ki in enumerate(minimal.kraus):
-        for j, kj in enumerate(minimal.kraus):
-            env[i, j] = np.trace(ki @ rho @ la.dag(kj))
-    return env
-
-
 # ---------------------------------------------------------------------------
 # Algebra
 # ---------------------------------------------------------------------------
@@ -326,26 +316,6 @@ def adjoint(a: KrausChannel) -> KrausChannel:
     trace preserving.
     """
     return KrausChannel.from_kraus([la.dag(k) for k in a.kraus])
-
-
-def choi_tensor(a: ChoiMatrix, b: ChoiMatrix) -> ChoiMatrix:
-    """Choi matrix of the tensor-product map from the factor Chois.
-
-    kron(C_a, C_b) orders the factors (out_a, in_a, out_b, in_b); the Choi
-    of a (x) b needs (out_a, out_b, in_a, in_b), so the middle two factors
-    are swapped.
-    """
-    big = np.kron(a.matrix, b.matrix)
-    dims = (a.out_dim, a.in_dim, b.out_dim, b.in_dim)
-    t = big.reshape(*dims, *dims)
-    perm = (0, 2, 1, 3)
-    t = t.transpose(*perm, *(4 + np.array(perm)))
-    d = a.out_dim * b.out_dim * a.in_dim * b.in_dim
-    return ChoiMatrix(
-        in_dim=a.in_dim * b.in_dim,
-        out_dim=a.out_dim * b.out_dim,
-        matrix=la.frozen(t.reshape(d, d)),
-    )
 
 
 def choi_distance(a: KrausChannel, b: KrausChannel) -> float:
@@ -517,9 +487,13 @@ def preset(name: str, **params) -> KrausChannel:
     """Named channel family; see the channel-spec file format for parameters."""
     try:
         builder = _PRESETS[name]
-    except KeyError:
+    except (KeyError, TypeError):
         raise ChannelError(f"unknown preset {name!r}; choose from {sorted(_PRESETS)}") from None
     try:
         return builder(**params)
+    except ChannelError:
+        raise
     except KeyError as missing:
         raise ChannelError(f"preset {name!r} missing parameter {missing}") from None
+    except (TypeError, ValueError) as exc:
+        raise ChannelError(f"preset {name!r} has a malformed parameter: {exc}") from None

@@ -11,6 +11,7 @@ import argparse
 import json
 import math
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -18,6 +19,7 @@ from . import serialize as ser
 from .bounds import CapacityBracket, capacity_bracket, memory_time_bound, overhead_lower_bound
 from .channels import (
     ChannelError,
+    bell_state,
     is_extreme_point,
     is_unitary_channel,
     kraus_to_choi,
@@ -186,6 +188,8 @@ def _layout_from_json(obj) -> RegisterLayout:
 
 
 def _layer_from_json(obj):
+    if not isinstance(obj, dict):
+        raise ChannelError(f"layer entries must be JSON objects, got {obj!r}")
     kind = obj.get("kind")
     if kind == "gate":
         if "separable" in obj:
@@ -231,8 +235,6 @@ def _input_state(obj, layout: RegisterLayout) -> CcQqState:
     elif kind == "bell":
         if dim_a != 2 or dim_b != 2:
             raise ChannelError("bell input needs one qubit per side")
-        from .channels import bell_state
-
         rho = bell_state().matrix
     elif kind == "density":
         rho = ser.matrix_from_json(obj["matrix"])
@@ -245,7 +247,11 @@ def _input_state(obj, layout: RegisterLayout) -> CcQqState:
 
 def cmd_simulate(args) -> int:
     spec = _load_json(args.circuit)
+    # Errors raised while reading the description mean it is malformed; the
+    # run itself stays out of this guard so numerical errors surface as-is.
     try:
+        if not isinstance(spec, dict):
+            raise ChannelError("expected a JSON object")
         if args.doubled:
             noise = ser.channel_from_json(spec["noise"])
             n = int(spec.get("n", 1))
@@ -254,27 +260,13 @@ def cmd_simulate(args) -> int:
             if "input" in spec:
                 inp = ser.bipartite_state_from_json(spec["input"])
             else:
-                from .channels import bell_state
-
                 if n > 1:
                     return _fail("doubled runs with n > 1 need an explicit input state")
                 inp = BipartiteState.from_matrix(bell_state().matrix, 2, 2)
-            rep = doubled_memory_experiment(
-                n, noise, steps, inp, gate=gate,
+            run = partial(
+                doubled_memory_experiment, n, noise, steps, inp, gate=gate,
                 p_value=spec.get("p"), sep_cfg=SepConfig(seed=args.seed), seed=args.seed,
             )
-            lines = ser.trajectory_to_json_lines(rep)
-            summary = {
-                "type": "summary",
-                "p_value": rep.extras["p_value"],
-                "factor": rep.extras["factor"],
-                "endgame_step": rep.endgame_step,
-                "endgame_dsep": rep.endgame_dsep,
-                "endgame_dsep_converged": rep.endgame_dsep_converged,
-                "width": rep.width,
-                "length": rep.length,
-            }
-            lines.append(ser.dumps_compact(summary))
         else:
             layout = _layout_from_json(spec.get("layout", {}))
             layers = tuple(_layer_from_json(o) for o in spec.get("layers", []))
@@ -287,15 +279,32 @@ def cmd_simulate(args) -> int:
                 trailing_noise=args.trailing_noise == "on",
             )
             state = _input_state(spec.get("input"), layout)
-            rep = run_noisy_circuit(
-                circuit, state, seed=args.seed,
+            run = partial(
+                run_noisy_circuit, circuit, state,
                 record_chisep=args.record_chisep, sep_cfg=SepConfig(seed=args.seed),
             )
-            lines = ser.trajectory_to_json_lines(rep)
-    except (ChannelError, KeyError) as exc:
+    except (AttributeError, ChannelError, KeyError, TypeError, ValueError) as exc:
+        return _fail(f"bad circuit description: {exc}")
+    try:
+        rep = run()
+    except ChannelError as exc:
         return _fail(f"bad circuit description: {exc}")
     if args.fmt == "csv":
         lines = ser.trajectory_to_csv_lines(rep)
+    else:
+        lines = ser.trajectory_to_json_lines(rep)
+        if args.doubled:
+            summary = {
+                "type": "summary",
+                "p_value": rep.extras["p_value"],
+                "factor": rep.extras["factor"],
+                "endgame_step": rep.endgame_step,
+                "endgame_dsep": rep.endgame_dsep,
+                "endgame_dsep_converged": rep.endgame_dsep_converged,
+                "width": rep.width,
+                "length": rep.length,
+            }
+            lines.append(ser.dumps_compact(summary))
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 

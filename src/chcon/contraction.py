@@ -176,11 +176,6 @@ def _min_eigvec_step(amat: np.ndarray, psi: np.ndarray, phi: np.ndarray):
     return np.minimum(w1[..., 0], w2[..., 0]), (psi, phi), (psi, phi)
 
 
-def evaluate_pair(ch: KrausChannel, pair: OrthogonalPair) -> float:
-    """The maximand (1/2) || T(psi psi^dag - phi phi^dag) ||_1."""
-    return 0.5 * la.trace_norm(ch.apply(pair.difference()))
-
-
 def _random_orthogonal_pair(rng: np.random.Generator, d: int) -> tuple[np.ndarray, np.ndarray]:
     h = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     q = la.expi(la.herm_part(h))

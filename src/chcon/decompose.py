@@ -16,7 +16,6 @@ import numpy as np
 from . import linalg as la
 from .channels import (
     ChannelError,
-    ChoiMatrix,
     KrausChannel,
     channel_from_bloch_transfer,
     compose,
@@ -199,11 +198,6 @@ def unital_split(ch: KrausChannel) -> UnitalDecomposition:
 # ---------------------------------------------------------------------------
 
 
-def cp_order_margin(choi_n: ChoiMatrix, choi_m: ChoiMatrix, q: float) -> float:
-    """Smallest eigenvalue of C_N - q C_M (non-negative means N >= q M)."""
-    return la.min_eig(choi_n.matrix - q * choi_m.matrix)
-
-
 def _choi_support(n: KrausChannel) -> tuple[np.ndarray, np.ndarray, float]:
     """One eigendecomposition of C_N, shared by every candidate M.
 
@@ -249,42 +243,17 @@ def _certificate(q: float, m: KrausChannel, method: str) -> ExtremalCertificate:
     )
 
 
-def p2_certificate(
-    ch: KrausChannel,
-    user_cert: tuple[float, KrausChannel] | None = None,
-    candidates: int = 256,
-    seed: int = 0,
-) -> ExtremalCertificate:
+def p2_certificate(ch: KrausChannel, candidates: int = 256, seed: int = 0) -> ExtremalCertificate:
     """Certified lower bound on the non-unital channel constant p2.
 
-    With ``user_cert = (q, M)`` the pair is validated (completely positive
-    order, extremality, non-unitality) and its bound returned.  Otherwise the
-    search tries M = N itself at q = 1 (preferred whenever N is extremal) and
-    a randomized peel over extremal two-Kraus non-unital channels, keeping
-    the best bound found.
+    The search tries M = N itself at q = 1 (preferred whenever N is
+    extremal) and a randomized peel over extremal two-Kraus non-unital
+    channels, keeping the best bound found.
     """
     if not ch.is_qubit():
         raise ChannelError("p2 certificates are implemented for qubit channels only")
     if ch.is_unital():
         raise ChannelError("channel is unital; p2 certificates apply to non-unital channels")
-
-    if user_cert is not None:
-        q, m = user_cert
-        if not 0.0 < q <= 1.0:
-            raise ChannelError("user certificate rejected: q outside (0, 1]")
-        report = validate_channel(m)
-        if not report.ok:
-            raise ChannelError("user certificate rejected: M is not a valid channel")
-        if m.is_unital():
-            raise ChannelError("user certificate rejected: M is unital")
-        if not is_extreme_point(m):
-            raise ChannelError("user certificate rejected: M is not an extreme point")
-        margin = cp_order_margin(kraus_to_choi(ch), kraus_to_choi(m), q)
-        if margin < -PSD_TOL:
-            raise ChannelError(
-                f"user certificate rejected: N - qM is not completely positive (margin {margin:.3e})"
-            )
-        return _certificate(q, m, method="user")
 
     self_lam = max(lambda_min_choi_of_adjoint_composition(ch), 0.0)
     best: ExtremalCertificate | None = None

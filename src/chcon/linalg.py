@@ -154,10 +154,6 @@ def rotation_from_su2(u: np.ndarray) -> np.ndarray:
     return r
 
 
-def bloch_vector(rho: np.ndarray) -> np.ndarray:
-    return np.array([np.real(np.trace(p @ rho)) for p in PAULIS[1:]])
-
-
 def bloch_state(r) -> np.ndarray:
     r = np.asarray(r, dtype=float)
     return 0.5 * (I2 + r[0] * PAULI_X + r[1] * PAULI_Y + r[2] * PAULI_Z)

@@ -10,7 +10,22 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg as la
-from .channels import KrausChannel
+from .channels import (
+    KrausChannel,
+    amplitude_damping,
+    compose,
+    depolarizing,
+    extremality_gap,
+    unitary_channel,
+)
+
+# Draws each non-unital sampler makes before giving up.
+NONUNITAL_TRIES = 200
+EXTREMAL_TRIES = 500
+# Extremality gap an extremal draw must exceed.
+EXTREMAL_GAP_TOL = 1e-6
+# POVM outcomes of a random measure-and-prepare channel.
+EB_OUTCOMES = 4
 
 
 def rng_from(seed: int, *indices: int) -> np.random.Generator:
@@ -78,9 +93,9 @@ def random_unital_qubit_channel(
 
 
 def random_nonunital_qubit_channel(
-    rng: np.random.Generator, min_nonunitality: float = 1e-3, max_tries: int = 200
+    rng: np.random.Generator, min_nonunitality: float = 1e-3
 ) -> KrausChannel:
-    for _ in range(max_tries):
+    for _ in range(NONUNITAL_TRIES):
         ch = random_channel(rng, 2)
         acc = sum(k @ la.dag(k) for k in ch.kraus)
         if np.linalg.norm(acc - np.eye(2), 2) >= min_nonunitality:
@@ -93,8 +108,6 @@ def random_near_identity_qubit_channel(
 ) -> KrausChannel:
     """Qubit channel close to the identity: small random Pauli mixing plus a
     small random amplitude damping, conjugated by near-identity unitaries."""
-    from .channels import amplitude_damping, compose, depolarizing, unitary_channel
-
     p = strength * rng.uniform(0.0, 1.0)
     gamma = strength * rng.uniform(0.0, 1.0)
     h = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
@@ -103,23 +116,19 @@ def random_near_identity_qubit_channel(
     return compose(unitary_channel(u), ch)
 
 
-def random_extremal_nonunital_qubit_channel(
-    rng: np.random.Generator, tol: float = 1e-6, max_tries: int = 500
-) -> KrausChannel:
+def random_extremal_nonunital_qubit_channel(rng: np.random.Generator) -> KrausChannel:
     """Random Choi-rank-2 qubit channel that is extremal and non-unital."""
-    from .channels import extremality_gap
-
-    for _ in range(max_tries):
+    for _ in range(EXTREMAL_TRIES):
         ch = random_channel(rng, 2, env_dim=2)
         acc = sum(k @ la.dag(k) for k in ch.kraus)
         if np.linalg.norm(acc - np.eye(2), 2) < 1e-3:
             continue
-        if extremality_gap(ch) > tol:
+        if extremality_gap(ch) > EXTREMAL_GAP_TOL:
             return ch
     raise RuntimeError("failed to sample an extremal non-unital qubit channel")
 
 
-def random_eb_qubit_channel(rng: np.random.Generator, n_outcomes: int = 4) -> KrausChannel:
+def random_eb_qubit_channel(rng: np.random.Generator) -> KrausChannel:
     """Random measure-and-prepare (entanglement breaking) qubit channel.
 
     Measures in a Haar-random basis refined by a random POVM mixing and
@@ -127,9 +136,9 @@ def random_eb_qubit_channel(rng: np.random.Generator, n_outcomes: int = 4) -> Kr
     construction.
     """
     basis = haar_unitary(rng, 2)
-    weights = rng.dirichlet(np.ones(n_outcomes))
+    weights = rng.dirichlet(np.ones(EB_OUTCOMES))
     ops = []
-    for i in range(n_outcomes):
+    for i in range(EB_OUTCOMES):
         meas = basis[:, i % 2]
         prep = random_pure(rng, 2)
         ops.append(np.sqrt(weights[i] * 2.0 / 1.0) * np.outer(prep, meas.conj()))
@@ -138,6 +147,6 @@ def random_eb_qubit_channel(rng: np.random.Generator, n_outcomes: int = 4) -> Kr
     acc = sum(la.dag(k) @ k for k in ops)
     w, v = np.linalg.eigh(acc)
     if w[0] <= 1e-12:
-        return random_eb_qubit_channel(rng, n_outcomes)
+        return random_eb_qubit_channel(rng)
     whiten = (v * (1.0 / np.sqrt(w))) @ la.dag(v)
     return KrausChannel.from_kraus([k @ whiten for k in ops])

@@ -27,6 +27,7 @@ import numpy as np
 from . import linalg as la
 from .channels import ChannelError, DensityState, KrausChannel, check_density_stack
 from .config import PSD_TOL, TP_TOL
+from .contraction import eta_chi_lower, eta_tr_upper_minoutev
 from .divergences import chi2_divergence
 from .sampling import random_pure, rng_from
 
@@ -874,8 +875,6 @@ def verify_contraction_step(
     chi-square coefficient estimate is reported for diagnostics only.  The
     check passes with 1e-6 slack.
     """
-    from .contraction import eta_chi_lower, eta_tr_upper_minoutev
-
     if not 0.0 < epsilon < 1.0:
         raise ChannelError("epsilon must lie in (0, 1)")
     chi_in = chisep_ccqq(s, cfg).value

@@ -15,8 +15,8 @@ import numpy as np
 
 from .channels import ChannelError, KrausChannel, preset
 from .contraction import ContractionReport, OrthogonalPair, StatePair
-from .separability import BipartiteState, CcQqState, SeparableChannel
-from .decompose import ExtremalCertificate, PConstantReport
+from .separability import BipartiteState, CcQqState, SeparableChannel, make_separable_channel
+from .decompose import PConstantReport
 from .bounds import CapacityBracket, MemoryTimeBound, OverheadBound
 
 
@@ -36,14 +36,6 @@ def vector_to_json(v: np.ndarray) -> list:
     return [[float(z.real), float(z.imag)] for z in np.asarray(v, dtype=complex).reshape(-1)]
 
 
-def channel_to_json(ch: KrausChannel) -> dict:
-    return {
-        "in_dim": ch.in_dim,
-        "out_dim": ch.out_dim,
-        "kraus": [matrix_to_json(k) for k in ch.kraus],
-    }
-
-
 def channel_from_json(obj: dict) -> KrausChannel:
     """Parse either a preset spec {"preset": ..., params} or an explicit
     Kraus list {"in_dim", "out_dim", "kraus": [...]}."""
@@ -59,7 +51,7 @@ def channel_from_json(obj: dict) -> KrausChannel:
     ops = [matrix_from_json(k) for k in obj["kraus"]]
     ch = KrausChannel.from_kraus(ops)
     for key in ("in_dim", "out_dim"):
-        if key in obj and int(obj[key]) != getattr(ch, key):
+        if key in obj and obj[key] != getattr(ch, key):
             raise ChannelError(
                 f"channel spec {key}={obj[key]} disagrees with Kraus shape {getattr(ch, key)}"
             )
@@ -73,14 +65,8 @@ def separable_channel_to_json(sep: SeparableChannel) -> dict:
 
 
 def separable_channel_from_json(obj: dict) -> SeparableChannel:
-    from .separability import make_separable_channel
-
     pairs = [(matrix_from_json(a), matrix_from_json(b)) for a, b in obj["pairs"]]
     return make_separable_channel(pairs)
-
-
-def bipartite_state_to_json(s: BipartiteState) -> dict:
-    return {"dimA": s.dim_a, "dimB": s.dim_b, "matrix": matrix_to_json(s.matrix)}
 
 
 def bipartite_state_from_json(obj: dict) -> BipartiteState:
@@ -130,22 +116,6 @@ def contraction_report_to_json(rep: ContractionReport) -> dict:
         "method": rep.method,
         "extras": {k: _json_float(v) if isinstance(v, float) else v for k, v in rep.extras.items()},
     }
-
-
-def certificate_to_json(cert: ExtremalCertificate) -> dict:
-    return {
-        "q": cert.q,
-        "kraus": [matrix_to_json(k) for k in cert.m.kraus],
-        "lambda_min_choi": cert.lambda_min_choi,
-        "p2_lower": cert.p2_lower,
-        "m_extremal": cert.m_extremal,
-        "method": cert.method,
-    }
-
-
-def certificate_from_json(obj: dict) -> tuple[float, KrausChannel]:
-    """Re-import a (q, M) pair for validation by the certificate checker."""
-    return float(obj["q"]), KrausChannel.from_kraus([matrix_from_json(k) for k in obj["kraus"]])
 
 
 def p_report_to_json(rep: PConstantReport) -> dict:

@@ -16,12 +16,14 @@ contraction factor 1 - p^(2n) predicted by the channel constant.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Real
 
 import numpy as np
 
 from . import linalg as la
 from .channels import ChannelError, KrausChannel, check_density_stack
 from .config import CHISEP_THRESHOLD, MAX_BLOCKS, QUBIT_CAP, TP_TOL
+from .decompose import p_constant
 from .separability import (
     BipartiteState,
     CcQqState,
@@ -29,6 +31,7 @@ from .separability import (
     SeparableChannel,
     block_label,
     check_total_probability,
+    chisep_ccqq,
     dsep,
     local_product_channel,
 )
@@ -88,9 +91,6 @@ class RegisterLayout:
     def dim_b(self) -> int:
         return 2 ** sum(1 for q in self.qubits if q.side == "B")
 
-    def classical_indices(self, side: str) -> list[int]:
-        return [i for i, c in enumerate(self.classical) if c.side == side]
-
     def blank_labels(self) -> tuple[tuple, tuple]:
         x = tuple(0 for c in self.classical if c.side == "A")
         y = tuple(0 for c in self.classical if c.side == "B")
@@ -104,7 +104,6 @@ class GateLayer:
 
     channel: object
     controls: dict | None = None
-    tag: str = "gate"
 
 
 @dataclass(frozen=True)
@@ -119,7 +118,6 @@ class InstrumentLayer:
 
     outcomes: tuple[tuple[int, tuple[np.ndarray, ...]], ...]
     store: str
-    tag: str = "instrument"
 
 
 @dataclass(frozen=True)
@@ -132,7 +130,6 @@ class ClassicalLayer:
     """
 
     update: dict
-    tag: str = "classical"
 
 
 @dataclass(frozen=True)
@@ -361,7 +358,6 @@ class TrajectoryStep:
 @dataclass(frozen=True)
 class TrajectoryReport:
     steps: tuple[TrajectoryStep, ...]
-    seed: int
     width: int
     length: int
     endgame_step: int | None = None
@@ -369,10 +365,6 @@ class TrajectoryReport:
     endgame_dsep_converged: bool | None = None
     final_state: CcQqState | None = None
     extras: dict = field(default_factory=dict)
-
-    @property
-    def chisep_series(self) -> list:
-        return [s.chisep_value for s in self.steps]
 
 
 def total_probability(state: CcQqState) -> float:
@@ -382,7 +374,6 @@ def total_probability(state: CcQqState) -> float:
 def run_noisy_circuit(
     circuit: NoisyCircuit,
     input_state: CcQqState,
-    seed: int = 0,
     record_chisep: bool = False,
     sep_cfg: SepConfig | None = None,
 ) -> TrajectoryReport:
@@ -402,7 +393,7 @@ def run_noisy_circuit(
     def measure(idx, st):
         chi = None
         if record_chisep:
-            chi = _chisep_of_state(st, cfg)
+            chi = chisep_ccqq(st, cfg).value
         prev = steps[-1].chisep_value if steps else None
         ratio = None
         if chi is not None and prev is not None and prev > RATIO_FLOOR:
@@ -435,17 +426,10 @@ def run_noisy_circuit(
     width, length = circuit_metrics(circuit)
     return TrajectoryReport(
         steps=tuple(steps),
-        seed=seed,
         width=width,
         length=length,
         final_state=state,
     )
-
-
-def _chisep_of_state(state: CcQqState, cfg: SepConfig) -> float:
-    from .separability import chisep_ccqq
-
-    return chisep_ccqq(state, cfg).value
 
 
 # ---------------------------------------------------------------------------
@@ -484,8 +468,8 @@ def doubled_memory_experiment(
     checked at every step; otherwise only while the distance stays at or
     above the 1/16 threshold.  Once the distance falls below the threshold,
     the 1-norm distance to the separable set of that state is recorded as
-    the endgame check, with the solver's convergence flag.  Needs n >= 1 and
-    steps >= 0.
+    the endgame check, with the solver's convergence flag.  Needs n >= 1,
+    steps >= 0 and, when given, a ``p_value`` in (0, 1].
     """
     if n < 1 or steps < 0:
         raise ChannelError(f"doubled runs need n >= 1 and steps >= 0, got n={n}, steps={steps}")
@@ -498,15 +482,15 @@ def doubled_memory_experiment(
     if unital_noise is None:
         unital_noise = noise.is_unital()
     if p_value is None:
-        from .decompose import p_constant
-
         p_value = p_constant(noise, seed=seed).p
+    elif isinstance(p_value, bool) or not isinstance(p_value, Real) or not 0.0 < p_value <= 1.0:
+        raise ChannelError(f"doubled runs need a channel constant p in (0, 1], got {p_value!r}")
     factor = 1.0 - p_value ** (2 * n)
 
     sep_gate = local_product_channel(gate, gate)
     layer = GateLayer(channel=sep_gate)
     state = CcQqState.single(input_state)
-    chi = _chisep_of_state(state, cfg)
+    chi = chisep_ccqq(state, cfg).value
     out_steps = [
         TrajectoryStep(index=0, total_prob=total_probability(state), block_count=1, chisep_value=chi)
     ]
@@ -516,7 +500,7 @@ def doubled_memory_experiment(
         prev_chi = chi
         state = apply_iid_noise(state, noise, layout)
         state = apply_layer(state, layer, layout)
-        chi = _chisep_of_state(state, cfg)
+        chi = chisep_ccqq(state, cfg).value
         precondition = prev_chi >= CHISEP_THRESHOLD
         ok = None
         if unital_noise or precondition:
@@ -540,7 +524,6 @@ def doubled_memory_experiment(
             endgame = dsep(BipartiteState.from_matrix(blk.rho, state.dim_a, state.dim_b))
     return TrajectoryReport(
         steps=tuple(out_steps),
-        seed=seed,
         width=2 * n,
         length=steps,
         endgame_step=endgame_step,

@@ -401,12 +401,13 @@ def _check_ccqq_bound(index, s, cfg):
     return {"index": index, "value": val, "state": ser.ccqq_to_json(s)}, val > 3.0 + 1e-6
 
 
-def suite_ccqq_formula(cfg: VerifyConfig, n_bound: int | None = None) -> SuiteReport:
+def suite_ccqq_formula(cfg: VerifyConfig) -> SuiteReport:
     """The closed block formula for the chi-square separability distance of
     cc-qq states agrees with direct block-diagonal minimization within 1e-3,
-    and the dimensional bound dA dB - 1 holds with 1e-6 slack."""
+    and the dimensional bound dA dB - 1 holds with 1e-6 slack on four times
+    as many states."""
     n_agree = cfg.n(50)
-    n_bound = n_bound if n_bound is not None else 4 * n_agree
+    n_bound = 4 * n_agree
     agree = [_check_ccqq_formula(i, _random_two_block_state(cfg.seed, i), cfg) for i in range(n_agree)]
     bound = [
         _check_ccqq_bound(

@@ -129,12 +129,13 @@ def test_criterion_5_endgame_distance(doubled_runs):
 def test_criterion_6_ccqq_formula_and_bound():
     budget = 300.0
     t0 = time.monotonic()
-    rep = suite_ccqq_formula(VerifyConfig(trials=50, seed=SEED), n_bound=200)
+    rep = suite_ccqq_formula(VerifyConfig(trials=50, seed=SEED))
     elapsed = time.monotonic() - t0
     ok = rep.passed and elapsed < budget
     announce("6 cc-qq block formula (50 agreements, 200 bound checks)", ok, elapsed, budget)
     assert rep.passed, rep.violations[:3]
     assert rep.extras["worst_formula_gap"] <= 1e-3
+    assert rep.extras["bound_states"] == 200
     assert elapsed < budget
 
 

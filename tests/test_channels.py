@@ -16,7 +16,6 @@ from chcon.channels import (
     bloch_transfer,
     canonical_kraus,
     choi_distance,
-    choi_tensor,
     choi_to_kraus,
     completely_depolarizing,
     compose,
@@ -270,8 +269,11 @@ class TestAlgebra:
             a = random_channel(seeded(10, i), 2)
             b = random_channel(seeded(10, i, 1), 2)
             direct = kraus_to_choi(tensor(a, b))
-            assembled = choi_tensor(kraus_to_choi(a), kraus_to_choi(b))
-            assert np.linalg.norm(direct.matrix - assembled.matrix) < 1e-9
+            # kron of the factor Chois orders (out_a, in_a, out_b, in_b); the
+            # Choi of a (x) b needs (out_a, out_b, in_a, in_b).
+            big = np.kron(kraus_to_choi(a).matrix, kraus_to_choi(b).matrix)
+            assembled = big.reshape((2,) * 8).transpose(0, 2, 1, 3, 4, 6, 5, 7).reshape(16, 16)
+            assert np.linalg.norm(direct.matrix - assembled) < 1e-9
 
 
 class TestExtremePoints:
@@ -319,6 +321,13 @@ class TestPresets:
             depolarizing(1.5)
         with pytest.raises(ChannelError, match="not unitary"):
             unitary_channel(np.array([[1, 0], [0, 0.5]]))
+        # Builder errors on malformed parameters surface as ChannelError.
+        for name, params in (("depolarizing", {"p": "abc"}), ("dephasing", {"p": None}),
+                             ("identity", {"dim": [2]})):
+            with pytest.raises(ChannelError, match="malformed parameter"):
+                preset(name, **params)
+        with pytest.raises(ChannelError, match="unknown preset"):
+            preset(["depolarizing"], p=0.1)
 
 
 def test_bell_state_is_maximally_entangled():

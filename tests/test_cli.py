@@ -41,6 +41,18 @@ class TestAnalyze:
         assert "unitary" in doc["p_constant"]["error"]
         assert doc["choi_spectrum"][-1] == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("spec, message", [
+        ({"preset": "depolarizing", "p": "abc"}, "preset 'depolarizing' has a malformed parameter"),
+        ({"preset": "identity", "dim": 0}, "empty space"),
+        ({"kraus": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]], "in_dim": "x"}, "disagrees"),
+    ], ids=["preset-parameter", "zero-dimension", "dimension-type"])
+    def test_malformed_channel_spec_exits_two(self, tmp_path, spec, message):
+        (tmp_path / "bad.json").write_text(json.dumps(spec))
+        res = run_cli("analyze", str(tmp_path / "bad.json"))
+        assert res.returncode == 2, res.stderr
+        assert res.stderr.startswith("chcon: error:") and message in res.stderr
+        assert "Traceback" not in res.stderr
+
     def test_malformed_json_exits_two(self, spec_dir):
         res = run_cli("analyze", str(spec_dir / "broken.json"))
         assert res.returncode == 2
@@ -214,6 +226,38 @@ class TestSimulate:
         res = run_cli("simulate", str(path), "--doubled", *extra)
         assert res.returncode == 2, res.stderr
         assert "doubled runs need n >= 1 and steps >= 0" in res.stderr
+
+
+    @pytest.mark.parametrize("p", ["0", "-0.5", "2", "1e400"])
+    def test_doubled_channel_constant_out_of_range_exits_two(self, tmp_path, p):
+        path = tmp_path / "doubled.json"
+        path.write_text('{"n": 1, "steps": 1, "noise": {"preset": "depolarizing", "p": 0.2}, '
+                        f'"p": {p}}}')
+        res = run_cli("simulate", str(path), "--doubled")
+        assert res.returncode == 2, res.stderr
+        assert "p in (0, 1]" in res.stderr
+        assert res.stdout == ""
+
+    @pytest.mark.parametrize("spec, extra", [
+        ([1, 2], []),
+        ([1, 2], ["--doubled"]),
+        ({"layers": [3], "noise": {"preset": "identity"}}, []),
+        ({"layout": {"qubits": [{"label": "q"}], "classical": [{"label": "c", "size": "x"}]},
+          "noise": {"preset": "identity"}}, []),
+        ({"n": "two", "steps": 1, "p": 0.1, "noise": {"preset": "depolarizing", "p": 0.2}},
+         ["--doubled"]),
+        ({"n": 1, "steps": 1, "p": "abc", "noise": {"preset": "depolarizing", "p": 0.2}},
+         ["--doubled"]),
+        ({"layers": [], "noise": {"preset": "depolarizing", "p": "abc"}}, []),
+    ], ids=["list", "list-doubled", "layer-not-object", "register-size", "doubled-n",
+            "doubled-p", "noise-parameter"])
+    def test_malformed_description_exits_two(self, tmp_path, spec, extra):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(spec))
+        res = run_cli("simulate", str(path), *extra)
+        assert res.returncode == 2, res.stderr
+        assert res.stderr.startswith("chcon: error: bad circuit description")
+        assert "Traceback" not in res.stderr
 
 
 class TestVerify:

@@ -38,7 +38,7 @@ def test_eta_chi_witness_reproduces_value():
 
 def test_eta_tr_witness_reproduces_value_multistart():
     from chcon.channels import tensor
-    from chcon.contraction import evaluate_pair
+    from conftest import evaluate_pair
 
     ch = tensor(amplitude_damping(0.2), dephasing(0.3))
     rep = eta_tr(ch, restarts=6, seed=7)

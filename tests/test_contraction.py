@@ -32,7 +32,6 @@ from chcon.contraction import (
     eta_tr,
     eta_tr_upper_choi,
     eta_tr_upper_minoutev,
-    evaluate_pair,
     independence_trivial,
     min_output_eigenvalue,
     sign_ascent,
@@ -47,7 +46,7 @@ from chcon.sampling import (
     rng_from,
 )
 
-from conftest import seeded
+from conftest import evaluate_pair, seeded
 
 
 class TestEtaTr:

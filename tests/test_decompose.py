@@ -24,7 +24,6 @@ from chcon.decompose import (
     barycentric_weights,
     corner_feasibility,
     corner_max_q,
-    cp_order_margin,
     eb_peel_weight,
     is_entanglement_breaking,
     max_cp_weight,
@@ -42,6 +41,11 @@ from chcon.sampling import (
 )
 
 from conftest import seeded
+
+
+def cp_order_margin(choi_n, choi_m, q: float) -> float:
+    """Smallest eigenvalue of C_N - q C_M (non-negative means N >= q M)."""
+    return la.min_eig(choi_n.matrix - q * choi_m.matrix)
 
 
 def corner_max_q_grid_bisect(lam, corner, feas_tol=1e-9, tol=1e-10):
@@ -207,31 +211,6 @@ class TestP2Certificate:
         assert cert.p2_lower > 0
         assert cert.q == pytest.approx(1.0)
 
-    def test_mixture_user_certificate(self):
-        mix = KrausChannel.from_kraus(
-            [np.sqrt(0.5) * k for k in amplitude_damping(0.3).kraus] + [np.sqrt(0.5) * np.eye(2)]
-        )
-        cert = p2_certificate(mix, user_cert=(0.5, amplitude_damping(0.3)))
-        assert cert.method == "user"
-        assert cert.p2_lower == pytest.approx(
-            0.25 * cert.lambda_min_choi / 204800.0
-        )
-
-    def test_user_certificate_rejections(self):
-        mix = KrausChannel.from_kraus(
-            [np.sqrt(0.5) * k for k in amplitude_damping(0.3).kraus] + [np.sqrt(0.5) * np.eye(2)]
-        )
-        with pytest.raises(ChannelError, match="completely positive"):
-            p2_certificate(mix, user_cert=(0.9, amplitude_damping(0.3)))
-        with pytest.raises(ChannelError, match="unital"):
-            p2_certificate(amplitude_damping(0.3), user_cert=(0.5, depolarizing(0.2)))
-        nonextremal = KrausChannel.from_kraus(
-            [np.sqrt(0.5) * k for k in amplitude_damping(0.2).kraus]
-            + [np.sqrt(0.5) * k for k in amplitude_damping(0.6).kraus]
-        )
-        with pytest.raises(ChannelError, match="extreme"):
-            p2_certificate(amplitude_damping(0.1), user_cert=(0.1, nonextremal))
-
     def test_unital_input_rejected(self):
         with pytest.raises(ChannelError, match="unital"):
             p2_certificate(depolarizing(0.3))
@@ -242,9 +221,6 @@ class TestP2Certificate:
             cert = p2_certificate(ch, candidates=4, seed=i)
             assert cert.p2_lower >= 0.0
             # CP-order margin of the returned certificate.
-            from chcon.channels import kraus_to_choi
-            from chcon.decompose import cp_order_margin
-
             margin = cp_order_margin(kraus_to_choi(ch), kraus_to_choi(cert.m), cert.q)
             assert margin >= -1e-8
 

@@ -40,6 +40,10 @@ def bell() -> BipartiteState:
     return BipartiteState.from_matrix(bell_state().matrix, 2, 2)
 
 
+def bloch_vector(rho: np.ndarray) -> np.ndarray:
+    return np.array([np.real(np.trace(p @ rho)) for p in la.PAULIS[1:]])
+
+
 def two_qubit_layout() -> RegisterLayout:
     return RegisterLayout(qubits=(QubitReg("A0", "A"), QubitReg("B0", "B")))
 
@@ -276,7 +280,7 @@ class TestRunCircuit:
         plus = la.bloch_state([1, 0, 0])
         state = CcQqState.from_blocks(2, 1, [((), (), 1.0, plus)])
         rep = run_noisy_circuit(circ, state)
-        out_bloch = la.bloch_vector(rep.final_state.blocks[0].rho)
+        out_bloch = bloch_vector(rep.final_state.blocks[0].rho)
         assert out_bloch[0] == pytest.approx((1 - p) ** steps, abs=1e-12)
 
     def test_trace_preserved_along_trajectory(self):
@@ -395,7 +399,7 @@ class TestRunCircuit:
         plus = la.bloch_state([1, 0, 0])
         state = CcQqState.from_blocks(2, 1, [((), (), 1.0, plus)])
         rep = run_noisy_circuit(circ, state)
-        out_bloch = la.bloch_vector(rep.final_state.blocks[0].rho)
+        out_bloch = bloch_vector(rep.final_state.blocks[0].rho)
         assert out_bloch[0] == pytest.approx(0.6**2, abs=1e-12)
 
 
@@ -476,6 +480,15 @@ class TestDoubledExperiment:
     def test_cap_exceeded(self):
         with pytest.raises(ChannelError, match="cap"):
             doubled_memory_experiment(3, depolarizing(0.2), 1, bell())
+
+    @pytest.mark.parametrize("p", [0, -0.5, 2, float("inf"), float("nan"), "abc", True])
+    def test_channel_constant_outside_unit_interval_rejected(self, p):
+        with pytest.raises(ChannelError, match=r"p in \(0, 1\]"):
+            doubled_memory_experiment(1, depolarizing(0.2), 1, bell(), p_value=p)
+
+    def test_channel_constant_one_accepted(self):
+        rep = doubled_memory_experiment(1, depolarizing(0.2), 1, bell(), p_value=1)
+        assert rep.extras["factor"] == 0.0
 
     def test_input_dimension_check(self):
         with pytest.raises(ChannelError, match="per side"):
