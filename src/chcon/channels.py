@@ -1,7 +1,8 @@
 """Quantum channels and states: representations, conversions, validation.
 
-Channels are carried as Kraus operator lists.  The Choi matrix convention
-places the output factor first,
+Channels are carried as Kraus operator lists, and every other form is read
+off the one superoperator :meth:`KrausChannel.transfer_matrix`.  The Choi
+matrix, its :func:`reshuffle`, places the output factor first,
 
     C = sum_ij T(|i><j|) (x) |i><j|,
 
@@ -131,8 +132,9 @@ class KrausChannel:
         return cls(in_dim=in_dim, out_dim=out_dim, kraus=mats)
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
+        """T(rho) for a matrix or for every matrix of a ``(B, d, d)`` stack."""
         rho = np.asarray(rho, dtype=complex)
-        out = np.zeros((self.out_dim, self.out_dim), dtype=complex)
+        out = np.zeros(rho.shape[:-2] + (self.out_dim, self.out_dim), dtype=complex)
         for k in self.kraus:
             out += k @ rho @ la.dag(k)
         return out
@@ -207,8 +209,8 @@ class BlochAffine:
 
     def transfer(self) -> tuple[np.ndarray, np.ndarray]:
         """Overall Bloch action (t_total, M) with r -> t_total + M r."""
-        ru = la.rotation_from_su2(self.post_unitary)
-        rv = la.rotation_from_su2(self.pre_unitary)
+        _, ru = bloch_transfer(unitary_channel(self.post_unitary))
+        _, rv = bloch_transfer(unitary_channel(self.pre_unitary))
         m = ru @ np.diag(self.lam) @ rv
         return ru @ self.t, m
 
@@ -251,12 +253,15 @@ def validate_channel(ch: KrausChannel) -> ChannelValidation:
 # ---------------------------------------------------------------------------
 
 
+def reshuffle(m: np.ndarray, out_dim: int, in_dim: int) -> np.ndarray:
+    """Choi matrix ``C[(a, i), (b, j)] = M[(a, b), (i, j)]`` of the transfer
+    matrix ``m`` of a map from ``in_dim`` to ``out_dim``."""
+    t = np.reshape(m, (out_dim, out_dim, in_dim, in_dim)).swapaxes(1, 2)
+    return t.reshape(out_dim * in_dim, out_dim * in_dim)
+
+
 def kraus_to_choi(ch: KrausChannel) -> ChoiMatrix:
-    d = ch.out_dim * ch.in_dim
-    c = np.zeros((d, d), dtype=complex)
-    for k in ch.kraus:
-        v = la.vec_row(k)
-        c += np.outer(v, v.conj())
+    c = reshuffle(ch.transfer_matrix(), ch.out_dim, ch.in_dim)
     return ChoiMatrix(in_dim=ch.in_dim, out_dim=ch.out_dim, matrix=la.frozen(c))
 
 
@@ -268,7 +273,7 @@ def choi_to_kraus(c: ChoiMatrix, rank_tol: float = RANK_TOL) -> KrausChannel:
     ops = []
     for i in range(len(w) - 1, -1, -1):
         if w[i] > rank_tol:
-            ops.append(np.sqrt(w[i]) * la.unvec_row(v[:, i], c.out_dim, c.in_dim))
+            ops.append(np.sqrt(w[i]) * v[:, i].reshape(c.out_dim, c.in_dim))
     if not ops:
         raise ChannelError("Choi matrix has no eigenvalue above rank_tol")
     return KrausChannel.from_kraus(ops)
@@ -328,41 +333,30 @@ def choi_distance(a: KrausChannel, b: KrausChannel) -> float:
 # ---------------------------------------------------------------------------
 
 
+# The vec'd Paulis I, X, Y, Z as columns: B^dag B = B B^dag = 2 I.
+PAULI_COLUMNS = np.stack([p.reshape(-1) for p in la.PAULIS], axis=1)
+
+
 def bloch_transfer(ch: KrausChannel) -> tuple[np.ndarray, np.ndarray]:
-    """(t, M) with Bloch action r -> t + M r for a qubit channel."""
+    """(t, M) with Bloch action r -> t + M r for a qubit channel: the first
+    column and the lower-right block of ``0.5 B^dag T B`` for the
+    transfer matrix ``T`` and ``B`` = ``PAULI_COLUMNS``."""
     if not ch.is_qubit():
         raise ChannelError("Bloch representation requires a qubit channel")
-    t = np.empty(3)
-    m = np.empty((3, 3))
-    out_id = ch.apply(la.I2)
-    for j, pj in enumerate(la.PAULIS[1:]):
-        t[j] = 0.5 * np.real(np.trace(pj @ out_id))
-        for k, pk in enumerate(la.PAULIS[1:]):
-            m[j, k] = 0.5 * np.real(np.trace(pj @ ch.apply(la.PAULIS[1 + k])))
-    return t, m
+    r = 0.5 * (la.dag(PAULI_COLUMNS) @ ch.transfer_matrix() @ PAULI_COLUMNS).real
+    return r[1:, 0], r[1:, 1:]
 
 
 def channel_from_bloch_transfer(t: np.ndarray, m: np.ndarray, rank_tol: float = RANK_TOL) -> KrausChannel:
-    """Qubit channel with the given affine Bloch action (must be CP)."""
-    t = np.asarray(t, dtype=float)
-    m = np.asarray(m, dtype=float)
-    basis_images = {
-        "id": la.I2 + t[0] * la.PAULI_X + t[1] * la.PAULI_Y + t[2] * la.PAULI_Z,
-        "x": m[0, 0] * la.PAULI_X + m[1, 0] * la.PAULI_Y + m[2, 0] * la.PAULI_Z,
-        "y": m[0, 1] * la.PAULI_X + m[1, 1] * la.PAULI_Y + m[2, 1] * la.PAULI_Z,
-        "z": m[0, 2] * la.PAULI_X + m[1, 2] * la.PAULI_Y + m[2, 2] * la.PAULI_Z,
-    }
-    # T(e_ij) by linearity: e.g. e00 = (id + z)/2, e01 = (x + i y)/2.
-    t00 = 0.5 * (basis_images["id"] + basis_images["z"])
-    t11 = 0.5 * (basis_images["id"] - basis_images["z"])
-    t01 = 0.5 * (basis_images["x"] + 1j * basis_images["y"])
-    t10 = 0.5 * (basis_images["x"] - 1j * basis_images["y"])
-    c = np.zeros((4, 4), dtype=complex)
-    for img, (i, j) in ((t00, (0, 0)), (t01, (0, 1)), (t10, (1, 0)), (t11, (1, 1))):
-        e = np.zeros((2, 2), dtype=complex)
-        e[i, j] = 1.0
-        c += np.kron(img, e)
-    return choi_to_kraus(ChoiMatrix(in_dim=2, out_dim=2, matrix=c), rank_tol=rank_tol)
+    """Qubit channel with the given affine Bloch action (must be CP): the
+    transfer matrix ``0.5 B R B^dag`` inverts :func:`bloch_transfer`, and its
+    reshuffle is the Choi matrix."""
+    r = np.zeros((4, 4))
+    r[0, 0] = 1.0
+    r[1:, 0] = t
+    r[1:, 1:] = m
+    tmat = 0.5 * PAULI_COLUMNS @ r @ la.dag(PAULI_COLUMNS)
+    return choi_to_kraus(ChoiMatrix(in_dim=2, out_dim=2, matrix=reshuffle(tmat, 2, 2)), rank_tol=rank_tol)
 
 
 def _signed_rotation_svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

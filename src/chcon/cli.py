@@ -178,10 +178,18 @@ def cmd_bound(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _count(value, name: str) -> int:
+    """An integral JSON number; booleans, strings and fractions are rejected."""
+    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not integral:
+        raise ChannelError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _layout_from_json(obj) -> RegisterLayout:
     qubits = tuple(QubitReg(label=q["label"], side=q.get("side", "A")) for q in obj.get("qubits", []))
     classical = tuple(
-        ClassicalReg(label=c["label"], size=int(c["size"]), side=c.get("side", "A"))
+        ClassicalReg(label=c["label"], size=_count(c["size"], "register size"), side=c.get("side", "A"))
         for c in obj.get("classical", [])
     )
     return RegisterLayout(qubits=qubits, classical=classical)
@@ -254,8 +262,8 @@ def cmd_simulate(args) -> int:
             raise ChannelError("expected a JSON object")
         if args.doubled:
             noise = ser.channel_from_json(spec["noise"])
-            n = int(spec.get("n", 1))
-            steps = int(args.steps if args.steps is not None else spec.get("steps", 10))
+            n = _count(spec.get("n", 1), "n")
+            steps = args.steps if args.steps is not None else _count(spec.get("steps", 10), "steps")
             gate = ser.channel_from_json(spec["gate"]) if "gate" in spec else None
             if "input" in spec:
                 inp = ser.bipartite_state_from_json(spec["input"])
@@ -373,15 +381,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, *searches):
+        # Each subcommand registers only the search sizes ("restarts", "trials") it reads.
         p.add_argument("--seed", type=int, default=0, help="64-bit unsigned RNG seed")
-        p.add_argument("--restarts", type=int, default=12, help="multi-start restarts")
-        p.add_argument("--trials", type=int, default=None, help="sample count override")
+        if "restarts" in searches:
+            p.add_argument("--restarts", type=int, default=12, help="multi-start restarts")
+        if "trials" in searches:
+            p.add_argument("--trials", type=int, default=None, help="sample count override")
         p.add_argument("--out", default=None, help="write the JSON report to this path")
 
     p_an = sub.add_parser("analyze", help="full single-channel report")
     p_an.add_argument("channel", help="channel spec file (JSON)")
-    common(p_an)
+    common(p_an, "restarts", "trials")
     p_an.set_defaults(fn=cmd_analyze, trials=200)
 
     p_bd = sub.add_parser("bound", help="memory-time and overhead lower bounds")
@@ -392,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bd.add_argument("--log2-T", dest="log2_T", type=float, default=None)
     p_bd.add_argument("--capacity-upper", dest="capacity_upper", type=float, default=None,
                       help="user-certified upper bound on the quantum capacity")
-    common(p_bd)
+    common(p_bd, "restarts")
     p_bd.set_defaults(fn=cmd_bound)
 
     p_sim = sub.add_parser("simulate", help="run a noisy circuit description")
@@ -413,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_vf.add_argument("suite", nargs="?", default=None,
                       help="suite name or 'all'; see --help for the list")
     p_vf.add_argument("--replay", default=None, help="re-check a dumped violations file")
-    common(p_vf)
+    common(p_vf, "restarts", "trials")
     p_vf.set_defaults(fn=cmd_verify)
     return parser
 
@@ -427,7 +438,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     if not 0 <= args.seed < 2**64:
         return _fail("seed must fit in 64 unsigned bits")
-    if args.restarts < 1 or (args.trials is not None and args.trials < 1):
+    sizes = [getattr(args, name, None) for name in ("restarts", "trials")]
+    if any(size is not None and size < 1 for size in sizes):
         return _fail("restarts and trials must be positive")
     try:
         return args.fn(args)

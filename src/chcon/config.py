@@ -26,6 +26,10 @@ EPSILON_0 = 1.0 / 128.0
 # chi-square-to-separable threshold used as the contraction precondition.
 CHISEP_THRESHOLD = 1.0 / 16.0
 
+# Desk-scale cap on a channel's input and output dimension and on the total
+# dimension of a bipartite state.
+DIM_CAP = 16
+
 # Desk-scale cap on simulated qubits (total quantum dimension 2**cap).
 QUBIT_CAP = 4
 

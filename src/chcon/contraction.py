@@ -19,7 +19,7 @@ from math import isqrt
 import numpy as np
 
 from . import linalg as la
-from .channels import ChannelError, KrausChannel, adjoint, bloch_transfer, compose, kraus_to_choi
+from .channels import ChannelError, KrausChannel, bloch_transfer, reshuffle
 from .config import SUPP_TOL
 from .sampling import random_full_rank_density, random_pure, rng_from
 
@@ -275,9 +275,10 @@ def eta_tr_upper_minoutev(
 
 
 def lambda_min_choi_of_adjoint_composition(ch: KrausChannel) -> float:
-    """Smallest eigenvalue of the Choi matrix of T^dag o T (exact eigensolve)."""
-    comp = compose(adjoint(ch), ch)
-    return float(kraus_to_choi(comp).eigenvalues()[0])
+    """Smallest eigenvalue of the Choi matrix of T^dag o T, whose transfer
+    matrix is M^dag M for the transfer matrix M of T (exact eigensolve)."""
+    tmat = ch.transfer_matrix()
+    return la.min_eig(reshuffle(la.dag(tmat) @ tmat, ch.in_dim, ch.in_dim))
 
 
 def _choi_bound(lam: float, d: int, n_copies: int = 1) -> float:

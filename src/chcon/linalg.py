@@ -106,15 +106,6 @@ def expi(h: np.ndarray) -> np.ndarray:
     return (v * np.exp(1j * w)) @ dag(v)
 
 
-def vec_row(k: np.ndarray) -> np.ndarray:
-    """Row-major flattening; matches the out-(x)-in Choi index convention."""
-    return k.reshape(-1)
-
-
-def unvec_row(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    return v.reshape(rows, cols)
-
-
 def su2_from_rotation(r: np.ndarray) -> np.ndarray:
     """SU(2) element whose Bloch-sphere conjugation action equals ``r``.
 
@@ -143,15 +134,6 @@ def su2_from_rotation(r: np.ndarray) -> np.ndarray:
     if np.real(np.trace(u)) < 0:
         u = -u
     return u
-
-
-def rotation_from_su2(u: np.ndarray) -> np.ndarray:
-    """SO(3) matrix of the Bloch action rho -> u rho u^dag."""
-    r = np.empty((3, 3))
-    for j, pj in enumerate(PAULIS[1:]):
-        for k, pk in enumerate(PAULIS[1:]):
-            r[j, k] = 0.5 * np.real(np.trace(pj @ u @ pk @ dag(u)))
-    return r
 
 
 def bloch_state(r) -> np.ndarray:

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import linalg as la
 from .channels import ChannelError, DensityState, KrausChannel, check_density_stack
-from .config import PSD_TOL, TP_TOL
+from .config import DIM_CAP, PSD_TOL, TP_TOL
 from .contraction import eta_chi_lower, eta_tr_upper_minoutev
 from .divergences import chi2_divergence
 from .sampling import random_pure, rng_from
@@ -204,8 +204,8 @@ def ppt_min_eigenvalue(s: BipartiteState) -> float:
 
 
 def _check_desk_scale(s: BipartiteState):
-    if s.dim_a * s.dim_b > 16:
-        raise ChannelError("separability machinery capped at total dimension 16")
+    if s.dim_a * s.dim_b > DIM_CAP:
+        raise ChannelError(f"separability machinery capped at total dimension {DIM_CAP}")
 
 
 def _method_tag(dim_a: int, dim_b: int) -> str:

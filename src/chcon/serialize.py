@@ -14,6 +14,7 @@ import math
 import numpy as np
 
 from .channels import ChannelError, KrausChannel, preset
+from .config import DIM_CAP
 from .contraction import ContractionReport, OrthogonalPair, StatePair
 from .separability import BipartiteState, CcQqState, SeparableChannel, make_separable_channel
 from .decompose import PConstantReport
@@ -38,23 +39,28 @@ def vector_to_json(v: np.ndarray) -> list:
 
 def channel_from_json(obj: dict) -> KrausChannel:
     """Parse either a preset spec {"preset": ..., params} or an explicit
-    Kraus list {"in_dim", "out_dim", "kraus": [...]}."""
+    Kraus list {"in_dim", "out_dim", "kraus": [...]}.  Input and output
+    dimensions above ``DIM_CAP`` are rejected."""
     if not isinstance(obj, dict):
         raise ChannelError("channel spec must be a JSON object")
     if "preset" in obj:
         params = {k: v for k, v in obj.items() if k != "preset"}
         if "matrix" in params:
             params["matrix"] = matrix_from_json(params["matrix"])
-        return preset(obj["preset"], **params)
-    if "kraus" not in obj:
+        ch = preset(obj["preset"], **params)
+    elif "kraus" in obj:
+        ch = KrausChannel.from_kraus([matrix_from_json(k) for k in obj["kraus"]])
+        for key in ("in_dim", "out_dim"):
+            if key in obj and obj[key] != getattr(ch, key):
+                raise ChannelError(
+                    f"channel spec {key}={obj[key]} disagrees with Kraus shape {getattr(ch, key)}"
+                )
+    else:
         raise ChannelError("channel spec needs either 'preset' or 'kraus'")
-    ops = [matrix_from_json(k) for k in obj["kraus"]]
-    ch = KrausChannel.from_kraus(ops)
-    for key in ("in_dim", "out_dim"):
-        if key in obj and obj[key] != getattr(ch, key):
-            raise ChannelError(
-                f"channel spec {key}={obj[key]} disagrees with Kraus shape {getattr(ch, key)}"
-            )
+    if max(ch.in_dim, ch.out_dim) > DIM_CAP:
+        raise ChannelError(
+            f"channel dimensions {ch.in_dim} -> {ch.out_dim} exceed the desk-scale cap of {DIM_CAP}"
+        )
     return ch
 
 

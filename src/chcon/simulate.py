@@ -20,7 +20,6 @@ from numbers import Real
 
 import numpy as np
 
-from . import linalg as la
 from .channels import ChannelError, KrausChannel, check_density_stack
 from .config import CHISEP_THRESHOLD, MAX_BLOCKS, QUBIT_CAP, TP_TOL
 from .decompose import p_constant
@@ -164,10 +163,11 @@ def apply_iid_noise(state: CcQqState, noise: KrausChannel, layout: RegisterLayou
     """One round of the i.i.d. noise: the single-qubit channel acts on every
     qubit in every block; classical labels and probabilities are untouched.
 
-    The noise's superoperator ``S[a, b, c, e] = sum_k K[a, c] conj(K[b, e])``
-    is built once and contracted with each qubit's (row, column) axis pair
-    of the ``(B, d, d)`` block stack: ``n`` tensordots per call, whatever
-    the block and Kraus counts.  The result is validated as one stack.
+    The noise's transfer matrix, reshaped to ``S[a, b, c, e]`` with
+    ``T(X)[a, b] = sum_ce S[a, b, c, e] X[c, e]``, is contracted with each
+    qubit's (row, column) axis pair of the ``(B, d, d)`` block stack: ``n``
+    tensordots per call, whatever the block and Kraus counts.  The result
+    is validated as one stack.
     """
     if not noise.is_qubit():
         raise ChannelError("noise must be a qubit channel")
@@ -175,8 +175,7 @@ def apply_iid_noise(state: CcQqState, noise: KrausChannel, layout: RegisterLayou
     d = state.dim_a * state.dim_b
     if d != 2**n:
         raise ChannelError("state dimension does not match the layout")
-    kraus = np.asarray(noise.kraus)
-    sup = np.einsum("kac,kbe->abce", kraus, kraus.conj())
+    sup = noise.transfer_matrix().reshape(2, 2, 2, 2)
     count = len(state.blocks)
     t = state.rho_stack().reshape((count,) + (2,) * (2 * n))
     for q in range(n):
@@ -188,12 +187,6 @@ def apply_iid_noise(state: CcQqState, noise: KrausChannel, layout: RegisterLayou
     return CcQqState.from_checked_stack(
         state.dim_a, state.dim_b, labels, [b.prob for b in state.blocks], rhos
     )
-
-
-def _apply_kraus_stack(kraus, rhos: np.ndarray) -> np.ndarray:
-    """``sum_k K rho K^dag`` for every matrix of a ``(B, d, d)`` stack."""
-    ks = np.asarray(kraus)[:, None]
-    return (ks @ rhos[None] @ la.dag(ks)).sum(axis=0)
 
 
 def _merge_checked(dim_a: int, dim_b: int, labels, probs, rhos: np.ndarray) -> CcQqState:
@@ -234,7 +227,7 @@ def _check_gate_input(channel, dim_a: int, dim_b: int) -> None:
 
 def _apply_gate_layer(state: CcQqState, layer: GateLayer) -> CcQqState:
     """Apply each distinct channel (the layer's, or a label's control) to its
-    group of blocks with one batched Kraus product."""
+    group of blocks with one stacked ``apply``."""
     out_a, out_b = state.dim_a, state.dim_b
     if isinstance(layer.channel, SeparableChannel):
         out_a, out_b = layer.channel.a_out, layer.channel.b_out
@@ -254,7 +247,7 @@ def _apply_gate_layer(state: CcQqState, layer: GateLayer) -> CcQqState:
             _check_gate_input(channel, state.dim_a, state.dim_b)
             if isinstance(channel, SeparableChannel):
                 channel = channel.channel
-            result = _apply_kraus_stack(channel.kraus, rhos[idx])
+            result = channel.apply(rhos[idx])
         if result.shape[1:] != (d_out, d_out):
             raise ChannelError("block dimension mismatch")
         out[idx] = result
@@ -294,7 +287,7 @@ def _apply_instrument_layer(
         raise ChannelError("instrument outcomes do not sum to a trace-preserving map")
     rhos = state.rho_stack()
     # (outcome, block) stacks of the unnormalised post-measurement states.
-    posts = np.stack([_apply_kraus_stack(ops, rhos) for _, ops in layer.outcomes])
+    posts = np.stack([KrausChannel.from_kraus(ops).apply(rhos) for _, ops in layer.outcomes])
     p_outs = np.trace(posts, axis1=-2, axis2=-1).real
     labels, probs, o_idx, b_idx = [], [], [], []
     for i, blk in enumerate(state.blocks):
@@ -453,7 +446,6 @@ def doubled_memory_experiment(
     input_state: BipartiteState,
     gate: KrausChannel | None = None,
     p_value: float | None = None,
-    unital_noise: bool | None = None,
     sep_cfg: SepConfig | None = None,
     seed: int = 0,
 ) -> TrajectoryReport:
@@ -479,8 +471,7 @@ def doubled_memory_experiment(
         raise ChannelError("input state must hold n qubits per side")
     if gate is None:
         gate = KrausChannel.from_kraus([np.eye(2**n)])
-    if unital_noise is None:
-        unital_noise = noise.is_unital()
+    unital_noise = noise.is_unital()
     if p_value is None:
         p_value = p_constant(noise, seed=seed).p
     elif isinstance(p_value, bool) or not isinstance(p_value, Real) or not 0.0 < p_value <= 1.0:

@@ -290,12 +290,12 @@ def _bell() -> BipartiteState:
     return BipartiteState.from_matrix(bell_state().matrix, 2, 2)
 
 
-def _trajectory_checks(index, noise, steps, cfg, p_value=None, unital=None):
+def _trajectory_checks(index, noise, steps, cfg, p_value=None):
     """Run one doubled-memory trajectory; return its report and a (record,
     violates) pair for every step's contraction factor and for the endgame
     distance, which also violates when its solver did not converge."""
     rep = doubled_memory_experiment(
-        1, noise, steps, _bell(), p_value=p_value, unital_noise=unital,
+        1, noise, steps, _bell(), p_value=p_value,
         sep_cfg=SepConfig(seed=cfg.seed), seed=cfg.seed,
     )
     context = {
@@ -330,9 +330,9 @@ def suite_doubled_unital(cfg: VerifyConfig) -> SuiteReport:
     violations = []
     for i in range(n):
         noise = random_unital_qubit_channel(rng_from(cfg.seed, i), max_weight=0.95)
-        _, checks = _trajectory_checks(i, noise, DOUBLED_STEPS, cfg, unital_split(noise).p1, True)
+        _, checks = _trajectory_checks(i, noise, DOUBLED_STEPS, cfg, unital_split(noise).p1)
         violations += _failing(checks)
-    pinned, checks = _trajectory_checks("depolarizing(0.25)", depolarizing(0.25), 10, cfg, 0.375, True)
+    pinned, checks = _trajectory_checks("depolarizing(0.25)", depolarizing(0.25), 10, cfg, 0.375)
     violations += _failing(checks)
     return _report(
         "doubled-contraction-unital", cfg, n + 1, violations,
@@ -353,7 +353,7 @@ def suite_doubled_nonunital(cfg: VerifyConfig) -> SuiteReport:
     for i in range(n):
         noise = random_nonunital_qubit_channel(rng_from(cfg.seed, 10_000 + i), min_nonunitality=0.05)
         p = p_constant(noise, candidates=32, eb_candidates=16, seed=cfg.seed + i).p
-        _, checks = _trajectory_checks(i, noise, DOUBLED_STEPS, cfg, p, False)
+        _, checks = _trajectory_checks(i, noise, DOUBLED_STEPS, cfg, p)
         violations += _failing(checks)
     pinned, checks = _trajectory_checks("amplitude_damping(0.3)", amplitude_damping(0.3), 10, cfg)
     violations += _failing(checks)
@@ -605,7 +605,7 @@ def replay_violation(suite: str, violation: dict, config: dict) -> dict:
         )
     elif suite in ("doubled-contraction-unital", "doubled-contraction-nonunital"):
         _, checks = _trajectory_checks(
-            v["index"], _kraus_from_json(v), int(v["steps"]), cfg, float(v["p_value"]), bool(v["unital"])
+            v["index"], _kraus_from_json(v), int(v["steps"]), cfg, float(v["p_value"])
         )
         record, violates = _same_check(checks, v, ("step",))
     elif suite == "ccqq-formula":

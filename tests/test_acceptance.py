@@ -81,12 +81,12 @@ def doubled_runs():
     t0 = time.monotonic()
     cfg = SepConfig(seed=SEED)
     dep = doubled_memory_experiment(
-        1, depolarizing(0.25), 10, _bell(), p_value=0.375, unital_noise=True,
+        1, depolarizing(0.25), 10, _bell(), p_value=0.375,
         sep_cfg=cfg, seed=SEED,
     )
     p2 = p2_certificate(amplitude_damping(0.3), candidates=16, seed=SEED).p2_lower
     ad = doubled_memory_experiment(
-        1, amplitude_damping(0.3), 10, _bell(), p_value=p2, unital_noise=False,
+        1, amplitude_damping(0.3), 10, _bell(), p_value=p2,
         sep_cfg=cfg, seed=SEED,
     )
     return dep, ad, p2, time.monotonic() - t0

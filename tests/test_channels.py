@@ -15,6 +15,7 @@ from chcon.channels import (
     bell_state,
     bloch_transfer,
     canonical_kraus,
+    channel_from_bloch_transfer,
     choi_distance,
     choi_to_kraus,
     completely_depolarizing,
@@ -33,6 +34,7 @@ from chcon.channels import (
     unitary_channel,
     validate_channel,
 )
+from chcon.contraction import lambda_min_choi_of_adjoint_composition
 from chcon.sampling import random_channel, random_pure
 
 from conftest import seeded
@@ -235,7 +237,53 @@ class TestSu2FromRotation:
         for r in _rotations():
             u = la.su2_from_rotation(r)
             assert np.allclose(la.dag(u) @ u, np.eye(2), atol=1e-12)
-            assert np.abs(la.rotation_from_su2(u) - r).max() < 1e-12
+            t, m = bloch_transfer(unitary_channel(u))
+            assert np.abs(t).max() < 1e-12
+            assert np.abs(m - r).max() < 1e-12
+
+
+def _random_channels():
+    """200 random channels alternating between qubits and qutrits."""
+    return [random_channel(seeded(79, i), 2 + i % 2) for i in range(200)]
+
+
+class TestRepresentationLayer:
+    """Every form read off ``transfer_matrix`` against an independent route."""
+
+    def test_choi_matches_its_definition(self):
+        for ch in _random_channels():
+            assert np.abs(kraus_to_choi(ch).matrix - brute_force_choi(ch)).max() < 1e-12
+
+    def test_adjoint_composition_choi_matches_kraus_composition(self):
+        for ch in _random_channels():
+            reference = kraus_to_choi(compose(adjoint(ch), ch))
+            lam = lambda_min_choi_of_adjoint_composition(ch)
+            assert abs(lam - reference.eigenvalues()[0]) < 1e-12
+
+    def test_bloch_transfer_matches_pauli_traces(self):
+        for ch in _random_channels()[::2]:
+            t, m = bloch_transfer(ch)
+            paulis = la.PAULIS[1:]
+            t_ref = [0.5 * np.trace(p @ ch.apply(la.I2)).real for p in paulis]
+            m_ref = [[0.5 * np.trace(p @ ch.apply(q)).real for q in paulis] for p in paulis]
+            assert np.abs(t - t_ref).max() < 1e-12
+            assert np.abs(m - m_ref).max() < 1e-12
+
+    def test_bloch_round_trip(self):
+        for ch in (random_channel(seeded(81, i), 2) for i in range(200)):
+            t, m = bloch_transfer(ch)
+            t2, m2 = bloch_transfer(channel_from_bloch_transfer(t, m))
+            assert np.abs(t2 - t).max() < 1e-12
+            assert np.abs(m2 - m).max() < 1e-12
+
+    def test_stacked_apply_is_per_matrix_apply(self):
+        for i, ch in enumerate(_random_channels()):
+            rng = seeded(80, i)
+            d = ch.in_dim
+            rhos = rng.normal(size=(5, d, d)) + 1j * rng.normal(size=(5, d, d))
+            stacked = ch.apply(rhos)
+            assert stacked.shape == (5, ch.out_dim, ch.out_dim)
+            assert stacked.tobytes() == np.stack([ch.apply(r) for r in rhos]).tobytes()
 
 
 class TestAlgebra:

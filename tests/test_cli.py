@@ -45,10 +45,12 @@ class TestAnalyze:
         ({"preset": "depolarizing", "p": "abc"}, "preset 'depolarizing' has a malformed parameter"),
         ({"preset": "identity", "dim": 0}, "empty space"),
         ({"kraus": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]], "in_dim": "x"}, "disagrees"),
-    ], ids=["preset-parameter", "zero-dimension", "dimension-type"])
+        ({"preset": "identity", "dim": 17}, "exceed the desk-scale cap of 16"),
+    ], ids=["preset-parameter", "zero-dimension", "dimension-type", "above-dimension-cap"])
     def test_malformed_channel_spec_exits_two(self, tmp_path, spec, message):
         (tmp_path / "bad.json").write_text(json.dumps(spec))
-        res = run_cli("analyze", str(tmp_path / "bad.json"))
+        # The spec is rejected before any analysis runs.
+        res = run_cli("analyze", str(tmp_path / "bad.json"), timeout=30)
         assert res.returncode == 2, res.stderr
         assert res.stderr.startswith("chcon: error:") and message in res.stderr
         assert "Traceback" not in res.stderr
@@ -249,8 +251,23 @@ class TestSimulate:
         ({"n": 1, "steps": 1, "p": "abc", "noise": {"preset": "depolarizing", "p": 0.2}},
          ["--doubled"]),
         ({"layers": [], "noise": {"preset": "depolarizing", "p": "abc"}}, []),
+        # Counts must be integral: these were truncated or read as 1.
+        ({"layout": {"qubits": [{"label": "q"}], "classical": [{"label": "c", "size": 2.5}]},
+          "noise": {"preset": "identity"}}, []),
+        ({"layout": {"qubits": [{"label": "q"}], "classical": [{"label": "c", "size": True}]},
+          "noise": {"preset": "identity"}}, []),
+        ({"n": 1.5, "steps": 1, "p": 0.1, "noise": {"preset": "depolarizing", "p": 0.2}},
+         ["--doubled"]),
+        ({"n": True, "steps": 1, "p": 0.1, "noise": {"preset": "depolarizing", "p": 0.2}},
+         ["--doubled"]),
+        ({"n": 1, "steps": 1.5, "p": 0.1, "noise": {"preset": "depolarizing", "p": 0.2}},
+         ["--doubled"]),
+        ({"n": 1, "steps": True, "p": 0.1, "noise": {"preset": "depolarizing", "p": 0.2}},
+         ["--doubled"]),
     ], ids=["list", "list-doubled", "layer-not-object", "register-size", "doubled-n",
-            "doubled-p", "noise-parameter"])
+            "doubled-p", "noise-parameter", "register-size-fraction", "register-size-boolean",
+            "doubled-n-fraction", "doubled-n-boolean", "doubled-steps-fraction",
+            "doubled-steps-boolean"])
     def test_malformed_description_exits_two(self, tmp_path, spec, extra):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(spec))
@@ -258,6 +275,14 @@ class TestSimulate:
         assert res.returncode == 2, res.stderr
         assert res.stderr.startswith("chcon: error: bad circuit description")
         assert "Traceback" not in res.stderr
+
+    def test_integral_float_count_runs(self, tmp_path):
+        spec = {"n": 1.0, "steps": 2.0, "p": 0.375, "noise": {"preset": "depolarizing", "p": 0.25}}
+        path = tmp_path / "doubled.json"
+        path.write_text(json.dumps(spec))
+        res = run_cli("simulate", str(path), "--doubled")
+        assert res.returncode == 0, res.stderr
+        assert json.loads(res.stdout.splitlines()[-1])["length"] == 2
 
 
 class TestVerify:
@@ -394,9 +419,23 @@ def test_analyze_and_bound_import_no_scipy(spec_dir):
     ("--trials", "0", "restarts and trials must be positive"),
 ])
 def test_run_setting_range_checks(flag, value, message):
-    res = run_cli("bound", "--p", "0.5", "--n", "1", "--log2-T", "40", flag, value)
+    # bound reads --seed and --restarts; --trials is checked on verify, which reads it.
+    cmd = ("verify", "overhead-calculator") if flag == "--trials" else (
+        "bound", "--p", "0.5", "--n", "1", "--log2-T", "40")
+    res = run_cli(*cmd, flag, value)
     assert res.returncode == 2
     assert message in res.stderr
+
+
+@pytest.mark.parametrize("cmd, flag", [
+    (("simulate", "circuit.json"), "--trials"),
+    (("simulate", "circuit.json"), "--restarts"),
+    (("bound", "--p", "0.5", "--n", "1", "--log2-T", "40"), "--trials"),
+])
+def test_subcommands_reject_flags_they_do_not_read(cmd, flag):
+    res = run_cli(*cmd, flag, "3")
+    assert res.returncode == 2
+    assert f"unrecognized arguments: {flag}" in res.stderr
 
 
 class TestDeterminism:

@@ -17,6 +17,7 @@ from chcon.channels import (
     is_unitary_channel,
     unitary_channel,
 )
+from chcon.config import DIM_CAP
 from chcon.contraction import eta_tr, eta_tr_upper_minoutev
 from chcon.decompose import p_constant
 from chcon.sampling import random_channel, random_density
@@ -71,6 +72,13 @@ class TestChannels:
     def test_missing_fields_rejected(self):
         with pytest.raises(ChannelError, match="preset' or 'kraus"):
             ser.channel_from_json({"dims": 2})
+
+    def test_dimension_cap(self):
+        assert ser.channel_from_json({"preset": "identity", "dim": DIM_CAP}).in_dim == DIM_CAP
+        # A preparation channel from a 1-dimensional input onto 17 levels.
+        prep = {"kraus": [ser.matrix_to_json(np.eye(DIM_CAP + 1, 1))]}
+        with pytest.raises(ChannelError, match="1 -> 17 exceed"):
+            ser.channel_from_json(prep)
 
 
 class TestStates:

@@ -38,13 +38,13 @@ def _first_sep_step(cfg):
 
 def _unital_trajectory(cfg):
     noise = random_unital_qubit_channel(rng_from(cfg.seed, 0), max_weight=0.95)
-    return V._trajectory_checks(0, noise, 2, cfg, unital_split(noise).p1, True)[1]
+    return V._trajectory_checks(0, noise, 2, cfg, unital_split(noise).p1)[1]
 
 
 def _nonunital_trajectory(cfg):
     noise = random_nonunital_qubit_channel(rng_from(cfg.seed, 10_000), min_nonunitality=0.05)
     p = p_constant(noise, candidates=8, eb_candidates=4, seed=cfg.seed).p
-    return V._trajectory_checks(0, noise, 2, cfg, p, False)[1]
+    return V._trajectory_checks(0, noise, 2, cfg, p)[1]
 
 
 # Every kind of record each suite writes, for seeded instances.
@@ -63,7 +63,7 @@ SEEDED_CHECKS = {
     ],
     "doubled-contraction-unital": lambda cfg: (
         _unital_trajectory(cfg)
-        + V._trajectory_checks("depolarizing(0.6)", depolarizing(0.6), 2, cfg, 0.9, True)[1]
+        + V._trajectory_checks("depolarizing(0.6)", depolarizing(0.6), 2, cfg, 0.9)[1]
     ),
     "doubled-contraction-nonunital": lambda cfg: (
         _nonunital_trajectory(cfg)
@@ -119,13 +119,13 @@ def test_unconverged_endgame_dsep_violates(monkeypatch):
                            iterations=3000, converged=False)
     monkeypatch.setattr(chcon.simulate, "dsep", lambda s: stub)
     cfg = V.VerifyConfig(seed=SEED)
-    rep, checks = V._trajectory_checks("stub", completely_depolarizing(), 1, cfg, 1.0, True)
+    rep, checks = V._trajectory_checks("stub", completely_depolarizing(), 1, cfg, 1.0)
     assert rep.endgame_dsep == 0.01 and rep.endgame_dsep_converged is False
     [(record, violates)] = [(r, bad) for r, bad in checks if "endgame_dsep" in r]
     assert record["endgame_dsep"] == 0.01 and record["endgame_dsep_converged"] is False
     assert violates
     monkeypatch.undo()
-    rep, checks = V._trajectory_checks("real", completely_depolarizing(), 1, cfg, 1.0, True)
+    rep, checks = V._trajectory_checks("real", completely_depolarizing(), 1, cfg, 1.0)
     assert rep.endgame_dsep_converged is True
     assert not any(bad for r, bad in checks if "endgame_dsep" in r)
 
