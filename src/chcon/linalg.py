@@ -74,16 +74,20 @@ def partial_transpose(rho: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
     return t.swapaxes(-3, -1).reshape(rho.shape)
 
 
-def simplex_project(y: np.ndarray) -> np.ndarray:
-    """Euclidean projection of a real vector onto the probability simplex."""
+def simplex_shift(y: np.ndarray) -> float:
+    """The shift theta with ``(y - theta)_+`` the Euclidean projection of a
+    real vector onto the probability simplex."""
     u = np.sort(y)[::-1]
     css = np.cumsum(u) - 1.0
     idx = np.arange(1, len(y) + 1)
     cond = u - css / idx > 0
     cond[0] = True  # mathematically guaranteed; guards float collapse at huge scales
-    rho = idx[cond][-1]
-    theta = css[cond][-1] / rho
-    return np.clip(y - theta, 0.0, None)
+    return css[cond][-1] / idx[cond][-1]
+
+
+def simplex_project(y: np.ndarray) -> np.ndarray:
+    """Euclidean projection of a real vector onto the probability simplex."""
+    return np.clip(y - simplex_shift(y), 0.0, None)
 
 
 def density_project(a: np.ndarray) -> np.ndarray:

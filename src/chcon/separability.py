@@ -10,10 +10,14 @@ the chi-square solvers share one path: one stacked value-and-gradient
 kernel, one closed-form projection (:func:`project_pt_trace`, a matrix or a
 stack of blocks with a joint trace) and one barrier driver
 (:func:`_min_chi2`) that keeps the best barrier-free stage value.  chisep
-calls the driver on one block per start; the cc-qq block-diagonal
-cross-check calls it once on all blocks.  Each reports its objective at a
-feasible point.  From the separable side, conditional-gradient steps over
-pure product states build explicit ensembles, whose values are upper bounds.
+runs it on one block from the maximally mixed state and certifies the
+result with a convex-duality lower bound (:func:`_chi2_lower`, whose
+partial-transpose multiplier comes from the same eigen-step as the
+projection); a second start from the separable twirl runs only when that
+duality gap stays open.  The cc-qq block-diagonal cross-check runs it once
+on all blocks.  Each reports its objective at a feasible point.
+From the separable side, conditional-gradient steps over pure product states
+build explicit ensembles, whose values are upper bounds.
 """
 
 from __future__ import annotations
@@ -41,6 +45,15 @@ ADMM_ITERS = 3000
 BARRIER_STAGES = (1e-4, 1e-6, 1e-8, 1e-10, 1e-12)
 # Weight of the identity in the separable twirl that warm-starts chisep.
 TWIRL_MIX = 0.1
+# Duality gap, relative to max(1, value), up to which chisep's first start is
+# certified optimal and the twirl start is skipped.
+CHISEP_GAP_TOL = 1e-9
+# Steps alpha of the projected-gradient map whose PSD multiplier, over
+# alpha, is tried as the partial-transpose dual of chisep's lower bound.
+CERT_STEPS = (1.0, 0.1, 0.01)
+# Rounding margin of that lower bound, in units of d * eps times its scale.
+CERT_MARGIN_ULPS = 64.0
+EPS = float(np.finfo(float).eps)
 # Restarts and alternating sweeps of the pure-product linear oracle.
 ORACLE_RESTARTS = 6
 ORACLE_SWEEPS = 12
@@ -175,19 +188,31 @@ class SepApproxResult:
 class SepConfig:
     """Settings of the separability optimizers.
 
-    max_iter:  iteration cap shared by the barrier stages of the chi-square
-               solvers (default 10k)
+    max_iter:  iteration cap shared by the barrier stages of one chi-square
+               solver run (default 10k); chisep's twirl start, when it
+               runs, gets its own
     obj_tol:   objective-decrease tolerance of those solvers (default 1e-8)
     seed:      seed of the conditional-gradient oracle restarts and of the
                contraction estimates in :func:`verify_contraction_step`
     fw_iters:  conditional-gradient steps of the separable-ensemble bounds
                (default 120)
+
+    ``max_iter`` and ``fw_iters`` must be integers >= 1 (not booleans) and
+    ``obj_tol`` finite and > 0; anything else raises ``ChannelError``.
     """
 
     max_iter: int = 10000
     obj_tol: float = 1e-8
     seed: int = 0
     fw_iters: int = 120
+
+    def __post_init__(self):
+        for name in ("max_iter", "fw_iters"):
+            n = getattr(self, name)
+            if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+                raise ChannelError(f"{name} must be an integer >= 1, got {n!r}")
+        if not (math.isfinite(self.obj_tol) and self.obj_tol > 0):
+            raise ChannelError(f"obj_tol must be finite and > 0, got {self.obj_tol!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +300,19 @@ def _interior_chi2(taus: np.ndarray, weights: np.ndarray, mu: float):
 # ---------------------------------------------------------------------------
 
 
+def _pt_eig_step(x: np.ndarray, dim_a: int, dim_b: int):
+    """Eigendecomposition ``(w, v)`` of x^PT (batched over a stack) and the
+    simplex shift ``theta`` of all its eigenvalues jointly.
+
+    x^PT - theta I splits as ``v diag((w - theta)_+) v^dag``, its projection
+    onto the (block-diagonal) density matrices, minus
+    ``N = v diag((theta - w)_+) v^dag``, the PSD multiplier of that
+    projection.
+    """
+    w, v = np.linalg.eigh(la.partial_transpose(la.herm_part(np.asarray(x)), dim_a, dim_b))
+    return w, v, la.simplex_shift(w.reshape(-1))
+
+
 def project_pt_trace(x: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
     """Exact projection of a matrix onto {Tr x = 1, x^PT >= 0}, or of an
     ``(n, d, d)`` stack onto {sum_k Tr x_k = 1, every x_k^PT >= 0}.
@@ -284,8 +322,8 @@ def project_pt_trace(x: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
     density matrices.  Their projection is one batched eigendecomposition
     with the eigenvalues of all blocks projected jointly onto the simplex.
     """
-    w, v = np.linalg.eigh(la.partial_transpose(la.herm_part(np.asarray(x)), dim_a, dim_b))
-    w = la.simplex_project(w.reshape(-1)).reshape(w.shape)
+    w, v, theta = _pt_eig_step(x, dim_a, dim_b)
+    w = np.clip(w - theta, 0.0, None)
     return la.partial_transpose((v * w[..., None, :]) @ la.dag(v), dim_a, dim_b)
 
 
@@ -466,14 +504,52 @@ def _min_chi2(taus, weights, x0, dim_a: int, dim_b: int, cfg: SepConfig):
     return max(best_val, 0.0), best_x, total_iters, converged
 
 
+def _chi2_lower(tau: np.ndarray, sigma: np.ndarray, dim_a: int, dim_b: int) -> float:
+    """Certified lower bound on min chi2(tau, rho) over density matrices rho
+    with rho^PT >= 0, from the convexity of chi2(tau, .) at ``sigma``.
+
+    With f and G the value and gradient at sigma > 0, and any Y >= 0,
+
+        chi2(tau, rho) >= f - <G, sigma> + <G - Y^PT, rho>
+                       >= f - <G, sigma> + lambda_min(G - Y^PT),
+
+    because <Y^PT, rho> = <Y, rho^PT> >= 0 and Tr rho = 1.  chi2(tau, .) + 1
+    is homogeneous of degree -1, so f - <G, sigma> = 2 f + 1 (Euler), exact
+    at the matrix that the computed eigendecomposition of sigma represents.
+    Y is the multiplier N of the projection of (sigma - alpha G)^PT, over
+    alpha, for each alpha in ``CERT_STEPS``; at a minimizer the bound equals
+    f.  The best value is lowered by a margin for the rounding of the
+    eigensolves and inner products and clipped at 0.
+    """
+    w, v = np.linalg.eigh(sigma)
+    if w[0] <= 0.0:
+        return 0.0
+    values, grads = _chi2_value_grad(tau[None], w[None], v[None])
+    f, g = float(values[0]), grads[0]
+    ulp = CERT_MARGIN_ULPS * len(w) * EPS
+    dual = -math.inf
+    for alpha in CERT_STEPS:
+        wp, vp, theta = _pt_eig_step(sigma - alpha * g, dim_a, dim_b)
+        y = (vp * (np.clip(theta - wp, 0.0, None) / alpha)) @ la.dag(vp)
+        lam = float(np.linalg.eigvalsh(g - la.partial_transpose(y, dim_a, dim_b))[0])
+        dual = max(dual, lam - ulp * float(np.linalg.norm(y)))
+    roots = math.sqrt(max(f + 1.0, 0.0)) * float(np.sum(w**-0.5))
+    scale = abs(f) + 1.0 + float(np.linalg.norm(g)) + roots
+    return max(2.0 * f + 1.0 + dual - ulp * scale, 0.0)
+
+
 def chisep(s: BipartiteState, cfg: SepConfig = SepConfig()) -> SepApproxResult:
     """Minimum chi-square divergence from ``s`` to the PPT set.
 
     Separable inputs short-circuit to zero (the infimum is attained in the
     closure at the state itself).  Otherwise :func:`_min_chi2` runs from the
-    maximally mixed state and from the input's separable twirl, each start
-    projected once; the lower of the two feasible values is returned, and
-    both are kept in ``extras["start_values"]``.
+    maximally mixed state, and :func:`_chi2_lower` certifies a lower bound at
+    its iterate.  Only while the gap between the value and that bound exceeds
+    ``CHISEP_GAP_TOL * max(1, value)`` does a second run start from the
+    input's separable twirl, certified the same way.  Each start is projected
+    once.  The lowest feasible value and the highest lower bound are
+    returned; ``extras`` hold ``lower``, ``gap``, ``certified`` (gap within
+    the tolerance) and the value of each start that ran (``start_values``).
     """
     _check_desk_scale(s)
     tau = s.matrix
@@ -484,12 +560,19 @@ def chisep(s: BipartiteState, cfg: SepConfig = SepConfig()) -> SepApproxResult:
             value=0.0, minimizer=s.state, method=_method_tag(s.dim_a, s.dim_b),
             iterations=0, converged=True,
             extras={"note": "input is PPT; chi-square distance zero in the closure",
-                    "ppt_min_eig": ppt_min},
+                    "ppt_min_eig": ppt_min, "lower": 0.0, "gap": 0.0, "certified": True},
         )
     dims = (s.dim_a, s.dim_b)
-    starts = np.array([np.eye(d) / d, separable_twirl(tau, *dims)], dtype=complex)
-    runs = [_min_chi2(tau[None], [1.0], project_pt_trace(s0[None], *dims), *dims, cfg) for s0 in starts]
-    value, x, _, _ = min(runs, key=lambda run: run[0])
+    runs, lower = [], 0.0
+    # The twirl is built only if its start runs.
+    for start in (lambda: np.eye(d, dtype=complex) / d, lambda: separable_twirl(tau, *dims)):
+        run = _min_chi2(tau[None], [1.0], project_pt_trace(start()[None], *dims), *dims, cfg)
+        runs.append(run)
+        lower = max(lower, _chi2_lower(tau, run[1][0], *dims))
+        value, x, _, _ = min(runs, key=lambda r: r[0])
+        certified = value - lower <= CHISEP_GAP_TOL * max(1.0, value)
+        if certified:
+            break
     sigma = x[0]
     return SepApproxResult(
         value=value,
@@ -501,6 +584,9 @@ def chisep(s: BipartiteState, cfg: SepConfig = SepConfig()) -> SepApproxResult:
             "final_min_eig_sigma": float(np.linalg.eigvalsh(la.herm_part(sigma))[0]),
             "ppt_min_eig_input": ppt_min,
             "start_values": [run[0] for run in runs],
+            "lower": lower,
+            "gap": value - lower,
+            "certified": certified,
         },
     )
 
@@ -709,22 +795,34 @@ def chisep_ccqq(s: CcQqState, cfg: SepConfig = SepConfig()) -> SepApproxResult:
     state, via per-block values combined as (sum_xy p sqrt(chi+1))^2 - 1.
 
     The optimal block weights q_xy = p sqrt(chi+1) / Z are exposed in the
-    extras for diagnostics.
+    extras for diagnostics.  ``extras["lower"]`` pushes the per-block
+    certified lower bounds of :func:`chisep` through the same formula, which
+    is increasing in each chi, so it is a certified lower bound too once
+    shrunk by the formula's own rounding.
     """
-    per_block = []
+    per_block, per_lower = [], []
     iters = 0
     conv = True
     for blk in s.blocks:
         if blk.prob <= 1e-15:
             per_block.append(0.0)
+            per_lower.append(0.0)
             continue
         res = chisep(BipartiteState.from_matrix(blk.rho, s.dim_a, s.dim_b), cfg)
         per_block.append(res.value)
+        per_lower.append(res.extras["lower"])
         iters += res.iterations
         conv = conv and res.converged
-    z_terms = [blk.prob * math.sqrt(v + 1.0) for blk, v in zip(s.blocks, per_block)]
+
+    def terms(chis):
+        return [blk.prob * math.sqrt(v + 1.0) for blk, v in zip(s.blocks, chis)]
+
+    z_terms = terms(per_block)
     z = sum(z_terms)
     value = max(z * z - 1.0, 0.0)
+    # The roots, products, sum and square round z^2 by under (2B + 5) eps.
+    z_low = sum(terms(per_lower))
+    lower = max(z_low * z_low * (1.0 - 4.0 * (len(s.blocks) + 3) * EPS) - 1.0, 0.0)
     q = [t / z for t in z_terms] if z > 0 else [0.0 for _ in z_terms]
     return SepApproxResult(
         value=float(value),
@@ -732,7 +830,7 @@ def chisep_ccqq(s: CcQqState, cfg: SepConfig = SepConfig()) -> SepApproxResult:
         method=_method_tag(s.dim_a, s.dim_b),
         iterations=iters,
         converged=conv,
-        extras={"per_block": per_block, "q_weights": q},
+        extras={"per_block": per_block, "q_weights": q, "lower": lower},
     )
 
 

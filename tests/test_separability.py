@@ -16,9 +16,10 @@ from chcon.channels import (
     identity_channel,
 )
 from chcon.divergences import chi2_divergence
-from chcon.sampling import haar_unitary, random_channel, random_density, random_pure
+from chcon.sampling import haar_unitary, random_channel, random_density, random_pure, rng_from
 from chcon.separability import (
     _chi2_value_grad,
+    _min_chi2,
     _product_oracle,
     BipartiteState,
     CcQqState,
@@ -309,6 +310,52 @@ class TestChisep:
             res = chisep(werner(w))
             assert res.value == pytest.approx(werner_chisep(w), abs=1e-6)
             assert min(res.extras["start_values"]) == res.value
+            assert res.extras["lower"] <= werner_chisep(w) <= res.value + 1e-6
+
+    def test_bell_certified_from_one_start(self):
+        res = chisep(bell())
+        assert len(res.extras["start_values"]) == 1
+        assert abs(res.value - 1.0) <= 1e-9
+        assert res.extras["lower"] <= 1.0
+        assert res.extras["certified"] is True
+        assert res.extras["gap"] == res.value - res.extras["lower"]
+
+    def test_twirl_start_runs_while_gap_open(self):
+        # On this input the twirl start wins (0.912694 against 0.918901 from I/d).
+        st = BipartiteState.from_matrix(random_density(rng_from(7, 2, 3, 3), 6, 1), 2, 3)
+        res = chisep(st)
+        first, twirl = res.extras["start_values"]
+        assert first == pytest.approx(0.918901, abs=1e-6)
+        assert twirl == pytest.approx(0.912694, abs=1e-6)
+        assert res.value == twirl
+        assert res.extras["certified"] is False
+        assert res.extras["lower"] <= res.value
+
+    @pytest.mark.parametrize("dim_a, dim_b", [(2, 3), (2, 4), (3, 3), (4, 4)])
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_lower_below_both_starts(self, dim_a, dim_b, rank):
+        # Any feasible value bounds the PPT minimum from above, so the
+        # certified lower side must sit below both starts at any budget; a
+        # 500-iteration budget keeps the 4x4 rank-2 inputs to seconds.
+        cfg = SepConfig(obj_tol=1e-6, max_iter=500)
+        d = dim_a * dim_b
+        for i in range(6):
+            tau = random_density(rng_from(7, dim_a, dim_b, i), d, rank)
+            res = chisep(BipartiteState.from_matrix(tau, dim_a, dim_b), cfg)
+            values = list(res.extras["start_values"])
+            if len(values) == 1:
+                start = project_pt_trace(separable_twirl(tau, dim_a, dim_b)[None], dim_a, dim_b)
+                values.append(_min_chi2(tau[None], [1.0], start, dim_a, dim_b, cfg)[0])
+            assert 0.0 < res.extras["lower"] <= min(values)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"max_iter": 0}, {"max_iter": -5}, {"max_iter": True}, {"max_iter": 2.5},
+        {"fw_iters": 0}, {"fw_iters": False},
+        {"obj_tol": float("nan")}, {"obj_tol": float("inf")}, {"obj_tol": 0.0}, {"obj_tol": -1e-8},
+    ])
+    def test_config_rejects_unusable_settings(self, kwargs):
+        with pytest.raises(ChannelError):
+            SepConfig(**kwargs)
 
     def test_dsep_squared_below_chisep(self):
         for i in range(15):
@@ -367,7 +414,9 @@ class TestCcQq:
             st = product_state(seeded(76, b))
             blocks.append(((b,), (b,), 0.5, st.matrix))
         s = CcQqState.from_blocks(2, 2, blocks)
-        assert chisep_ccqq(s).value == pytest.approx(0.0, abs=1e-9)
+        res = chisep_ccqq(s)
+        assert res.value == pytest.approx(0.0, abs=1e-9)
+        assert res.extras["lower"] == 0.0
 
     def test_bell_product_mixture_formula_vs_direct(self):
         prod = product_state(seeded(77))
@@ -403,6 +452,18 @@ class TestCcQq:
             blocks = [((b,), (b,), p[b], random_density(rng, 4)) for b in range(2)]
             s = CcQqState.from_blocks(2, 2, blocks)
             assert chisep_ccqq(s, fast).value <= 3.0 + 1e-6
+
+    def test_lower_below_blockdiag(self):
+        # The block-diagonal minimization is feasible, so its value bounds the
+        # minimum from above and the certified formula lower side from below.
+        for i in range(40):
+            rng = seeded(78, i)
+            p = rng.dirichlet((1, 1))
+            blocks = [((b,), (b,), p[b], random_density(rng, 4)) for b in range(2)]
+            s = CcQqState.from_blocks(2, 2, blocks)
+            formula = chisep_ccqq(s)
+            assert formula.extras["lower"] <= chisep_ccqq_blockdiag(s).value
+            assert formula.extras["lower"] <= formula.value
 
     def test_probability_validation(self):
         with pytest.raises(ChannelError, match="sum"):
