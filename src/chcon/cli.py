@@ -213,7 +213,7 @@ def _layer_from_json(obj):
         return GateLayer(channel=channel, controls=controls)
     if kind == "instrument":
         outcomes = tuple(
-            (int(o["value"]), tuple(ser.matrix_from_json(k) for k in o["kraus"]))
+            (_count(o["value"], "outcome value"), tuple(ser.matrix_from_json(k) for k in o["kraus"]))
             for o in obj["outcomes"]
         )
         return InstrumentLayer(outcomes=outcomes, store=obj["store"])
@@ -337,11 +337,9 @@ def cmd_verify(args) -> int:
             if not isinstance(suite, str) or suite not in SUITES:
                 return _fail(f"replay file names unknown suite {suite!r}")
             try:
-                results = [
-                    replay_violation(suite, v, rep.get("config", {}))
-                    for v in rep.get("violations", [])
-                ]
-            except (KeyError, TypeError) as exc:
+                cfg = VerifyConfig(**rep.get("config", {}))
+                results = [replay_violation(suite, v, cfg) for v in rep.get("violations", [])]
+            except (ChannelError, KeyError, TypeError) as exc:
                 return _fail(f"malformed {suite} record in replay file: {exc}")
             still = [r for r in results if r["still_violates"]]
             docs.append({"suite": suite, "replayed": len(results), "still_violating": len(still),

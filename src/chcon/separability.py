@@ -3,21 +3,19 @@ the classical-quantum block formula for the chi-square distance.
 
 The separable set is represented by the positive-partial-transpose (PPT)
 spectrahedron, which is exact for 2x2 and 2x3 bipartitions and a relaxation
-above; results carry a method tag making the distinction explicit.  Two
-independent routes give the two sides of a sandwich.  Over the PPT set,
-dsep runs a split ADMM whose steps are closed-form density projections, and
-the chi-square solvers share one path: one stacked value-and-gradient
-kernel, one closed-form projection (:func:`project_pt_trace`, a matrix or a
-stack of blocks with a joint trace) and one barrier driver
-(:func:`_min_chi2`) that keeps the best barrier-free stage value.  chisep
+above; results carry a method tag making the distinction explicit.  Over
+the PPT set, dsep runs a split ADMM whose steps are closed-form density
+projections, and the chi-square solvers share one path: one stacked
+value-and-gradient kernel, one closed-form projection
+(:func:`project_pt_trace`, a matrix or a stack of blocks with a joint
+trace) and one barrier driver (:func:`_min_chi2`) that keeps the best
+barrier-free stage value.  chisep
 runs it on one block from the maximally mixed state and certifies the
 result with a convex-duality lower bound (:func:`_chi2_lower`, whose
 partial-transpose multiplier comes from the same eigen-step as the
 projection); a second start from the separable twirl runs only when that
 duality gap stays open.  The cc-qq block-diagonal cross-check runs it once
 on all blocks.  Each reports its objective at a feasible point.
-From the separable side, conditional-gradient steps over pure product states
-build explicit ensembles, whose values are upper bounds.
 """
 
 from __future__ import annotations
@@ -32,11 +30,8 @@ from . import linalg as la
 from .channels import ChannelError, DensityState, KrausChannel, check_density_stack
 from .config import DIM_CAP, PSD_TOL, TP_TOL
 from .contraction import eta_chi_lower, eta_tr_upper_minoutev
-from .divergences import chi2_divergence
-from .sampling import random_pure, rng_from
 
 PPT_EXACT_DIMS = {(2, 2), (2, 3), (3, 2)}
-EIG_FLOOR = 1e-14
 # Proximal step of the split ADMM (the soft threshold of dsep's 1-norm).
 ADMM_STEP = 0.25
 # Iteration cap of the split ADMM.
@@ -54,13 +49,6 @@ CERT_STEPS = (1.0, 0.1, 0.01)
 # Rounding margin of that lower bound, in units of d * eps times its scale.
 CERT_MARGIN_ULPS = 64.0
 EPS = float(np.finfo(float).eps)
-# Restarts and alternating sweeps of the pure-product linear oracle.
-ORACLE_RESTARTS = 6
-ORACLE_SWEEPS = 12
-# Projected-gradient steps of each ensemble-weight polish.
-POLISH_STEPS = 200
-# Ensemble size at which conditional-gradient steps re-polish the weights.
-FW_ATOM_CAP = 64
 
 
 # ---------------------------------------------------------------------------
@@ -192,25 +180,21 @@ class SepConfig:
                solver run (default 10k); chisep's twirl start, when it
                runs, gets its own
     obj_tol:   objective-decrease tolerance of those solvers (default 1e-8)
-    seed:      seed of the conditional-gradient oracle restarts and of the
-               contraction estimates in :func:`verify_contraction_step`
-    fw_iters:  conditional-gradient steps of the separable-ensemble bounds
-               (default 120)
+    seed:      seed of the contraction estimates in
+               :func:`verify_contraction_step`
 
-    ``max_iter`` and ``fw_iters`` must be integers >= 1 (not booleans) and
-    ``obj_tol`` finite and > 0; anything else raises ``ChannelError``.
+    ``max_iter`` must be an integer >= 1 (not a boolean) and ``obj_tol``
+    finite and > 0; anything else raises ``ChannelError``.
     """
 
     max_iter: int = 10000
     obj_tol: float = 1e-8
     seed: int = 0
-    fw_iters: int = 120
 
     def __post_init__(self):
-        for name in ("max_iter", "fw_iters"):
-            n = getattr(self, name)
-            if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-                raise ChannelError(f"{name} must be an integer >= 1, got {n!r}")
+        n = self.max_iter
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+            raise ChannelError(f"max_iter must be an integer >= 1, got {n!r}")
         if not (math.isfinite(self.obj_tol) and self.obj_tol > 0):
             raise ChannelError(f"obj_tol must be finite and > 0, got {self.obj_tol!r}")
 
@@ -592,131 +576,6 @@ def chisep(s: BipartiteState, cfg: SepConfig = SepConfig()) -> SepApproxResult:
 
 
 # ---------------------------------------------------------------------------
-# Pure-product linear oracle and conditional-gradient ensembles
-# ---------------------------------------------------------------------------
-
-
-def _product_oracle(
-    g: np.ndarray, dim_a: int, dim_b: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Approximate argmin over pure product states of Tr(G (rho_a x rho_b))
-    by alternating smallest-eigenvector sweeps, all restarts as one batch;
-    the sweep matrices Tr_B[G (1 x |b><b|)] and Tr_A[G (|a><a| x 1)] are
-    einsum contractions of G as the tensor <i j|G|k l>."""
-    g4 = la.herm_part(g).reshape(dim_a, dim_b, dim_a, dim_b)
-    b = np.array(
-        [np.ones(dim_b, dtype=complex) / math.sqrt(dim_b)]
-        + [random_pure(rng, dim_b) for _ in range(ORACLE_RESTARTS - 1)]
-    )
-    for _ in range(ORACLE_SWEEPS):
-        _, va = np.linalg.eigh(la.herm_part(np.einsum("ijkl,rj,rl->rik", g4, b.conj(), b)))
-        a = va[:, :, 0]
-        wb, vb = np.linalg.eigh(la.herm_part(np.einsum("ijkl,ri,rk->rjl", g4, a.conj(), a)))
-        b = vb[:, :, 0]
-    best = int(np.argmin(wb[:, 0]))
-    return a[best], b[best]
-
-
-def _polish_weights(w: np.ndarray, atoms: np.ndarray, grad_fn):
-    """Simplex-projected gradient on the ensemble weights (atoms fixed).
-
-    Returns the weights above 1e-12 and the mask of the atoms they belong to.
-    """
-    flat = atoms.reshape(len(atoms), -1)
-    w = np.clip(w, 0.0, None)
-    w = w / w.sum()
-    step = 0.5
-    f, g = grad_fn((w @ flat).reshape(atoms.shape[1:]))
-    for _ in range(POLISH_STEPS):
-        gw = np.real(flat @ g.reshape(-1).conj())
-        w_new = la.simplex_project(w - step * gw)
-        f_new, g_new = grad_fn((w_new @ flat).reshape(atoms.shape[1:]))
-        if f_new <= f:
-            w, f, g = w_new, f_new, g_new
-            step *= 1.2
-        else:
-            step *= 0.5
-            if step < 1e-12:
-                break
-    keep = w > 1e-12
-    return w[keep], keep
-
-
-def _frank_wolfe_separable(tau_like_grad, dim_a, dim_b, cfg: SepConfig, seed_salt: int = 77):
-    """Conditional-gradient minimization of a smooth convex objective over
-    the separable set, tracking an explicit product ensemble.
-
-    ``tau_like_grad(sigma) -> (value, grad)`` must be convex in sigma.
-    Starts from the maximally mixed product (I/dA x I/dB).  The ensemble is
-    held as weights over factor stacks (m, dA, dA) and (m, dB, dB) and their
-    (m, D, D) products, so sigma and the weight gradient are one contraction
-    each.  Returns sigma and the ensemble as (weight, rho_A, rho_B) terms.
-    """
-    rng = rng_from(cfg.seed, seed_salt)
-    fa = np.eye(dim_a, dtype=complex)[None] / dim_a
-    fb = np.eye(dim_b, dtype=complex)[None] / dim_b
-    atoms = np.kron(fa[0], fb[0])[None]
-    w = np.ones(1)
-    sigma = atoms[0]
-    _, g = tau_like_grad(sigma)
-    for it in range(cfg.fw_iters):
-        a, b = _product_oracle(g, dim_a, dim_b, rng)
-        rho_a, rho_b = np.outer(a, a.conj()), np.outer(b, b.conj())
-        atom = np.kron(rho_a, rho_b)
-        gap = float(np.real(np.vdot(g, sigma - atom)))
-        if gap < 1e-12:
-            break
-        # Exact-enough 1-D line search on the convex restriction.
-        lo, hi = 0.0, 1.0
-        for _ in range(40):
-            m1 = lo + (hi - lo) / 3
-            m2 = hi - (hi - lo) / 3
-            f1, _ = tau_like_grad((1 - m1) * sigma + m1 * atom)
-            f2, _ = tau_like_grad((1 - m2) * sigma + m2 * atom)
-            if f1 <= f2:
-                hi = m2
-            else:
-                lo = m1
-        gamma = 0.5 * (lo + hi)
-        if gamma <= 1e-14:
-            break
-        w = np.append((1 - gamma) * w, gamma)
-        fa = np.concatenate([fa, rho_a[None]])
-        fb = np.concatenate([fb, rho_b[None]])
-        atoms = np.concatenate([atoms, atom[None]])
-        sigma = (1 - gamma) * sigma + gamma * atom
-        if (it + 1) % 10 == 0 or len(w) > FW_ATOM_CAP:
-            w, keep = _polish_weights(w, atoms, tau_like_grad)
-            fa, fb, atoms = fa[keep], fb[keep], atoms[keep]
-            sigma = np.tensordot(w, atoms, 1)
-        _, g = tau_like_grad(sigma)
-    w, keep = _polish_weights(w, atoms, tau_like_grad)
-    ensemble = [(float(wk), ra, rb) for wk, ra, rb in zip(w, fa[keep], fb[keep])]
-    return np.tensordot(w, atoms[keep], 1), ensemble
-
-
-def chisep_upper_ensemble(s: BipartiteState, cfg: SepConfig = SepConfig()):
-    """Separable-ensemble upper bound on the chi-square distance.
-
-    Returns (value, ensemble); the ensemble is an explicit list of
-    (weight, rho_A, rho_B) product terms certifying the value from the
-    separable side.
-    """
-    _check_desk_scale(s)
-    tau = s.matrix
-
-    def obj(sigma):
-        # Ensemble states may be singular: floor eigenvalues relative to the largest.
-        w, v = np.linalg.eigh(la.herm_part(sigma))
-        w = np.clip(w, max(float(w[-1]), EIG_FLOOR) * EIG_FLOOR, None)
-        values, grads = _chi2_value_grad(tau[None], w[None], v[None])
-        return float(values[0]), grads[0]
-
-    sigma, ensemble = _frank_wolfe_separable(obj, s.dim_a, s.dim_b, cfg)
-    return float(max(chi2_divergence(tau, sigma), 0.0)), ensemble
-
-
-# ---------------------------------------------------------------------------
 # 1-norm distance to the PPT set
 # ---------------------------------------------------------------------------
 
@@ -754,34 +613,6 @@ def dsep(s: BipartiteState) -> SepApproxResult:
         iterations=it,
         converged=converged,
         extras={},
-    )
-
-
-def dsep_upper_ensemble(s: BipartiteState, cfg: SepConfig = SepConfig()):
-    """Certified upper bound on the separable 1-norm distance.
-
-    Decomposes the PPT minimizer into an explicit product ensemble by
-    conditional-gradient Frobenius fitting, then evaluates ||tau - sigma||_1
-    at the ensemble state (any ensemble value upper-bounds the separable
-    minimum).  Returns a SepApproxResult with method ``ensemble_upper_bound``.
-    """
-    _check_desk_scale(s)
-    target = dsep(s).minimizer.matrix
-
-    def obj(sigma):
-        delta = sigma - target
-        return float(np.real(np.vdot(delta, delta))), 2.0 * delta
-
-    sigma, ensemble = _frank_wolfe_separable(obj, s.dim_a, s.dim_b, cfg, seed_salt=78)
-    value = la.trace_norm(s.matrix - sigma)
-    return SepApproxResult(
-        value=float(value),
-        minimizer=DensityState.from_matrix(la.density_project(sigma)),
-        method="ensemble_upper_bound",
-        iterations=len(ensemble),
-        converged=True,
-        extras={"fit_residual_fro": float(np.linalg.norm(sigma - target)),
-                "ensemble": ensemble},
     )
 
 
@@ -946,6 +777,12 @@ def apply_separable_to_ccqq(s: CcQqState, t: SeparableChannel) -> CcQqState:
 # ---------------------------------------------------------------------------
 
 
+class PreconditionError(ChannelError):
+    """The input of :func:`verify_contraction_step` lies within epsilon of
+    the separable set in chi-square distance, where the step bound does not
+    apply."""
+
+
 @dataclass(frozen=True)
 class ContractionStepReport:
     passed: bool
@@ -971,13 +808,14 @@ def verify_contraction_step(
     trace-norm contraction coefficient of ``t`` (which upper-bounds the
     chi-square coefficient, making the right side sound).  The lower
     chi-square coefficient estimate is reported for diagnostics only.  The
-    check passes with 1e-6 slack.
+    check passes with 1e-6 slack.  An input with chi_in below ``epsilon``
+    raises :class:`PreconditionError`.
     """
     if not 0.0 < epsilon < 1.0:
         raise ChannelError("epsilon must lie in (0, 1)")
     chi_in = chisep_ccqq(s, cfg).value
     if chi_in < epsilon:
-        raise ChannelError(
+        raise PreconditionError(
             f"precondition violated: chi-square distance {chi_in:.6f} below epsilon {epsilon}"
         )
     out = apply_separable_to_ccqq(s, t)

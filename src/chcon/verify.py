@@ -22,6 +22,7 @@ from . import linalg as la
 from . import serialize as ser
 from .bounds import CapacityBracket, capacity_bracket, overhead_lower_bound, verify_stability_lemma
 from .channels import (
+    ChannelError,
     KrausChannel,
     bell_state,
     choi_distance,
@@ -45,6 +46,7 @@ from .sampling import (
 from .separability import (
     BipartiteState,
     CcQqState,
+    PreconditionError,
     SepConfig,
     chisep_ccqq,
     chisep_ccqq_blockdiag,
@@ -59,11 +61,32 @@ DOUBLED_STEPS = 5
 STABILITY_STRENGTH = 0.05
 
 
+def _check_int(name: str, n, low: int, high: int | None = None) -> None:
+    """Raises ``ChannelError`` unless ``n`` is a non-boolean integer in [low, high)."""
+    integer = isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+    if not integer or n < low or (high is not None and n >= high):
+        bound = f">= {low}" if high is None else f"in [{low}, {high})"
+        raise ChannelError(f"{name} must be an integer {bound}, got {n!r}")
+
+
 @dataclass(frozen=True)
 class VerifyConfig:
+    """Settings of a suite run, as the CLI takes them or a dump records them.
+
+    ``trials`` (or None, for each suite's default) and ``restarts`` must be
+    integers >= 1 and ``seed`` an integer in [0, 2**64); booleans and
+    anything else raise ``ChannelError``.
+    """
+
     trials: int | None = None
     seed: int = 0
     restarts: int = 12
+
+    def __post_init__(self):
+        if self.trials is not None:
+            _check_int("trials", self.trials, 1)
+        _check_int("seed", self.seed, 0, 2**64)
+        _check_int("restarts", self.restarts, 1)
 
     def n(self, default: int) -> int:
         return self.trials if self.trials is not None else default
@@ -443,7 +466,8 @@ def sep_step_instance(seed: int, index: int):
 
 
 def _check_sep_step(index, state, channel, cfg):
-    """Raises when the instance does not meet the step's chi-square precondition."""
+    """Raises ``PreconditionError`` when the instance does not meet the
+    step's chi-square precondition."""
     rep = verify_contraction_step(state, channel, CHISEP_THRESHOLD, SepConfig(seed=cfg.seed))
     record = {
         "index": index,
@@ -469,7 +493,7 @@ def suite_sep_step(cfg: VerifyConfig) -> SuiteReport:
         attempts += 1
         try:
             checks.append(_check_sep_step(attempts - 1, state, channel, cfg))
-        except Exception:
+        except PreconditionError:
             continue  # precondition not met; draw the next instance
     return _report("sep-step-contraction", cfg, len(checks), _failing(checks),
                    extras={"epsilon": CHISEP_THRESHOLD, "attempts": attempts})
@@ -581,15 +605,14 @@ def _same_check(checks, violation, keys):
     return None, False
 
 
-def replay_violation(suite: str, violation: dict, config: dict) -> dict:
+def replay_violation(suite: str, violation: dict, cfg: VerifyConfig) -> dict:
     """Re-evaluate one dumped counterexample from its embedded witness.
 
     The instance is decoded from the record and run through the suite's own
-    check with the dump's configuration.  Returns the violation dict
+    check with the dump's configuration ``cfg``.  Returns the violation dict
     extended with ``replayed`` (the check's fresh record) and
     ``still_violates`` (its verdict).
     """
-    cfg = VerifyConfig(**config)
     v = violation
     if suite == "trace-chi2":
         record, violates = _check_trace_chi2(

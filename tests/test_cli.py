@@ -119,6 +119,20 @@ class TestBound:
             assert res.stdout == ""
 
 
+def instrument_circuit(value) -> dict:
+    """One qubit measured into a two-valued register, the second outcome
+    stored as ``value``."""
+    return {
+        "layout": {"qubits": [{"label": "q0", "side": "A"}],
+                   "classical": [{"label": "c0", "size": 2, "side": "A"}]},
+        "noise": {"preset": "identity"},
+        "layers": [{"kind": "instrument", "store": "c0", "outcomes": [
+            {"value": 0, "kraus": [[[[1, 0], [0, 0]], [[0, 0], [0, 0]]]]},
+            {"value": value, "kraus": [[[[0, 0], [0, 0]], [[0, 0], [1, 0]]]]},
+        ]}],
+    }
+
+
 class TestSimulate:
     def test_doubled_stream(self, tmp_path):
         (tmp_path / "doubled.json").write_text(json.dumps(
@@ -264,10 +278,12 @@ class TestSimulate:
          ["--doubled"]),
         ({"n": 1, "steps": True, "p": 0.1, "noise": {"preset": "depolarizing", "p": 0.2}},
          ["--doubled"]),
+        (instrument_circuit(1.5), []),
+        (instrument_circuit(True), []),
     ], ids=["list", "list-doubled", "layer-not-object", "register-size", "doubled-n",
             "doubled-p", "noise-parameter", "register-size-fraction", "register-size-boolean",
             "doubled-n-fraction", "doubled-n-boolean", "doubled-steps-fraction",
-            "doubled-steps-boolean"])
+            "doubled-steps-boolean", "outcome-value-fraction", "outcome-value-boolean"])
     def test_malformed_description_exits_two(self, tmp_path, spec, extra):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(spec))
@@ -331,9 +347,17 @@ class TestVerify:
         res = run_cli("verify")
         assert res.returncode == 2
 
+    TRACE_CHI2_RECORD = {"index": 0, "rho": [[[1.0, 0.0]]], "sigma": [[[1.0, 0.0]]]}
+
     @pytest.mark.parametrize("config, record", [
-        ({"seed": 0, "note": 1}, {"index": 0, "rho": [[[1.0, 0.0]]], "sigma": [[[1.0, 0.0]]]}),
+        ({"seed": 0, "note": 1}, TRACE_CHI2_RECORD),
         ({"seed": 0}, {"index": 0}),
+        # The dump's config is held to the CLI's ranges.
+        ({"seed": 0, "restarts": 0}, TRACE_CHI2_RECORD),
+        ({"seed": 0, "restarts": True}, TRACE_CHI2_RECORD),
+        ({"seed": 0, "trials": 1.5}, TRACE_CHI2_RECORD),
+        ({"seed": -1}, TRACE_CHI2_RECORD),
+        ({"seed": 2**64}, TRACE_CHI2_RECORD),
     ])
     def test_malformed_replay_record_exits_two(self, tmp_path, config, record):
         path = tmp_path / "dump.json"
@@ -341,6 +365,19 @@ class TestVerify:
         res = run_cli("verify", "--replay", str(path))
         assert res.returncode == 2
         assert "malformed trace-chi2 record" in res.stderr
+        assert "Traceback" not in res.stderr
+
+    def test_replay_checks_config_without_violations(self, tmp_path):
+        dump = tmp_path / "eta.json"
+        assert run_cli("verify", "eta-upper", "--trials", "1", "--out", str(dump)).returncode == 0
+        doc = json.loads(dump.read_text())
+        assert doc["violations"] == []
+        doc["config"]["restarts"] = 0
+        dump.write_text(json.dumps(doc))
+        res = run_cli("verify", "--replay", str(dump))
+        assert res.returncode == 2
+        assert "restarts must be an integer >= 1" in res.stderr
+        assert "Traceback" not in res.stderr
 
     @pytest.mark.parametrize("dump, message", [
         ([1, 2], "malformed replay file"),

@@ -18,8 +18,6 @@ PACKAGE = Path(chcon.__file__).resolve().parent
 ALLOWLIST = {
     "separability.project_ppt_density": "perfbench/tracer.py wraps it by name",
     "decompose.max_cp_weight": "perfbench/tracer.py wraps it by name",
-    "separability.chisep_upper_ensemble": "ROADMAP item 4 wires it into the doubled verdict or deletes it",
-    "separability.dsep_upper_ensemble": "ROADMAP item 4 wires it into the doubled verdict or deletes it",
 }
 
 

@@ -22,7 +22,7 @@ from chcon.sampling import (
     random_unital_qubit_channel,
     rng_from,
 )
-from chcon.separability import SepApproxResult, SepConfig, chisep_ccqq
+from chcon.separability import PreconditionError, SepApproxResult, SepConfig, chisep_ccqq
 
 SEED = 7
 
@@ -31,7 +31,7 @@ def _first_sep_step(cfg):
     for index in range(20):
         try:
             return V._check_sep_step(index, *V.sep_step_instance(cfg.seed, index), cfg)
-        except Exception:
+        except PreconditionError:
             continue
     raise AssertionError("no instance met the sep-step precondition")
 
@@ -93,12 +93,12 @@ def test_every_suite_has_seeded_checks():
 @pytest.mark.parametrize("suite", sorted(V.SUITES))
 def test_replay_reruns_the_suite_check(suite):
     cfg = V.VerifyConfig(trials=2, seed=SEED, restarts=4)
-    config = _dumped(dataclasses.asdict(cfg))
+    dumped_cfg = V.VerifyConfig(**_dumped(dataclasses.asdict(cfg)))
     checks = SEEDED_CHECKS[suite](cfg)
     assert checks
     for record, violates in checks:
         dumped = _dumped(record)
-        out = V.replay_violation(suite, dumped, config)
+        out = V.replay_violation(suite, dumped, dumped_cfg)
         assert _dumped(out["replayed"]) == dumped
         assert out["still_violates"] is bool(violates)
         assert {k: out[k] for k in dumped} == dumped
@@ -136,7 +136,7 @@ def test_unital_split_error_witness_replays():
     with pytest.raises(ChannelError, match="unitary") as err:
         unital_split(ch)
     record = {"index": 3, "error": str(err.value), "kraus": [ser.matrix_to_json(k) for k in ch.kraus]}
-    out = V.replay_violation("unital-split", _dumped(record), {"trials": None, "seed": 0, "restarts": 12})
+    out = V.replay_violation("unital-split", _dumped(record), V.VerifyConfig())
     assert out["still_violates"] is True
     assert _dumped(out["replayed"]) == _dumped(record)
 
@@ -147,6 +147,42 @@ def test_ccqq_bound_record_replays_with_the_suite_solver():
     s = V._random_two_block_state(0, 50_011)
     value = chisep_ccqq(s, SepConfig(seed=0, obj_tol=1e-6, max_iter=2000)).value
     record = {"index": 50_011, "value": value, "state": ser.ccqq_to_json(s)}
-    out = V.replay_violation("ccqq-formula", _dumped(record), {"trials": None, "seed": 0, "restarts": 12})
+    out = V.replay_violation("ccqq-formula", _dumped(record), V.VerifyConfig())
     assert out["replayed"]["value"] == value
     assert out["still_violates"] is False
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"restarts": 0}, {"restarts": True}, {"restarts": 2.0},
+    {"trials": 0}, {"trials": 1.5}, {"trials": False},
+    {"seed": -1}, {"seed": 2**64}, {"seed": True}, {"seed": "0"},
+])
+def test_config_rejects_unusable_settings(kwargs):
+    with pytest.raises(ChannelError):
+        V.VerifyConfig(**kwargs)
+
+
+def test_config_accepts_range_ends():
+    cfg = V.VerifyConfig(trials=1, seed=2**64 - 1, restarts=1)
+    assert (cfg.trials, cfg.seed, cfg.restarts) == (1, 2**64 - 1, 1)
+    assert V.VerifyConfig(trials=None).n(50) == 50
+
+
+@pytest.mark.parametrize("error", [RuntimeError("solver crashed"), ChannelError("not a density")])
+def test_sep_step_suite_surfaces_other_errors(monkeypatch, error):
+    # Only a failed chi-square precondition skips an instance.
+    def crash(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(V, "verify_contraction_step", crash)
+    with pytest.raises(type(error), match=str(error)):
+        V.suite_sep_step(V.VerifyConfig(trials=1))
+
+
+def test_sep_step_suite_skips_failed_preconditions(monkeypatch):
+    def below(*args, **kwargs):
+        raise PreconditionError("precondition violated")
+
+    monkeypatch.setattr(V, "verify_contraction_step", below)
+    rep = V.suite_sep_step(V.VerifyConfig(trials=1))
+    assert rep.checks == 0 and rep.extras["attempts"] == 20
