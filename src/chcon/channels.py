@@ -29,6 +29,14 @@ class ChannelError(ValueError):
     """Raised for malformed channels, states, or unsupported inputs."""
 
 
+def check_int(name: str, n, low: int, high: int | None = None) -> None:
+    """Raises ``ChannelError`` unless ``n`` is a non-boolean integer in [low, high)."""
+    integer = isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+    if not integer or n < low or (high is not None and n >= high):
+        bound = f">= {low}" if high is None else f"in [{low}, {high})"
+        raise ChannelError(f"{name} must be an integer {bound}, got {n!r}")
+
+
 # ---------------------------------------------------------------------------
 # States
 # ---------------------------------------------------------------------------

@@ -6,16 +6,16 @@ spectrahedron, which is exact for 2x2 and 2x3 bipartitions and a relaxation
 above; results carry a method tag making the distinction explicit.  Over
 the PPT set, dsep runs a split ADMM whose steps are closed-form density
 projections, and the chi-square solvers share one path: one stacked
-value-and-gradient kernel, one closed-form projection
-(:func:`project_pt_trace`, a matrix or a stack of blocks with a joint
-trace) and one barrier driver (:func:`_min_chi2`) that keeps the best
-barrier-free stage value.  chisep
-runs it on one block from the maximally mixed state and certifies the
-result with a convex-duality lower bound (:func:`_chi2_lower`, whose
-partial-transpose multiplier comes from the same eigen-step as the
-projection); a second start from the separable twirl runs only when that
-duality gap stays open.  The cc-qq block-diagonal cross-check runs it once
-on all blocks.  Each reports its objective at a feasible point.
+chi-square kernel whose gradient is evaluated only where it is read, one
+closed-form projection (:func:`project_pt_trace`, a matrix or a stack of
+blocks with a joint trace) and one barrier driver (:func:`_min_chi2`) that
+keeps the best barrier-free stage value.  chisep runs it on one block
+from the maximally mixed state and certifies the result with a
+convex-duality lower bound (:func:`_chi2_lower`, whose partial-transpose
+multiplier comes from the same eigen-step as the projection); a second
+start from the separable twirl runs only when that duality gap stays open.
+The cc-qq block-diagonal cross-check runs it once on all blocks.  Each
+reports its objective at a feasible point.
 """
 
 from __future__ import annotations
@@ -23,11 +23,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from numbers import Real
 
 import numpy as np
 
 from . import linalg as la
-from .channels import ChannelError, DensityState, KrausChannel, check_density_stack
+from .channels import ChannelError, DensityState, KrausChannel, check_density_stack, check_int
 from .config import DIM_CAP, PSD_TOL, TP_TOL
 from .contraction import eta_chi_lower, eta_tr_upper_minoutev
 
@@ -183,8 +184,9 @@ class SepConfig:
     seed:      seed of the contraction estimates in
                :func:`verify_contraction_step`
 
-    ``max_iter`` must be an integer >= 1 (not a boolean) and ``obj_tol``
-    finite and > 0; anything else raises ``ChannelError``.
+    ``max_iter`` must be an integer >= 1, ``obj_tol`` a finite real number
+    > 0 and ``seed`` an integer in [0, 2**64), none of them a boolean;
+    anything else raises ``ChannelError``.
     """
 
     max_iter: int = 10000
@@ -192,11 +194,12 @@ class SepConfig:
     seed: int = 0
 
     def __post_init__(self):
-        n = self.max_iter
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-            raise ChannelError(f"max_iter must be an integer >= 1, got {n!r}")
-        if not (math.isfinite(self.obj_tol) and self.obj_tol > 0):
-            raise ChannelError(f"obj_tol must be finite and > 0, got {self.obj_tol!r}")
+        check_int("max_iter", self.max_iter, 1)
+        tol = self.obj_tol
+        real = isinstance(tol, Real) and not isinstance(tol, bool)
+        if not (real and math.isfinite(tol) and tol > 0):
+            raise ChannelError(f"obj_tol must be a finite real number > 0, got {tol!r}")
+        check_int("seed", self.seed, 0, 2**64)
 
 
 # ---------------------------------------------------------------------------
@@ -226,22 +229,27 @@ def _method_tag(dim_a: int, dim_b: int) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _chi2_value_grad(
-    taus: np.ndarray, w: np.ndarray, v: np.ndarray, mu: float = 0.0
-) -> tuple[np.ndarray, np.ndarray]:
-    """Values ``(n,)`` and gradients ``(n, d, d)`` of
-    chi2(tau_k, x_k) - mu * logdet(x_k) in x_k for a stack of ``n`` blocks,
-    given the eigendecompositions x_k = v_k diag(w_k) v_k^dag with every
-    w > 0.
-
-    Uses the Daleckii-Krein derivative of s -> s^{-1/2} on the eigenbasis of
-    each x_k.  Callers choose how to treat non-positive eigenvalues.
+def _chi2_values(taus: np.ndarray, w: np.ndarray, v: np.ndarray):
+    """Values ``(n,)`` of chi2(tau_k, x_k) for a stack of ``n`` blocks, given
+    the eigendecompositions x_k = v_k diag(w_k) v_k^dag with every w > 0,
+    and the eigenbasis data that :func:`_chi2_grad` reuses.
     """
     roots = np.sqrt(w)
     h = 1.0 / roots
     t2 = la.dag(v) @ taus @ v
     values = np.sum((np.abs(t2) ** 2) * (h[:, :, None] * h[:, None, :]), axis=(1, 2)) - 1.0
+    return values, (roots, h, t2)
 
+
+def _chi2_grad(w: np.ndarray, v: np.ndarray, eig_data, mu: float) -> np.ndarray:
+    """Gradients ``(n, d, d)`` of chi2(tau_k, x_k) - mu * logdet(x_k) in x_k,
+    from the eigendecompositions ``(w, v)`` and the eigenbasis data that
+    :func:`_chi2_values` returned for them.
+
+    Uses the Daleckii-Krein derivative of s -> s^{-1/2} on the eigenbasis of
+    each x_k.
+    """
+    roots, h, t2 = eig_data
     # Divided differences of g(s) = s^{-1/2}; the closed form
     # (g(a) - g(b)) / (a - b) = -1 / (sqrt(ab) (sqrt(a) + sqrt(b)))
     # is exact, has no cancellation, and covers coincident eigenvalues.
@@ -250,33 +258,65 @@ def _chi2_value_grad(
     b = t2 @ (h[:, :, None] * t2)  # = tau' G tau' in the eigenbasis
     grad_eig = 2.0 * b * phi
     if mu > 0.0:
-        values = values - mu * np.sum(np.log(w), axis=1)
         diag = np.arange(w.shape[1])
         grad_eig[:, diag, diag] -= mu * (1.0 / w)
     grad = v @ grad_eig @ la.dag(v)
-    return values, la.herm_part(grad)
+    return la.herm_part(grad)
+
+
+def _chi2_value_grad(
+    taus: np.ndarray, w: np.ndarray, v: np.ndarray, mu: float = 0.0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Values ``(n,)`` and gradients ``(n, d, d)`` of
+    chi2(tau_k, x_k) - mu * logdet(x_k) in x_k for a stack of ``n`` blocks,
+    given the eigendecompositions x_k = v_k diag(w_k) v_k^dag with every
+    w > 0: :func:`_chi2_values` and :func:`_chi2_grad` at once.  Callers
+    choose how to treat non-positive eigenvalues.
+    """
+    values, eig_data = _chi2_values(taus, w, v)
+    if mu > 0.0:
+        values = values - mu * np.sum(np.log(w), axis=1)
+    return values, _chi2_grad(w, v, eig_data, mu)
 
 
 def _interior_chi2(taus: np.ndarray, weights: np.ndarray, mu: float):
     """Barrier objective on stacks of blocks,
 
-        value_grad(x) = sum_k weights_k (chi2(taus_k, x_k) - mu logdet x_k + 1) - 1,
+        f(x) = sum_k weights_k (chi2(taus_k, x_k) - mu logdet x_k + 1) - 1,
 
     +inf outside the open PSD cone.  The barrier keeps iterates strictly
     positive, so the partial-transpose constraint is enforced by exact
-    projection without a second wall.  With ``mu = 0`` it is the chi-square
-    objective itself.
+    projection without a second wall.
+
+    ``evaluate(x) -> (f, grad, score)`` takes one eigendecomposition of x
+    and computes f from it at once.  ``grad()`` and ``score()`` are read
+    from the same eigendecomposition only when called: the gradient (cached
+    after its first read) and the barrier-free chi-square value
+    sum_k weights_k (chi2(taus_k, x_k) + 1) - 1, summed before the barrier
+    term is added.  Outside the cone both are None.
     """
 
-    def value_grad(x):
+    def evaluate(x):
         # Iterates are Hermitian up to rounding; eigh reads one triangle.
         w, v = np.linalg.eigh(x)
         if float(w[:, 0].min()) <= 0.0:
-            return math.inf, None
-        values, grads = _chi2_value_grad(taus, w, v, mu)
-        return float(weights @ (values + 1.0)) - 1.0, weights[:, None, None] * grads
+            return math.inf, None, None
+        chi, eig_data = _chi2_values(taus, w, v)
+        values = chi - mu * np.sum(np.log(w), axis=1) if mu > 0.0 else chi
 
-    return value_grad
+        memo = []
+
+        def grad():
+            if not memo:
+                memo.append(weights[:, None, None] * _chi2_grad(w, v, eig_data, mu))
+            return memo[0]
+
+        def score():
+            return float(weights @ (chi + 1.0)) - 1.0
+
+        return float(weights @ (values + 1.0)) - 1.0, grad, score
+
+    return evaluate
 
 
 # ---------------------------------------------------------------------------
@@ -375,19 +415,26 @@ def separable_twirl(tau: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _accelerated_pgd(value_grad, proj, x0, max_iter, stall_tol):
+def _accelerated_pgd(evaluate, proj, x0, max_iter, stall_tol):
     """Projected gradient with Nesterov extrapolation and adaptive restart.
 
-    ``value_grad(x) -> (f, grad)`` and ``proj(x) -> x`` operate on (n, d, d)
-    stacks of Hermitian blocks.  ``x0`` must be feasible with a finite
-    objective; it is taken as given, since re-projecting a warm start with
-    an eigenvalue near zero can push it out of the open PSD cone.  Stops
-    after three stalls with no larger decrease in between; a stall is a
-    decrease below ``stall_tol``, or no decrease after a plain (not
-    extrapolated) step.  Returns (x, iterations, converged).
+    ``evaluate(x) -> (f, grad, score)`` follows :func:`_interior_chi2` and
+    ``proj(x) -> x``; both operate on (n, d, d) stacks of Hermitian blocks.
+    Gradients are evaluated only where they are read, at the points a step
+    is launched from: a line-search candidate is judged by its value alone,
+    and its gradient is computed only if a later step launches from it.
+    With momentum coefficient 0 (the first accepted step after every start
+    and restart) the extrapolated point is the candidate itself, and its
+    evaluation is reused.  ``x0`` must be feasible with a
+    finite objective; it is taken as given, since re-projecting a warm start
+    with an eigenvalue near zero can push it out of the open PSD cone.
+    Stops after three stalls with no larger decrease in between; a stall is
+    a decrease below ``stall_tol``, or no decrease after a plain (not
+    extrapolated) step.  Returns (x, ``score()`` of x from the eigensolve
+    that evaluated it, iterations, converged).
     """
     x = x0
-    f_x, g_x = value_grad(x)
+    f_x, g_x, s_x = evaluate(x)
     if not math.isfinite(f_x):
         raise ChannelError("optimizer started outside the feasible interior")
     y, f_y, g_y = x, f_x, g_x
@@ -397,20 +444,18 @@ def _accelerated_pgd(value_grad, proj, x0, max_iter, stall_tol):
     stall = 0
     momentum = False
 
-    def trial(base, grad, alpha):
+    while iters < max_iter:
+        grad = g_y()
         # Cap the raw excursion so projections stay numerically meaningful;
         # the sufficient-decrease test below still sees the actual move.
         gnorm = float(np.linalg.norm(grad))
-        alpha = min(alpha, 1e3 / gnorm) if gnorm > 0 else alpha
-        return proj(base - alpha * grad)
-
-    while iters < max_iter:
+        cap = 1e3 / gnorm if gnorm > 0 else math.inf
         halvings = 0
         while True:
-            cand = trial(y, g_y, step)
-            f_c, g_c = value_grad(cand)
+            cand = proj(y - min(step, cap) * grad)
+            f_c, g_c, s_c = evaluate(cand)
             move = cand - y
-            model = float(np.real(np.vdot(g_y, move))) + np.linalg.norm(move) ** 2 / (2 * step)
+            model = float(np.real(np.vdot(grad, move))) + np.linalg.norm(move) ** 2 / (2 * step)
             if f_c <= f_y + model + 1e-14 or halvings >= 60:
                 break
             step *= 0.5
@@ -424,11 +469,15 @@ def _accelerated_pgd(value_grad, proj, x0, max_iter, stall_tol):
             decrease = f_x - f_c
             t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
             beta = (t - 1.0) / t_new
-            # The extrapolated launch point may leave the feasible region (the
-            # objective then reports +inf); fall back to the plain iterate.
-            y = cand + beta * (cand - x)
-            f_y, g_y = value_grad(y)
-            x, f_x, g_x = cand, f_c, g_c
+            if beta == 0.0:
+                # The first step after a (re)start: the launch point is cand.
+                y, f_y, g_y = cand, f_c, g_c
+            else:
+                # The extrapolated launch point may leave the feasible region
+                # (its value is then +inf); fall back to the plain iterate.
+                y = cand + beta * (cand - x)
+                f_y, g_y, _ = evaluate(y)
+            x, f_x, g_x, s_x = cand, f_c, g_c, s_c
             t = t_new
             momentum = True
             restart = not math.isfinite(f_y)
@@ -440,12 +489,12 @@ def _accelerated_pgd(value_grad, proj, x0, max_iter, stall_tol):
         if stalled:
             stall += 1
             if stall >= 3:
-                return x, iters, True
+                return x, s_x(), iters, True
         if restart:
             y, f_y, g_y = x, f_x, g_x
             t = 1.0
             momentum = False
-    return x, iters, False
+    return x, s_x(), iters, False
 
 
 def _min_chi2(taus, weights, x0, dim_a: int, dim_b: int, cfg: SepConfig):
@@ -459,13 +508,14 @@ def _min_chi2(taus, weights, x0, dim_a: int, dim_b: int, cfg: SepConfig):
     is the partial-transpose one, which :func:`project_pt_trace` handles
     with no conditioning penalty; the positivity barrier stays inactive for
     minimizers of full support.  After every stage the iterate is scored
-    without barrier (``mu = 0``) and the best one is kept.  ``x0`` must be
-    feasible and strictly positive.  Returns (value, x, iterations,
+    without barrier (``mu = 0``) and the best one is kept; the score is
+    the chi-square sum taken from the iterate's own eigensolve, before the
+    barrier term is added, so no stage needs a fresh eigensolve.  ``x0``
+    must be feasible and strictly positive.  Returns (value, x, iterations,
     converged), with ``converged`` from the last stage run.
     """
     taus = np.asarray(taus, dtype=complex)
     weights = np.asarray(weights, dtype=float)
-    score = _interior_chi2(taus, weights, 0.0)
 
     def proj(x):
         # Through the public name, so per-layer profiles see the projection.
@@ -480,9 +530,10 @@ def _min_chi2(taus, weights, x0, dim_a: int, dim_b: int, cfg: SepConfig):
         stall_tol = cfg.obj_tol * 1e-2
         if mu != BARRIER_STAGES[-1]:
             stall_tol = max(stall_tol, mu * 1e-2)
-        x, it, converged = _accelerated_pgd(_interior_chi2(taus, weights, mu), proj, x, budget, stall_tol)
+        x, value, it, converged = _accelerated_pgd(
+            _interior_chi2(taus, weights, mu), proj, x, budget, stall_tol
+        )
         total_iters += it
-        value = score(x)[0]
         if value < best_val:
             best_val, best_x = value, x
     return max(best_val, 0.0), best_x, total_iters, converged

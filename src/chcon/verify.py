@@ -25,6 +25,7 @@ from .channels import (
     ChannelError,
     KrausChannel,
     bell_state,
+    check_int,
     choi_distance,
     depolarizing,
     amplitude_damping,
@@ -61,14 +62,6 @@ DOUBLED_STEPS = 5
 STABILITY_STRENGTH = 0.05
 
 
-def _check_int(name: str, n, low: int, high: int | None = None) -> None:
-    """Raises ``ChannelError`` unless ``n`` is a non-boolean integer in [low, high)."""
-    integer = isinstance(n, (int, np.integer)) and not isinstance(n, bool)
-    if not integer or n < low or (high is not None and n >= high):
-        bound = f">= {low}" if high is None else f"in [{low}, {high})"
-        raise ChannelError(f"{name} must be an integer {bound}, got {n!r}")
-
-
 @dataclass(frozen=True)
 class VerifyConfig:
     """Settings of a suite run, as the CLI takes them or a dump records them.
@@ -84,9 +77,9 @@ class VerifyConfig:
 
     def __post_init__(self):
         if self.trials is not None:
-            _check_int("trials", self.trials, 1)
-        _check_int("seed", self.seed, 0, 2**64)
-        _check_int("restarts", self.restarts, 1)
+            check_int("trials", self.trials, 1)
+        check_int("seed", self.seed, 0, 2**64)
+        check_int("restarts", self.restarts, 1)
 
     def n(self, default: int) -> int:
         return self.trials if self.trials is not None else default

@@ -18,7 +18,10 @@ from chcon.channels import (
 from chcon.divergences import chi2_divergence
 from chcon.sampling import haar_unitary, random_channel, random_density, random_pure, rng_from
 from chcon.separability import (
+    BARRIER_STAGES,
+    _accelerated_pgd,
     _chi2_value_grad,
+    _interior_chi2,
     _min_chi2,
     BipartiteState,
     CcQqState,
@@ -269,6 +272,171 @@ class TestChi2Kernel:
             barrier = mu * float(np.sum(np.log(w)))
             assert vals[k] + barrier == pytest.approx(chi2_divergence(taus[k], xs[k]), abs=1e-10)
 
+    @pytest.mark.parametrize("mu", [0.0, 1e-2])
+    def test_lazy_gradient_is_the_eager_kernel(self, mu):
+        rng = seeded(87)
+        taus = np.stack([random_density(rng, 6) for _ in range(3)])
+        xs = np.stack([0.8 * random_density(rng, 6) + 0.2 * np.eye(6) / 6 for _ in range(3)])
+        weights = np.array([0.5, 0.3, 0.2])
+        f, grad, score = _interior_chi2(taus, weights, mu)(xs)
+        w, v = np.linalg.eigh(xs)
+        values, grads = _chi2_value_grad(taus, w, v, mu)
+        assert f == float(weights @ (values + 1.0)) - 1.0
+        assert np.array_equal(grad(), weights[:, None, None] * grads)
+        assert grad() is grad()
+        chi, _ = _chi2_value_grad(taus, w, v)
+        assert score() == float(weights @ (chi + 1.0)) - 1.0
+
+    def test_outside_the_cone_has_no_gradient(self):
+        x = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)[None]
+        assert _interior_chi2(bell().matrix[None], np.ones(1), 1e-4)(x) == (math.inf, None, None)
+
+    @pytest.mark.parametrize("mu", [1e-4, 1e-8])
+    def test_stage_value_is_a_fresh_score(self, mu):
+        taus = np.stack([bell().matrix, werner(0.8).matrix])
+        weights = np.array([0.36, 0.16])
+        x0 = np.stack([np.eye(4, dtype=complex) / 8] * 2)
+        x, value, iters, _ = _accelerated_pgd(
+            _interior_chi2(taus, weights, mu), lambda z: project_pt_trace(z, 2, 2), x0, 300, 1e-8
+        )
+        assert iters > 0 and not np.array_equal(x, x0)
+        assert value == _interior_chi2(taus, weights, 0.0)(x)[0]
+
+
+# Eager reference for the lazy chi-square loop in chcon.separability: value
+# and gradient at every point, one eigendecomposition per evaluation and a
+# fresh barrier-free eigensolve per stage.  The lazy loop must follow it bit
+# for bit.
+
+
+def eager_interior_chi2(taus, weights, mu):
+    def value_grad(x):
+        w, v = np.linalg.eigh(x)
+        if float(w[:, 0].min()) <= 0.0:
+            return math.inf, None
+        values, grads = _chi2_value_grad(taus, w, v, mu)
+        return float(weights @ (values + 1.0)) - 1.0, weights[:, None, None] * grads
+
+    return value_grad
+
+
+def eager_pgd(value_grad, proj, x0, max_iter, stall_tol):
+    x = x0
+    f_x, g_x = value_grad(x)
+    y, f_y, g_y = x, f_x, g_x
+    t, step, iters, stall, momentum = 1.0, 1.0, 0, 0, False
+
+    def trial(base, grad, alpha):
+        gnorm = float(np.linalg.norm(grad))
+        alpha = min(alpha, 1e3 / gnorm) if gnorm > 0 else alpha
+        return proj(base - alpha * grad)
+
+    while iters < max_iter:
+        halvings = 0
+        while True:
+            cand = trial(y, g_y, step)
+            f_c, g_c = value_grad(cand)
+            move = cand - y
+            model = float(np.real(np.vdot(g_y, move))) + np.linalg.norm(move) ** 2 / (2 * step)
+            if f_c <= f_y + model + 1e-14 or halvings >= 60:
+                break
+            step *= 0.5
+            halvings += 1
+        iters += 1
+        if f_c > f_x - 1e-15:
+            stalled, restart = not momentum, True
+        else:
+            decrease = f_x - f_c
+            t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+            beta = (t - 1.0) / t_new
+            y = cand + beta * (cand - x)
+            f_y, g_y = value_grad(y)
+            x, f_x, g_x = cand, f_c, g_c
+            t = t_new
+            momentum = True
+            restart = not math.isfinite(f_y)
+            if halvings == 0:
+                step *= 1.2
+            stalled = decrease < stall_tol + 1e-14
+            if not stalled:
+                stall = 0
+        if stalled:
+            stall += 1
+            if stall >= 3:
+                return x, iters, True
+        if restart:
+            y, f_y, g_y = x, f_x, g_x
+            t, momentum = 1.0, False
+    return x, iters, False
+
+
+def eager_min_chi2(taus, weights, x0, dim_a, dim_b, cfg):
+    taus = np.asarray(taus, dtype=complex)
+    weights = np.asarray(weights, dtype=float)
+    score = eager_interior_chi2(taus, weights, 0.0)
+    best_val, best_x = math.inf, x0
+    x, total_iters, converged = x0, 0, False
+    for mu in BARRIER_STAGES:
+        budget = cfg.max_iter - total_iters
+        if budget <= 0:
+            break
+        stall_tol = cfg.obj_tol * 1e-2
+        if mu != BARRIER_STAGES[-1]:
+            stall_tol = max(stall_tol, mu * 1e-2)
+        x, it, converged = eager_pgd(
+            eager_interior_chi2(taus, weights, mu),
+            lambda z: project_pt_trace(z, dim_a, dim_b), x, budget, stall_tol,
+        )
+        total_iters += it
+        value = score(x)[0]
+        if value < best_val:
+            best_val, best_x = value, x
+    return max(best_val, 0.0), best_x, total_iters, converged
+
+
+def counting_eigh(monkeypatch):
+    calls = [0]
+    eigh = np.linalg.eigh
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return calls
+
+
+class TestLazyLoopMatchesEagerReference:
+    @pytest.mark.parametrize("name", ["bell", "doubled-ad-step", "2x3-rank1-i3"])
+    def test_bit_identical_with_fewer_eigensolves(self, name, monkeypatch):
+        cfg = SepConfig()
+        if name == "bell":
+            st = bell()
+        elif name == "doubled-ad-step":
+            # One step of the n = 1 doubled memory: amplitude damping on both
+            # halves of the Bell pair, then the identity gate.
+            ad = amplitude_damping(0.28)
+            rho = local_product_channel(ad, ad).apply(bell().matrix)
+            st = BipartiteState.from_matrix(rho, 2, 2)
+        else:
+            # A near-singular 2x3 input, stopped at the iteration cap.
+            st = BipartiteState.from_matrix(random_density(rng_from(7, 2, 3, 3), 6, 1), 2, 3)
+            cfg = SepConfig(max_iter=300)
+        d = st.dim_a * st.dim_b
+        args = (
+            st.matrix[None], [1.0],
+            project_pt_trace(np.eye(d, dtype=complex)[None] / d, st.dim_a, st.dim_b),
+            st.dim_a, st.dim_b, cfg,
+        )
+        calls = counting_eigh(monkeypatch)
+        ref = eager_min_chi2(*args)
+        ref_calls, calls[0] = calls[0], 0
+        got = _min_chi2(*args)
+        assert got[0] == ref[0] and got[2:] == ref[2:]
+        assert got[3] is (name != "2x3-rank1-i3")
+        assert np.array_equal(got[1], ref[1])
+        assert 0 < calls[0] < ref_calls
+
 
 class TestChisep:
     def test_product_state_zero_with_note(self):
@@ -337,6 +505,8 @@ class TestChisep:
     @pytest.mark.parametrize("kwargs", [
         {"max_iter": 0}, {"max_iter": -5}, {"max_iter": True}, {"max_iter": 2.5},
         {"obj_tol": float("nan")}, {"obj_tol": float("inf")}, {"obj_tol": 0.0}, {"obj_tol": -1e-8},
+        {"obj_tol": "1e-8"}, {"obj_tol": True}, {"obj_tol": None}, {"obj_tol": 1e-8 + 0j},
+        {"seed": -1}, {"seed": 2**64}, {"seed": "x"}, {"seed": True}, {"seed": 1.0},
     ])
     def test_config_rejects_unusable_settings(self, kwargs):
         with pytest.raises(ChannelError):
