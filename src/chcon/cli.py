@@ -11,7 +11,7 @@ import argparse
 import json
 import math
 import sys
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -371,7 +371,11 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process.  ``parse_args`` reads
+    it without changing it and returns a fresh namespace, and no default is
+    a mutable object, so one call leaves nothing behind for the next."""
     parser = argparse.ArgumentParser(
         prog="chcon",
         description="Noisy-channel contraction analysis, separability distances, "

@@ -35,3 +35,8 @@ QUBIT_CAP = 4
 
 # Cap on classical mixture blocks tracked by the simulator.
 MAX_BLOCKS = 256
+
+# Absolute slack that chcon's verdicts give a chi-square separability value
+# (the single-step contraction check and the cc-qq dimensional bound); chisep
+# runs its second start only while its certified gap exceeds it.
+VERDICT_SLACK = 1e-6

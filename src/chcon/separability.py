@@ -11,11 +11,14 @@ closed-form projection (:func:`project_pt_trace`, a matrix or a stack of
 blocks with a joint trace) and one barrier driver (:func:`_min_chi2`) that
 keeps the best barrier-free stage value.  chisep runs it on one block
 from the maximally mixed state and certifies the result with a
-convex-duality lower bound (:func:`_chi2_lower`, whose partial-transpose
-multiplier comes from the same eigen-step as the projection); a second
-start from the separable twirl runs only when that duality gap stays open.
-The cc-qq block-diagonal cross-check runs it once on all blocks.  Each
-reports its objective at a feasible point.
+convex-duality lower bound (:func:`_chi2_lower`, read off the iterate's
+eigendecomposition and, while the gap stays open, off the same basis mixed
+towards I/d; its partial-transpose multiplier comes from the same
+eigen-step as the projection).  A second start from the separable twirl
+runs only while that gap exceeds ``VERDICT_SLACK``, the slack of the
+verdicts that read the value.  The cc-qq block-diagonal cross-check runs
+:func:`_min_chi2` once on all blocks.  Each reports its objective at a
+feasible point.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import numpy as np
 
 from . import linalg as la
 from .channels import ChannelError, DensityState, KrausChannel, check_density_stack, check_int
-from .config import DIM_CAP, PSD_TOL, TP_TOL
+from .config import DIM_CAP, PSD_TOL, TP_TOL, VERDICT_SLACK
 from .contraction import eta_chi_lower, eta_tr_upper_minoutev
 
 PPT_EXACT_DIMS = {(2, 2), (2, 3), (3, 2)}
@@ -41,12 +44,15 @@ ADMM_ITERS = 3000
 BARRIER_STAGES = (1e-4, 1e-6, 1e-8, 1e-10, 1e-12)
 # Weight of the identity in the separable twirl that warm-starts chisep.
 TWIRL_MIX = 0.1
-# Duality gap, relative to max(1, value), up to which chisep's first start is
-# certified optimal and the twirl start is skipped.
+# Duality gap, relative to max(1, value), up to which a chisep value is
+# certified optimal; the certificate stops mixing towards I/d once it holds.
 CHISEP_GAP_TOL = 1e-9
 # Steps alpha of the projected-gradient map whose PSD multiplier, over
 # alpha, is tried as the partial-transpose dual of chisep's lower bound.
 CERT_STEPS = (1.0, 0.1, 0.01)
+# Weights eps of I/d in the points (1 - eps) sigma + eps I/d at which that
+# lower bound is taken, the iterate sigma itself first.
+CERT_MIX = (0.0, 1e-4)
 # Rounding margin of that lower bound, in units of d * eps times its scale.
 CERT_MARGIN_ULPS = 64.0
 EPS = float(np.finfo(float).eps)
@@ -180,7 +186,10 @@ class SepConfig:
     max_iter:  iteration cap shared by the barrier stages of one chi-square
                solver run (default 10k); chisep's twirl start, when it
                runs, gets its own
-    obj_tol:   objective-decrease tolerance of those solvers (default 1e-8)
+    obj_tol:   objective-decrease tolerance of those solvers (default 1e-12,
+               the last barrier weight): the stage at barrier weight mu
+               stalls on decreases below 1e-2 * max(obj_tol, mu), so the
+               default lets every stage resolve its own weight
     seed:      seed of the contraction estimates in
                :func:`verify_contraction_step`
 
@@ -190,7 +199,7 @@ class SepConfig:
     """
 
     max_iter: int = 10000
-    obj_tol: float = 1e-8
+    obj_tol: float = BARRIER_STAGES[-1]
     seed: int = 0
 
     def __post_init__(self):
@@ -288,19 +297,20 @@ def _interior_chi2(taus: np.ndarray, weights: np.ndarray, mu: float):
     positive, so the partial-transpose constraint is enforced by exact
     projection without a second wall.
 
-    ``evaluate(x) -> (f, grad, score)`` takes one eigendecomposition of x
-    and computes f from it at once.  ``grad()`` and ``score()`` are read
-    from the same eigendecomposition only when called: the gradient (cached
+    ``evaluate(x, eig=None) -> (f, grad, score, eig)`` takes one
+    eigendecomposition ``eig = (w, v)`` of x, or reuses the one given, and
+    computes f from it at once.  ``grad()`` and ``score()`` are read from
+    the same eigendecomposition only when called: the gradient (cached
     after its first read) and the barrier-free chi-square value
     sum_k weights_k (chi2(taus_k, x_k) + 1) - 1, summed before the barrier
-    term is added.  Outside the cone both are None.
+    term is added.  Outside the cone grad, score and eig are None.
     """
 
-    def evaluate(x):
+    def evaluate(x, eig=None):
         # Iterates are Hermitian up to rounding; eigh reads one triangle.
-        w, v = np.linalg.eigh(x)
+        w, v = np.linalg.eigh(x) if eig is None else eig
         if float(w[:, 0].min()) <= 0.0:
-            return math.inf, None, None
+            return math.inf, None, None, None
         chi, eig_data = _chi2_values(taus, w, v)
         values = chi - mu * np.sum(np.log(w), axis=1) if mu > 0.0 else chi
 
@@ -314,7 +324,7 @@ def _interior_chi2(taus: np.ndarray, weights: np.ndarray, mu: float):
         def score():
             return float(weights @ (chi + 1.0)) - 1.0
 
-        return float(weights @ (values + 1.0)) - 1.0, grad, score
+        return float(weights @ (values + 1.0)) - 1.0, grad, score, (w, v)
 
     return evaluate
 
@@ -415,11 +425,12 @@ def separable_twirl(tau: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _accelerated_pgd(evaluate, proj, x0, max_iter, stall_tol):
+def _accelerated_pgd(evaluate, proj, x0, max_iter, stall_tol, eig0=None):
     """Projected gradient with Nesterov extrapolation and adaptive restart.
 
-    ``evaluate(x) -> (f, grad, score)`` follows :func:`_interior_chi2` and
-    ``proj(x) -> x``; both operate on (n, d, d) stacks of Hermitian blocks.
+    ``evaluate(x, eig) -> (f, grad, score, eig)`` follows
+    :func:`_interior_chi2` and ``proj(x) -> x``; both operate on (n, d, d)
+    stacks of Hermitian blocks.
     Gradients are evaluated only where they are read, at the points a step
     is launched from: a line-search candidate is judged by its value alone,
     and its gradient is computed only if a later step launches from it.
@@ -428,13 +439,14 @@ def _accelerated_pgd(evaluate, proj, x0, max_iter, stall_tol):
     evaluation is reused.  ``x0`` must be feasible with a
     finite objective; it is taken as given, since re-projecting a warm start
     with an eigenvalue near zero can push it out of the open PSD cone.
+    ``eig0``, if given, is the eigendecomposition of ``x0``.
     Stops after three stalls with no larger decrease in between; a stall is
     a decrease below ``stall_tol``, or no decrease after a plain (not
     extrapolated) step.  Returns (x, ``score()`` of x from the eigensolve
-    that evaluated it, iterations, converged).
+    that evaluated it, iterations, converged, that eigendecomposition).
     """
     x = x0
-    f_x, g_x, s_x = evaluate(x)
+    f_x, g_x, s_x, e_x = evaluate(x, eig0)
     if not math.isfinite(f_x):
         raise ChannelError("optimizer started outside the feasible interior")
     y, f_y, g_y = x, f_x, g_x
@@ -453,7 +465,7 @@ def _accelerated_pgd(evaluate, proj, x0, max_iter, stall_tol):
         halvings = 0
         while True:
             cand = proj(y - min(step, cap) * grad)
-            f_c, g_c, s_c = evaluate(cand)
+            f_c, g_c, s_c, e_c = evaluate(cand)
             move = cand - y
             model = float(np.real(np.vdot(grad, move))) + np.linalg.norm(move) ** 2 / (2 * step)
             if f_c <= f_y + model + 1e-14 or halvings >= 60:
@@ -476,8 +488,8 @@ def _accelerated_pgd(evaluate, proj, x0, max_iter, stall_tol):
                 # The extrapolated launch point may leave the feasible region
                 # (its value is then +inf); fall back to the plain iterate.
                 y = cand + beta * (cand - x)
-                f_y, g_y, _ = evaluate(y)
-            x, f_x, g_x, s_x = cand, f_c, g_c, s_c
+                f_y, g_y = evaluate(y)[:2]
+            x, f_x, g_x, s_x, e_x = cand, f_c, g_c, s_c, e_c
             t = t_new
             momentum = True
             restart = not math.isfinite(f_y)
@@ -489,12 +501,12 @@ def _accelerated_pgd(evaluate, proj, x0, max_iter, stall_tol):
         if stalled:
             stall += 1
             if stall >= 3:
-                return x, s_x(), iters, True
+                return x, s_x(), iters, True, e_x
         if restart:
             y, f_y, g_y = x, f_x, g_x
             t = 1.0
             momentum = False
-    return x, s_x(), iters, False
+    return x, s_x(), iters, False, e_x
 
 
 def _min_chi2(taus, weights, x0, dim_a: int, dim_b: int, cfg: SepConfig):
@@ -504,15 +516,19 @@ def _min_chi2(taus, weights, x0, dim_a: int, dim_b: int, cfg: SepConfig):
     Barrier path following: each of ``BARRIER_STAGES`` minimizes the
     ``_interior_chi2`` objective by accelerated projected gradient, warm
     started from the previous stage, and all stages share the
-    ``cfg.max_iter`` budget.  The binding constraint at a chi-square optimum
-    is the partial-transpose one, which :func:`project_pt_trace` handles
-    with no conditioning penalty; the positivity barrier stays inactive for
-    minimizers of full support.  After every stage the iterate is scored
-    without barrier (``mu = 0``) and the best one is kept; the score is
-    the chi-square sum taken from the iterate's own eigensolve, before the
-    barrier term is added, so no stage needs a fresh eigensolve.  ``x0``
-    must be feasible and strictly positive.  Returns (value, x, iterations,
-    converged), with ``converged`` from the last stage run.
+    ``cfg.max_iter`` budget.  A stage at barrier weight mu stalls on
+    decreases below ``1e-2 * max(cfg.obj_tol, mu)``.  The binding
+    constraint at a chi-square optimum is the partial-transpose one, which
+    :func:`project_pt_trace` handles with no conditioning penalty; the
+    positivity barrier stays inactive for minimizers of full support.
+    After every stage the iterate is scored without barrier (``mu = 0``)
+    and the best one is kept; the score is the chi-square sum taken from
+    the iterate's own eigensolve, before the barrier term is added, and
+    the next stage starts from that same eigendecomposition, so no stage
+    needs a fresh eigensolve.  ``x0`` must be feasible and strictly
+    positive.  Returns (value, x, iterations, converged, eig), with
+    ``converged`` from the last stage run and ``eig = (w, v)`` the
+    eigendecomposition of x.
     """
     taus = np.asarray(taus, dtype=complex)
     weights = np.asarray(weights, dtype=float)
@@ -521,56 +537,66 @@ def _min_chi2(taus, weights, x0, dim_a: int, dim_b: int, cfg: SepConfig):
         # Through the public name, so per-layer profiles see the projection.
         return project_pt_trace(x, dim_a, dim_b)
 
-    best_val, best_x = math.inf, x0
-    x, total_iters, converged = x0, 0, False
+    best_val, best_x, best_eig = math.inf, x0, None
+    x, eig, total_iters, converged = x0, None, 0, False
     for mu in BARRIER_STAGES:
         budget = cfg.max_iter - total_iters
         if budget <= 0:
             break
-        stall_tol = cfg.obj_tol * 1e-2
-        if mu != BARRIER_STAGES[-1]:
-            stall_tol = max(stall_tol, mu * 1e-2)
-        x, value, it, converged = _accelerated_pgd(
-            _interior_chi2(taus, weights, mu), proj, x, budget, stall_tol
+        x, value, it, converged, eig = _accelerated_pgd(
+            _interior_chi2(taus, weights, mu), proj, x, budget,
+            1e-2 * max(cfg.obj_tol, mu), eig,
         )
         total_iters += it
         if value < best_val:
-            best_val, best_x = value, x
-    return max(best_val, 0.0), best_x, total_iters, converged
+            best_val, best_x, best_eig = value, x, eig
+    return max(best_val, 0.0), best_x, total_iters, converged, best_eig
 
 
-def _chi2_lower(tau: np.ndarray, sigma: np.ndarray, dim_a: int, dim_b: int) -> float:
+def _chi2_lower(tau: np.ndarray, eig, dim_a: int, dim_b: int, target: float) -> float:
     """Certified lower bound on min chi2(tau, rho) over density matrices rho
-    with rho^PT >= 0, from the convexity of chi2(tau, .) at ``sigma``.
+    with rho^PT >= 0, from the convexity of chi2(tau, .) at points x > 0
+    built on the eigendecomposition ``eig = (w, v)``, every w > 0, of a
+    unit-trace iterate sigma = v diag(w) v^dag.
 
-    With f and G the value and gradient at sigma > 0, and any Y >= 0,
+    With f and G the value and gradient at x, and any Y >= 0,
 
-        chi2(tau, rho) >= f - <G, sigma> + <G - Y^PT, rho>
-                       >= f - <G, sigma> + lambda_min(G - Y^PT),
+        chi2(tau, rho) >= f - <G, x> + <G - Y^PT, rho>
+                       >= f - <G, x> + lambda_min(G - Y^PT),
 
     because <Y^PT, rho> = <Y, rho^PT> >= 0 and Tr rho = 1.  chi2(tau, .) + 1
-    is homogeneous of degree -1, so f - <G, sigma> = 2 f + 1 (Euler), exact
-    at the matrix that the computed eigendecomposition of sigma represents.
-    Y is the multiplier N of the projection of (sigma - alpha G)^PT, over
-    alpha, for each alpha in ``CERT_STEPS``; at a minimizer the bound equals
-    f.  The best value is lowered by a margin for the rounding of the
-    eigensolves and inner products and clipped at 0.
+    is homogeneous of degree -1, so f - <G, x> = 2 f + 1 (Euler), exact at
+    the matrix that the eigendata represent.  The bound holds at any x > 0;
+    it is taken at x = (1 - eps) sigma + eps I/d for each eps in
+    ``CERT_MIX``, the iterate itself first, which share sigma's eigenbasis.
+    Mixing tames the gradient at near-singular iterates.  Y is the
+    multiplier N of the projection of (x - alpha G)^PT, over alpha, for
+    each alpha in ``CERT_STEPS``; at a minimizer the bound equals f.  Each
+    bound is lowered by a margin for the rounding of the eigensolves and
+    inner products and clipped at 0.  Returns the highest, and takes no
+    further point once a bound reaches ``target``.
     """
-    w, v = np.linalg.eigh(sigma)
-    if w[0] <= 0.0:
-        return 0.0
-    values, grads = _chi2_value_grad(tau[None], w[None], v[None])
-    f, g = float(values[0]), grads[0]
-    ulp = CERT_MARGIN_ULPS * len(w) * EPS
-    dual = -math.inf
-    for alpha in CERT_STEPS:
-        wp, vp, theta = _pt_eig_step(sigma - alpha * g, dim_a, dim_b)
-        y = (vp * (np.clip(theta - wp, 0.0, None) / alpha)) @ la.dag(vp)
-        lam = float(np.linalg.eigvalsh(g - la.partial_transpose(y, dim_a, dim_b))[0])
-        dual = max(dual, lam - ulp * float(np.linalg.norm(y)))
-    roots = math.sqrt(max(f + 1.0, 0.0)) * float(np.sum(w**-0.5))
-    scale = abs(f) + 1.0 + float(np.linalg.norm(g)) + roots
-    return max(2.0 * f + 1.0 + dual - ulp * scale, 0.0)
+    w0, v = eig
+    d = len(w0)
+    ulp = CERT_MARGIN_ULPS * d * EPS
+    best = 0.0
+    for eps in CERT_MIX:
+        w = (1.0 - eps) * w0 + eps / d
+        values, grads = _chi2_value_grad(tau[None], w[None], v[None])
+        f, g = float(values[0]), grads[0]
+        x = (v * w) @ la.dag(v)
+        dual = -math.inf
+        for alpha in CERT_STEPS:
+            wp, vp, theta = _pt_eig_step(x - alpha * g, dim_a, dim_b)
+            y = (vp * (np.clip(theta - wp, 0.0, None) / alpha)) @ la.dag(vp)
+            lam = float(np.linalg.eigvalsh(g - la.partial_transpose(y, dim_a, dim_b))[0])
+            dual = max(dual, lam - ulp * float(np.linalg.norm(y)))
+        roots = math.sqrt(max(f + 1.0, 0.0)) * float(np.sum(w**-0.5))
+        scale = abs(f) + 1.0 + float(np.linalg.norm(g)) + roots
+        best = max(best, 2.0 * f + 1.0 + dual - ulp * scale)
+        if best >= target:
+            break
+    return best
 
 
 def chisep(s: BipartiteState, cfg: SepConfig = SepConfig()) -> SepApproxResult:
@@ -578,13 +604,18 @@ def chisep(s: BipartiteState, cfg: SepConfig = SepConfig()) -> SepApproxResult:
 
     Separable inputs short-circuit to zero (the infimum is attained in the
     closure at the state itself).  Otherwise :func:`_min_chi2` runs from the
-    maximally mixed state, and :func:`_chi2_lower` certifies a lower bound at
-    its iterate.  Only while the gap between the value and that bound exceeds
-    ``CHISEP_GAP_TOL * max(1, value)`` does a second run start from the
-    input's separable twirl, certified the same way.  Each start is projected
-    once.  The lowest feasible value and the highest lower bound are
-    returned; ``extras`` hold ``lower``, ``gap``, ``certified`` (gap within
-    the tolerance) and the value of each start that ran (``start_values``).
+    maximally mixed state, and :func:`_chi2_lower` certifies a lower bound
+    from its iterate's eigendecomposition, mixing towards I/d only while
+    the gap between the value and that bound exceeds
+    ``CHISEP_GAP_TOL * max(1, value)``.  Only while the gap exceeds
+    ``VERDICT_SLACK``, the slack of the verdicts that read chisep values,
+    does a second run start from the input's separable twirl, certified
+    the same way; no start can go below the bound, so skipping it moves the
+    value by at most the gap.  Each start is projected once.  The lowest
+    feasible value and the highest lower bound are returned; ``extras``
+    hold ``lower``, ``gap``, ``certified`` (gap within ``CHISEP_GAP_TOL *
+    max(1, value)``) and the value of each start that ran
+    (``start_values``).
     """
     _check_desk_scale(s)
     tau = s.matrix
@@ -603,10 +634,11 @@ def chisep(s: BipartiteState, cfg: SepConfig = SepConfig()) -> SepApproxResult:
     for start in (lambda: np.eye(d, dtype=complex) / d, lambda: separable_twirl(tau, *dims)):
         run = _min_chi2(tau[None], [1.0], project_pt_trace(start()[None], *dims), *dims, cfg)
         runs.append(run)
-        lower = max(lower, _chi2_lower(tau, run[1][0], *dims))
-        value, x, _, _ = min(runs, key=lambda r: r[0])
-        certified = value - lower <= CHISEP_GAP_TOL * max(1.0, value)
-        if certified:
+        value, x = min(runs, key=lambda r: r[0])[:2]
+        w, v = run[4]
+        target = value - CHISEP_GAP_TOL * max(1.0, value)
+        lower = max(lower, _chi2_lower(tau, (w[0], v[0]), *dims, target))
+        if value - lower <= VERDICT_SLACK:
             break
     sigma = x[0]
     return SepApproxResult(
@@ -621,7 +653,7 @@ def chisep(s: BipartiteState, cfg: SepConfig = SepConfig()) -> SepApproxResult:
             "start_values": [run[0] for run in runs],
             "lower": lower,
             "gap": value - lower,
-            "certified": certified,
+            "certified": value - lower <= CHISEP_GAP_TOL * max(1.0, value),
         },
     )
 
@@ -730,7 +762,7 @@ def chisep_ccqq_blockdiag(s: CcQqState, cfg: SepConfig = SepConfig()) -> SepAppr
     n = len(blocks)
     d = s.dim_a * s.dim_b
     # The start I / (n d) is feasible and strictly positive.
-    value, mats, iters, converged = _min_chi2(
+    value, mats, iters, converged, _ = _min_chi2(
         [b.rho for b in blocks], [b.prob**2 for b in blocks],
         np.stack([np.eye(d) / (n * d)] * n), s.dim_a, s.dim_b, cfg,
     )
@@ -859,8 +891,8 @@ def verify_contraction_step(
     trace-norm contraction coefficient of ``t`` (which upper-bounds the
     chi-square coefficient, making the right side sound).  The lower
     chi-square coefficient estimate is reported for diagnostics only.  The
-    check passes with 1e-6 slack.  An input with chi_in below ``epsilon``
-    raises :class:`PreconditionError`.
+    check passes with ``VERDICT_SLACK`` (1e-6).  An input with chi_in below
+    ``epsilon`` raises :class:`PreconditionError`.
     """
     if not 0.0 < epsilon < 1.0:
         raise ChannelError("epsilon must lie in (0, 1)")
@@ -876,7 +908,7 @@ def verify_contraction_step(
     rhs = (1.0 - epsilon**2 / 100.0 * (1.0 - eta_up)) * chi_in
     slack = rhs - chi_out
     return ContractionStepReport(
-        passed=bool(chi_out <= rhs + 1e-6),
+        passed=bool(chi_out <= rhs + VERDICT_SLACK),
         chi_in=chi_in,
         chi_out=chi_out,
         eta_upper=eta_up,

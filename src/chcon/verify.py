@@ -30,7 +30,7 @@ from .channels import (
     depolarizing,
     amplitude_damping,
 )
-from .config import CHISEP_THRESHOLD
+from .config import CHISEP_THRESHOLD, VERDICT_SLACK
 from .contraction import eta_chi_lower, eta_tr, eta_tr_upper_choi, eta_tr_upper_minoutev
 from .decompose import corner_feasibility, is_entanglement_breaking, p_constant, unital_split
 from .divergences import chi2_divergence, trace_distance
@@ -414,7 +414,7 @@ def _check_ccqq_formula(index, s, cfg):
 
 def _check_ccqq_bound(index, s, cfg):
     val = chisep_ccqq(s, SepConfig(seed=cfg.seed, obj_tol=1e-6, max_iter=2000)).value
-    return {"index": index, "value": val, "state": ser.ccqq_to_json(s)}, val > 3.0 + 1e-6
+    return {"index": index, "value": val, "state": ser.ccqq_to_json(s)}, val > 3.0 + VERDICT_SLACK
 
 
 def suite_ccqq_formula(cfg: VerifyConfig) -> SuiteReport:

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: exit codes, formats, determinism."""
 
+import argparse
 import json
 import subprocess
 import sys
@@ -480,3 +481,41 @@ class TestDeterminism:
         a = run_cli("analyze", str(spec_dir / "ad03.json"), "--restarts", "4", "--seed", "11")
         b = run_cli("analyze", str(spec_dir / "ad03.json"), "--restarts", "4", "--seed", "11")
         assert a.stdout == b.stdout
+
+
+def test_cached_parser_leaks_nothing_between_calls(monkeypatch):
+    # main runs back to back in one process with one parser; each call must
+    # parse exactly what a freshly built parser parses from the same argv.
+    from chcon import cli
+
+    assert cli.build_parser() is cli.build_parser()
+    seen = []
+    parse_args = argparse.ArgumentParser.parse_args
+
+    def recording(self, *args, **kwargs):
+        ns = parse_args(self, *args, **kwargs)
+        seen.append(dict(vars(ns)))
+        ns.fn = lambda _args: 0  # parsing only; no command runs
+        return ns
+
+    argvs = [
+        ["analyze", "a.json", "--trials", "7", "--restarts", "3", "--seed", "5", "--out", "x"],
+        ["analyze", "b.json"],
+        ["simulate", "c.json", "--doubled", "--record-chisep", "--format", "csv", "--steps", "4"],
+        ["simulate", "c.json"],
+        ["verify", "all", "--trials", "2", "--seed", "9"],
+        ["verify", "--replay", "r.json"],
+        ["bound", "--p", "0.5", "--n", "1", "--log2-T", "40", "--restarts", "2"],
+        ["bound", "ch.json", "--n", "2", "--T", "8"],
+        ["analyze", "a.json"],
+    ]
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recording)
+    assert [cli.main(argv) for argv in argvs] == [0] * len(argvs)
+    monkeypatch.undo()
+    fresh = [dict(vars(cli.build_parser.__wrapped__().parse_args(argv))) for argv in argvs]
+    assert seen == fresh
+    # The subcommand default set through set_defaults comes back after an override.
+    assert seen[0]["trials"] == 7 and seen[1]["trials"] == 200 and seen[-1]["trials"] == 200
+    assert seen[3]["doubled"] is False and seen[3]["fmt"] == "json" and seen[3]["steps"] is None
+    assert seen[5]["trials"] is None and seen[5]["seed"] == 0 and seen[5]["suite"] is None
+    assert "trials" not in seen[6] and seen[7]["restarts"] == 12 and seen[7]["p"] is None

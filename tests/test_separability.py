@@ -12,14 +12,20 @@ from chcon.channels import (
     amplitude_damping,
     bell_state,
     completely_depolarizing,
+    dephasing,
     depolarizing,
     identity_channel,
 )
+from chcon.config import VERDICT_SLACK
 from chcon.divergences import chi2_divergence
 from chcon.sampling import haar_unitary, random_channel, random_density, random_pure, rng_from
+from chcon.simulate import GateLayer, apply_iid_noise, apply_layer, doubled_layout
 from chcon.separability import (
     BARRIER_STAGES,
+    CERT_MIX,
+    CERT_STEPS,
     _accelerated_pgd,
+    _chi2_lower,
     _chi2_value_grad,
     _interior_chi2,
     _min_chi2,
@@ -65,6 +71,17 @@ def werner_chisep(w: float) -> float:
 
 def werner_dsep(w: float) -> float:
     return max(1.5 * (w - 1 / 3), 0.0)
+
+
+def doubled_step(noise: KrausChannel) -> BipartiteState:
+    """The state after one step of the n = 1 doubled memory on a Bell pair,
+    as the simulator builds it: ``noise`` on both halves, then the identity
+    gate."""
+    layout = doubled_layout(1)
+    state = apply_iid_noise(CcQqState.single(bell()), noise, layout)
+    gate = local_product_channel(identity_channel(), identity_channel())
+    state = apply_layer(state, GateLayer(channel=gate), layout)
+    return BipartiteState.from_matrix(state.blocks[0].rho, 2, 2)
 
 
 def product_state(rng) -> BipartiteState:
@@ -278,8 +295,9 @@ class TestChi2Kernel:
         taus = np.stack([random_density(rng, 6) for _ in range(3)])
         xs = np.stack([0.8 * random_density(rng, 6) + 0.2 * np.eye(6) / 6 for _ in range(3)])
         weights = np.array([0.5, 0.3, 0.2])
-        f, grad, score = _interior_chi2(taus, weights, mu)(xs)
+        f, grad, score, eig = _interior_chi2(taus, weights, mu)(xs)
         w, v = np.linalg.eigh(xs)
+        assert np.array_equal(eig[0], w) and np.array_equal(eig[1], v)
         values, grads = _chi2_value_grad(taus, w, v, mu)
         assert f == float(weights @ (values + 1.0)) - 1.0
         assert np.array_equal(grad(), weights[:, None, None] * grads)
@@ -289,14 +307,14 @@ class TestChi2Kernel:
 
     def test_outside_the_cone_has_no_gradient(self):
         x = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)[None]
-        assert _interior_chi2(bell().matrix[None], np.ones(1), 1e-4)(x) == (math.inf, None, None)
+        assert _interior_chi2(bell().matrix[None], np.ones(1), 1e-4)(x) == (math.inf, None, None, None)
 
     @pytest.mark.parametrize("mu", [1e-4, 1e-8])
     def test_stage_value_is_a_fresh_score(self, mu):
         taus = np.stack([bell().matrix, werner(0.8).matrix])
         weights = np.array([0.36, 0.16])
         x0 = np.stack([np.eye(4, dtype=complex) / 8] * 2)
-        x, value, iters, _ = _accelerated_pgd(
+        x, value, iters, _, _ = _accelerated_pgd(
             _interior_chi2(taus, weights, mu), lambda z: project_pt_trace(z, 2, 2), x0, 300, 1e-8
         )
         assert iters > 0 and not np.array_equal(x, x0)
@@ -432,10 +450,52 @@ class TestLazyLoopMatchesEagerReference:
         ref = eager_min_chi2(*args)
         ref_calls, calls[0] = calls[0], 0
         got = _min_chi2(*args)
-        assert got[0] == ref[0] and got[2:] == ref[2:]
+        assert got[0] == ref[0] and got[2:4] == ref[2:]
         assert got[3] is (name != "2x3-rank1-i3")
         assert np.array_equal(got[1], ref[1])
         assert 0 < calls[0] < ref_calls
+        # The returned eigendata are those of the returned iterate.
+        w, v = np.linalg.eigh(got[1])
+        assert np.array_equal(got[4][0], w) and np.array_equal(got[4][1], v)
+
+    def test_stage_boundaries_and_certificate_take_no_eigensolve(self, monkeypatch):
+        st = doubled_step(amplitude_damping(0.28))
+        taus, cfg = st.matrix[None], SepConfig()
+        x0 = project_pt_trace(np.eye(4, dtype=complex)[None] / 4, 2, 2)
+        calls = counting_eigh(monkeypatch)
+        value, x, iters, _, eig = _min_chi2(taus, [1.0], x0, 2, 2, cfg)
+        carried, calls[0] = calls[0], 0
+        # The same stages, each started with a fresh eigensolve of its warm
+        # start, follow the same path with one more eigensolve per boundary.
+        xs, total, best = x0, 0, math.inf
+        for mu in BARRIER_STAGES:
+            xs, score, it, _, _ = _accelerated_pgd(
+                _interior_chi2(taus, np.ones(1), mu), lambda z: project_pt_trace(z, 2, 2),
+                xs, cfg.max_iter - total, 1e-2 * max(cfg.obj_tol, mu),
+            )
+            total, best = total + it, min(best, score)
+        assert (total, best) == (iters, value)
+        assert calls[0] == carried + len(BARRIER_STAGES) - 1
+        # The certificate reads the iterate's eigendata: its only eigensolves
+        # are the projections that pick its multipliers.
+        calls[0] = 0
+        _chi2_lower(st.matrix, (eig[0][0], eig[1][0]), 2, 2, math.inf)
+        assert calls[0] == len(CERT_MIX) * len(CERT_STEPS)
+
+
+def assert_lower_below_both_starts(dim_a, dim_b, rank, cfg):
+    """Any feasible value bounds the PPT minimum from above, so chisep's
+    certified lower side must sit below both starts at any budget, the
+    twirl start run here if chisep skipped it."""
+    d = dim_a * dim_b
+    for i in range(6):
+        tau = random_density(rng_from(7, dim_a, dim_b, i), d, rank)
+        res = chisep(BipartiteState.from_matrix(tau, dim_a, dim_b), cfg)
+        values = list(res.extras["start_values"])
+        if len(values) == 1:
+            start = project_pt_trace(separable_twirl(tau, dim_a, dim_b)[None], dim_a, dim_b)
+            values.append(_min_chi2(tau[None], [1.0], start, dim_a, dim_b, cfg)[0])
+        assert 0.0 < res.extras["lower"] <= min(values)
 
 
 class TestChisep:
@@ -483,24 +543,44 @@ class TestChisep:
         assert twirl == pytest.approx(0.912694, abs=1e-6)
         assert res.value == twirl
         assert res.extras["certified"] is False
-        assert res.extras["lower"] <= res.value
+        assert res.extras["gap"] > VERDICT_SLACK
+        # A rank-1 input, whose optimum is singular: the certificate still
+        # stays positive.
+        assert 0.0 < res.extras["lower"] <= res.value
+
+    def test_doubled_ad_step_certified_from_one_start(self):
+        res = chisep(doubled_step(amplitude_damping(0.28)))
+        assert len(res.extras["start_values"]) == 1
+        assert 0.0 <= res.extras["gap"] <= 1e-6
+        # 0.2841913922476358 is the lower of the two starts' values on this
+        # state under the stall tolerances of obj_tol = 1e-8.
+        assert res.value <= 0.2841913922476358 + 1e-12
+
+    def test_mixed_point_certificate_closes_dephasing_gap(self, monkeypatch):
+        # Step 1 of the dephasing(0.1) doubled memory: the I/d iterate is
+        # near-singular, and the certificate at it alone leaves a gap of
+        # about 1e-3 although both starts agree within 1e-12.
+        st = doubled_step(dephasing(0.1))
+        tau = st.matrix
+        res = chisep(st)
+        assert len(res.extras["start_values"]) == 1
+        assert 0.0 <= res.extras["gap"] <= 1e-6
+        start = project_pt_trace(separable_twirl(tau, 2, 2)[None], 2, 2)
+        twirl = _min_chi2(tau[None], [1.0], start, 2, 2, SepConfig())[0]
+        assert res.extras["lower"] <= twirl
+        monkeypatch.setattr("chcon.separability.CERT_MIX", (0.0,))
+        assert chisep(st).extras["gap"] > 1e-4
 
     @pytest.mark.parametrize("dim_a, dim_b", [(2, 3), (2, 4), (3, 3), (4, 4)])
     @pytest.mark.parametrize("rank", [1, 2])
     def test_lower_below_both_starts(self, dim_a, dim_b, rank):
-        # Any feasible value bounds the PPT minimum from above, so the
-        # certified lower side must sit below both starts at any budget; a
-        # 500-iteration budget keeps the 4x4 rank-2 inputs to seconds.
-        cfg = SepConfig(obj_tol=1e-6, max_iter=500)
-        d = dim_a * dim_b
-        for i in range(6):
-            tau = random_density(rng_from(7, dim_a, dim_b, i), d, rank)
-            res = chisep(BipartiteState.from_matrix(tau, dim_a, dim_b), cfg)
-            values = list(res.extras["start_values"])
-            if len(values) == 1:
-                start = project_pt_trace(separable_twirl(tau, dim_a, dim_b)[None], dim_a, dim_b)
-                values.append(_min_chi2(tau[None], [1.0], start, dim_a, dim_b, cfg)[0])
-            assert 0.0 < res.extras["lower"] <= min(values)
+        # A 500-iteration budget keeps the 4x4 rank-2 inputs to seconds.
+        assert_lower_below_both_starts(dim_a, dim_b, rank, SepConfig(obj_tol=1e-6, max_iter=500))
+
+    @pytest.mark.parametrize("dim_a, dim_b", [(2, 2), (2, 3)])
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_lower_below_both_starts_default_config(self, dim_a, dim_b, rank):
+        assert_lower_below_both_starts(dim_a, dim_b, rank, SepConfig())
 
     @pytest.mark.parametrize("kwargs", [
         {"max_iter": 0}, {"max_iter": -5}, {"max_iter": True}, {"max_iter": 2.5},
