@@ -1,10 +1,11 @@
 """Channel-constant machinery for non-unitary qubit channels.
 
 Unital channels split as (1-p1) * unitary + p1 * entanglement-breaking via
-the tetrahedron/octahedron geometry of the diagonal Bloch form; non-unital
-channels get a certified lower bound on the constant p2 from a completely
-positive peel N >= q M against channels M with full-rank C_{M^dag o M}.
-The channel constant is p = max(p1, p2).
+the tetrahedron/octahedron geometry of the diagonal Bloch form.  Non-unital
+channels get a certified lower bound on the constant p2 from the self peel
+N >= 1 * N, which is lmin(C_{N^dag o N}) / P2_DENOMINATOR when C_{N^dag o N}
+is positive definite and 0 otherwise, and an entanglement-breaking weight
+from a seeded random peel search.  The channel constant is p = max(p1, p2).
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from .channels import (
     KrausChannel,
     channel_from_bloch_transfer,
     compose,
-    is_extreme_point,
     is_unitary_channel,
     kraus_to_choi,
     to_bloch_affine,
@@ -28,7 +28,7 @@ from .channels import (
 )
 from .config import P2_DENOMINATOR, PSD_TOL, SUPP_TOL
 from .contraction import lambda_min_choi_of_adjoint_composition
-from .sampling import random_eb_qubit_channel, random_extremal_nonunital_qubit_channel, rng_from
+from .sampling import random_eb_qubit_channel, rng_from
 
 TETRA_CORNERS = (
     (1.0, 1.0, 1.0),
@@ -47,31 +47,6 @@ class UnitalDecomposition:
     unitary_part: KrausChannel
     eb_part: KrausChannel
     corner: int
-
-
-@dataclass(frozen=True)
-class ExtremalCertificate:
-    """A peel certificate N >= q M with p2_lower = q^2 lmin(C_{M^dag M}) / 204800.
-
-    ``m_extremal`` records whether M passed the extreme-point test; the
-    fallback M = N is accepted for non-extremal N as well, since the
-    denominator formula is sound for any channel M below N in the completely
-    positive order.
-    """
-
-    q: float
-    m: KrausChannel
-    lambda_min_choi: float
-    p2_lower: float
-    m_extremal: bool
-    method: str
-
-    def __post_init__(self):
-        if not 0.0 < self.q <= 1.0:
-            raise ChannelError("certificate weight q must be in (0, 1]")
-        expected = self.q**2 * self.lambda_min_choi / P2_DENOMINATOR
-        if abs(self.p2_lower - expected) > 1e-15 + 1e-9 * abs(expected):
-            raise ChannelError("certificate p2_lower is inconsistent with q and lambda_min")
 
 
 @dataclass(frozen=True)
@@ -231,53 +206,20 @@ def max_cp_weight(n: KrausChannel, m: KrausChannel) -> float:
     return _max_cp_weight_on(_choi_support(n), m)
 
 
-def _certificate(q: float, m: KrausChannel, method: str) -> ExtremalCertificate:
-    lam = max(lambda_min_choi_of_adjoint_composition(m), 0.0)
-    return ExtremalCertificate(
-        q=q,
-        m=m,
-        lambda_min_choi=lam,
-        p2_lower=q**2 * lam / P2_DENOMINATOR,
-        m_extremal=is_extreme_point(m),
-        method=method,
-    )
-
-
-def p2_certificate(ch: KrausChannel, candidates: int = 256, seed: int = 0) -> ExtremalCertificate:
+def p2_certificate(ch: KrausChannel) -> float:
     """Certified lower bound on the non-unital channel constant p2.
 
-    The search tries M = N itself at q = 1 (preferred whenever N is
-    extremal) and a randomized peel over extremal two-Kraus non-unital
-    channels, keeping the best bound found.
+    The self peel N >= 1 * N gives p2 >= lmin(C_{N^dag o N}) / P2_DENOMINATOR
+    whenever C_{N^dag o N} is positive definite (smallest eigenvalue above
+    ``PSD_TOL``); otherwise the bound is 0 and the entanglement-breaking
+    weight of :func:`p_constant` decides alone.  One eigensolve.
     """
     if not ch.is_qubit():
         raise ChannelError("p2 certificates are implemented for qubit channels only")
     if ch.is_unital():
         raise ChannelError("channel is unital; p2 certificates apply to non-unital channels")
-
-    self_lam = max(lambda_min_choi_of_adjoint_composition(ch), 0.0)
-    best: ExtremalCertificate | None = None
-    if self_lam > PSD_TOL:
-        best = _certificate(1.0, ch, method="self")
-        if best.m_extremal:
-            return best
-
-    support = _choi_support(ch)
-    for i in range(candidates):
-        rng = rng_from(seed, i)
-        try:
-            m = random_extremal_nonunital_qubit_channel(rng)
-        except RuntimeError:
-            continue
-        q = _max_cp_weight_on(support, m)
-        if q <= 1e-6:
-            continue
-        cand = _certificate(q, m, method="extremal_peel")
-        if best is None or cand.p2_lower > best.p2_lower:
-            best = cand
-    if best is None:
-        raise ChannelError("p2 search found no completely positive peel with positive weight")
-    return best
+    lam = lambda_min_choi_of_adjoint_composition(ch)
+    return lam / P2_DENOMINATOR if lam > PSD_TOL else 0.0
 
 
 def eb_peel_weight(ch: KrausChannel, candidates: int = 64, seed: int = 0) -> float:
@@ -292,17 +234,14 @@ def eb_peel_weight(ch: KrausChannel, candidates: int = 64, seed: int = 0) -> flo
     return best
 
 
-def p_constant(
-    ch: KrausChannel,
-    candidates: int = 256,
-    eb_candidates: int = 64,
-    seed: int = 0,
-) -> PConstantReport:
+def p_constant(ch: KrausChannel, eb_candidates: int = 64, seed: int = 0) -> PConstantReport:
     """The channel constant p = max(p1, p2) for a non-unitary qubit channel.
 
-    Unital channels take the exact corner-search p1; non-unital channels
-    combine the p2 certificate with any entanglement-breaking peel found,
-    both certified lower bounds.
+    Unital channels take the exact corner-search p1.  Non-unital channels
+    combine two certified lower bounds: the self-peel p2 of
+    :func:`p2_certificate` and the entanglement-breaking weight of
+    :func:`eb_peel_weight`, the only random search left, over
+    ``eb_candidates`` candidates drawn from ``seed``.
     """
     if not ch.is_qubit():
         raise ChannelError("the channel constant is defined for qubit channels")
@@ -316,14 +255,12 @@ def p_constant(
         return PConstantReport(
             p1=split.p1, p2_lower=0.0, p=split.p1, certification="exact_p1"
         )
-    cert = p2_certificate(ch, candidates=candidates, seed=seed)
+    p2 = p2_certificate(ch)
     p1_style = eb_peel_weight(ch, candidates=eb_candidates, seed=seed)
-    p = max(cert.p2_lower, p1_style)
+    p = max(p2, p1_style)
     if p <= 0.0:
         raise ChannelError("could not certify a positive channel constant")
-    return PConstantReport(
-        p1=p1_style, p2_lower=cert.p2_lower, p=p, certification="certified_lower_bound"
-    )
+    return PConstantReport(p1=p1_style, p2_lower=p2, p=p, certification="certified_lower_bound")
 
 
 # ---------------------------------------------------------------------------

@@ -15,15 +15,11 @@ from .channels import (
     amplitude_damping,
     compose,
     depolarizing,
-    extremality_gap,
     unitary_channel,
 )
 
 # Draws each non-unital sampler makes before giving up.
 NONUNITAL_TRIES = 200
-EXTREMAL_TRIES = 500
-# Extremality gap an extremal draw must exceed.
-EXTREMAL_GAP_TOL = 1e-6
 # POVM outcomes of a random measure-and-prepare channel.
 EB_OUTCOMES = 4
 
@@ -114,18 +110,6 @@ def random_near_identity_qubit_channel(
     u = la.expi(strength * la.herm_part(h))
     ch = compose(amplitude_damping(gamma), depolarizing(p))
     return compose(unitary_channel(u), ch)
-
-
-def random_extremal_nonunital_qubit_channel(rng: np.random.Generator) -> KrausChannel:
-    """Random Choi-rank-2 qubit channel that is extremal and non-unital."""
-    for _ in range(EXTREMAL_TRIES):
-        ch = random_channel(rng, 2, env_dim=2)
-        acc = sum(k @ la.dag(k) for k in ch.kraus)
-        if np.linalg.norm(acc - np.eye(2), 2) < 1e-3:
-            continue
-        if extremality_gap(ch) > EXTREMAL_GAP_TOL:
-            return ch
-    raise RuntimeError("failed to sample an extremal non-unital qubit channel")
 
 
 def random_eb_qubit_channel(rng: np.random.Generator) -> KrausChannel:

@@ -612,7 +612,8 @@ def chisep(s: BipartiteState, cfg: SepConfig = SepConfig()) -> SepApproxResult:
     does a second run start from the input's separable twirl, certified
     the same way; no start can go below the bound, so skipping it moves the
     value by at most the gap.  Each start is projected once.  The lowest
-    feasible value and the highest lower bound are returned; ``extras``
+    feasible value and the highest lower bound are returned, with no
+    minimizer (its callers read only the value and the bound); ``extras``
     hold ``lower``, ``gap``, ``certified`` (gap within ``CHISEP_GAP_TOL *
     max(1, value)``) and the value of each start that ran
     (``start_values``).
@@ -634,21 +635,19 @@ def chisep(s: BipartiteState, cfg: SepConfig = SepConfig()) -> SepApproxResult:
     for start in (lambda: np.eye(d, dtype=complex) / d, lambda: separable_twirl(tau, *dims)):
         run = _min_chi2(tau[None], [1.0], project_pt_trace(start()[None], *dims), *dims, cfg)
         runs.append(run)
-        value, x = min(runs, key=lambda r: r[0])[:2]
+        value = min(r[0] for r in runs)
         w, v = run[4]
         target = value - CHISEP_GAP_TOL * max(1.0, value)
         lower = max(lower, _chi2_lower(tau, (w[0], v[0]), *dims, target))
         if value - lower <= VERDICT_SLACK:
             break
-    sigma = x[0]
     return SepApproxResult(
         value=value,
-        minimizer=DensityState.from_matrix(la.density_project(sigma)),
+        minimizer=None,
         method=_method_tag(s.dim_a, s.dim_b),
         iterations=sum(run[2] for run in runs),
         converged=all(run[3] for run in runs),
         extras={
-            "final_min_eig_sigma": float(np.linalg.eigvalsh(la.herm_part(sigma))[0]),
             "ppt_min_eig_input": ppt_min,
             "start_values": [run[0] for run in runs],
             "lower": lower,

@@ -368,7 +368,7 @@ def suite_doubled_nonunital(cfg: VerifyConfig) -> SuiteReport:
     violations = []
     for i in range(n):
         noise = random_nonunital_qubit_channel(rng_from(cfg.seed, 10_000 + i), min_nonunitality=0.05)
-        p = p_constant(noise, candidates=32, eb_candidates=16, seed=cfg.seed + i).p
+        p = p_constant(noise, eb_candidates=16, seed=cfg.seed + i).p
         _, checks = _trajectory_checks(i, noise, DOUBLED_STEPS, cfg, p)
         violations += _failing(checks)
     pinned, checks = _trajectory_checks("amplitude_damping(0.3)", amplitude_damping(0.3), 10, cfg)

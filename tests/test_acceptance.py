@@ -84,7 +84,7 @@ def doubled_runs():
         1, depolarizing(0.25), 10, _bell(), p_value=0.375,
         sep_cfg=cfg, seed=SEED,
     )
-    p2 = p2_certificate(amplitude_damping(0.3), candidates=16, seed=SEED).p2_lower
+    p2 = p2_certificate(amplitude_damping(0.3))
     ad = doubled_memory_experiment(
         1, amplitude_damping(0.3), 10, _bell(), p_value=p2,
         sep_cfg=cfg, seed=SEED,

@@ -21,6 +21,7 @@ def spec_dir(tmp_path):
     (tmp_path / "dep04.json").write_text('{"preset": "depolarizing", "p": 0.4}')
     (tmp_path / "ident.json").write_text('{"preset": "identity"}')
     (tmp_path / "ad03.json").write_text('{"preset": "amplitude_damping", "gamma": 0.3}')
+    (tmp_path / "ad1e-6.json").write_text('{"preset": "amplitude_damping", "gamma": 1e-6}')
     (tmp_path / "broken.json").write_text('{"preset": "depolarizing", ')
     return tmp_path
 
@@ -55,6 +56,15 @@ class TestAnalyze:
         assert res.returncode == 2, res.stderr
         assert res.stderr.startswith("chcon: error:") and message in res.stderr
         assert "Traceback" not in res.stderr
+
+    def test_near_unitary_amplitude_damping_reports_p_error(self, spec_dir):
+        # No positive channel constant is certified at gamma = 1e-6; the rest
+        # of the report is still written.
+        res = run_cli("analyze", str(spec_dir / "ad1e-6.json"), "--restarts", "4")
+        assert res.returncode == 0, res.stderr
+        doc = json.loads(res.stdout)
+        assert doc["p_constant"] == {"error": "could not certify a positive channel constant"}
+        assert doc["validation"]["ok"]
 
     def test_malformed_json_exits_two(self, spec_dir):
         res = run_cli("analyze", str(spec_dir / "broken.json"))
@@ -91,6 +101,12 @@ class TestBound:
         assert doc["overhead"]["bound"]["kind"] == "qubits"
         assert doc["overhead"]["bound"]["value"] >= 4.0
         assert doc["overhead"]["capacity_bracket"]["lower"] > 0
+
+    def test_near_unitary_amplitude_damping_exits_two(self, spec_dir):
+        res = run_cli("bound", str(spec_dir / "ad1e-6.json"), "--n", "2", "--log2-T", "40")
+        assert res.returncode == 2
+        assert res.stderr == "chcon: error: could not certify a positive channel constant\n"
+        assert res.stdout == ""
 
     def test_usage_errors(self, spec_dir):
         assert run_cli("bound", "--n", "1", "--T", "4").returncode == 2

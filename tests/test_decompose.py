@@ -11,14 +11,16 @@ from chcon.channels import (
     channel_from_bloch_transfer,
     choi_distance,
     completely_depolarizing,
+    compose,
     dephasing,
     depolarizing,
     identity_channel,
     kraus_to_choi,
     unitary_channel,
 )
+from chcon.config import P2_DENOMINATOR, PSD_TOL
+from chcon.contraction import lambda_min_choi_of_adjoint_composition
 from chcon.decompose import (
-    ExtremalCertificate,
     _choi_support,
     _max_cp_weight_on,
     barycentric_weights,
@@ -34,13 +36,12 @@ from chcon.decompose import (
 )
 from chcon.sampling import (
     random_eb_qubit_channel,
-    random_extremal_nonunital_qubit_channel,
     random_nonunital_qubit_channel,
     random_unital_qubit_channel,
     rng_from,
 )
 
-from conftest import seeded
+from conftest import random_extremal_nonunital_qubit_channel, seeded
 
 
 def cp_order_margin(choi_n, choi_m, q: float) -> float:
@@ -179,8 +180,8 @@ class TestCpOrder:
 
     @pytest.mark.parametrize("index", range(4))
     def test_shared_support_equals_per_candidate_calls(self, index):
-        # p2_certificate and eb_peel_weight decompose C_N once for all their
-        # candidates; every weight must equal a per-candidate max_cp_weight.
+        # eb_peel_weight decomposes C_N once for all its candidates; every
+        # weight must equal a per-candidate max_cp_weight.
         ad = amplitude_damping(0.3)
         m = random_nonunital_qubit_channel(seeded(65, index), min_nonunitality=0.02)
         n = KrausChannel.from_kraus(
@@ -197,41 +198,47 @@ class TestCpOrder:
         )
 
 
+def self_peel_bound(ch) -> float:
+    """The self-peel p2 bound lmin(C_{N^dag o N}) / P2_DENOMINATOR, clamped at 0."""
+    return max(lambda_min_choi_of_adjoint_composition(ch), 0.0) / P2_DENOMINATOR
+
+
 class TestP2Certificate:
     def test_amplitude_damping_self_route(self):
-        cert = p2_certificate(amplitude_damping(0.3), candidates=8, seed=1)
-        assert cert.q == pytest.approx(1.0)
-        assert cert.method == "self"
-        assert cert.m_extremal
-        assert cert.p2_lower == pytest.approx(cert.lambda_min_choi / 204800.0)
-        assert cert.p2_lower > 0
+        ch = amplitude_damping(0.3)
+        p2 = p2_certificate(ch)
+        assert p2 == lambda_min_choi_of_adjoint_composition(ch) / 204800.0
+        assert p2 > 0
 
     def test_full_damping_still_certifies(self):
-        cert = p2_certificate(amplitude_damping(1.0), candidates=8, seed=1)
-        assert cert.p2_lower > 0
-        assert cert.q == pytest.approx(1.0)
+        assert p2_certificate(amplitude_damping(1.0)) > 0
 
     def test_unital_input_rejected(self):
         with pytest.raises(ChannelError, match="unital"):
             p2_certificate(depolarizing(0.3))
 
+    def test_non_qubit_input_rejected(self):
+        with pytest.raises(ChannelError, match="qubit channels only"):
+            p2_certificate(identity_channel(3))
+
     def test_random_corpus_certificates(self):
         for i in range(120):
             ch = random_nonunital_qubit_channel(seeded(62, i), min_nonunitality=0.02)
-            cert = p2_certificate(ch, candidates=4, seed=i)
-            assert cert.p2_lower >= 0.0
-            # CP-order margin of the returned certificate.
-            margin = cp_order_margin(kraus_to_choi(ch), kraus_to_choi(cert.m), cert.q)
-            assert margin >= -1e-8
+            assert lambda_min_choi_of_adjoint_composition(ch) > PSD_TOL
+            assert p2_certificate(ch) == self_peel_bound(ch)
 
     def test_extremal_channels_select_q_one(self):
-        from chcon.sampling import random_extremal_nonunital_qubit_channel
-
         for i in range(40):
             ch = random_extremal_nonunital_qubit_channel(seeded(63, i))
-            cert = p2_certificate(ch, candidates=4, seed=i)
-            assert cert.q == pytest.approx(1.0)
-            assert cert.method == "self"
+            assert lambda_min_choi_of_adjoint_composition(ch) > PSD_TOL
+            assert p2_certificate(ch) == self_peel_bound(ch)
+
+    @pytest.mark.parametrize("gamma", [1e-6, 1e-8])
+    def test_near_unitary_amplitude_damping_is_zero(self, gamma):
+        # lmin(C_{N^dag o N}) is 5e-13 at gamma = 1e-6, below PSD_TOL.
+        ch = amplitude_damping(gamma)
+        assert 0.0 <= lambda_min_choi_of_adjoint_composition(ch) <= PSD_TOL
+        assert p2_certificate(ch) == 0.0
 
 
 class TestPConstant:
@@ -241,19 +248,32 @@ class TestPConstant:
         assert rep.certification == "exact_p1"
 
     def test_amplitude_damping(self):
-        rep = p_constant(amplitude_damping(0.3), candidates=16, eb_candidates=8)
+        rep = p_constant(amplitude_damping(0.3), eb_candidates=8)
         assert rep.p > 0
         assert rep.certification == "certified_lower_bound"
         assert rep.p == max(rep.p1, rep.p2_lower)
+
+    def test_non_extremal_channel_pinned(self):
+        # A non-extremal channel: p1 from the entanglement-breaking peel,
+        # p2_lower from the self peel.
+        rep = p_constant(compose(amplitude_damping(0.3), depolarizing(0.1)))
+        assert rep.p1 == pytest.approx(0.11712617610178538, rel=1e-12)
+        assert rep.p2_lower == pytest.approx(7.118140733797671e-07, rel=1e-12)
+        assert rep.p == rep.p1
 
     def test_identity_rejected(self):
         with pytest.raises(ChannelError, match="out of scope"):
             p_constant(identity_channel())
 
+    def test_near_unitary_amplitude_damping_rejected(self):
+        # Neither the self peel nor an entanglement-breaking peel fits.
+        with pytest.raises(ChannelError, match="could not certify a positive channel constant"):
+            p_constant(amplitude_damping(1e-6))
+
     def test_never_zero_on_random_corpus(self):
         for i in range(30):
             ch = random_nonunital_qubit_channel(seeded(64, i), min_nonunitality=0.02)
-            assert p_constant(ch, candidates=4, eb_candidates=4, seed=i).p > 0
+            assert p_constant(ch, eb_candidates=4, seed=i).p > 0
         for i in range(30):
             ch = random_unital_qubit_channel(seeded(65, i))
             assert p_constant(ch).p > 0

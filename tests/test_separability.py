@@ -556,6 +556,27 @@ class TestChisep:
         # state under the stall tolerances of obj_tol = 1e-8.
         assert res.value <= 0.2841913922476358 + 1e-12
 
+    def test_entangled_call_skips_minimizer_eigensolves(self, monkeypatch):
+        # chisep returns no minimizer (an eigh to project it, an eigvalsh to
+        # validate it) and no smallest iterate eigenvalue (an eigvalsh): three
+        # fewer than the 172 eigensolves that building them takes here.
+        st = doubled_step(amplitude_damping(0.28))
+        calls = counting_eigh(monkeypatch)
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return eigvalsh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        res = chisep(st)
+        assert calls[0] == 172 - 3
+        assert res.minimizer is None
+        assert "final_min_eig_sigma" not in res.extras
+        assert res.value == pytest.approx(0.2841913922476371, rel=1e-12)
+        assert res.extras["lower"] == pytest.approx(0.2841913542141693, rel=1e-12)
+        assert res.iterations == 38 and res.converged
+
     def test_mixed_point_certificate_closes_dephasing_gap(self, monkeypatch):
         # Step 1 of the dephasing(0.1) doubled memory: the I/d iterate is
         # near-singular, and the certificate at it alone leaves a gap of

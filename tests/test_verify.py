@@ -43,7 +43,7 @@ def _unital_trajectory(cfg):
 
 def _nonunital_trajectory(cfg):
     noise = random_nonunital_qubit_channel(rng_from(cfg.seed, 10_000), min_nonunitality=0.05)
-    p = p_constant(noise, candidates=8, eb_candidates=4, seed=cfg.seed).p
+    p = p_constant(noise, eb_candidates=4, seed=cfg.seed).p
     return V._trajectory_checks(0, noise, 2, cfg, p)[1]
 
 
