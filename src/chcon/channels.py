@@ -14,6 +14,7 @@ trace-preserving map.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -23,6 +24,10 @@ from .config import HERM_TOL, PSD_TOL, TP_TOL
 
 # Eigenvalue threshold below which a Choi eigenvalue counts as zero.
 RANK_TOL = 1e-9
+# Margin of the Cholesky positivity certificate of check_density_stack, in
+# units of d * eps times the trace scale.
+CHOL_MARGIN_ULPS = 256.0
+EPS = float(np.finfo(float).eps)
 
 
 class ChannelError(ValueError):
@@ -47,23 +52,41 @@ def check_density_stack(ms: np.ndarray) -> None:
 
     The checks run in order over the whole stack: finite entries, the
     Hermitian residual ``||A - A^H||_2``, positive semidefiniteness of the
-    Hermitian part, and unit trace.  The residual is the largest
+    Hermitian part ``H``, and unit trace.  The residual is the largest
     ``|eigenvalue|`` of the Hermitian matrix ``i (A - A^H)``; it is computed
     only for the matrices whose Frobenius norm ``||A - A^H||_F`` (an upper
-    bound on it) exceeds ``HERM_TOL``.  The spectra come from one batched
-    ``eigvalsh``.  Raises :class:`ChannelError` naming the first failed check.
+    bound on it) exceeds ``HERM_TOL``.
+
+    Positivity is certified by one batched Cholesky factorization of
+    ``H + (PSD_TOL - m) I``.  A factorization that runs to completion is
+    exact for ``H + (PSD_TOL - m) I + E`` with ``||E||_2 <= gamma_{d+1}
+    ||L||_F^2``, about ``(d + 1) eps Tr H`` (Higham, *Accuracy and Stability
+    of Numerical Algorithms*, Thm. 10.3), so ``lmin(H) >= -PSD_TOL`` holds
+    whenever the margin ``m = CHOL_MARGIN_ULPS * d * eps * max(1, |Tr H|)``
+    exceeds that error and the error of an ``eigvalsh`` reference; it is
+    about 1e-12 for unit-trace blocks at d = 16.  Only when a factorization
+    fails does one batched ``eigvalsh`` of the Hermitian parts decide, with
+    the exact ``lmin < -PSD_TOL`` test.  Raises :class:`ChannelError`
+    naming the first failed check.
     """
     if not np.all(np.isfinite(ms)):
         raise ChannelError("density matrix has non-finite entries")
     adj = la.dag(ms)
     skew = ms - adj
     unsure = skew[np.einsum("bij,bij->b", skew, skew.conj()).real > HERM_TOL**2]
-    eigs = np.linalg.eigvalsh(np.concatenate((1j * unsure, 0.5 * (ms + adj))))
-    if np.abs(eigs[: len(unsure)]).max(initial=0.0) > HERM_TOL:
+    if len(unsure) and np.abs(np.linalg.eigvalsh(1j * unsure)).max() > HERM_TOL:
         raise ChannelError("density matrix is not Hermitian within tolerance")
-    if eigs[len(unsure):, :1].min(initial=0.0) < -PSD_TOL:
-        raise ChannelError("density matrix is not positive semidefinite within tolerance")
     tr = np.trace(ms, axis1=-2, axis2=-1)
+    d = ms.shape[-1]
+    margin = CHOL_MARGIN_ULPS * d * EPS * np.maximum(1.0, np.abs(tr.real))
+    shifted = 0.5 * (ms + adj)
+    diag = np.arange(d)
+    shifted[:, diag, diag] += (PSD_TOL - margin)[:, None]
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        if np.linalg.eigvalsh(0.5 * (ms + adj))[:, :1].min(initial=0.0) < -PSD_TOL:
+            raise ChannelError("density matrix is not positive semidefinite within tolerance") from None
     if np.abs(tr.real - 1.0).max(initial=0.0) > TP_TOL or np.abs(tr.imag).max(initial=0.0) > TP_TOL:
         raise ChannelError("density matrix trace differs from 1 beyond tolerance")
 
@@ -147,12 +170,21 @@ class KrausChannel:
             out += k @ rho @ la.dag(k)
         return out
 
-    def transfer_matrix(self) -> np.ndarray:
-        """Row-major superoperator: vec(T(X)) = M vec(X)."""
+    @cached_property
+    def _transfer(self) -> np.ndarray:
         m = np.zeros((self.out_dim**2, self.in_dim**2), dtype=complex)
         for k in self.kraus:
             m += np.kron(k, k.conj())
+        m.setflags(write=False)
         return m
+
+    def transfer_matrix(self) -> np.ndarray:
+        """Row-major superoperator: vec(T(X)) = M vec(X).
+
+        Built from the Kraus operators on the first call and kept: every
+        call on the same channel object returns the same read-only array.
+        """
+        return self._transfer
 
     def tp_residual(self) -> float:
         acc = sum(la.dag(k) @ k for k in self.kraus)

@@ -274,11 +274,16 @@ def eta_tr_upper_minoutev(
     )
 
 
-def lambda_min_choi_of_adjoint_composition(ch: KrausChannel) -> float:
-    """Smallest eigenvalue of the Choi matrix of T^dag o T, whose transfer
-    matrix is M^dag M for the transfer matrix M of T (exact eigensolve)."""
+def adjoint_composition_spectrum(ch: KrausChannel) -> np.ndarray:
+    """Ascending eigenvalues of the Choi matrix of T^dag o T, whose transfer
+    matrix is M^dag M for the transfer matrix M of T (one eigensolve)."""
     tmat = ch.transfer_matrix()
-    return la.min_eig(reshuffle(la.dag(tmat) @ tmat, ch.in_dim, ch.in_dim))
+    return np.linalg.eigvalsh(la.herm_part(reshuffle(la.dag(tmat) @ tmat, ch.in_dim, ch.in_dim)))
+
+
+def lambda_min_choi_of_adjoint_composition(ch: KrausChannel) -> float:
+    """Smallest eigenvalue of the Choi matrix of T^dag o T (exact eigensolve)."""
+    return float(adjoint_composition_spectrum(ch)[0])
 
 
 def _choi_bound(lam: float, d: int, n_copies: int = 1) -> float:

@@ -3,9 +3,10 @@
 Unital channels split as (1-p1) * unitary + p1 * entanglement-breaking via
 the tetrahedron/octahedron geometry of the diagonal Bloch form.  Non-unital
 channels get a certified lower bound on the constant p2 from the self peel
-N >= 1 * N, which is lmin(C_{N^dag o N}) / P2_DENOMINATOR when C_{N^dag o N}
-is positive definite and 0 otherwise, and an entanglement-breaking weight
-from a seeded random peel search.  The channel constant is p = max(p1, p2).
+N >= 1 * N, which is (lmin(C_{N^dag o N}) - err) / P2_DENOMINATOR when that
+eigenvalue exceeds the eigensolver's rounding bound err and 0 otherwise, and
+an entanglement-breaking weight from a seeded random peel search.  The
+channel constant is p = max(p1, p2).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import numpy as np
 
 from . import linalg as la
 from .channels import (
+    EPS,
     ChannelError,
     KrausChannel,
     channel_from_bloch_transfer,
@@ -27,7 +29,7 @@ from .channels import (
     validate_channel,
 )
 from .config import P2_DENOMINATOR, PSD_TOL, SUPP_TOL
-from .contraction import lambda_min_choi_of_adjoint_composition
+from .contraction import adjoint_composition_spectrum
 from .sampling import random_eb_qubit_channel, rng_from
 
 TETRA_CORNERS = (
@@ -39,6 +41,8 @@ TETRA_CORNERS = (
 CORNER_PAULIS = la.PAULIS  # corner i is conjugation by PAULIS[i]
 
 OCTA_SLACK = 1e-9
+# Rounding bound of the p2 self-peel eigenvalue, in units of dim * eps * lmax.
+P2_MARGIN_ULPS = 64.0
 
 
 @dataclass(frozen=True)
@@ -210,16 +214,20 @@ def p2_certificate(ch: KrausChannel) -> float:
     """Certified lower bound on the non-unital channel constant p2.
 
     The self peel N >= 1 * N gives p2 >= lmin(C_{N^dag o N}) / P2_DENOMINATOR
-    whenever C_{N^dag o N} is positive definite (smallest eigenvalue above
-    ``PSD_TOL``); otherwise the bound is 0 and the entanglement-breaking
-    weight of :func:`p_constant` decides alone.  One eigensolve.
+    whenever C_{N^dag o N} is positive definite.  The computed eigenvalue is
+    trusted only down to the eigensolver's rounding bound ``err =
+    P2_MARGIN_ULPS * 4 * eps * lmax`` on the 4x4 Choi matrix, so the bound
+    is ``(lmin - err) / P2_DENOMINATOR`` when ``lmin > err``; otherwise it
+    is 0 and the entanglement-breaking weight of :func:`p_constant` decides
+    alone.  One eigensolve.
     """
     if not ch.is_qubit():
         raise ChannelError("p2 certificates are implemented for qubit channels only")
     if ch.is_unital():
         raise ChannelError("channel is unital; p2 certificates apply to non-unital channels")
-    lam = lambda_min_choi_of_adjoint_composition(ch)
-    return lam / P2_DENOMINATOR if lam > PSD_TOL else 0.0
+    w = adjoint_composition_spectrum(ch)
+    err = P2_MARGIN_ULPS * len(w) * EPS * w[-1]
+    return float(w[0] - err) / P2_DENOMINATOR if w[0] > err else 0.0
 
 
 def eb_peel_weight(ch: KrausChannel, candidates: int = 64, seed: int = 0) -> float:

@@ -31,7 +31,7 @@ from numbers import Real
 import numpy as np
 
 from . import linalg as la
-from .channels import ChannelError, DensityState, KrausChannel, check_density_stack, check_int
+from .channels import EPS, ChannelError, DensityState, KrausChannel, check_density_stack, check_int
 from .config import DIM_CAP, PSD_TOL, TP_TOL, VERDICT_SLACK
 from .contraction import eta_chi_lower, eta_tr_upper_minoutev
 
@@ -55,7 +55,6 @@ CERT_STEPS = (1.0, 0.1, 0.01)
 CERT_MIX = (0.0, 1e-4)
 # Rounding margin of that lower bound, in units of d * eps times its scale.
 CERT_MARGIN_ULPS = 64.0
-EPS = float(np.finfo(float).eps)
 
 
 # ---------------------------------------------------------------------------
@@ -112,6 +111,8 @@ class CcQqState:
     dim_a: int
     dim_b: int
     blocks: tuple[CcQqBlock, ...]
+    # The frozen (B, d, d) stack the blocks are views of, when built from one.
+    _stack: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def from_blocks(cls, dim_a: int, dim_b: int, blocks):
@@ -149,20 +150,30 @@ class CcQqState:
         whose matrices already passed :func:`check_density_stack`, or are
         convex combinations of matrices that did.
 
-        Only the probability total is checked here.  The stack is frozen and
-        each block's ``rho`` is a view into it.
+        Only the probability total is checked here.  The stack is frozen,
+        each block's ``rho`` is a view into it, and the state keeps it for
+        :meth:`rho_stack`.
         """
         check_total_probability(probs)
         rhos.setflags(write=False)
         blocks = tuple(
             CcQqBlock(x=x, y=y, prob=p, rho=rho) for (x, y), p, rho in zip(labels, probs, rhos)
         )
-        return cls(dim_a=dim_a, dim_b=dim_b, blocks=blocks)
+        state = cls(dim_a=dim_a, dim_b=dim_b, blocks=blocks)
+        object.__setattr__(state, "_stack", rhos)
+        return state
 
     def rho_stack(self) -> np.ndarray:
-        """The block density matrices as one ``(B, d, d)`` array."""
+        """The block density matrices as one read-only ``(B, d, d)`` array.
+
+        A state built by :meth:`from_blocks` or :meth:`from_checked_stack`
+        returns the stack its blocks are views of, without copying; a state
+        constructed directly from blocks returns a frozen copy of them.
+        """
+        if self._stack is not None:
+            return self._stack
         d = self.dim_a * self.dim_b
-        return np.array([b.rho for b in self.blocks], dtype=complex).reshape(-1, d, d)
+        return la.frozen([b.rho for b in self.blocks]).reshape(-1, d, d)
 
     @classmethod
     def single(cls, state: BipartiteState):

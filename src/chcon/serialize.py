@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import chain
 
 import numpy as np
 
@@ -20,6 +21,9 @@ from .separability import BipartiteState, CcQqState, SeparableChannel, make_sepa
 from .decompose import PConstantReport
 from .bounds import CapacityBracket, MemoryTimeBound, OverheadBound
 
+# Python types of the numbers json.load returns.
+JSON_NUMBER_TYPES = frozenset((bool, float, int))
+
 
 def matrix_to_json(m: np.ndarray) -> list:
     m = np.asarray(m, dtype=complex)
@@ -27,9 +31,25 @@ def matrix_to_json(m: np.ndarray) -> list:
 
 
 def matrix_from_json(rows) -> np.ndarray:
+    """The complex matrix of rows of ``[re, im]`` pairs of JSON numbers.
+
+    The payload is flattened and converted with one float array call whose
+    complex view is the matrix, so every entry is exactly ``complex(re,
+    im)``.  Rows of unequal length, pairs of any length but 2, and entries
+    that are not numbers (strings, nulls, lists) raise ``ChannelError``;
+    integers and booleans read as floats.
+    """
     try:
-        return np.array([[complex(c[0], c[1]) for c in row] for row in rows], dtype=complex)
-    except (TypeError, IndexError) as exc:
+        pairs = list(chain.from_iterable(rows))
+        flat = list(chain.from_iterable(pairs))
+        if (
+            len(set(map(len, rows))) != 1
+            or set(map(len, pairs)) != {2}
+            or not set(map(type, flat)) <= JSON_NUMBER_TYPES
+        ):
+            raise ValueError("expected equal rows of [re, im] number pairs")
+        return np.array(flat, dtype=float).view(complex).reshape(len(rows), -1)
+    except (OverflowError, TypeError, ValueError) as exc:
         raise ChannelError(f"malformed matrix payload: {exc}") from None
 
 

@@ -286,6 +286,36 @@ class TestRepresentationLayer:
             assert stacked.tobytes() == np.stack([ch.apply(r) for r in rhos]).tobytes()
 
 
+class TestTransferMatrixReuse:
+    """The transfer matrix is built once per channel object and shared."""
+
+    def test_same_read_only_array_on_every_call(self):
+        ch = amplitude_damping(0.3)
+        m = ch.transfer_matrix()
+        assert ch.transfer_matrix() is m
+        assert not m.flags.writeable
+        with pytest.raises(ValueError):
+            m[0, 0] = 2.0
+        assert m.tobytes() == sum(np.kron(k, k.conj()) for k in ch.kraus).tobytes()
+
+    def test_distinct_channel_objects_get_distinct_arrays(self):
+        a = depolarizing(0.2)
+        b = KrausChannel.from_kraus(a.kraus)
+        assert a.transfer_matrix() is not b.transfer_matrix()
+        assert a.transfer_matrix().tobytes() == b.transfer_matrix().tobytes()
+        assert not np.shares_memory(a.transfer_matrix(), b.transfer_matrix())
+
+    def test_readers_leave_it_unchanged(self):
+        ch = random_channel(seeded(83, 0), 2)
+        before = ch.transfer_matrix().tobytes()
+        kraus_to_choi(ch)
+        bloch_transfer(ch)
+        lambda_min_choi_of_adjoint_composition(ch)
+        validate_channel(ch)
+        assert ch.transfer_matrix().tobytes() == before
+        assert "_transfer" not in repr(ch)
+
+
 class TestAlgebra:
     def test_compose_with_identity(self):
         ch = amplitude_damping(0.3)

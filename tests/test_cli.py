@@ -22,6 +22,7 @@ def spec_dir(tmp_path):
     (tmp_path / "ident.json").write_text('{"preset": "identity"}')
     (tmp_path / "ad03.json").write_text('{"preset": "amplitude_damping", "gamma": 0.3}')
     (tmp_path / "ad1e-6.json").write_text('{"preset": "amplitude_damping", "gamma": 1e-6}')
+    (tmp_path / "ad1e-8.json").write_text('{"preset": "amplitude_damping", "gamma": 1e-8}')
     (tmp_path / "broken.json").write_text('{"preset": "depolarizing", ')
     return tmp_path
 
@@ -58,9 +59,9 @@ class TestAnalyze:
         assert "Traceback" not in res.stderr
 
     def test_near_unitary_amplitude_damping_reports_p_error(self, spec_dir):
-        # No positive channel constant is certified at gamma = 1e-6; the rest
+        # No positive channel constant is certified at gamma = 1e-8; the rest
         # of the report is still written.
-        res = run_cli("analyze", str(spec_dir / "ad1e-6.json"), "--restarts", "4")
+        res = run_cli("analyze", str(spec_dir / "ad1e-8.json"), "--restarts", "4")
         assert res.returncode == 0, res.stderr
         doc = json.loads(res.stdout)
         assert doc["p_constant"] == {"error": "could not certify a positive channel constant"}
@@ -103,10 +104,18 @@ class TestBound:
         assert doc["overhead"]["capacity_bracket"]["lower"] > 0
 
     def test_near_unitary_amplitude_damping_exits_two(self, spec_dir):
-        res = run_cli("bound", str(spec_dir / "ad1e-6.json"), "--n", "2", "--log2-T", "40")
+        res = run_cli("bound", str(spec_dir / "ad1e-8.json"), "--n", "2", "--log2-T", "40")
         assert res.returncode == 2
         assert res.stderr == "chcon: error: could not certify a positive channel constant\n"
         assert res.stdout == ""
+
+    def test_near_unitary_amplitude_damping_gets_self_peel_constant(self, spec_dir):
+        # lmin(C_{N^dag o N}) = 5e-13 at gamma = 1e-6: below PSD_TOL, far above rounding.
+        res = run_cli("bound", str(spec_dir / "ad1e-6.json"), "--n", "2", "--log2-T", "40",
+                      "--restarts", "4")
+        assert res.returncode == 0, res.stderr
+        doc = json.loads(res.stdout)
+        assert 0.0 < doc["p"] < 5e-13 / 204800.0
 
     def test_usage_errors(self, spec_dir):
         assert run_cli("bound", "--n", "1", "--T", "4").returncode == 2

@@ -7,6 +7,7 @@ import chcon.linalg as la
 from chcon.channels import (
     ChannelError,
     KrausChannel,
+    adjoint,
     amplitude_damping,
     channel_from_bloch_transfer,
     choi_distance,
@@ -19,7 +20,7 @@ from chcon.channels import (
     unitary_channel,
 )
 from chcon.config import P2_DENOMINATOR, PSD_TOL
-from chcon.contraction import lambda_min_choi_of_adjoint_composition
+from chcon.contraction import adjoint_composition_spectrum, lambda_min_choi_of_adjoint_composition
 from chcon.decompose import (
     _choi_support,
     _max_cp_weight_on,
@@ -198,16 +199,29 @@ class TestCpOrder:
         )
 
 
+EPS = float(np.finfo(float).eps)
+
+
 def self_peel_bound(ch) -> float:
-    """The self-peel p2 bound lmin(C_{N^dag o N}) / P2_DENOMINATOR, clamped at 0."""
-    return max(lambda_min_choi_of_adjoint_composition(ch), 0.0) / P2_DENOMINATOR
+    """The self-peel p2 bound (lmin - err) / P2_DENOMINATOR of C_{N^dag o N},
+    with err = 64 * 4 * eps * lmax, and 0 where lmin <= err."""
+    w = adjoint_composition_spectrum(ch)
+    err = 64.0 * 4 * EPS * w[-1]
+    return float(w[0] - err) / P2_DENOMINATOR if w[0] > err else 0.0
+
+
+def kraus_route_spectrum(ch) -> np.ndarray:
+    """Spectrum of C_{N^dag o N} from the composed Kraus list, independent of
+    the transfer-matrix route."""
+    return np.linalg.eigvalsh(kraus_to_choi(compose(adjoint(ch), ch)).matrix)
 
 
 class TestP2Certificate:
     def test_amplitude_damping_self_route(self):
         ch = amplitude_damping(0.3)
         p2 = p2_certificate(ch)
-        assert p2 == lambda_min_choi_of_adjoint_composition(ch) / 204800.0
+        assert p2 == self_peel_bound(ch)
+        assert p2 == pytest.approx(kraus_route_spectrum(ch)[0] / 204800.0, rel=1e-12)
         assert p2 > 0
 
     def test_full_damping_still_certifies(self):
@@ -233,12 +247,27 @@ class TestP2Certificate:
             assert lambda_min_choi_of_adjoint_composition(ch) > PSD_TOL
             assert p2_certificate(ch) == self_peel_bound(ch)
 
-    @pytest.mark.parametrize("gamma", [1e-6, 1e-8])
+    @pytest.mark.parametrize("gamma", [1e-7, 1e-8])
     def test_near_unitary_amplitude_damping_is_zero(self, gamma):
-        # lmin(C_{N^dag o N}) is 5e-13 at gamma = 1e-6, below PSD_TOL.
+        # lmin(C_{N^dag o N}) is 5.0e-15 at gamma = 1e-7 and 5.5e-18 at 1e-8,
+        # below the eigensolver's rounding bound 64 * 4 * eps * lmax = 1.1e-13.
         ch = amplitude_damping(gamma)
-        assert 0.0 <= lambda_min_choi_of_adjoint_composition(ch) <= PSD_TOL
+        w = adjoint_composition_spectrum(ch)
+        assert 0.0 <= w[0] <= 64.0 * 4 * EPS * w[-1]
         assert p2_certificate(ch) == 0.0
+
+    @pytest.mark.parametrize("gamma", [1e-5, 3e-6, 1e-6])
+    def test_near_unitary_amplitude_damping_certified(self, gamma):
+        # lmin tracks gamma^2 / 2 (5.0e-13 at 1e-6), below PSD_TOL but far
+        # above rounding, so the self peel certifies a positive p2.
+        ch = amplitude_damping(gamma)
+        lam = kraus_route_spectrum(ch)[0]
+        assert lam < PSD_TOL
+        assert lam == pytest.approx(gamma**2 / 2, rel=1e-3)
+        p2 = p2_certificate(ch)
+        assert p2 == self_peel_bound(ch)
+        assert 0.0 < p2 < lam / P2_DENOMINATOR
+        assert p2 == pytest.approx(lam / P2_DENOMINATOR, rel=0.25)
 
 
 class TestPConstant:
@@ -268,7 +297,11 @@ class TestPConstant:
     def test_near_unitary_amplitude_damping_rejected(self):
         # Neither the self peel nor an entanglement-breaking peel fits.
         with pytest.raises(ChannelError, match="could not certify a positive channel constant"):
-            p_constant(amplitude_damping(1e-6))
+            p_constant(amplitude_damping(1e-8))
+
+    def test_near_unitary_amplitude_damping_takes_self_peel(self):
+        rep = p_constant(amplitude_damping(1e-6))
+        assert rep.p == rep.p2_lower == p2_certificate(amplitude_damping(1e-6)) > 0
 
     def test_never_zero_on_random_corpus(self):
         for i in range(30):

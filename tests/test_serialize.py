@@ -38,6 +38,49 @@ class TestMatrices:
         with pytest.raises(ChannelError, match="malformed"):
             ser.matrix_from_json([[1.0, 2.0]])
 
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[["1.5", 0.0]]],
+            [[[0.0, "1.5"]]],
+            [["1.5"]],
+            [[[None, 0.0]]],
+            None,
+            [[[1.0, 0.0], [0.0, 0.0]], [[1.0, 0.0]]],
+            [[[1.0, 0.0, 0.0]]],
+            [[[1.0]]],
+            [[[1.0, 0.0], [0.0]]],
+            [[[[1.0, 0.0]]]],
+            [[[10**400, 0.0]]],
+            [[]],
+            [],
+            "ab",
+            5,
+        ],
+    )
+    def test_malformed_payloads_rejected(self, rows):
+        with pytest.raises(ChannelError, match="^malformed matrix payload: "):
+            ser.matrix_from_json(rows)
+
+    def test_ints_and_booleans_parse_as_floats(self):
+        got = ser.matrix_from_json([[[1, 0], [True, False]], [[0, -2], [2**63, 1.5]]])
+        expected = np.array([[complex(1, 0), complex(True, False)],
+                             [complex(0, -2), complex(2**63, 1.5)]])
+        assert got.dtype == complex and got.shape == (2, 2)
+        assert got.tobytes() == expected.tobytes()
+
+    def test_round_trip_is_bit_exact(self):
+        rng = np.random.default_rng(5)
+        m = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
+        m[0, 0] = complex(1.0, -0.0)
+        m[1, 2] = complex(-0.0, 0.0)
+        m[3, 1] = complex(5e-324, -1.7976931348623157e308)
+        back = ser.matrix_from_json(json.loads(json.dumps(ser.matrix_to_json(m))))
+        assert back.tobytes() == m.tobytes()
+        assert math.copysign(1.0, back[0, 0].imag) == -1.0
+        reference = np.array([[complex(c[0], c[1]) for c in row] for row in ser.matrix_to_json(m)])
+        assert back.tobytes() == reference.tobytes()
+
 
 class TestChannels:
     def test_round_trip(self):

@@ -1,5 +1,7 @@
 """Noisy-circuit simulation: state plumbing, trajectories, the doubled run."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -178,6 +180,50 @@ class TestNoiseStepReference:
                 else:
                     rho = noise_reference(u @ rho @ u.conj().T, noise, n)
             assert np.abs(after.rho - rho).max() < 1e-12
+
+
+class TestStoredReuse:
+    """The noise step reads the channel's kept transfer matrix and the
+    state's kept block stack, with results identical to fresh builds."""
+
+    @pytest.mark.parametrize("name", sorted(NOISES))
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_noise_step_bit_identical_with_fresh_transfer_matrix(self, n, name):
+        rng = np.random.default_rng(300 + 10 * n + len(name))
+        noise = NOISES[name](rng)
+        state = random_blocks(rng, n, count=5)
+        layout = n_qubit_layout(n)
+        first = apply_iid_noise(state, noise, layout).rho_stack()
+        kept = noise.transfer_matrix()
+        again = apply_iid_noise(state, noise, layout).rho_stack()
+        assert noise.transfer_matrix() is kept
+        fresh = apply_iid_noise(state, KrausChannel.from_kraus(noise.kraus), layout).rho_stack()
+        assert first.tobytes() == again.tobytes() == fresh.tobytes()
+
+    def test_rho_stack_is_the_stored_stack(self):
+        rng = np.random.default_rng(12)
+        state = random_blocks(rng, 2, count=4)
+        layout = n_qubit_layout(2)
+        noisy = apply_iid_noise(state, depolarizing(0.1), layout)
+        gated = apply_layer(noisy, GateLayer(channel=KrausChannel.from_kraus([random_unitary(rng, 4)])),
+                            layout)
+        for st in (state, noisy, gated):
+            stack = st.rho_stack()
+            assert st.rho_stack() is stack
+            assert not stack.flags.writeable
+            assert stack.shape == (len(st.blocks), 4, 4)
+            for i, blk in enumerate(st.blocks):
+                assert blk.rho.base is stack or blk.rho.base is stack.base
+                assert np.shares_memory(blk.rho, stack[i])
+            assert "_stack" not in repr(st)
+        compared = [f.name for f in dataclasses.fields(CcQqState) if f.compare]
+        assert compared == ["dim_a", "dim_b", "blocks"]
+
+    def test_directly_built_state_stacks_a_frozen_copy(self):
+        state = unchecked_state([((0,), 0.5, P0), ((1,), 0.5, P1)])
+        stack = state.rho_stack()
+        assert not stack.flags.writeable
+        assert stack.tobytes() == np.stack([P0, P1]).tobytes()
 
 
 def one_qubit_memory_layout(size: int = 2) -> RegisterLayout:
