@@ -55,10 +55,15 @@ def check_density_stack(ms: np.ndarray) -> None:
     Hermitian part ``H``, and unit trace.  The residual is the largest
     ``|eigenvalue|`` of the Hermitian matrix ``i (A - A^H)``; it is computed
     only for the matrices whose Frobenius norm ``||A - A^H||_F`` (an upper
-    bound on it) exceeds ``HERM_TOL``.
+    bound on it) exceeds ``HERM_TOL``.  One dot product first takes that
+    norm over the whole stack: when it is at most ``HERM_TOL`` every entry
+    is finite and every block's residual is within tolerance, so neither
+    per-block test runs.
 
     Positivity is certified by one batched Cholesky factorization of
-    ``H + (PSD_TOL - m) I``.  A factorization that runs to completion is
+    ``H + (PSD_TOL - m) I``, taken at twice that scale as ``A + A^H +
+    2 (PSD_TOL - m) I`` so that ``H`` itself is never formed; the error bound
+    below scales with it.  A factorization that runs to completion is
     exact for ``H + (PSD_TOL - m) I + E`` with ``||E||_2 <= gamma_{d+1}
     ||L||_F^2``, about ``(d + 1) eps Tr H`` (Higham, *Accuracy and Stability
     of Numerical Algorithms*, Thm. 10.3), so ``lmin(H) >= -PSD_TOL`` holds
@@ -69,25 +74,30 @@ def check_density_stack(ms: np.ndarray) -> None:
     the exact ``lmin < -PSD_TOL`` test.  Raises :class:`ChannelError`
     naming the first failed check.
     """
-    if not np.all(np.isfinite(ms)):
-        raise ChannelError("density matrix has non-finite entries")
+    ms = np.asarray(ms, dtype=complex)
     adj = la.dag(ms)
     skew = ms - adj
-    unsure = skew[np.einsum("bij,bij->b", skew, skew.conj()).real > HERM_TOL**2]
-    if len(unsure) and np.abs(np.linalg.eigvalsh(1j * unsure)).max() > HERM_TOL:
-        raise ChannelError("density matrix is not Hermitian within tolerance")
+    # A non-finite entry makes the stack's ||A - A^H||_F^2 non-finite.
+    flat = skew.view(float).ravel()
+    if not flat @ flat <= HERM_TOL**2:
+        if not np.isfinite(ms).all():
+            raise ChannelError("density matrix has non-finite entries")
+        unsure = skew[np.einsum("bij,bij->b", skew, skew.conj()).real > HERM_TOL**2]
+        if len(unsure) and np.abs(np.linalg.eigvalsh(1j * unsure)).max() > HERM_TOL:
+            raise ChannelError("density matrix is not Hermitian within tolerance")
+    count, d = ms.shape[0], ms.shape[-1]
     tr = np.trace(ms, axis1=-2, axis2=-1)
-    d = ms.shape[-1]
     margin = CHOL_MARGIN_ULPS * d * EPS * np.maximum(1.0, np.abs(tr.real))
-    shifted = 0.5 * (ms + adj)
-    diag = np.arange(d)
-    shifted[:, diag, diag] += (PSD_TOL - margin)[:, None]
+    # 2 H + 2 (PSD_TOL - m) I, certified like H + (PSD_TOL - m) I.
+    shifted = ms + adj
+    shifted.reshape(count, d * d)[:, :: d + 1] += (2.0 * (PSD_TOL - margin))[:, None]
     try:
         np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:
         if np.linalg.eigvalsh(0.5 * (ms + adj))[:, :1].min(initial=0.0) < -PSD_TOL:
             raise ChannelError("density matrix is not positive semidefinite within tolerance") from None
-    if np.abs(tr.real - 1.0).max(initial=0.0) > TP_TOL or np.abs(tr.imag).max(initial=0.0) > TP_TOL:
+    # Real part Tr - 1 and imaginary part Tr, side by side.
+    if np.abs((tr - 1.0).view(float)).max(initial=0.0) > TP_TOL:
         raise ChannelError("density matrix trace differs from 1 beyond tolerance")
 
 
@@ -165,8 +175,9 @@ class KrausChannel:
     def apply(self, rho: np.ndarray) -> np.ndarray:
         """T(rho) for a matrix or for every matrix of a ``(B, d, d)`` stack."""
         rho = np.asarray(rho, dtype=complex)
-        out = np.zeros(rho.shape[:-2] + (self.out_dim, self.out_dim), dtype=complex)
-        for k in self.kraus:
+        first, *rest = self.kraus
+        out = first @ rho @ la.dag(first)
+        for k in rest:
             out += k @ rho @ la.dag(k)
         return out
 
@@ -186,9 +197,45 @@ class KrausChannel:
         """
         return self._transfer
 
+    @cached_property
+    def _transfer_powers(self) -> dict:
+        return {}
+
+    def transfer_power(self, k: int) -> np.ndarray:
+        """Row-major superoperator of the k-fold tensor power of the channel:
+        ``vec(T^{(x)k}(X)) = M vec(X)`` for an operator ``X`` on k systems.
+
+        It is the k-fold Kronecker power of :meth:`transfer_matrix`, whose
+        index runs over the systems' (row, column) pairs in turn, with the
+        k row indices moved before the k column indices; ``k = 0`` gives
+        ``[[1]]``.  Kept like the transfer matrix: every call with the same
+        ``k`` on the same channel object returns the same read-only array.
+        """
+        powers = self._transfer_powers
+        if k not in powers:
+            m = np.ones((1, 1), dtype=complex)
+            for _ in range(k):
+                m = np.kron(m, self._transfer)
+            # Axes (r1, c1, ..., rk, ck) on each side, to (r1..rk, c1..ck).
+            grouped = [*range(0, 2 * k, 2), *range(1, 2 * k, 2)]
+            m = m.reshape((self.out_dim, self.out_dim) * k + (self.in_dim, self.in_dim) * k)
+            m = m.transpose(grouped + [2 * k + a for a in grouped]).reshape(self.out_dim ** (2 * k), -1)
+            m.setflags(write=False)
+            powers[k] = m
+        return powers[k]
+
+    def _tp_defect(self) -> np.ndarray:
+        return sum(la.dag(k) @ k for k in self.kraus) - np.eye(self.in_dim)
+
     def tp_residual(self) -> float:
-        acc = sum(la.dag(k) @ k for k in self.kraus)
-        return float(np.linalg.norm(acc - np.eye(self.in_dim), 2))
+        return float(np.linalg.norm(self._tp_defect(), 2))
+
+    def is_trace_preserving(self) -> bool:
+        """Whether ``tp_residual() <= TP_TOL``.  The Frobenius norm of
+        ``sum K^H K - I`` bounds the residual from above, so the singular
+        values are computed only when it exceeds ``TP_TOL``."""
+        defect = self._tp_defect()
+        return bool(np.vdot(defect, defect).real <= TP_TOL**2 or np.linalg.norm(defect, 2) <= TP_TOL)
 
     def is_unital(self) -> bool:
         acc = sum(k @ la.dag(k) for k in self.kraus)

@@ -27,6 +27,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from numbers import Real
+from typing import NamedTuple
 
 import numpy as np
 
@@ -95,8 +96,9 @@ def check_total_probability(probs) -> None:
         raise ChannelError(f"block probabilities sum to {total}, not 1")
 
 
-@dataclass(frozen=True)
-class CcQqBlock:
+class CcQqBlock(NamedTuple):
+    """One classical label ``(x, y)`` with its probability and density matrix."""
+
     x: tuple
     y: tuple
     prob: float
@@ -156,12 +158,18 @@ class CcQqState:
         """
         check_total_probability(probs)
         rhos.setflags(write=False)
-        blocks = tuple(
-            CcQqBlock(x=x, y=y, prob=p, rho=rho) for (x, y), p, rho in zip(labels, probs, rhos)
-        )
+        blocks = tuple(CcQqBlock(x, y, p, rho) for (x, y), p, rho in zip(labels, probs, rhos))
         state = cls(dim_a=dim_a, dim_b=dim_b, blocks=blocks)
         object.__setattr__(state, "_stack", rhos)
         return state
+
+    @property
+    def certified(self) -> bool:
+        """Whether the blocks are views of a stack that passed
+        :func:`check_density_stack`, or mixtures of blocks that did: true
+        for a state built by :meth:`from_blocks` or :meth:`from_checked_stack`,
+        false for one constructed directly from blocks."""
+        return self._stack is not None
 
     def rho_stack(self) -> np.ndarray:
         """The block density matrices as one read-only ``(B, d, d)`` array.

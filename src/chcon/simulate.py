@@ -15,13 +15,15 @@ contraction factor 1 - p^(2n) predicted by the channel constant.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from numbers import Real
 
 import numpy as np
 
+from . import linalg as la
 from .channels import ChannelError, KrausChannel, check_density_stack
-from .config import CHISEP_THRESHOLD, MAX_BLOCKS, QUBIT_CAP, TP_TOL
+from .config import CHISEP_THRESHOLD, MAX_BLOCKS, QUBIT_CAP
 from .decompose import p_constant
 from .separability import (
     BipartiteState,
@@ -29,7 +31,6 @@ from .separability import (
     SepConfig,
     SeparableChannel,
     block_label,
-    check_total_probability,
     chisep_ccqq,
     dsep,
     local_product_channel,
@@ -163,11 +164,14 @@ def apply_iid_noise(state: CcQqState, noise: KrausChannel, layout: RegisterLayou
     """One round of the i.i.d. noise: the single-qubit channel acts on every
     qubit in every block; classical labels and probabilities are untouched.
 
-    The noise's transfer matrix, reshaped to ``S[a, b, c, e]`` with
-    ``T(X)[a, b] = sum_ce S[a, b, c, e] X[c, e]``, is contracted with each
-    qubit's (row, column) axis pair of the ``(B, d, d)`` block stack: ``n``
-    tensordots per call, whatever the block and Kraus counts.  The result
-    is validated as one stack.
+    The round is the product channel ``N^{(x)h} (x) N^{(x)(n-h)}``, split at
+    ``h = ceil(n/2)``.  Its two factors are the Kronecker powers ``L`` and
+    ``R`` of the noise's 4x4 transfer matrix, kept by the channel
+    (:meth:`KrausChannel.transfer_power`).  One transpose takes the
+    ``(B, d, d)`` stack to the view ``X`` whose row index holds the first
+    ``h`` qubits' rows and columns and whose column index holds the other
+    qubits' rows and columns; the round is the batched product ``L X R^T``,
+    transposed back.  The result is certified as one stack.
     """
     if not noise.is_qubit():
         raise ChannelError("noise must be a qubit channel")
@@ -175,13 +179,13 @@ def apply_iid_noise(state: CcQqState, noise: KrausChannel, layout: RegisterLayou
     d = state.dim_a * state.dim_b
     if d != 2**n:
         raise ChannelError("state dimension does not match the layout")
-    sup = noise.transfer_matrix().reshape(2, 2, 2, 2)
+    h = (n + 1) // 2
     count = len(state.blocks)
-    t = state.rho_stack().reshape((count,) + (2,) * (2 * n))
-    for q in range(n):
-        t = np.tensordot(sup, t, axes=([2, 3], [1 + q, 1 + n + q]))
-        t = np.moveaxis(t, (0, 1), (1 + q, 1 + n + q))
-    rhos = np.ascontiguousarray(t).reshape(count, d, d)
+    dl, dr = 2**h, 2 ** (n - h)
+    # (block, row of the first h qubits, row of the rest, columns likewise)
+    x = state.rho_stack().reshape(count, dl, dr, dl, dr).transpose(0, 1, 3, 2, 4)
+    x = noise.transfer_power(h) @ x.reshape(count, dl * dl, dr * dr) @ noise.transfer_power(n - h).T
+    rhos = x.reshape(count, dl, dl, dr, dr).transpose(0, 1, 3, 2, 4).reshape(count, d, d)
     check_density_stack(rhos)
     labels = [(b.x, b.y) for b in state.blocks]
     return CcQqState.from_checked_stack(
@@ -189,27 +193,35 @@ def apply_iid_noise(state: CcQqState, noise: KrausChannel, layout: RegisterLayou
     )
 
 
-def _merge_checked(dim_a: int, dim_b: int, labels, probs, rhos: np.ndarray) -> CcQqState:
-    """Validate a layer's pre-merge block stack once, then sum the blocks that
-    share a label into their probability-weighted mixture.
+def _merge(dim_a: int, dim_b: int, labels, probs, rhos: np.ndarray) -> CcQqState:
+    """Sum the blocks of a certified stack that share a label into their
+    probability-weighted mixture.
 
-    Blocks of mass below 1e-15 are dropped.  A merged block is a convex
-    combination of validated blocks, so by Weyl's inequality it meets the
-    same Hermitian, PSD and trace bounds and is not checked again.
+    Every matrix of ``rhos`` has passed :func:`check_density_stack`, or is a
+    copy of one that has.  Blocks of mass below 1e-15 are dropped.  A merged
+    block is a convex combination of certified blocks, so by Weyl's
+    inequality it meets the same Hermitian, PSD and trace bounds and is not
+    checked again.  When every label is distinct and no block is dropped
+    the stack is kept as it is.
     """
-    check_density_stack(rhos)
-    check_total_probability(probs)
     groups: dict = {}
     for i, (key, p) in enumerate(zip(labels, probs)):
         if p >= 1e-15:
             groups.setdefault(key, []).append(i)
     if len(groups) > MAX_BLOCKS:
         raise ChannelError(f"block count {len(groups)} exceeds the cap of {MAX_BLOCKS}")
+    if len(groups) == len(probs):
+        return CcQqState.from_checked_stack(dim_a, dim_b, labels, probs, rhos)
+    # Row g of the weight matrix holds p_i / total_g at the blocks i of group g.
+    rows = [g for g, idx in enumerate(groups.values()) for _ in idx]
+    cols = [i for idx in groups.values() for i in idx]
+    p = np.array(probs)[cols]
+    totals = np.bincount(rows, weights=p)
     weights = np.zeros((len(groups), len(probs)))
-    for g, idx in enumerate(groups.values()):
-        weights[g, idx] = [probs[i] for i in idx]
-    totals = weights.sum(axis=1)
-    merged = np.tensordot(weights / totals[:, None], rhos, axes=1)
+    weights[rows, cols] = p / totals[rows]
+    # A real weight matrix mixes the real and imaginary parts alike.
+    flat = np.ascontiguousarray(rhos).reshape(len(probs), -1).view(float)
+    merged = (weights @ flat).view(complex).reshape((len(groups),) + rhos.shape[1:])
     return CcQqState.from_checked_stack(dim_a, dim_b, list(groups), totals.tolist(), merged)
 
 
@@ -227,20 +239,28 @@ def _check_gate_input(channel, dim_a: int, dim_b: int) -> None:
 
 def _apply_gate_layer(state: CcQqState, layer: GateLayer) -> CcQqState:
     """Apply each distinct channel (the layer's, or a label's control) to its
-    group of blocks with one stacked ``apply``."""
+    group of blocks with one stacked ``apply``.
+
+    The outputs of the channels are certified as one stack.  Blocks whose
+    channel is ``None`` are copied, and are certified again only when the
+    state was built without :func:`check_density_stack`.
+    """
     out_a, out_b = state.dim_a, state.dim_b
     if isinstance(layer.channel, SeparableChannel):
         out_a, out_b = layer.channel.a_out, layer.channel.b_out
     d_out = out_a * out_b
     rhos = state.rho_stack()
-    groups: dict = {}
-    for i, blk in enumerate(state.blocks):
-        channel = layer.channel
-        if layer.controls is not None:
+    if layer.controls is None:
+        groups = [(layer.channel, list(range(len(rhos))))]
+    else:
+        by_channel: dict = {}
+        for i, blk in enumerate(state.blocks):
             channel = layer.controls.get((blk.x, blk.y), layer.channel)
-        groups.setdefault(id(channel), (channel, []))[1].append(i)
+            by_channel.setdefault(id(channel), (channel, []))[1].append(i)
+        groups = list(by_channel.values())
     out = np.empty((len(rhos), d_out, d_out), dtype=complex)
-    for channel, idx in groups.values():
+    fresh = []
+    for channel, idx in groups:
         if channel is None:
             result = rhos[idx]
         else:
@@ -251,30 +271,40 @@ def _apply_gate_layer(state: CcQqState, layer: GateLayer) -> CcQqState:
         if result.shape[1:] != (d_out, d_out):
             raise ChannelError("block dimension mismatch")
         out[idx] = result
+        if channel is not None or not state.certified:
+            fresh += idx
+    if len(fresh) == len(out):
+        check_density_stack(out)
+    elif fresh:
+        check_density_stack(out[fresh])
     labels = [(b.x, b.y) for b in state.blocks]
-    return _merge_checked(out_a, out_b, labels, [b.prob for b in state.blocks], out)
+    return _merge(out_a, out_b, labels, [b.prob for b in state.blocks], out)
 
 
-def _store_outcome(layout: RegisterLayout, x: tuple, y: tuple, store: str, value: int):
-    for side, labels in (("A", x), ("B", y)):
-        regs = [c for c in layout.classical if c.side == side]
-        for i, reg in enumerate(regs):
+def _store_slot(layout: RegisterLayout, store: str) -> tuple[int, int, int]:
+    """(side, position, size) of the classical register labeled ``store``;
+    side 0 is the x label (side A), side 1 the y label."""
+    for side, name in enumerate(("A", "B")):
+        regs = [c for c in layout.classical if c.side == name]
+        for pos, reg in enumerate(regs):
             if reg.label == store:
-                if not 0 <= value < reg.size:
-                    raise ChannelError(
-                        f"outcome {value} outside register {store} alphabet of size {reg.size}"
-                    )
-                new = list(labels)
-                new[i] = value
-                if side == "A":
-                    return tuple(new), y
-                return x, tuple(new)
+                return side, pos, reg.size
     raise ChannelError(f"no classical register labeled {store!r}")
 
 
 def _apply_instrument_layer(
     state: CcQqState, layer: InstrumentLayer, layout: RegisterLayout
 ) -> CcQqState:
+    """Apply every outcome's Kraus operators to every block in one batched
+    sandwich and write each outcome to the ``store`` register.
+
+    A block of probability ``p`` splits into one block per outcome ``o`` of
+    positive trace, with state ``post_o / Tr post_o`` and probability
+    ``p Tr post_o / sum_o' Tr post_o'``: normalizing the outcome weights
+    keeps the probability total at 1 for an instrument whose completeness
+    holds only to ``TP_TOL``.  The post-measurement states are certified as
+    one stack.
+    """
     d = state.dim_a * state.dim_b
     ops = [k for _, outcome_ops in layer.outcomes for k in outcome_ops]
     for k in ops:
@@ -283,42 +313,120 @@ def _apply_instrument_layer(
                 f"instrument operator of shape {np.shape(k)} does not act on the "
                 f"{d}-dimensional register"
             )
-    if not ops or KrausChannel.from_kraus(ops).tp_residual() > TP_TOL:
+    if not ops:
         raise ChannelError("instrument outcomes do not sum to a trace-preserving map")
-    rhos = state.rho_stack()
-    # (outcome, block) stacks of the unnormalised post-measurement states.
-    posts = np.stack([KrausChannel.from_kraus(ops).apply(rhos) for _, ops in layer.outcomes])
+    channel = KrausChannel.from_kraus(ops)
+    if not channel.is_trace_preserving():
+        raise ChannelError("instrument outcomes do not sum to a trace-preserving map")
+    side, pos, size = _store_slot(layout, layer.store)
+    values = []
+    for value, outcome_ops in layer.outcomes:
+        if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or not 0 <= value < size:
+            raise ChannelError(
+                f"outcome {value} outside register {layer.store} alphabet of size {size}"
+            )
+        if not outcome_ops:
+            raise ChannelError(f"instrument outcome {value} has no Kraus operators")
+        values.append(int(value))
+    kraus = np.array(channel.kraus)
+    # (block, Kraus operator) stack of K rho K^H, summed per outcome.
+    posts = kraus @ state.rho_stack()[:, None] @ la.dag(kraus)
+    if len(ops) > len(values):
+        starts = np.cumsum([0] + [len(outcome_ops) for _, outcome_ops in layer.outcomes[:-1]])
+        posts = np.add.reduceat(posts, starts, axis=1)
     p_outs = np.trace(posts, axis1=-2, axis2=-1).real
-    labels, probs, o_idx, b_idx = [], [], [], []
-    for i, blk in enumerate(state.blocks):
-        for o, (value, _) in enumerate(layer.outcomes):
-            p_out = float(p_outs[o, i])
-            if p_out <= 1e-15:
-                continue
-            x, y = _store_outcome(layout, blk.x, blk.y, layer.store, value)
-            labels.append((block_label(x), block_label(y)))
-            probs.append(blk.prob * p_out)
-            o_idx.append(o)
-            b_idx.append(i)
-    out = posts[o_idx, b_idx] / p_outs[o_idx, b_idx][:, None, None]
-    return _merge_checked(state.dim_a, state.dim_b, labels, probs, out)
+    kept = p_outs > 1e-15
+    weights = (p_outs / p_outs.sum(axis=1, keepdims=True))[kept]
+    b_idx, o_idx = np.nonzero(kept)
+    labels = []
+    for b, o in zip(b_idx.tolist(), o_idx.tolist()):
+        x, y = state.blocks[b].x, state.blocks[b].y
+        label = y if side else x
+        if len(label) <= pos:
+            raise ChannelError(f"classical label {label} has no register {layer.store}")
+        label = label[:pos] + (values[o],) + label[pos + 1:]
+        labels.append((x, label) if side else (label, y))
+    probs = (np.array([b.prob for b in state.blocks])[b_idx] * weights).tolist()
+    # Real and imaginary parts over the real traces.
+    out = (posts[kept].view(float) / p_outs[kept][:, None, None]).view(complex)
+    check_density_stack(out)
+    return _merge(state.dim_a, state.dim_b, labels, probs, out)
 
 
-def _apply_classical_layer(state: CcQqState, layer: ClassicalLayer) -> CcQqState:
+def _register_sizes(layout: RegisterLayout) -> tuple[tuple, tuple]:
+    """The alphabet sizes of the side-A and side-B classical registers."""
+    return tuple(tuple(c.size for c in layout.classical if c.side == side) for side in "AB")
+
+
+def _checked_label(values, sizes: tuple, name: str) -> tuple:
+    """``values`` as a classical label: one integer in ``[0, size)`` per
+    register of ``sizes``; anything else raises ``ChannelError``."""
+    label = tuple(values)
+    if len(label) == len(sizes) and all(
+        isinstance(v, (int, np.integer)) and not isinstance(v, bool) and 0 <= v < size
+        for v, size in zip(label, sizes)
+    ):
+        return block_label(label)
+    raise ChannelError(
+        f"classical label {name}={list(label)!r} does not fit the {name} registers "
+        f"of alphabet sizes {list(sizes)}"
+    )
+
+
+def _check_labels(state: CcQqState, layout: RegisterLayout) -> None:
+    """Raise ``ChannelError`` unless every block label of ``state`` fits the
+    layout's classical registers (see :func:`_checked_label`)."""
+    sizes_x, sizes_y = _register_sizes(layout)
+    for blk in state.blocks:
+        _checked_label(blk.x, sizes_x, "x")
+        _checked_label(blk.y, sizes_y, "y")
+
+
+def _classical_successors(layer: ClassicalLayer, layout: RegisterLayout) -> dict:
+    """The layer's update map with every successor checked: a finite,
+    non-negative probability, labels that fit the layout, and a total of 1
+    within 1e-12 per source label."""
+    sizes_x, sizes_y = _register_sizes(layout)
+    table = {}
+    for key, successors in layer.update.items():
+        checked = []
+        for p, (x, y) in successors:
+            if not isinstance(p, Real) or not math.isfinite(p) or p < 0:
+                raise ChannelError(
+                    f"classical update for {key} has successor probability {p!r}, "
+                    "not a finite non-negative number"
+                )
+            checked.append((p, (_checked_label(x, sizes_x, "x"), _checked_label(y, sizes_y, "y"))))
+        mass = sum(p for p, _ in checked)
+        if abs(mass - 1.0) > 1e-12:
+            raise ChannelError(f"classical update for {key} has total probability {mass}")
+        table[key] = checked
+    return table
+
+
+def _apply_classical_layer(
+    state: CcQqState, layer: ClassicalLayer, layout: RegisterLayout
+) -> CcQqState:
+    """Rewrite the labels and mix the blocks that meet.
+
+    Every new block is a copy of a block of ``state`` or a mixture of such
+    copies, so nothing is certified again unless the state was built
+    without :func:`check_density_stack`.
+    """
+    table = _classical_successors(layer, layout)
     labels, probs, src = [], [], []
     for i, blk in enumerate(state.blocks):
         key = (blk.x, blk.y)
-        successors = layer.update.get(key, [(1.0, key)])
-        mass = sum(p for p, _ in successors)
-        if abs(mass - 1.0) > 1e-12:
-            raise ChannelError(f"classical update for {key} has total probability {mass}")
-        for p, (x, y) in successors:
+        for p, label in table.get(key, ((1.0, key),)):
             if p <= 0:
                 continue
-            labels.append((block_label(x), block_label(y)))
+            labels.append(label)
             probs.append(blk.prob * p)
             src.append(i)
-    return _merge_checked(state.dim_a, state.dim_b, labels, probs, state.rho_stack()[src])
+    rhos = state.rho_stack()[src]
+    if not state.certified:
+        check_density_stack(rhos)
+    return _merge(state.dim_a, state.dim_b, labels, probs, rhos)
 
 
 def apply_layer(state: CcQqState, layer, layout: RegisterLayout) -> CcQqState:
@@ -327,7 +435,7 @@ def apply_layer(state: CcQqState, layer, layout: RegisterLayout) -> CcQqState:
     if isinstance(layer, InstrumentLayer):
         return _apply_instrument_layer(state, layer, layout)
     if isinstance(layer, ClassicalLayer):
-        return _apply_classical_layer(state, layer)
+        return _apply_classical_layer(state, layer, layout)
     raise ChannelError(f"unknown layer type {type(layer).__name__}")
 
 
@@ -376,10 +484,13 @@ def run_noisy_circuit(
     set by ``circuit.noise_order`` (noise before the layer by default);
     classical layers execute between time steps without noise.  The
     trajectory records probability mass, block counts, and optionally the
-    chi-square distance to the separable set after every step.
+    chi-square distance to the separable set after every step.  Every input
+    block's classical label must fit the layout's registers, or
+    ``ChannelError`` is raised before the first step.
     """
     layout = circuit.layout
     cfg = sep_cfg or SepConfig()
+    _check_labels(input_state, layout)
     state = input_state
     steps = []
 
