@@ -224,18 +224,9 @@ class KrausChannel:
             powers[k] = m
         return powers[k]
 
-    def _tp_defect(self) -> np.ndarray:
-        return sum(la.dag(k) @ k for k in self.kraus) - np.eye(self.in_dim)
-
     def tp_residual(self) -> float:
-        return float(np.linalg.norm(self._tp_defect(), 2))
-
-    def is_trace_preserving(self) -> bool:
-        """Whether ``tp_residual() <= TP_TOL``.  The Frobenius norm of
-        ``sum K^H K - I`` bounds the residual from above, so the singular
-        values are computed only when it exceeds ``TP_TOL``."""
-        defect = self._tp_defect()
-        return bool(np.vdot(defect, defect).real <= TP_TOL**2 or np.linalg.norm(defect, 2) <= TP_TOL)
+        acc = sum(la.dag(k) @ k for k in self.kraus)
+        return float(np.linalg.norm(acc - np.eye(self.in_dim), 2))
 
     def is_unital(self) -> bool:
         acc = sum(k @ la.dag(k) for k in self.kraus)

@@ -163,25 +163,21 @@ class CcQqState:
         object.__setattr__(state, "_stack", rhos)
         return state
 
-    @property
-    def certified(self) -> bool:
-        """Whether the blocks are views of a stack that passed
-        :func:`check_density_stack`, or mixtures of blocks that did: true
-        for a state built by :meth:`from_blocks` or :meth:`from_checked_stack`,
-        false for one constructed directly from blocks."""
-        return self._stack is not None
-
     def rho_stack(self) -> np.ndarray:
-        """The block density matrices as one read-only ``(B, d, d)`` array.
+        """The block density matrices as one read-only ``(B, d, d)`` array
+        that has passed :func:`check_density_stack`.
 
         A state built by :meth:`from_blocks` or :meth:`from_checked_stack`
         returns the stack its blocks are views of, without copying; a state
-        constructed directly from blocks returns a frozen copy of them.
+        constructed directly from blocks returns a frozen copy of them,
+        checked on every call.
         """
         if self._stack is not None:
             return self._stack
         d = self.dim_a * self.dim_b
-        return la.frozen([b.rho for b in self.blocks]).reshape(-1, d, d)
+        stack = la.frozen([b.rho for b in self.blocks]).reshape(-1, d, d)
+        check_density_stack(stack)
+        return stack
 
     @classmethod
     def single(cls, state: BipartiteState):

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import linalg as la
 from .channels import ChannelError, KrausChannel, check_density_stack
-from .config import CHISEP_THRESHOLD, MAX_BLOCKS, QUBIT_CAP
+from .config import CHISEP_THRESHOLD, MAX_BLOCKS, QUBIT_CAP, TP_TOL
 from .decompose import p_constant
 from .separability import (
     BipartiteState,
@@ -242,8 +242,8 @@ def _apply_gate_layer(state: CcQqState, layer: GateLayer) -> CcQqState:
     group of blocks with one stacked ``apply``.
 
     The outputs of the channels are certified as one stack.  Blocks whose
-    channel is ``None`` are copied, and are certified again only when the
-    state was built without :func:`check_density_stack`.
+    channel is ``None`` are copied from :meth:`CcQqState.rho_stack`, which
+    is certified already, and are not checked again.
     """
     out_a, out_b = state.dim_a, state.dim_b
     if isinstance(layer.channel, SeparableChannel):
@@ -259,7 +259,6 @@ def _apply_gate_layer(state: CcQqState, layer: GateLayer) -> CcQqState:
             by_channel.setdefault(id(channel), (channel, []))[1].append(i)
         groups = list(by_channel.values())
     out = np.empty((len(rhos), d_out, d_out), dtype=complex)
-    fresh = []
     for channel, idx in groups:
         if channel is None:
             result = rhos[idx]
@@ -271,12 +270,9 @@ def _apply_gate_layer(state: CcQqState, layer: GateLayer) -> CcQqState:
         if result.shape[1:] != (d_out, d_out):
             raise ChannelError("block dimension mismatch")
         out[idx] = result
-        if channel is not None or not state.certified:
-            fresh += idx
-    if len(fresh) == len(out):
-        check_density_stack(out)
-    elif fresh:
-        check_density_stack(out[fresh])
+    computed = [i for channel, idx in groups if channel is not None for i in idx]
+    if computed:
+        check_density_stack(out if len(computed) == len(out) else out[computed])
     labels = [(b.x, b.y) for b in state.blocks]
     return _merge(out_a, out_b, labels, [b.prob for b in state.blocks], out)
 
@@ -313,10 +309,7 @@ def _apply_instrument_layer(
                 f"instrument operator of shape {np.shape(k)} does not act on the "
                 f"{d}-dimensional register"
             )
-    if not ops:
-        raise ChannelError("instrument outcomes do not sum to a trace-preserving map")
-    channel = KrausChannel.from_kraus(ops)
-    if not channel.is_trace_preserving():
+    if not ops or KrausChannel.from_kraus(ops).tp_residual() > TP_TOL:
         raise ChannelError("instrument outcomes do not sum to a trace-preserving map")
     side, pos, size = _store_slot(layout, layer.store)
     values = []
@@ -328,7 +321,7 @@ def _apply_instrument_layer(
         if not outcome_ops:
             raise ChannelError(f"instrument outcome {value} has no Kraus operators")
         values.append(int(value))
-    kraus = np.array(channel.kraus)
+    kraus = np.array(ops, dtype=complex)
     # (block, Kraus operator) stack of K rho K^H, summed per outcome.
     posts = kraus @ state.rho_stack()[:, None] @ la.dag(kraus)
     if len(ops) > len(values):
@@ -385,7 +378,8 @@ def _check_labels(state: CcQqState, layout: RegisterLayout) -> None:
 def _classical_successors(layer: ClassicalLayer, layout: RegisterLayout) -> dict:
     """The layer's update map with every successor checked: a finite,
     non-negative probability, labels that fit the layout, and a total of 1
-    within 1e-12 per source label."""
+    within 1e-12 per source label.  Every entry is checked, including those
+    whose source label no block carries."""
     sizes_x, sizes_y = _register_sizes(layout)
     table = {}
     for key, successors in layer.update.items():
@@ -409,9 +403,9 @@ def _apply_classical_layer(
 ) -> CcQqState:
     """Rewrite the labels and mix the blocks that meet.
 
-    Every new block is a copy of a block of ``state`` or a mixture of such
-    copies, so nothing is certified again unless the state was built
-    without :func:`check_density_stack`.
+    Every new block is a copy of a block of :meth:`CcQqState.rho_stack`,
+    which is certified already, or a mixture of such copies, so nothing is
+    checked again.
     """
     table = _classical_successors(layer, layout)
     labels, probs, src = [], [], []
@@ -423,10 +417,7 @@ def _apply_classical_layer(
             labels.append(label)
             probs.append(blk.prob * p)
             src.append(i)
-    rhos = state.rho_stack()[src]
-    if not state.certified:
-        check_density_stack(rhos)
-    return _merge(state.dim_a, state.dim_b, labels, probs, rhos)
+    return _merge(state.dim_a, state.dim_b, labels, probs, state.rho_stack()[src])
 
 
 def apply_layer(state: CcQqState, layer, layout: RegisterLayout) -> CcQqState:

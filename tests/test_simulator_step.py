@@ -11,6 +11,7 @@ import sys
 import numpy as np
 import pytest
 
+import chcon.separability as separability
 import chcon.simulate as simulate
 from chcon.channels import (
     ChannelError,
@@ -20,7 +21,7 @@ from chcon.channels import (
     tensor,
 )
 from chcon.config import TP_TOL
-from chcon.sampling import random_channel, random_nonunital_qubit_channel, rng_from
+from chcon.sampling import random_nonunital_qubit_channel, rng_from
 from chcon.separability import CcQqBlock, CcQqState
 from chcon.simulate import (
     ClassicalLayer,
@@ -230,15 +231,19 @@ class TestOneCertificatePerComputedStack:
         apply_layer(state, GateLayer(channel=None), layout_for(2))
         assert checks.calls == 1
 
-    def test_blocks_of_a_directly_built_state_are_checked_once(self, checks):
+    def test_directly_built_state_is_checked_by_rho_stack(self, monkeypatch):
+        counter = CountingCheck(separability.check_density_stack)
+        monkeypatch.setattr(separability, "check_density_stack", counter)
         rho = np.diag([1.0, 0.0]).astype(complex)
-        state = CcQqState(dim_a=2, dim_b=1, blocks=(CcQqBlock((0,), (), 1.0, rho),))
-        assert not state.certified
+        state = CcQqState(dim_a=2, dim_b=1, blocks=(CcQqBlock(x=(0,), y=(), prob=1.0, rho=rho),))
         layout = layout_for(1, sizes_a=(2,))
         out = apply_layer(state, ClassicalLayer(update={}), layout)
-        assert checks.calls == 1 and out.certified
-        apply_layer(state, GateLayer(channel=None), layout)
-        assert checks.calls == 2
+        assert counter.calls == 1
+        out.rho_stack()
+        assert counter.calls == 1
+        bad = CcQqState(dim_a=2, dim_b=1, blocks=(CcQqBlock(x=(0,), y=(), prob=1.0, rho=2 * rho),))
+        with pytest.raises(ChannelError, match="trace differs"):
+            bad.rho_stack()
 
     def test_relabelling_keeps_the_stack_bit_for_bit(self):
         rng = np.random.default_rng(6)
@@ -300,14 +305,6 @@ class TestInstrumentWeights:
         state = CcQqState.from_blocks(2, 2, [((0,), (), 1.0, np.eye(4) / 4)])
         with pytest.raises(ChannelError, match="trace-preserving"):
             apply_layer(state, layer, layout_for(2, sizes_a=(2,)))
-
-    @pytest.mark.parametrize("scale", [1e-3, 0.999, 1.001, 1e3])
-    def test_trace_preserving_check_agrees_with_the_residual(self, scale):
-        # Completeness defect scale * TP_TOL * I: its Frobenius norm settles
-        # the smallest scale, the singular values the two at the tolerance.
-        ch = random_channel(np.random.default_rng(int(1000 * scale)), 4)
-        scaled = KrausChannel.from_kraus([np.sqrt(1.0 + scale * TP_TOL) * k for k in ch.kraus])
-        assert scaled.is_trace_preserving() == (scaled.tp_residual() <= TP_TOL) == (scale < 1.0)
 
     def test_exact_instrument_matches_per_outcome_reference(self):
         rng = np.random.default_rng(11)
@@ -379,6 +376,12 @@ class TestLabelsAgainstLayout:
         layer = ClassicalLayer(update={((1,), ()): [(1.0, ((5,), ()))]})
         state = CcQqState.from_blocks(2, 1, [((0,), (), 1.0, np.eye(2) / 2)])
         with pytest.raises(ChannelError, match="does not fit"):
+            apply_layer(state, layer, layout_for(1, sizes_a=(2,)))
+
+    def test_unreached_source_total_is_checked_too(self):
+        layer = ClassicalLayer(update={((1,), ()): [(0.5, ((0,), ()))]})
+        state = CcQqState.from_blocks(2, 1, [((0,), (), 1.0, np.eye(2) / 2)])
+        with pytest.raises(ChannelError, match="total probability 0.5"):
             apply_layer(state, layer, layout_for(1, sizes_a=(2,)))
 
     @pytest.mark.parametrize("p", [-0.5, float("nan"), float("inf")])
