@@ -343,18 +343,6 @@ def kraus_to_choi(ch: KrausChannel) -> ChoiMatrix:
     return ChoiMatrix(in_dim=ch.in_dim, out_dim=ch.out_dim, matrix=la.frozen(c))
 
 
-def choi_stack(ops: np.ndarray) -> np.ndarray:
-    """Choi matrices of the channels of a ``(C, r, out_dim, in_dim)`` Kraus
-    stack, as a ``(C, out_dim * in_dim, out_dim * in_dim)`` array.
-
-    The sum over K of vec(K) vec(K)^dag with row-major vec is, entry by
-    entry and in the same order, the reshuffled sum of kron(K, conj(K)) that
-    :func:`kraus_to_choi` builds.
-    """
-    vec = ops.reshape(*ops.shape[:2], -1)
-    return sum(vec[:, k, :, None] * vec[:, k, None, :].conj() for k in range(ops.shape[1]))
-
-
 def choi_to_kraus(c: ChoiMatrix, rank_tol: float = RANK_TOL) -> KrausChannel:
     """Minimal Kraus list from the Choi eigendecomposition."""
     w, v = np.linalg.eigh(la.herm_part(c.matrix))

@@ -5,10 +5,10 @@ the tetrahedron/octahedron geometry of the diagonal Bloch form.  Non-unital
 channels get a certified lower bound on the constant p2 from the self peel
 N >= 1 * N, which is (lmin(C_{N^dag o N}) - err) / P2_DENOMINATOR when that
 eigenvalue exceeds the eigensolver's rounding bound err and 0 otherwise, and
-an entanglement-breaking weight from a seeded random peel search, scored in
-one batched pass.  That weight is 0, without a search, whenever C_N is
-rank-deficient, so there (amplitude damping included) p is the self-peel
-p2.  The channel constant is p = max(p1, p2).
+an entanglement-breaking weight from a seeded random peel search.  That
+weight is 0, without a search, whenever C_N is rank-deficient, so there
+(amplitude damping included) p is the self-peel p2.  The channel constant is
+p = max(p1, p2).
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .channels import (
     ChannelError,
     KrausChannel,
     channel_from_bloch_transfer,
-    choi_stack,
     compose,
     is_unitary_channel,
     kraus_to_choi,
@@ -33,7 +32,7 @@ from .channels import (
 )
 from .config import P2_DENOMINATOR, PSD_TOL, SUPP_TOL
 from .contraction import adjoint_composition_spectrum
-from .sampling import random_eb_qubit_kraus, rng_from
+from .sampling import random_eb_qubit_channel, rng_from
 
 TETRA_CORNERS = (
     (1.0, 1.0, 1.0),
@@ -181,7 +180,7 @@ def unital_split(ch: KrausChannel) -> UnitalDecomposition:
 
 
 def _choi_support(n: KrausChannel) -> tuple[np.ndarray, np.ndarray, float]:
-    """One eigendecomposition of C_N.
+    """One eigendecomposition of C_N, shared by every candidate M.
 
     Returns the kernel basis of C_N, its support basis scaled by the inverse
     square roots of the eigenvalues (columns of C_N^{+1/2}), and the support
@@ -192,22 +191,25 @@ def _choi_support(n: KrausChannel) -> tuple[np.ndarray, np.ndarray, float]:
     return v[:, ~supp], v[:, supp] / np.sqrt(w[supp]), SUPP_TOL * w[-1]
 
 
-def max_cp_weight(n: KrausChannel, m: KrausChannel | np.ndarray) -> float | np.ndarray:
+def _max_cp_weight_on(support: tuple[np.ndarray, np.ndarray, float], m: KrausChannel) -> float:
+    """:func:`max_cp_weight` for the C_N support from :func:`_choi_support`."""
+    kernel, s, threshold = support
+    cm = kraus_to_choi(m).matrix
+    if np.real(np.trace(la.dag(kernel) @ cm @ kernel)) > threshold:
+        return 0.0
+    lam = np.linalg.eigvalsh(la.dag(s) @ cm @ s)[-1]
+    return 1.0 if lam <= 1.0 else float(1.0 / lam)
+
+
+def max_cp_weight(n: KrausChannel, m: KrausChannel) -> float:
     """Largest q in [0, 1] keeping N - q M completely positive.
 
     Closed form q = min(1, 2^-D_max(C_M || C_N)) = min(1, 1 / lmax(C_N^{+1/2}
     C_M C_N^{+1/2})) on the support of C_N (Datta, arXiv:0803.2770), and
     q = 0 when the support of C_M leaves that of C_N.  Supports are taken at
-    the relative threshold ``SUPP_TOL``.  ``m`` is one channel, or a
-    ``(C, d, d)`` stack of Choi matrices scored in one pass, for which the
-    C weights come back as an array.
+    the relative threshold ``SUPP_TOL``.
     """
-    kernel, s, threshold = _choi_support(n)
-    cm = kraus_to_choi(m).matrix if isinstance(m, KrausChannel) else m
-    leak = np.real(np.trace(la.dag(kernel) @ cm @ kernel, axis1=-2, axis2=-1)) > threshold
-    lam = np.linalg.eigvalsh(la.dag(s) @ cm @ s)[..., -1]
-    q = np.where(leak, 0.0, 1.0 / np.maximum(lam, 1.0))
-    return float(q) if q.ndim == 0 else q
+    return _max_cp_weight_on(_choi_support(n), m)
 
 
 def p2_certificate(ch: KrausChannel) -> float:
@@ -234,18 +236,22 @@ def eb_peel_weight(ch: KrausChannel, candidates: int = 64, seed: int = 0) -> flo
     """Best q with N >= q B over random entanglement-breaking candidates B
     (a lower bound on the entanglement-breaking weight of N).
 
-    Candidate i is drawn from ``rng_from(seed, 1_000_000 + i)``; all of them
-    are scored by one :func:`max_cp_weight` call on their Choi stack.  Every
-    candidate has a full-rank Choi matrix, so when C_N is rank-deficient at
-    ``SUPP_TOL`` the weight is 0 without drawing any: 0 is always a sound
-    lower bound, and the search would return 0 there almost surely, since a
-    candidate scores only if its Choi matrix is negligible on the kernel of
-    C_N.
+    Candidate i is drawn from ``rng_from(seed, 1_000_000 + i)`` and scored
+    against one decomposition of C_N.  Every candidate has a full-rank Choi
+    matrix, so when C_N is rank-deficient at ``SUPP_TOL`` the weight is 0
+    without drawing any: 0 is always a sound lower bound, and the search
+    would return 0 there almost surely, since a candidate scores only if its
+    Choi matrix is negligible on the kernel of C_N.
     """
-    if _choi_support(ch)[0].shape[1]:
+    support = _choi_support(ch)
+    if support[0].shape[1]:
         return 0.0
-    ops = random_eb_qubit_kraus([rng_from(seed, 1_000_000 + i) for i in range(candidates)])
-    return float(np.max(max_cp_weight(ch, choi_stack(ops)), initial=0.0))
+    best = 0.0
+    for i in range(candidates):
+        rng = rng_from(seed, 1_000_000 + i)
+        b = random_eb_qubit_channel(rng)
+        best = max(best, _max_cp_weight_on(support, b))
+    return best
 
 
 def p_constant(ch: KrausChannel, eb_candidates: int = 64, seed: int = 0) -> PConstantReport:

@@ -7,8 +7,6 @@ deterministic regardless of scheduling.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 import numpy as np
 
 from . import linalg as la
@@ -30,20 +28,11 @@ def rng_from(seed: int, *indices: int) -> np.random.Generator:
     return np.random.default_rng([int(seed) & (2**64 - 1), *[int(i) for i in indices]])
 
 
-def _ginibre(rng: np.random.Generator, dim: int) -> np.ndarray:
-    return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-
-
-def _haar_from_ginibre(g: np.ndarray) -> np.ndarray:
-    """Haar unitary from a complex Ginibre matrix, or one per matrix of a
-    stack: the Q of its QR with the phases of diag(R) divided out."""
-    q, r = np.linalg.qr(g)
-    d = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (d / np.abs(d)).conj()[..., None, :]
-
-
 def haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
-    return _haar_from_ginibre(_ginibre(rng, dim))
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    q, r = np.linalg.qr(g)
+    phases = np.diag(r) / np.abs(np.diag(r))
+    return q * phases.conj()
 
 
 def random_pure(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -123,43 +112,25 @@ def random_near_identity_qubit_channel(
     return compose(unitary_channel(u), ch)
 
 
-def _eb_draws(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One measure-and-prepare channel's draws, in stream order: a Ginibre
-    matrix for the measured basis, the POVM weights, and the real and
-    imaginary parts of the prepared states."""
-    g = _ginibre(rng, 2)
-    weights = rng.dirichlet(np.ones(EB_OUTCOMES))
-    return g, weights, rng.standard_normal((EB_OUTCOMES, 2, 2))
+def random_eb_qubit_channel(rng: np.random.Generator) -> KrausChannel:
+    """Random measure-and-prepare (entanglement breaking) qubit channel.
 
-
-def random_eb_qubit_kraus(rngs: Sequence[np.random.Generator]) -> np.ndarray:
-    """Kraus operators of random measure-and-prepare (entanglement breaking)
-    qubit channels, a ``(len(rngs), EB_OUTCOMES, 2, 2)`` stack whose channel
-    c is drawn from ``rngs[c]`` alone.
-
-    Outcome i measures column i % 2 of a Haar-random basis with a Dirichlet
-    POVM weight and prepares a random pure state, so every Kraus operator is
-    rank one.  The sum of K^dag K is then whitened to the identity; a channel
-    whose sum is singular is drawn again from its own stream.  Everything
-    after the draws runs once for the whole stack.
+    Measures in a Haar-random basis refined by a random POVM mixing and
+    prepares random pure states; Kraus operators are rank one by
+    construction.
     """
-    out = np.empty((len(rngs), EB_OUTCOMES, 2, 2), dtype=complex)
-    pending = np.arange(len(rngs))
-    while pending.size:
-        g, weights, x = (np.array(a) for a in zip(*(_eb_draws(rngs[c]) for c in pending)))
-        prep = x[..., 0, :] + 1j * x[..., 1, :]
-        re, im = prep.real[..., None, :], prep.imag[..., None, :]
-        # |prep|^2 from the dot products np.linalg.norm takes, so each state
-        # is random_pure's draw bit for bit.
-        norm2 = re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2)
-        prep = prep / np.sqrt(norm2[..., 0])
-        meas = _haar_from_ginibre(g)[..., np.arange(EB_OUTCOMES) % 2].conj().swapaxes(-1, -2)
-        ops = np.sqrt(2.0 * weights)[..., None, None] * (prep[..., :, None] * meas[..., None, :])
-        kk = la.dag(ops) @ ops
-        w, v = np.linalg.eigh(sum(kk[:, i] for i in range(EB_OUTCOMES)))
-        ok = w[:, 0] > 1e-12
-        w, v = w[ok], v[ok]
-        whiten = (v * (1.0 / np.sqrt(w))[..., None, :]) @ la.dag(v)
-        out[pending[ok]] = ops[ok] @ whiten[:, None]
-        pending = pending[~ok]
-    return out
+    basis = haar_unitary(rng, 2)
+    weights = rng.dirichlet(np.ones(EB_OUTCOMES))
+    ops = []
+    for i in range(EB_OUTCOMES):
+        meas = basis[:, i % 2]
+        prep = random_pure(rng, 2)
+        ops.append(np.sqrt(weights[i] * 2.0 / 1.0) * np.outer(prep, meas.conj()))
+    # Normalize to trace preservation: sum K^dag K = sum w_i |m_i><m_i| * 2
+    # is not the identity in general, so whiten it.
+    acc = sum(la.dag(k) @ k for k in ops)
+    w, v = np.linalg.eigh(acc)
+    if w[0] <= 1e-12:
+        return random_eb_qubit_channel(rng)
+    whiten = (v * (1.0 / np.sqrt(w))) @ la.dag(v)
+    return KrausChannel.from_kraus([k @ whiten for k in ops])

@@ -3,7 +3,7 @@ import pytest
 
 import chcon.linalg as la
 from chcon.channels import KrausChannel, extremality_gap
-from chcon.sampling import random_channel, random_eb_qubit_kraus, rng_from
+from chcon.sampling import random_channel, rng_from
 
 
 @pytest.fixture
@@ -13,12 +13,6 @@ def rng():
 
 def seeded(*indices) -> np.random.Generator:
     return rng_from(20240817, *indices)
-
-
-def random_eb_qubit_channel(rng: np.random.Generator) -> KrausChannel:
-    """One random measure-and-prepare qubit channel: the one-channel case of
-    chcon's stacked sampler, as the per-candidate oracle of eb_peel_weight."""
-    return KrausChannel.from_kraus(random_eb_qubit_kraus([rng])[0])
 
 
 def evaluate_pair(ch, pair) -> float:

@@ -17,7 +17,6 @@ from chcon.channels import (
     canonical_kraus,
     channel_from_bloch_transfer,
     choi_distance,
-    choi_stack,
     choi_to_kraus,
     completely_depolarizing,
     compose,
@@ -93,14 +92,6 @@ class TestChoi:
         ref = brute_force_choi(ch)
         assert np.allclose(c.matrix, ref, atol=1e-12)
         assert np.allclose(np.linalg.eigvalsh(c.matrix), np.linalg.eigvalsh(ref), atol=1e-12)
-
-    def test_choi_stack_equals_kraus_to_choi(self):
-        # Same products, same summation order: equal bit for bit.
-        for d, env in ((2, 4), (3, 2)):
-            chans = [random_channel(seeded(70, d, i), d, env_dim=env) for i in range(8)]
-            stack = choi_stack(np.array([ch.kraus for ch in chans]))
-            for c, ch in zip(stack, chans):
-                assert np.array_equal(c, kraus_to_choi(ch).matrix)
 
     def test_trace_equals_input_dimension(self):
         for d in (2, 3, 4):

@@ -23,6 +23,7 @@ from chcon.config import P2_DENOMINATOR, PSD_TOL
 from chcon.contraction import adjoint_composition_spectrum, lambda_min_choi_of_adjoint_composition
 from chcon.decompose import (
     _choi_support,
+    _max_cp_weight_on,
     barycentric_weights,
     corner_feasibility,
     corner_max_q,
@@ -35,17 +36,14 @@ from chcon.decompose import (
     unital_split,
 )
 from chcon.sampling import (
-    EB_OUTCOMES,
-    haar_unitary,
     random_channel,
-    random_eb_qubit_kraus,
+    random_eb_qubit_channel,
     random_nonunital_qubit_channel,
-    random_pure,
     random_unital_qubit_channel,
     rng_from,
 )
 
-from conftest import random_eb_qubit_channel, random_extremal_nonunital_qubit_channel, seeded
+from conftest import random_extremal_nonunital_qubit_channel, seeded
 
 
 def cp_order_margin(choi_n, choi_m, q: float) -> float:
@@ -184,19 +182,19 @@ class TestCpOrder:
 
     @pytest.mark.parametrize("index", range(4))
     def test_shared_support_equals_per_candidate_calls(self, index):
-        # eb_peel_weight scores all its candidates in one call on their Choi
-        # stack; every weight must equal a per-candidate max_cp_weight.
+        # eb_peel_weight decomposes C_N once for all its candidates; every
+        # weight must equal a per-candidate max_cp_weight.
         ad = amplitude_damping(0.3)
         m = random_nonunital_qubit_channel(seeded(65, index), min_nonunitality=0.02)
         n = KrausChannel.from_kraus(
             [np.sqrt(0.6) * k for k in m.kraus] + [np.sqrt(0.4) * k for k in ad.kraus]
         )
         seed = 7 + index
+        support = _choi_support(n)
         eb = [random_eb_qubit_channel(rng_from(seed, 1_000_000 + i)) for i in range(32)]
         peels = [random_extremal_nonunital_qubit_channel(rng_from(seed, i)) for i in range(32)]
-        cands = eb + peels + [ad, n]
-        stack = np.stack([kraus_to_choi(c).matrix for c in cands])
-        assert max_cp_weight(n, stack).tolist() == [max_cp_weight(n, c) for c in cands]
+        for cand in eb + peels + [ad, n]:
+            assert _max_cp_weight_on(support, cand) == max_cp_weight(n, cand)
         assert eb_peel_weight(n, candidates=32, seed=seed) == max(
             max_cp_weight(n, b) for b in eb
         )
@@ -344,22 +342,6 @@ def eb_peel_oracle(n, seed, candidates=64) -> float:
     )
 
 
-def eb_qubit_kraus_loop(rng) -> list:
-    """Reference sampler, one outcome at a time: the Kraus operators that
-    random_eb_qubit_kraus must draw from the same stream, bit for bit."""
-    basis = haar_unitary(rng, 2)
-    weights = rng.dirichlet(np.ones(EB_OUTCOMES))
-    ops = []
-    for i in range(EB_OUTCOMES):
-        prep = random_pure(rng, 2)
-        ops.append(np.sqrt(weights[i] * 2.0) * np.outer(prep, basis[:, i % 2].conj()))
-    w, v = np.linalg.eigh(sum(la.dag(k) @ k for k in ops))
-    if w[0] <= 1e-12:
-        return eb_qubit_kraus_loop(rng)
-    whiten = (v * (1.0 / np.sqrt(w))) @ la.dag(v)
-    return [k @ whiten for k in ops]
-
-
 def rank_deficient_corpus():
     """Qubit channels whose Choi matrix has a kernel: amplitude damping up to
     AD(1), AD o dephasing, extremal channels and Stinespring channels with a
@@ -373,25 +355,6 @@ def rank_deficient_corpus():
     return chans
 
 
-class _ForcedDegenerateRng:
-    """A generator whose first POVM draw puts all weight on one basis vector,
-    so the first channel's sum of K^dag K is singular and must be redrawn."""
-
-    def __init__(self, rng):
-        self.rng = rng
-        self.forced = False
-
-    def standard_normal(self, size):
-        return self.rng.standard_normal(size)
-
-    def dirichlet(self, alpha):
-        w = self.rng.dirichlet(alpha)
-        if self.forced:
-            return w
-        self.forced = True
-        return np.array([0.5, 0.0, 0.5, 0.0])
-
-
 class TestEbPeel:
     def test_peel_weight_bounded(self):
         w = eb_peel_weight(amplitude_damping(0.2), candidates=8, seed=0)
@@ -403,10 +366,10 @@ class TestEbPeel:
             assert _choi_support(ch)[0].shape[1] > 0
             assert eb_peel_weight(ch, seed=i) == eb_peel_oracle(ch, i) == 0.0
 
-        def no_draws(rngs):
+        def no_draws(rng):
             raise AssertionError("a rank-deficient C_N must not draw candidates")
 
-        monkeypatch.setattr("chcon.decompose.random_eb_qubit_kraus", no_draws)
+        monkeypatch.setattr("chcon.decompose.random_eb_qubit_channel", no_draws)
         assert all(eb_peel_weight(ch) == 0.0 for ch in corpus)
 
     def test_full_rank_weight_equals_per_candidate_oracle(self):
@@ -423,22 +386,3 @@ class TestEbPeel:
             weights.append(eb_peel_weight(ch, seed=i))
             assert weights[-1] == eb_peel_oracle(ch, i)
         assert min(weights) > 0.0
-
-    def test_stacked_sampler_equals_one_channel_draws(self):
-        rngs = [rng_from(3, 1_000_000 + i) for i in range(64)]
-        stack = random_eb_qubit_kraus(rngs)
-        for i, ops in enumerate(stack):
-            one = random_eb_qubit_channel(rng_from(3, 1_000_000 + i))
-            loop = eb_qubit_kraus_loop(rng_from(3, 1_000_000 + i))
-            assert all(np.array_equal(a, b) for a, b in zip(ops, one.kraus))
-            assert all(np.array_equal(a, b) for a, b in zip(ops, loop))
-            assert one.tp_residual() < 1e-12
-            assert is_entanglement_breaking(one)
-
-    def test_singular_whitening_redraws_from_the_same_stream(self):
-        stream = rng_from(4, 0)
-        random_eb_qubit_channel(stream)
-        second = random_eb_qubit_channel(stream).kraus
-        stack = random_eb_qubit_kraus([_ForcedDegenerateRng(rng_from(4, 0)), rng_from(4, 1)])
-        assert np.array_equal(stack[0], np.array(second))
-        assert np.array_equal(stack[1], np.array(random_eb_qubit_channel(rng_from(4, 1)).kraus))
