@@ -28,7 +28,7 @@ from .channels import (
 )
 from .contraction import eta_chi_lower, eta_tr, eta_tr_upper_choi, eta_tr_upper_minoutev, independence_trivial
 from .decompose import is_entanglement_breaking, p_constant
-from .separability import BipartiteState, CcQqState, SepConfig
+from .separability import BipartiteState, CcQqState
 from .simulate import (
     ClassicalLayer,
     ClassicalReg,
@@ -178,18 +178,12 @@ def cmd_bound(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _count(value, name: str) -> int:
-    """An integral JSON number; booleans, strings and fractions are rejected."""
-    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
-    if isinstance(value, bool) or not integral:
-        raise ChannelError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
 def _layout_from_json(obj) -> RegisterLayout:
     qubits = tuple(QubitReg(label=q["label"], side=q.get("side", "A")) for q in obj.get("qubits", []))
     classical = tuple(
-        ClassicalReg(label=c["label"], size=_count(c["size"], "register size"), side=c.get("side", "A"))
+        ClassicalReg(
+            label=c["label"], size=ser.int_from_json(c["size"], "register size"), side=c.get("side", "A")
+        )
         for c in obj.get("classical", [])
     )
     return RegisterLayout(qubits=qubits, classical=classical)
@@ -213,7 +207,10 @@ def _layer_from_json(obj):
         return GateLayer(channel=channel, controls=controls)
     if kind == "instrument":
         outcomes = tuple(
-            (_count(o["value"], "outcome value"), tuple(ser.matrix_from_json(k) for k in o["kraus"]))
+            (
+                ser.int_from_json(o["value"], "outcome value"),
+                tuple(ser.matrix_from_json(k) for k in o["kraus"]),
+            )
             for o in obj["outcomes"]
         )
         return InstrumentLayer(outcomes=outcomes, store=obj["store"])
@@ -262,8 +259,10 @@ def cmd_simulate(args) -> int:
             raise ChannelError("expected a JSON object")
         if args.doubled:
             noise = ser.channel_from_json(spec["noise"])
-            n = _count(spec.get("n", 1), "n")
-            steps = args.steps if args.steps is not None else _count(spec.get("steps", 10), "steps")
+            n = ser.int_from_json(spec.get("n", 1), "n")
+            steps = args.steps
+            if steps is None:
+                steps = ser.int_from_json(spec.get("steps", 10), "steps")
             gate = ser.channel_from_json(spec["gate"]) if "gate" in spec else None
             if "input" in spec:
                 inp = ser.bipartite_state_from_json(spec["input"])
@@ -273,7 +272,7 @@ def cmd_simulate(args) -> int:
                 inp = BipartiteState.from_matrix(bell_state().matrix, 2, 2)
             run = partial(
                 doubled_memory_experiment, n, noise, steps, inp, gate=gate,
-                p_value=spec.get("p"), sep_cfg=SepConfig(seed=args.seed), seed=args.seed,
+                p_value=spec.get("p"), seed=args.seed,
             )
         else:
             layout = _layout_from_json(spec.get("layout", {}))
@@ -289,7 +288,7 @@ def cmd_simulate(args) -> int:
             state = _input_state(spec.get("input"), layout)
             run = partial(
                 run_noisy_circuit, circuit, state,
-                record_chisep=args.record_chisep, sep_cfg=SepConfig(seed=args.seed),
+                record_chisep=args.record_chisep,
             )
     except (AttributeError, ChannelError, KeyError, TypeError, ValueError) as exc:
         return _fail(f"bad circuit description: {exc}")

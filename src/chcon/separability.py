@@ -34,7 +34,7 @@ import numpy as np
 from . import linalg as la
 from .channels import EPS, ChannelError, DensityState, KrausChannel, check_density_stack, check_int
 from .config import DIM_CAP, PSD_TOL, TP_TOL, VERDICT_SLACK
-from .contraction import eta_chi_lower, eta_tr_upper_minoutev
+from .contraction import eta_tr_upper_minoutev
 
 PPT_EXACT_DIMS = {(2, 2), (2, 3), (3, 2)}
 # Proximal step of the split ADMM (the soft threshold of dsep's 1-norm).
@@ -90,9 +90,10 @@ def block_label(values) -> tuple:
 
 
 def check_total_probability(probs) -> None:
-    """Raise unless the block probabilities sum to 1 within 1e-12."""
+    """Raise unless the block probabilities sum to 1 within 1e-12; a NaN or
+    infinite probability makes the sum fail too."""
     total = sum(probs, 0.0)
-    if abs(total - 1.0) > 1e-12:
+    if not abs(total - 1.0) <= 1e-12:
         raise ChannelError(f"block probabilities sum to {total}, not 1")
 
 
@@ -128,8 +129,8 @@ class CcQqState:
         d = dim_a * dim_b
         labels, probs, mats, seen = [], [], [], set()
         for x, y, p, rho in blocks:
-            if p < -1e-15:
-                raise ChannelError("block probabilities must be non-negative")
+            if not -1e-15 <= p < math.inf:
+                raise ChannelError(f"block probabilities must be finite and non-negative, got {p!r}")
             m = np.asarray(rho, dtype=complex)
             if m.ndim != 2 or m.shape[0] != m.shape[1]:
                 raise ChannelError(f"density matrix must be square, got shape {m.shape}")
@@ -205,17 +206,14 @@ class SepConfig:
                the last barrier weight): the stage at barrier weight mu
                stalls on decreases below 1e-2 * max(obj_tol, mu), so the
                default lets every stage resolve its own weight
-    seed:      seed of the contraction estimates in
-               :func:`verify_contraction_step`
 
-    ``max_iter`` must be an integer >= 1, ``obj_tol`` a finite real number
-    > 0 and ``seed`` an integer in [0, 2**64), none of them a boolean;
-    anything else raises ``ChannelError``.
+    ``max_iter`` must be an integer >= 1 and ``obj_tol`` a finite real
+    number > 0, neither of them a boolean; anything else raises
+    ``ChannelError``.
     """
 
     max_iter: int = 10000
     obj_tol: float = BARRIER_STAGES[-1]
-    seed: int = 0
 
     def __post_init__(self):
         check_int("max_iter", self.max_iter, 1)
@@ -223,7 +221,6 @@ class SepConfig:
         real = isinstance(tol, Real) and not isinstance(tol, bool)
         if not (real and math.isfinite(tol) and tol > 0):
             raise ChannelError(f"obj_tol must be a finite real number > 0, got {tol!r}")
-        check_int("seed", self.seed, 0, 2**64)
 
 
 # ---------------------------------------------------------------------------
@@ -286,21 +283,6 @@ def _chi2_grad(w: np.ndarray, v: np.ndarray, eig_data, mu: float) -> np.ndarray:
         grad_eig[:, diag, diag] -= mu * (1.0 / w)
     grad = v @ grad_eig @ la.dag(v)
     return la.herm_part(grad)
-
-
-def _chi2_value_grad(
-    taus: np.ndarray, w: np.ndarray, v: np.ndarray, mu: float = 0.0
-) -> tuple[np.ndarray, np.ndarray]:
-    """Values ``(n,)`` and gradients ``(n, d, d)`` of
-    chi2(tau_k, x_k) - mu * logdet(x_k) in x_k for a stack of ``n`` blocks,
-    given the eigendecompositions x_k = v_k diag(w_k) v_k^dag with every
-    w > 0: :func:`_chi2_values` and :func:`_chi2_grad` at once.  Callers
-    choose how to treat non-positive eigenvalues.
-    """
-    values, eig_data = _chi2_values(taus, w, v)
-    if mu > 0.0:
-        values = values - mu * np.sum(np.log(w), axis=1)
-    return values, _chi2_grad(w, v, eig_data, mu)
 
 
 def _interior_chi2(taus: np.ndarray, weights: np.ndarray, mu: float):
@@ -597,8 +579,8 @@ def _chi2_lower(tau: np.ndarray, eig, dim_a: int, dim_b: int, target: float) -> 
     best = 0.0
     for eps in CERT_MIX:
         w = (1.0 - eps) * w0 + eps / d
-        values, grads = _chi2_value_grad(tau[None], w[None], v[None])
-        f, g = float(values[0]), grads[0]
+        values, eig_data = _chi2_values(tau[None], w[None], v[None])
+        f, g = float(values[0]), _chi2_grad(w[None], v[None], eig_data, 0.0)[0]
         x = (v * w) @ la.dag(v)
         dual = -math.inf
         for alpha in CERT_STEPS:
@@ -762,7 +744,7 @@ def chisep_ccqq(s: CcQqState, cfg: SepConfig = SepConfig()) -> SepApproxResult:
     )
 
 
-def chisep_ccqq_blockdiag(s: CcQqState, cfg: SepConfig = SepConfig()) -> SepApproxResult:
+def chisep_ccqq_blockdiag(s: CcQqState) -> SepApproxResult:
     """Direct minimization of chi2 over block-diagonal PPT states.
 
     The variable is one unnormalized PSD-and-PT-PSD matrix per classical
@@ -778,7 +760,7 @@ def chisep_ccqq_blockdiag(s: CcQqState, cfg: SepConfig = SepConfig()) -> SepAppr
     # The start I / (n d) is feasible and strictly positive.
     value, mats, iters, converged, _ = _min_chi2(
         [b.rho for b in blocks], [b.prob**2 for b in blocks],
-        np.stack([np.eye(d) / (n * d)] * n), s.dim_a, s.dim_b, cfg,
+        np.stack([np.eye(d) / (n * d)] * n), s.dim_a, s.dim_b, SepConfig(),
     )
     return SepApproxResult(
         value=value,
@@ -887,47 +869,36 @@ class ContractionStepReport:
     chi_out: float
     eta_upper: float
     rhs: float
-    slack: float
-    eta_chi_diagnostic: float
-    epsilon: float
 
 
 def verify_contraction_step(
-    s: CcQqState,
-    t: SeparableChannel,
-    epsilon: float,
-    cfg: SepConfig = SepConfig(),
+    s: CcQqState, t: SeparableChannel, epsilon: float, seed: int = 0
 ) -> ContractionStepReport:
     """Check one separable-channel step of the chi-square contraction bound.
 
     Both sides of chi_out <= (1 - eps^2/100 (1 - eta)) chi_in are evaluated
     with eta the certified minimal-output-eigenvalue upper bound on the
-    trace-norm contraction coefficient of ``t`` (which upper-bounds the
-    chi-square coefficient, making the right side sound).  The lower
-    chi-square coefficient estimate is reported for diagnostics only.  The
-    check passes with ``VERDICT_SLACK`` (1e-6).  An input with chi_in below
-    ``epsilon`` raises :class:`PreconditionError`.
+    trace-norm contraction coefficient of ``t``, estimated from ``seed``;
+    it upper-bounds the chi-square coefficient, making the right side
+    sound.  Both chi-square distances run with the default
+    :class:`SepConfig`.  The check passes with ``VERDICT_SLACK`` (1e-6).  An
+    input with chi_in below ``epsilon`` raises :class:`PreconditionError`.
     """
     if not 0.0 < epsilon < 1.0:
         raise ChannelError("epsilon must lie in (0, 1)")
-    chi_in = chisep_ccqq(s, cfg).value
+    chi_in = chisep_ccqq(s).value
     if chi_in < epsilon:
         raise PreconditionError(
             f"precondition violated: chi-square distance {chi_in:.6f} below epsilon {epsilon}"
         )
     out = apply_separable_to_ccqq(s, t)
-    chi_out = chisep_ccqq(out, cfg).value
-    eta_up = eta_tr_upper_minoutev(t.channel, seed=cfg.seed).value
-    eta_diag = eta_chi_lower(t.channel, trials=50, seed=cfg.seed).value
+    chi_out = chisep_ccqq(out).value
+    eta_up = eta_tr_upper_minoutev(t.channel, seed=seed).value
     rhs = (1.0 - epsilon**2 / 100.0 * (1.0 - eta_up)) * chi_in
-    slack = rhs - chi_out
     return ContractionStepReport(
         passed=bool(chi_out <= rhs + VERDICT_SLACK),
         chi_in=chi_in,
         chi_out=chi_out,
         eta_upper=eta_up,
         rhs=rhs,
-        slack=slack,
-        eta_chi_diagnostic=eta_diag,
-        epsilon=epsilon,
     )

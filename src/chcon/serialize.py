@@ -53,6 +53,14 @@ def matrix_from_json(rows) -> np.ndarray:
         raise ChannelError(f"malformed matrix payload: {exc}") from None
 
 
+def int_from_json(value, name: str) -> int:
+    """An integral JSON number; booleans, strings and fractions are rejected."""
+    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not integral:
+        raise ChannelError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def vector_to_json(v: np.ndarray) -> list:
     return [[float(z.real), float(z.imag)] for z in np.asarray(v, dtype=complex).reshape(-1)]
 
@@ -96,7 +104,8 @@ def separable_channel_from_json(obj: dict) -> SeparableChannel:
 
 
 def bipartite_state_from_json(obj: dict) -> BipartiteState:
-    return BipartiteState.from_matrix(matrix_from_json(obj["matrix"]), int(obj["dimA"]), int(obj["dimB"]))
+    dim_a, dim_b = int_from_json(obj["dimA"], "dimA"), int_from_json(obj["dimB"], "dimB")
+    return BipartiteState.from_matrix(matrix_from_json(obj["matrix"]), dim_a, dim_b)
 
 
 def ccqq_to_json(s: CcQqState) -> dict:
@@ -115,7 +124,8 @@ def ccqq_from_json(obj: dict) -> CcQqState:
         (tuple(b["x"]), tuple(b["y"]), float(b["p"]), matrix_from_json(b["matrix"]))
         for b in obj["blocks"]
     ]
-    return CcQqState.from_blocks(int(obj["dimA"]), int(obj["dimB"]), blocks)
+    dim_a, dim_b = int_from_json(obj["dimA"], "dimA"), int_from_json(obj["dimB"], "dimB")
+    return CcQqState.from_blocks(dim_a, dim_b, blocks)
 
 
 def _json_float(x: float):

@@ -28,7 +28,6 @@ from .decompose import p_constant
 from .separability import (
     BipartiteState,
     CcQqState,
-    SepConfig,
     SeparableChannel,
     block_label,
     chisep_ccqq,
@@ -467,7 +466,6 @@ def run_noisy_circuit(
     circuit: NoisyCircuit,
     input_state: CcQqState,
     record_chisep: bool = False,
-    sep_cfg: SepConfig | None = None,
 ) -> TrajectoryReport:
     """Run the noisy implementation of the circuit on a cc-qq input.
 
@@ -480,7 +478,6 @@ def run_noisy_circuit(
     ``ChannelError`` is raised before the first step.
     """
     layout = circuit.layout
-    cfg = sep_cfg or SepConfig()
     _check_labels(input_state, layout)
     state = input_state
     steps = []
@@ -488,7 +485,7 @@ def run_noisy_circuit(
     def measure(idx, st):
         chi = None
         if record_chisep:
-            chi = chisep_ccqq(st, cfg).value
+            chi = chisep_ccqq(st).value
         prev = steps[-1].chisep_value if steps else None
         ratio = None
         if chi is not None and prev is not None and prev > RATIO_FLOOR:
@@ -548,15 +545,15 @@ def doubled_memory_experiment(
     input_state: BipartiteState,
     gate: KrausChannel | None = None,
     p_value: float | None = None,
-    sep_cfg: SepConfig | None = None,
     seed: int = 0,
 ) -> TrajectoryReport:
     """Two parallel copies of an n-qubit memory circuit under i.i.d. noise.
 
-    Side A carries the first copy and side B the second; the per-step gate
-    acts as the same local channel on each copy, hence every layer is
-    separable across A:B.  The chi-square distance to the separable set is
-    recorded after every step and compared against the contraction factor
+    Side A carries the first copy and side B the second; the per-step gate,
+    when given, acts as the same local channel on each copy after the noise
+    round, hence every layer is separable across A:B.  Without a gate each
+    step is the noise round alone.  The chi-square distance to the separable
+    set is recorded after every step and compared against the contraction factor
     1 - p^(2n), where p is the channel constant of the noise (computed on
     demand when ``p_value`` is not given).  For unital noise the factor is
     checked at every step; otherwise only while the distance stays at or
@@ -568,11 +565,8 @@ def doubled_memory_experiment(
     if n < 1 or steps < 0:
         raise ChannelError(f"doubled runs need n >= 1 and steps >= 0, got n={n}, steps={steps}")
     layout = doubled_layout(n)
-    cfg = sep_cfg or SepConfig()
     if input_state.dim_a != 2**n or input_state.dim_b != 2**n:
         raise ChannelError("input state must hold n qubits per side")
-    if gate is None:
-        gate = KrausChannel.from_kraus([np.eye(2**n)])
     unital_noise = noise.is_unital()
     if p_value is None:
         p_value = p_constant(noise, seed=seed).p
@@ -580,10 +574,9 @@ def doubled_memory_experiment(
         raise ChannelError(f"doubled runs need a channel constant p in (0, 1], got {p_value!r}")
     factor = 1.0 - p_value ** (2 * n)
 
-    sep_gate = local_product_channel(gate, gate)
-    layer = GateLayer(channel=sep_gate)
+    layer = None if gate is None else GateLayer(channel=local_product_channel(gate, gate))
     state = CcQqState.single(input_state)
-    chi = chisep_ccqq(state, cfg).value
+    chi = chisep_ccqq(state).value
     out_steps = [
         TrajectoryStep(index=0, total_prob=total_probability(state), block_count=1, chisep_value=chi)
     ]
@@ -592,8 +585,9 @@ def doubled_memory_experiment(
     for i in range(1, steps + 1):
         prev_chi = chi
         state = apply_iid_noise(state, noise, layout)
-        state = apply_layer(state, layer, layout)
-        chi = chisep_ccqq(state, cfg).value
+        if layer is not None:
+            state = apply_layer(state, layer, layout)
+        chi = chisep_ccqq(state).value
         precondition = prev_chi >= CHISEP_THRESHOLD
         ok = None
         if unital_noise or precondition:

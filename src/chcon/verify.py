@@ -310,10 +310,7 @@ def _trajectory_checks(index, noise, steps, cfg, p_value=None):
     """Run one doubled-memory trajectory; return its report and a (record,
     violates) pair for every step's contraction factor and for the endgame
     distance, which also violates when its solver did not converge."""
-    rep = doubled_memory_experiment(
-        1, noise, steps, _bell(), p_value=p_value,
-        sep_cfg=SepConfig(seed=cfg.seed), seed=cfg.seed,
-    )
+    rep = doubled_memory_experiment(1, noise, steps, _bell(), p_value=p_value, seed=cfg.seed)
     context = {
         "index": index,
         "steps": steps,
@@ -406,14 +403,13 @@ def _random_two_block_state(seed: int, index: int, entangled_bias: bool = False)
 
 
 def _check_ccqq_formula(index, s, cfg):
-    sep_cfg = SepConfig(seed=cfg.seed)
-    f = chisep_ccqq(s, sep_cfg).value
-    d = chisep_ccqq_blockdiag(s, sep_cfg).value
+    f = chisep_ccqq(s).value
+    d = chisep_ccqq_blockdiag(s).value
     return {"index": index, "formula": f, "direct": d, "state": ser.ccqq_to_json(s)}, abs(f - d) > 1e-3
 
 
 def _check_ccqq_bound(index, s, cfg):
-    val = chisep_ccqq(s, SepConfig(seed=cfg.seed, obj_tol=1e-6, max_iter=2000)).value
+    val = chisep_ccqq(s, SepConfig(obj_tol=1e-6, max_iter=2000)).value
     return {"index": index, "value": val, "state": ser.ccqq_to_json(s)}, val > 3.0 + VERDICT_SLACK
 
 
@@ -461,7 +457,7 @@ def sep_step_instance(seed: int, index: int):
 def _check_sep_step(index, state, channel, cfg):
     """Raises ``PreconditionError`` when the instance does not meet the
     step's chi-square precondition."""
-    rep = verify_contraction_step(state, channel, CHISEP_THRESHOLD, SepConfig(seed=cfg.seed))
+    rep = verify_contraction_step(state, channel, CHISEP_THRESHOLD, cfg.seed)
     record = {
         "index": index,
         "chi_in": rep.chi_in,

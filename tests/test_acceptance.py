@@ -16,7 +16,7 @@ import pytest
 from chcon.bounds import CapacityBracket, capacity_bracket, overhead_lower_bound
 from chcon.channels import amplitude_damping, bell_state, depolarizing
 from chcon.decompose import p2_certificate
-from chcon.separability import BipartiteState, SepConfig
+from chcon.separability import BipartiteState
 from chcon.simulate import doubled_memory_experiment
 from chcon.verify import (
     VerifyConfig,
@@ -79,16 +79,9 @@ def _bell():
 def doubled_runs():
     """Criteria 4 and 5 share the two pinned ten-step trajectories."""
     t0 = time.monotonic()
-    cfg = SepConfig(seed=SEED)
-    dep = doubled_memory_experiment(
-        1, depolarizing(0.25), 10, _bell(), p_value=0.375,
-        sep_cfg=cfg, seed=SEED,
-    )
+    dep = doubled_memory_experiment(1, depolarizing(0.25), 10, _bell(), p_value=0.375, seed=SEED)
     p2 = p2_certificate(amplitude_damping(0.3))
-    ad = doubled_memory_experiment(
-        1, amplitude_damping(0.3), 10, _bell(), p_value=p2,
-        sep_cfg=cfg, seed=SEED,
-    )
+    ad = doubled_memory_experiment(1, amplitude_damping(0.3), 10, _bell(), p_value=p2, seed=SEED)
     return dep, ad, p2, time.monotonic() - t0
 
 

@@ -159,6 +159,24 @@ def instrument_circuit(value) -> dict:
     }
 
 
+def ccqq_input_circuit(p=1.0, dim_a=2, layers=()):
+    """One A-side qubit with a one-block cc-qq input |0><0| of probability
+    ``p`` and declared ``dimA``."""
+    block = {"x": [], "y": [], "p": p, "matrix": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]}
+    return {
+        "layout": {"qubits": [{"label": "q0", "side": "A"}]},
+        "noise": {"preset": "identity"},
+        "input": {"kind": "ccqq", "dimA": dim_a, "dimB": 1, "blocks": [block]},
+        "layers": list(layers),
+    }
+
+
+def doubled_input_spec(dim_a):
+    bell = [[[0.5 if i in (0, 3) and j in (0, 3) else 0.0, 0.0] for j in range(4)] for i in range(4)]
+    return {"n": 1, "steps": 1, "p": 0.375, "noise": {"preset": "depolarizing", "p": 0.25},
+            "input": {"dimA": dim_a, "dimB": 2, "matrix": bell}}
+
+
 class TestSimulate:
     def test_doubled_stream(self, tmp_path):
         (tmp_path / "doubled.json").write_text(json.dumps(
@@ -306,10 +324,19 @@ class TestSimulate:
          ["--doubled"]),
         (instrument_circuit(1.5), []),
         (instrument_circuit(True), []),
+        # A NaN block probability printed NaN; fractional and boolean
+        # dimensions were truncated.
+        (ccqq_input_circuit(p=float("nan")), []),
+        (ccqq_input_circuit(dim_a=2.7), []),
+        (ccqq_input_circuit(dim_a=True), []),
+        (doubled_input_spec(2.7), ["--doubled"]),
+        (doubled_input_spec(True), ["--doubled"]),
     ], ids=["list", "list-doubled", "layer-not-object", "register-size", "doubled-n",
             "doubled-p", "noise-parameter", "register-size-fraction", "register-size-boolean",
             "doubled-n-fraction", "doubled-n-boolean", "doubled-steps-fraction",
-            "doubled-steps-boolean", "outcome-value-fraction", "outcome-value-boolean"])
+            "doubled-steps-boolean", "outcome-value-fraction", "outcome-value-boolean",
+            "ccqq-p-nan", "ccqq-dim-fraction", "ccqq-dim-boolean", "doubled-dim-fraction",
+            "doubled-dim-boolean"])
     def test_malformed_description_exits_two(self, tmp_path, spec, extra):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(spec))
@@ -317,6 +344,16 @@ class TestSimulate:
         assert res.returncode == 2, res.stderr
         assert res.stderr.startswith("chcon: error: bad circuit description")
         assert "Traceback" not in res.stderr
+
+    def test_nan_probability_is_named_before_any_layer(self, tmp_path):
+        # With a layer, the NaN used to surface as a probability total of 0.0.
+        gate = {"kind": "gate", "channel": {"preset": "identity"}}
+        spec = ccqq_input_circuit(p=float("nan"), layers=[gate])
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(spec))
+        res = run_cli("simulate", str(path))
+        assert res.returncode == 2 and res.stdout == ""
+        assert "block probabilities must be finite and non-negative, got nan" in res.stderr
 
     def test_integral_float_count_runs(self, tmp_path):
         spec = {"n": 1.0, "steps": 2.0, "p": 0.375, "noise": {"preset": "depolarizing", "p": 0.25}}

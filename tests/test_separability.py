@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+import chcon.contraction
 import chcon.linalg as la
+import chcon.separability
 from chcon.channels import (
     ChannelError,
     KrausChannel,
@@ -17,6 +19,7 @@ from chcon.channels import (
     identity_channel,
 )
 from chcon.config import VERDICT_SLACK
+from chcon.contraction import eta_chi_lower
 from chcon.divergences import chi2_divergence
 from chcon.sampling import haar_unitary, random_channel, random_density, random_pure, rng_from
 from chcon.simulate import GateLayer, apply_iid_noise, apply_layer, doubled_layout
@@ -26,7 +29,8 @@ from chcon.separability import (
     CERT_STEPS,
     _accelerated_pgd,
     _chi2_lower,
-    _chi2_value_grad,
+    _chi2_grad,
+    _chi2_values,
     _interior_chi2,
     _min_chi2,
     BipartiteState,
@@ -34,6 +38,7 @@ from chcon.separability import (
     PreconditionError,
     SepConfig,
     apply_separable_to_ccqq,
+    check_total_probability,
     chisep,
     chisep_ccqq,
     chisep_ccqq_blockdiag,
@@ -260,6 +265,16 @@ class TestDsep:
         assert_ppt_density(res.minimizer.matrix, dim_a, dim_b)
         gap = la.trace_norm(st.matrix - res.minimizer.matrix)
         assert res.value == pytest.approx(gap, abs=1e-12)
+
+
+def _chi2_value_grad(taus, w, v, mu=0.0):
+    """Eager reference: values ``(n,)`` and gradients ``(n, d, d)`` of
+    chi2(tau_k, x_k) - mu * logdet(x_k) for a stack of blocks, from the
+    eigendecompositions x_k = v_k diag(w_k) v_k^dag with every w > 0."""
+    values, eig_data = _chi2_values(taus, w, v)
+    if mu > 0.0:
+        values = values - mu * np.sum(np.log(w), axis=1)
+    return values, _chi2_grad(w, v, eig_data, mu)
 
 
 class TestChi2Kernel:
@@ -607,7 +622,6 @@ class TestChisep:
         {"max_iter": 0}, {"max_iter": -5}, {"max_iter": True}, {"max_iter": 2.5},
         {"obj_tol": float("nan")}, {"obj_tol": float("inf")}, {"obj_tol": 0.0}, {"obj_tol": -1e-8},
         {"obj_tol": "1e-8"}, {"obj_tol": True}, {"obj_tol": None}, {"obj_tol": 1e-8 + 0j},
-        {"seed": -1}, {"seed": 2**64}, {"seed": "x"}, {"seed": True}, {"seed": 1.0},
     ])
     def test_config_rejects_unusable_settings(self, kwargs):
         with pytest.raises(ChannelError):
@@ -725,6 +739,15 @@ class TestCcQq:
         with pytest.raises(ChannelError, match="sum"):
             CcQqState.from_blocks(2, 2, [((0,), (0,), 0.7, np.eye(4) / 4)])
 
+    @pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf])
+    def test_non_finite_probability_rejected(self, p):
+        with pytest.raises(ChannelError, match="finite"):
+            CcQqState.from_blocks(2, 2, [((0,), (0,), p, np.eye(4) / 4)])
+        with pytest.raises(ChannelError, match="sum"):
+            check_total_probability([p])
+        with pytest.raises(ChannelError, match="sum"):
+            check_total_probability([0.5, p])
+
     def test_duplicate_label_rejected(self):
         # Phi+ and Phi- under one label are the separable mixture of the two;
         # as separate blocks they would score chisep 1.
@@ -809,7 +832,18 @@ class TestContractionStep:
         rep = verify_contraction_step(s, t, 1 / 16)
         assert rep.passed
         assert rep.chi_out < rep.chi_in
-        assert rep.eta_chi_diagnostic <= rep.eta_upper + 1e-6
+        assert eta_chi_lower(t.channel, trials=50).value <= rep.eta_upper + 1e-6
+
+    def test_step_runs_no_chi_square_coefficient_ascent(self, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("eta_chi_lower called")
+
+        monkeypatch.setattr(chcon.contraction, "eta_chi_lower", boom)
+        monkeypatch.setattr(chcon.separability, "eta_chi_lower", boom, raising=False)
+        s = CcQqState.single(bell())
+        t = local_product_channel(depolarizing(0.5), depolarizing(0.5))
+        rep = verify_contraction_step(s, t, 1 / 16)
+        assert rep.passed and rep.chi_out < rep.chi_in
 
     def test_precondition_enforced(self):
         s = CcQqState.single(werner(0.4))

@@ -131,6 +131,15 @@ class TestStates:
         back = ser.bipartite_state_from_json(doc)
         assert np.allclose(back.matrix, st.matrix)
 
+    @pytest.mark.parametrize("dim", [2.7, True, "2", None])
+    def test_non_integral_dimension_rejected(self, dim):
+        bell = ser.matrix_to_json(bell_state().matrix)
+        with pytest.raises(ChannelError, match="dimA must be an integer"):
+            ser.bipartite_state_from_json({"dimA": dim, "dimB": 2, "matrix": bell})
+        one = {"x": [], "y": [], "p": 1.0, "matrix": bell}
+        with pytest.raises(ChannelError, match="dimA must be an integer"):
+            ser.ccqq_from_json({"dimA": dim, "dimB": 2, "blocks": [one]})
+
     def test_ccqq_round_trip(self):
         rng = seeded(101)
         s = CcQqState.from_blocks(

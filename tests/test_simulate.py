@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import chcon.linalg as la
+import chcon.simulate
 from chcon.channels import (
     ChannelError,
     DensityState,
@@ -17,7 +18,7 @@ from chcon.channels import (
     identity_channel,
 )
 from chcon.config import MAX_BLOCKS
-from chcon.separability import BipartiteState, CcQqBlock, CcQqState, SepConfig
+from chcon.separability import BipartiteState, CcQqBlock, CcQqState
 from chcon.simulate import (
     ClassicalLayer,
     ClassicalReg,
@@ -485,13 +486,25 @@ class TestMetrics:
 
 class TestDoubledExperiment:
     def test_completely_depolarizing_kills_in_one_step(self):
-        rep = doubled_memory_experiment(
-            1, completely_depolarizing(), 1, bell(), p_value=1.0, sep_cfg=SepConfig()
-        )
+        rep = doubled_memory_experiment(1, completely_depolarizing(), 1, bell(), p_value=1.0)
         assert rep.steps[1].chisep_value == pytest.approx(0.0, abs=1e-9)
         assert rep.endgame_step == 1
         assert rep.endgame_dsep == pytest.approx(0.0, abs=1e-9)
         assert rep.endgame_dsep_converged is True
+
+    @pytest.mark.parametrize("noise, p", [(depolarizing(0.25), 0.375), (amplitude_damping(0.3), None)])
+    def test_gateless_run_is_the_identity_gate_run(self, monkeypatch, noise, p):
+        gated = doubled_memory_experiment(1, noise, 6, bell(), gate=identity_channel(2), p_value=p)
+
+        def no_gate(*args):
+            raise AssertionError("a gateless doubled run applied a gate layer")
+
+        monkeypatch.setattr(chcon.simulate, "_apply_gate_layer", no_gate)
+        bare = doubled_memory_experiment(1, noise, 6, bell(), p_value=p)
+        assert bare.steps == gated.steps and bare.extras == gated.extras
+        assert (bare.endgame_step, bare.endgame_dsep, bare.endgame_dsep_converged) == (
+            gated.endgame_step, gated.endgame_dsep, gated.endgame_dsep_converged)
+        assert bare.final_state.rho_stack().tobytes() == gated.final_state.rho_stack().tobytes()
 
     def test_depolarizing_025_case(self):
         rep = doubled_memory_experiment(1, depolarizing(0.25), 3, bell(), p_value=0.375)

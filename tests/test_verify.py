@@ -145,7 +145,7 @@ def test_ccqq_bound_record_replays_with_the_suite_solver():
     # The bound check runs a looser solver than the formula check; replaying
     # index 50_011 with the formula check's settings moves the value by 3e-10.
     s = V._random_two_block_state(0, 50_011)
-    value = chisep_ccqq(s, SepConfig(seed=0, obj_tol=1e-6, max_iter=2000)).value
+    value = chisep_ccqq(s, SepConfig(obj_tol=1e-6, max_iter=2000)).value
     record = {"index": 50_011, "value": value, "state": ser.ccqq_to_json(s)}
     out = V.replay_violation("ccqq-formula", _dumped(record), V.VerifyConfig())
     assert out["replayed"]["value"] == value
