@@ -382,9 +382,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *searches):
+    def common(p, *searches, seed_help="64-bit unsigned RNG seed"):
         # Each subcommand registers only the search sizes ("restarts", "trials") it reads.
-        p.add_argument("--seed", type=int, default=0, help="64-bit unsigned RNG seed")
+        p.add_argument("--seed", type=int, default=0, help=seed_help)
         if "restarts" in searches:
             p.add_argument("--restarts", type=int, default=12, help="multi-start restarts")
         if "trials" in searches:
@@ -416,9 +416,12 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=("noise-first", "layer-first"), default="noise-first")
     p_sim.add_argument("--trailing-noise", dest="trailing_noise",
                        choices=("on", "off"), default="off")
-    p_sim.add_argument("--record-chisep", dest="record_chisep", action="store_true")
+    p_sim.add_argument("--record-chisep", dest="record_chisep", action="store_true",
+                       help="record every step's chi-square distance to the separable set "
+                       "(a circuit run; a doubled run always records it)")
     p_sim.add_argument("--format", dest="fmt", choices=("json", "jsonl", "csv"), default="json")
-    common(p_sim)
+    common(p_sim, seed_help="64-bit unsigned RNG seed; only a doubled run without p reads it, "
+           "to compute the channel constant")
     p_sim.set_defaults(fn=cmd_simulate)
 
     p_vf = sub.add_parser("verify", help="run a named inequality suite")

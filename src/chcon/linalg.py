@@ -74,15 +74,22 @@ def partial_transpose(rho: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
     return t.swapaxes(-3, -1).reshape(rho.shape)
 
 
-def simplex_shift(y: np.ndarray) -> float:
+def simplex_shift(y: np.ndarray):
     """The shift theta with ``(y - theta)_+`` the Euclidean projection of a
-    real vector onto the probability simplex."""
-    u = np.sort(y)[::-1]
-    css = np.cumsum(u) - 1.0
-    idx = np.arange(1, len(y) + 1)
-    cond = u - css / idx > 0
-    cond[0] = True  # mathematically guaranteed; guards float collapse at huge scales
-    return css[cond][-1] / idx[cond][-1]
+    real vector onto the probability simplex, or the shifts ``(P,)`` of the
+    rows of a ``(P, m)`` array, each computed as for that row alone.
+
+    theta is (sum of the k largest entries - 1) / k for the last k at which
+    the k-th largest entry exceeds that ratio.
+    """
+    rows = y.reshape(-1, y.shape[-1])
+    u = np.sort(rows, axis=-1)[:, ::-1]
+    idx = np.arange(1, u.shape[-1] + 1)
+    ratio = (u.cumsum(axis=-1) - 1.0) / idx
+    cond = u > ratio
+    cond[:, 0] = True  # mathematically guaranteed; guards float collapse at huge scales
+    theta = ratio[np.arange(len(u)), (cond * idx).argmax(axis=-1)]
+    return theta if y.ndim > 1 else theta[0]
 
 
 def simplex_project(y: np.ndarray) -> np.ndarray:

@@ -7,23 +7,28 @@ above; results carry a method tag making the distinction explicit.  Over
 the PPT set, dsep runs a split ADMM whose steps are closed-form density
 projections, and the chi-square solvers share one path: one stacked
 chi-square kernel whose gradient is evaluated only where it is read, one
-closed-form projection (:func:`project_pt_trace`, a matrix or a stack of
-blocks with a joint trace) and one barrier driver (:func:`_min_chi2`) that
-keeps the best barrier-free stage value.  chisep runs it on one block
-from the maximally mixed state and certifies the result with a
-convex-duality lower bound (:func:`_chi2_lower`, read off the iterate's
-eigendecomposition and, while the gap stays open, off the same basis mixed
-towards I/d; its partial-transpose multiplier comes from the same
-eigen-step as the projection).  A second start from the separable twirl
-runs only while that gap exceeds ``VERDICT_SLACK``, the slack of the
-verdicts that read the value.  The cc-qq block-diagonal cross-check runs
-:func:`_min_chi2` once on all blocks.  Each reports its objective at a
-feasible point.
+closed-form projection (:func:`project_pt_trace`, a matrix, a stack of
+blocks with a joint trace, or a batch of such stacks) and one barrier
+driver (:func:`_min_chi2`) that solves a batch of independent problems in
+lockstep and keeps each one's best barrier-free stage value.
+:func:`chisep_batch` runs it on one block per state from the maximally
+mixed state and certifies the results with a convex-duality lower bound
+(:func:`_chi2_lower`, read off each iterate's eigendecomposition and,
+while the gap stays open, off the same basis mixed towards I/d; its
+partial-transpose multiplier comes from the same eigen-step as the
+projection).  A second start from the separable twirl runs only for the
+states whose gap exceeds ``VERDICT_SLACK``, the slack of the verdicts that
+read the value.  :func:`chisep` is a batch of one state, and a state's
+result is the same in any batch.  The cc-qq block formula solves the
+blocks of many states together (:func:`chisep_ccqq_stream`); the
+block-diagonal cross-check runs :func:`_min_chi2` as one problem of all
+blocks.  Each reports its objective at a feasible point.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from numbers import Real
@@ -56,6 +61,15 @@ CERT_STEPS = (1.0, 0.1, 0.01)
 CERT_MIX = (0.0, 1e-4)
 # Rounding margin of that lower bound, in units of d * eps times its scale.
 CERT_MARGIN_ULPS = 64.0
+# Problems per call of the batched chi-square solver; its memory grows with
+# the chunk, not with the number of problems.
+CHISEP_CHUNK = 64
+# Halvings of a line-search step tried together in one round once the full
+# step has failed, each the step the sequential search would try next: four
+# for blocks of dimension up to 8, where a round's fixed cost outweighs the
+# extra eigensolves, one above.
+SEARCH_HALVINGS = 4
+SEARCH_HALVINGS_DIM = 8
 
 
 # ---------------------------------------------------------------------------
@@ -250,80 +264,93 @@ def _method_tag(dim_a: int, dim_b: int) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products ``(P,)`` of the rows of two ``(P, ...)`` arrays, one BLAS
+    dot per row, so each is what ``np.dot`` gives for that row pair alone."""
+    count = len(a)
+    return (a.reshape(count, 1, -1) @ b.reshape(count, -1, 1))[:, 0, 0]
+
+
+def _norms(a: np.ndarray) -> np.ndarray:
+    """Frobenius norms ``(P,)`` of the rows of a complex ``(P, ...)`` stack,
+    each summed as ``np.linalg.norm`` sums that row alone."""
+    flat = a.reshape(len(a), -1)
+    return np.sqrt(_dots(flat.real, flat.real) + _dots(flat.imag, flat.imag))
+
+
 def _chi2_values(taus: np.ndarray, w: np.ndarray, v: np.ndarray):
-    """Values ``(n,)`` of chi2(tau_k, x_k) for a stack of ``n`` blocks, given
-    the eigendecompositions x_k = v_k diag(w_k) v_k^dag with every w > 0,
-    and the eigenbasis data that :func:`_chi2_grad` reuses.
+    """Values chi2(tau, x) of a stack of blocks ``(..., d, d)``, one per
+    block, given the eigendecompositions x = v diag(w) v^dag with every
+    w > 0, and the eigenbasis data that :func:`_chi2_grad` reuses.
     """
     roots = np.sqrt(w)
     h = 1.0 / roots
     t2 = la.dag(v) @ taus @ v
-    values = np.sum((np.abs(t2) ** 2) * (h[:, :, None] * h[:, None, :]), axis=(1, 2)) - 1.0
-    return values, (roots, h, t2)
+    values = np.add.reduce((np.abs(t2) ** 2) * (h[..., :, None] * h[..., None, :]), axis=(-2, -1))
+    return values - 1.0, (roots, h, t2)
 
 
-def _chi2_grad(w: np.ndarray, v: np.ndarray, eig_data, mu: float) -> np.ndarray:
-    """Gradients ``(n, d, d)`` of chi2(tau_k, x_k) - mu * logdet(x_k) in x_k,
-    from the eigendecompositions ``(w, v)`` and the eigenbasis data that
-    :func:`_chi2_values` returned for them.
+def _chi2_grad(w: np.ndarray, v: np.ndarray, eig_data, mu) -> np.ndarray:
+    """Gradients ``(..., d, d)`` of chi2(tau, x) - mu * logdet(x) in x for a
+    stack of blocks, from the eigendecompositions ``(w, v)`` and the
+    eigenbasis data that :func:`_chi2_values` returned for them; ``mu`` is
+    a barrier weight that broadcasts against ``w``.
 
     Uses the Daleckii-Krein derivative of s -> s^{-1/2} on the eigenbasis of
-    each x_k.
+    each x.
     """
     roots, h, t2 = eig_data
     # Divided differences of g(s) = s^{-1/2}; the closed form
     # (g(a) - g(b)) / (a - b) = -1 / (sqrt(ab) (sqrt(a) + sqrt(b)))
     # is exact, has no cancellation, and covers coincident eigenvalues.
-    r_row, r_col = roots[:, :, None], roots[:, None, :]
+    r_row, r_col = roots[..., :, None], roots[..., None, :]
     phi = -1.0 / ((r_row * r_col) * (r_row + r_col))
-    b = t2 @ (h[:, :, None] * t2)  # = tau' G tau' in the eigenbasis
+    b = t2 @ (h[..., :, None] * t2)  # = tau' G tau' in the eigenbasis
     grad_eig = 2.0 * b * phi
-    if mu > 0.0:
-        diag = np.arange(w.shape[1])
-        grad_eig[:, diag, diag] -= mu * (1.0 / w)
+    if np.any(mu):
+        d = w.shape[-1]
+        # The diagonal of each block, as a view.
+        grad_eig.reshape(grad_eig.shape[:-2] + (d * d,))[..., :: d + 1] -= mu * (1.0 / w)
     grad = v @ grad_eig @ la.dag(v)
     return la.herm_part(grad)
 
 
-def _interior_chi2(taus: np.ndarray, weights: np.ndarray, mu: float):
-    """Barrier objective on stacks of blocks,
+def _chi2_eval(taus, weights, x, mu, eig=None) -> tuple:
+    """Barrier objective of a batch of problems at points x ``(P, n, d, d)``,
 
-        f(x) = sum_k weights_k (chi2(taus_k, x_k) - mu logdet x_k + 1) - 1,
+        f_p = sum_k weights_pk (chi2(taus_pk, x_pk) - mu_p logdet x_pk + 1) - 1,
 
-    +inf outside the open PSD cone.  The barrier keeps iterates strictly
-    positive, so the partial-transpose constraint is enforced by exact
-    projection without a second wall.
+    +inf for a problem with a block outside the open PSD cone.  The barrier
+    keeps iterates strictly positive, so the partial-transpose constraint is
+    enforced by exact projection without a second wall.
 
-    ``evaluate(x, eig=None) -> (f, grad, score, eig)`` takes one
-    eigendecomposition ``eig = (w, v)`` of x, or reuses the one given, and
-    computes f from it at once.  ``grad()`` and ``score()`` are read from
-    the same eigendecomposition only when called: the gradient (cached
-    after its first read) and the barrier-free chi-square value
-    sum_k weights_k (chi2(taus_k, x_k) + 1) - 1, summed before the barrier
-    term is added.  Outside the cone grad, score and eig are None.
+    Takes one batched eigendecomposition ``eig = (w, v)`` of x, or reuses
+    the one given.  Returns f ``(P,)`` and the point ``[x, w, v, t2]``, with
+    the eigenbasis data ``t2`` from which :func:`_chi2_grad_at` reads the
+    gradient (zero for a problem outside the cone).  Every row is computed
+    as for that problem alone.
     """
+    w, v = np.linalg.eigh(x) if eig is None else eig
+    if not w[:, :, 0].min() > 0.0:
+        f, point = np.full(len(x), math.inf), [x, w, v, np.zeros_like(v)]
+        rows = np.flatnonzero(w[:, :, 0].min(axis=1) > 0.0)
+        if len(rows):
+            f[rows], part = _chi2_eval(taus[rows], weights[rows], x[rows], mu[rows], (w[rows], v[rows]))
+            point[3][rows] = part[3]
+        return f, point
+    chi, (_, _, t2) = _chi2_values(taus, w, v)
+    values = chi - mu[:, None] * np.add.reduce(np.log(w), axis=-1)
+    return _dots(weights, values + 1.0) - 1.0, [x, w, v, t2]
 
-    def evaluate(x, eig=None):
-        # Iterates are Hermitian up to rounding; eigh reads one triangle.
-        w, v = np.linalg.eigh(x) if eig is None else eig
-        if float(w[:, 0].min()) <= 0.0:
-            return math.inf, None, None, None
-        chi, eig_data = _chi2_values(taus, w, v)
-        values = chi - mu * np.sum(np.log(w), axis=1) if mu > 0.0 else chi
 
-        memo = []
-
-        def grad():
-            if not memo:
-                memo.append(weights[:, None, None] * _chi2_grad(w, v, eig_data, mu))
-            return memo[0]
-
-        def score():
-            return float(weights @ (chi + 1.0)) - 1.0
-
-        return float(weights @ (values + 1.0)) - 1.0, grad, score, (w, v)
-
-    return evaluate
+def _chi2_grad_at(weights, point, mu) -> np.ndarray:
+    """Weighted gradients ``(P, n, d, d)`` of the barrier objective of
+    :func:`_chi2_eval` at a batch of points inside the cone, read from
+    their eigendata."""
+    _, w, v, t2 = point
+    roots = np.sqrt(w)
+    grad = _chi2_grad(w, v, (roots, 1.0 / roots, t2), mu[:, None, None])
+    return weights[:, :, None, None] * grad
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +360,9 @@ def _interior_chi2(taus: np.ndarray, weights: np.ndarray, mu: float):
 
 def _pt_eig_step(x: np.ndarray, dim_a: int, dim_b: int):
     """Eigendecomposition ``(w, v)`` of x^PT (batched over a stack) and the
-    simplex shift ``theta`` of all its eigenvalues jointly.
+    simplex shift ``theta`` of all its eigenvalues jointly, or, for a
+    ``(P, n, d, d)`` batch of problems, of each problem's eigenvalues
+    jointly (``theta`` then has shape ``(P, 1, 1)``).
 
     x^PT - theta I splits as ``v diag((w - theta)_+) v^dag``, its projection
     onto the (block-diagonal) density matrices, minus
@@ -341,20 +370,24 @@ def _pt_eig_step(x: np.ndarray, dim_a: int, dim_b: int):
     projection.
     """
     w, v = np.linalg.eigh(la.partial_transpose(la.herm_part(np.asarray(x)), dim_a, dim_b))
-    return w, v, la.simplex_shift(w.reshape(-1))
+    if w.ndim < 3:
+        return w, v, la.simplex_shift(w.reshape(-1))
+    return w, v, la.simplex_shift(w.reshape(len(w), -1))[:, None, None]
 
 
 def project_pt_trace(x: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
     """Exact projection of a matrix onto {Tr x = 1, x^PT >= 0}, or of an
-    ``(n, d, d)`` stack onto {sum_k Tr x_k = 1, every x_k^PT >= 0}.
+    ``(n, d, d)`` stack onto {sum_k Tr x_k = 1, every x_k^PT >= 0}, or of
+    each problem of a ``(P, n, d, d)`` batch onto its own such set.
 
     The partial transpose only permutes matrix entries and keeps the trace,
     so it is a Frobenius isometry taking this set onto the (block-diagonal)
     density matrices.  Their projection is one batched eigendecomposition
-    with the eigenvalues of all blocks projected jointly onto the simplex.
+    with the eigenvalues of all blocks of a problem projected jointly onto
+    the simplex; each problem of a batch is projected as if alone.
     """
     w, v, theta = _pt_eig_step(x, dim_a, dim_b)
-    w = np.clip(w - theta, 0.0, None)
+    w = np.maximum(w - theta, 0.0)
     return la.partial_transpose((v * w[..., None, :]) @ la.dag(v), dim_a, dim_b)
 
 
@@ -422,139 +455,292 @@ def separable_twirl(tau: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _accelerated_pgd(evaluate, proj, x0, max_iter, stall_tol, eig0=None):
-    """Projected gradient with Nesterov extrapolation and adaptive restart.
+class _Chi2Runs(NamedTuple):
+    """Per-problem results of :func:`_min_chi2`."""
 
-    ``evaluate(x, eig) -> (f, grad, score, eig)`` follows
-    :func:`_interior_chi2` and ``proj(x) -> x``; both operate on (n, d, d)
-    stacks of Hermitian blocks.
-    Gradients are evaluated only where they are read, at the points a step
-    is launched from: a line-search candidate is judged by its value alone,
-    and its gradient is computed only if a later step launches from it.
-    With momentum coefficient 0 (the first accepted step after every start
-    and restart) the extrapolated point is the candidate itself, and its
-    evaluation is reused.  ``x0`` must be feasible with a
-    finite objective; it is taken as given, since re-projecting a warm start
-    with an eigenvalue near zero can push it out of the open PSD cone.
-    ``eig0``, if given, is the eigendecomposition of ``x0``.
-    Stops after three stalls with no larger decrease in between; a stall is
-    a decrease below ``stall_tol``, or no decrease after a plain (not
-    extrapolated) step.  Returns (x, ``score()`` of x from the eigensolve
-    that evaluated it, iterations, converged, that eigendecomposition).
-    """
-    x = x0
-    f_x, g_x, s_x, e_x = evaluate(x, eig0)
-    if not math.isfinite(f_x):
-        raise ChannelError("optimizer started outside the feasible interior")
-    y, f_y, g_y = x, f_x, g_x
-    t = 1.0
-    step = 1.0
-    iters = 0
-    stall = 0
-    momentum = False
-
-    while iters < max_iter:
-        grad = g_y()
-        # Cap the raw excursion so projections stay numerically meaningful;
-        # the sufficient-decrease test below still sees the actual move.
-        gnorm = float(np.linalg.norm(grad))
-        cap = 1e3 / gnorm if gnorm > 0 else math.inf
-        halvings = 0
-        while True:
-            cand = proj(y - min(step, cap) * grad)
-            f_c, g_c, s_c, e_c = evaluate(cand)
-            move = cand - y
-            model = float(np.real(np.vdot(grad, move))) + np.linalg.norm(move) ** 2 / (2 * step)
-            if f_c <= f_y + model + 1e-14 or halvings >= 60:
-                break
-            step *= 0.5
-            halvings += 1
-        iters += 1
-        if f_c > f_x - 1e-15:
-            # No decrease.  After an extrapolated launch it is an overshoot,
-            # not a stall; either way restart from the best iterate.
-            stalled, restart = not momentum, True
-        else:
-            decrease = f_x - f_c
-            t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-            beta = (t - 1.0) / t_new
-            if beta == 0.0:
-                # The first step after a (re)start: the launch point is cand.
-                y, f_y, g_y = cand, f_c, g_c
-            else:
-                # The extrapolated launch point may leave the feasible region
-                # (its value is then +inf); fall back to the plain iterate.
-                y = cand + beta * (cand - x)
-                f_y, g_y = evaluate(y)[:2]
-            x, f_x, g_x, s_x, e_x = cand, f_c, g_c, s_c, e_c
-            t = t_new
-            momentum = True
-            restart = not math.isfinite(f_y)
-            if halvings == 0:
-                step *= 1.2
-            stalled = decrease < stall_tol + 1e-14
-            if not stalled:
-                stall = 0
-        if stalled:
-            stall += 1
-            if stall >= 3:
-                return x, s_x(), iters, True, e_x
-        if restart:
-            y, f_y, g_y = x, f_x, g_x
-            t = 1.0
-            momentum = False
-    return x, s_x(), iters, False, e_x
+    value: np.ndarray  # (P,) best barrier-free value over the stages, clipped at 0
+    x: np.ndarray  # (P, n, d, d) the iterate that scored it
+    iterations: np.ndarray  # (P,) iterations over all stages
+    converged: np.ndarray  # (P,) whether the last stage run stalled out
+    w: np.ndarray  # (P, n, d) eigenvalues of x
+    v: np.ndarray  # (P, n, d, d) eigenvectors of x
 
 
-def _min_chi2(taus, weights, x0, dim_a: int, dim_b: int, cfg: SepConfig):
-    """Minimize sum_k weights_k (chi2(taus_k, x_k) + 1) - 1 over stacks x
-    with sum_k Tr x_k = 1 and every x_k^PT >= 0.
+class _Run:
+    """The scalar state of one problem of :func:`_min_chi2`: its barrier
+    stage, its best value so far, and the projected-gradient state within
+    the stage."""
+
+    __slots__ = (
+        "index", "budget", "obj_tol", "stage", "spent", "best", "converged", "stall_tol",
+        "f_x", "f_y", "t", "step", "iters", "stall", "same_y", "y_is_x", "cap", "halvings",
+        "took", "stalled", "restart", "launched", "slot",
+    )
+
+    def __init__(self, index: int, cfg: SepConfig, f: float):
+        self.index = index
+        self.budget = cfg.max_iter
+        self.obj_tol = cfg.obj_tol
+        self.stage = 0
+        self.spent = 0  # iterations of the finished stages
+        self.best = math.inf
+        self.converged = False
+        self.start_stage(f)
+
+    def start_stage(self, f: float):
+        """Start stage ``self.stage`` at an iterate of objective value f."""
+        self.stall_tol = 1e-2 * max(self.obj_tol, BARRIER_STAGES[self.stage])
+        self.f_x = self.f_y = f
+        self.t = 1.0  # the momentum coefficient; 1 right after a (re)start
+        self.step = 1.0
+        self.iters = 0
+        self.stall = 0
+        self.same_y = False  # whether the launch point is the last one
+        self.y_is_x = True
+
+    def passes(self, f_c: float, grad, move) -> bool:
+        """The sufficient-decrease test of a candidate at the current step:
+        value ``f_c`` against the quadratic model of the ``move`` to it."""
+        model = float(np.real(np.vdot(grad, move))) + np.linalg.norm(move) ** 2 / (2 * self.step)
+        return f_c <= self.f_y + model + 1e-14
+
+
+def _take(point: list, rows) -> list:
+    """The rows ``rows`` of every array of ``point``."""
+    return [a[rows] for a in point]
+
+
+def _put(point: list, rows, values: list) -> list:
+    """``point`` with its rows ``rows`` replaced by ``values``, as fresh
+    arrays (``point`` itself is left as it is)."""
+    out = [a.copy() for a in point]
+    for a, b in zip(out, values):
+        a[rows] = b
+    return out
+
+
+def _min_chi2(taus, weights, x0, dim_a: int, dim_b: int, cfgs) -> _Chi2Runs:
+    """Minimize, for each problem p of a batch, sum_k weights_pk
+    (chi2(taus_pk, x_pk) + 1) - 1 over stacks x_p with sum_k Tr x_pk = 1 and
+    every x_pk^PT >= 0.  ``taus`` and ``x0`` are ``(P, n, d, d)``,
+    ``weights`` is ``(P, n)`` and ``cfgs`` holds one :class:`SepConfig`
+    per problem.
 
     Barrier path following: each of ``BARRIER_STAGES`` minimizes the
-    ``_interior_chi2`` objective by accelerated projected gradient, warm
+    :func:`_chi2_eval` objective by accelerated projected gradient, warm
     started from the previous stage, and all stages share the
-    ``cfg.max_iter`` budget.  A stage at barrier weight mu stalls on
-    decreases below ``1e-2 * max(cfg.obj_tol, mu)``.  The binding
-    constraint at a chi-square optimum is the partial-transpose one, which
-    :func:`project_pt_trace` handles with no conditioning penalty; the
-    positivity barrier stays inactive for minimizers of full support.
-    After every stage the iterate is scored without barrier (``mu = 0``)
-    and the best one is kept; the score is the chi-square sum taken from
-    the iterate's own eigensolve, before the barrier term is added, and
-    the next stage starts from that same eigendecomposition, so no stage
-    needs a fresh eigensolve.  ``x0`` must be feasible and strictly
-    positive.  Returns (value, x, iterations, converged, eig), with
-    ``converged`` from the last stage run and ``eig = (w, v)`` the
-    eigendecomposition of x.
+    ``max_iter`` budget.  The binding constraint at a chi-square optimum is
+    the partial-transpose one, which :func:`project_pt_trace` handles with
+    no conditioning penalty; the positivity barrier stays inactive for
+    minimizers of full support.
+
+    One stage is projected gradient with Nesterov extrapolation and
+    adaptive restart.  A step launches with step ``min(step, 1e3 / |grad|)``
+    (the cap keeps projections numerically meaningful) and is halved until
+    the candidate passes the sufficient-decrease test, at most 60 times;
+    the test sees the actual move.  A candidate with no decrease restarts
+    the momentum from the best iterate; after an extrapolated launch that
+    is an overshoot, not a stall.  The first step after a (re)start
+    launches from the candidate itself, later ones from the extrapolated
+    point, which may leave the feasible region (its value is then +inf)
+    and then restarts too.  The stage ends after three stalls with no
+    larger decrease in between, a stall being a decrease below
+    ``1e-2 * max(obj_tol, mu)``, or when the budget runs out.  Its iterate
+    is then scored without barrier, from the chi-square sum of its own
+    eigensolve, and the best one is kept; the next stage starts from that
+    eigendecomposition, so no stage needs a fresh eigensolve.  Gradients
+    are read only at launch points.
+
+    The problems run in lockstep.  An iteration takes one batched
+    gradient, line-search rounds that each project and evaluate the
+    candidates of every problem still searching in one stacked call, and
+    one batched evaluation of the extrapolated points.  The first round
+    tries each problem's step, each later round the next halvings of each
+    problem that has not passed: ``SEARCH_HALVINGS`` of them for blocks of
+    dimension up to ``SEARCH_HALVINGS_DIM``, one above.  The scalar state
+    of each problem is its own :class:`_Run`, updated as for that problem
+    alone, and a problem leaves the batch once it finishes.  Stacked
+    eigensolves and products are row-wise, and every norm and inner
+    product is taken on the problem's own rows, so its results do not
+    depend on the others in its batch.  ``x0`` must be feasible and
+    strictly positive; it is taken as given, since re-projecting a warm
+    start with an eigenvalue near zero can push it out of the open PSD
+    cone.
     """
     taus = np.asarray(taus, dtype=complex)
     weights = np.asarray(weights, dtype=float)
+    x0 = np.asarray(x0, dtype=complex)
+    count = len(x0)
+    out = _Chi2Runs(
+        np.empty(count), np.empty_like(x0), np.zeros(count, dtype=int),
+        np.zeros(count, dtype=bool), np.empty(x0.shape[:3]), np.empty_like(x0),
+    )
+    mu = np.full(count, BARRIER_STAGES[0])
+    f, x = _chi2_eval(taus, weights, x0, mu)
+    if not np.isfinite(f).all():
+        raise ChannelError("optimizer started outside the feasible interior")
+    runs = [_Run(i, cfg, value) for i, (cfg, value) in enumerate(zip(cfgs, f.tolist()))]
+    y, grad = x, None
+    span = SEARCH_HALVINGS if x0.shape[-1] <= SEARCH_HALVINGS_DIM else 1
+    scales = [0.5**j for j in range(1, span + 1)]
 
-    def proj(x):
-        # Through the public name, so per-layer profiles see the projection.
-        return project_pt_trace(x, dim_a, dim_b)
+    def trial(rows, steps):
+        # Candidates of the problems ``rows`` at the step lengths ``steps``,
+        # stacked.  A real factor enters a complex product as (a + 0i).
+        y0 = y[0][rows]
+        alpha = np.array(steps, dtype=complex)[:, None, None, None]
+        c = project_pt_trace(y0 - alpha * grad[rows], dim_a, dim_b)
+        f, point = _chi2_eval(taus[rows], weights[rows], c, mu[rows])
+        return f.tolist(), point, c - y0
 
-    best_val, best_x, best_eig = math.inf, x0, None
-    x, eig, total_iters, converged = x0, None, 0, False
-    for mu in BARRIER_STAGES:
-        budget = cfg.max_iter - total_iters
-        if budget <= 0:
-            break
-        x, value, it, converged, eig = _accelerated_pgd(
-            _interior_chi2(taus, weights, mu), proj, x, budget,
-            1e-2 * max(cfg.obj_tol, mu), eig,
-        )
-        total_iters += it
-        if value < best_val:
-            best_val, best_x, best_eig = value, x, eig
-    return max(best_val, 0.0), best_x, total_iters, converged, best_eig
+    while runs:
+        # The gradient at each launch point, kept from the last iteration
+        # where the launch point is the same.
+        new = [k for k, run in enumerate(runs) if not run.same_y]
+        if len(new) == len(runs):
+            grad = _chi2_grad_at(weights, y, mu)
+        elif new:
+            grad = grad.copy()
+            grad[new] = _chi2_grad_at(weights[new], _take(y, new), mu[new])
+        for k in new:
+            gnorm = float(np.linalg.norm(grad[k]))
+            runs[k].cap = 1e3 / gnorm if gnorm > 0 else math.inf
+        caps = [run.cap for run in runs]
+        f_cand, cand, move = trial(slice(None), [min(r.step, c) for r, c in zip(runs, caps)])
+        retry = []
+        for k, (run, f_c) in enumerate(zip(runs, f_cand)):
+            run.halvings = 0
+            if not run.passes(f_c, grad[k], move[k]):
+                retry.append(k)
+        while retry:
+            # The next halvings of every problem still searching, stacked.
+            steps = [min(runs[k].step * s, caps[k]) for k in retry for s in scales]
+            every = span == 1 and len(retry) == len(runs)
+            rows = slice(None) if every else [k for k in retry for _ in scales]
+            f_point, point, move = trial(rows, steps)
+            found, picks, still = [], [], []
+            for i, k in enumerate(retry):
+                run = runs[k]
+                for q in range(i * span, (i + 1) * span):
+                    run.step *= 0.5
+                    run.halvings += 1
+                    if run.halvings >= 60 or run.passes(f_point[q], grad[k], move[q]):
+                        f_cand[k] = f_point[q]
+                        found.append(k)
+                        picks.append(q)
+                        break
+                else:
+                    still.append(k)
+            if every and not still:
+                cand = point
+            else:
+                for a, b in zip(cand, point):
+                    a[found] = b[picks]
+            retry = still
+
+        # Take the candidates that decrease the objective.  The first step
+        # after a (re)start launches from the candidate itself, later ones
+        # from the extrapolated point.
+        launch, betas = [], []
+        for k, (run, f_c) in enumerate(zip(runs, f_cand)):
+            run.iters += 1
+            run.took = not f_c > run.f_x - 1e-15
+            if not run.took:
+                # No decrease.  After an extrapolated launch it is an
+                # overshoot, not a stall; either way restart from the best
+                # iterate.
+                run.stalled, run.restart = run.t == 1.0, True
+                continue
+            decrease = run.f_x - f_c
+            t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * run.t * run.t))
+            beta = (run.t - 1.0) / t_new
+            run.launched = beta != 0.0
+            if run.launched:
+                run.slot = len(launch)
+                launch.append(k)
+                betas.append(beta)
+            else:
+                run.f_y = f_c
+            run.f_x, run.t, run.restart = f_c, t_new, False
+            if run.halvings == 0:
+                run.step *= 1.2
+            run.stalled = decrease < run.stall_tol + 1e-14
+            if not run.stalled:
+                run.stall = 0
+        if launch:
+            rows = slice(None) if len(launch) == len(runs) else launch
+            cx = cand[0][rows]
+            beta = np.array(betas, dtype=complex)[:, None, None, None]
+            f_far, far = _chi2_eval(taus[rows], weights[rows], cx + beta * (cx - x[0][rows]), mu[rows])
+            for k, f_y in zip(launch, f_far.tolist()):
+                runs[k].f_y = f_y
+                runs[k].restart = not math.isfinite(f_y)
+
+        # Close the stages that stalled out or ran out of budget; restart
+        # the others where due (a restart without a step taken launches from
+        # the same point again); the rest launch from the extrapolated point.
+        took, ended, onward = [], [], []
+        for k, run in enumerate(runs):
+            if run.took:
+                took.append(k)
+            run.same_y = False
+            if run.stalled:
+                run.stall += 1
+            if run.stall >= 3 or run.iters >= run.budget - run.spent:
+                run.converged = run.stall >= 3
+                ended.append(k)
+            elif run.restart:
+                run.same_y = run.y_is_x and not run.took
+                run.f_y, run.t, run.y_is_x = run.f_x, 1.0, True
+            else:
+                run.y_is_x = not run.launched
+                if run.launched:
+                    onward.append(k)
+        if len(took) == len(runs):
+            x = cand
+        elif took:
+            x = _put(x, took, _take(cand, took))
+        finished = []
+        for k in ended:
+            run = runs[k]
+            run.spent += run.iters
+            # The stage's value without barrier, from the iterate's eigensolve.
+            _, w, v, _ = (a[k] for a in x)
+            chi = _chi2_values(taus[k], w, v)[0]
+            score = float(weights[k] @ (chi + 1.0)) - 1.0
+            if score < run.best:
+                run.best = score
+                out.x[run.index], out.w[run.index], out.v[run.index] = x[0][k], w, v
+            run.stage += 1
+            if run.stage < len(BARRIER_STAGES) and run.budget - run.spent > 0:
+                # The next stage's objective at the iterate, from its eigendata.
+                mu[k] = BARRIER_STAGES[run.stage]
+                values = chi - BARRIER_STAGES[run.stage] * np.sum(np.log(w), axis=1)
+                run.start_stage(float(weights[k] @ (values + 1.0)) - 1.0)
+            else:
+                finished.append(k)
+                out.value[run.index] = max(run.best, 0.0)
+                out.iterations[run.index] = run.spent
+                out.converged[run.index] = run.converged
+        if len(onward) == len(runs):
+            y = far
+        elif onward:
+            y = _put(x, onward, _take(far, [runs[k].slot for k in onward]))
+        else:
+            y = x
+        if finished:
+            keep = [k for k in range(len(runs)) if k not in finished]
+            runs = [runs[k] for k in keep]
+            taus, weights, mu = taus[keep], weights[keep], mu[keep]
+            x, y, grad = _take(x, keep), _take(y, keep), grad[keep]
+    return out
 
 
-def _chi2_lower(tau: np.ndarray, eig, dim_a: int, dim_b: int, target: float) -> float:
-    """Certified lower bound on min chi2(tau, rho) over density matrices rho
-    with rho^PT >= 0, from the convexity of chi2(tau, .) at points x > 0
-    built on the eigendecomposition ``eig = (w, v)``, every w > 0, of a
-    unit-trace iterate sigma = v diag(w) v^dag.
+def _chi2_lower(taus: np.ndarray, eig, dim_a: int, dim_b: int, targets: np.ndarray) -> np.ndarray:
+    """Certified lower bounds ``(P,)`` on min chi2(tau_p, rho) over density
+    matrices rho with rho^PT >= 0, from the convexity of chi2(tau_p, .) at
+    points x > 0 built on the eigendecompositions ``eig = (w, v)``, every
+    w > 0, of unit-trace iterates sigma_p = v_p diag(w_p) v_p^dag.
 
     With f and G the value and gradient at x, and any Y >= 0,
 
@@ -570,30 +756,133 @@ def _chi2_lower(tau: np.ndarray, eig, dim_a: int, dim_b: int, target: float) -> 
     multiplier N of the projection of (x - alpha G)^PT, over alpha, for
     each alpha in ``CERT_STEPS``; at a minimizer the bound equals f.  Each
     bound is lowered by a margin for the rounding of the eigensolves and
-    inner products and clipped at 0.  Returns the highest, and takes no
-    further point once a bound reaches ``target``.
+    inner products and clipped at 0.  Returns the highest per problem, and
+    takes no further point for a problem once its bound reaches its
+    ``targets`` entry.  Every row is computed as for that problem alone.
     """
-    w0, v = eig
-    d = len(w0)
+    w0, v0 = eig
+    d = w0.shape[1]
     ulp = CERT_MARGIN_ULPS * d * EPS
-    best = 0.0
+    best = np.zeros(len(w0))
+    rows = np.arange(len(w0))
     for eps in CERT_MIX:
-        w = (1.0 - eps) * w0 + eps / d
-        values, eig_data = _chi2_values(tau[None], w[None], v[None])
-        f, g = float(values[0]), _chi2_grad(w[None], v[None], eig_data, 0.0)[0]
-        x = (v * w) @ la.dag(v)
-        dual = -math.inf
+        w, v = (1.0 - eps) * w0[rows] + eps / d, v0[rows]
+        f, eig_data = _chi2_values(taus[rows], w, v)
+        g = _chi2_grad(w, v, eig_data, 0.0)
+        x = (v * w[:, None, :]) @ la.dag(v)
+        dual = np.full(len(rows), -math.inf)
         for alpha in CERT_STEPS:
-            wp, vp, theta = _pt_eig_step(x - alpha * g, dim_a, dim_b)
-            y = (vp * (np.clip(theta - wp, 0.0, None) / alpha)) @ la.dag(vp)
-            lam = float(np.linalg.eigvalsh(g - la.partial_transpose(y, dim_a, dim_b))[0])
-            dual = max(dual, lam - ulp * float(np.linalg.norm(y)))
-        roots = math.sqrt(max(f + 1.0, 0.0)) * float(np.sum(w**-0.5))
-        scale = abs(f) + 1.0 + float(np.linalg.norm(g)) + roots
-        best = max(best, 2.0 * f + 1.0 + dual - ulp * scale)
-        if best >= target:
+            wp, vp, theta = _pt_eig_step((x - alpha * g)[:, None], dim_a, dim_b)
+            y = ((vp * (np.clip(theta - wp, 0.0, None) / alpha)[..., None, :]) @ la.dag(vp))[:, 0]
+            lam = np.linalg.eigvalsh(g - la.partial_transpose(y, dim_a, dim_b))[:, 0]
+            dual = np.maximum(dual, lam - ulp * _norms(y))
+        roots = np.sqrt(np.maximum(f + 1.0, 0.0)) * np.sum(w**-0.5, axis=1)
+        scale = np.abs(f) + 1.0 + _norms(g) + roots
+        best[rows] = np.maximum(best[rows], 2.0 * f + 1.0 + dual - ulp * scale)
+        rows = rows[best[rows] < targets[rows]]
+        if not len(rows):
             break
     return best
+
+
+def chisep_batch(states, cfgs=None) -> list[SepApproxResult]:
+    """:func:`chisep` of each state of ``states``, under the matching
+    :class:`SepConfig` of ``cfgs`` (the default settings for every state
+    when ``cfgs`` is None), solved together.
+
+    States of one bipartition are solved in chunks of at most
+    ``CHISEP_CHUNK``: one :func:`_min_chi2` call runs the maximally mixed
+    start of every entangled state of a chunk, one :func:`_chi2_lower` call
+    certifies them, and one more pair runs the twirl start for the states
+    whose gap is still above ``VERDICT_SLACK``.  Each state's result is
+    bit-identical to its solo solve, whatever else is in the batch.
+    """
+    states = list(states)
+    cfgs = [SepConfig()] * len(states) if cfgs is None else list(cfgs)
+    if len(cfgs) != len(states):
+        raise ChannelError(f"{len(cfgs)} solver settings for {len(states)} states")
+    groups: dict = {}
+    for i, s in enumerate(states):
+        _check_desk_scale(s)
+        groups.setdefault((s.dim_a, s.dim_b), []).append(i)
+    results = [None] * len(states)
+    for dims, members in groups.items():
+        for lo in range(0, len(members), CHISEP_CHUNK):
+            chunk = members[lo:lo + CHISEP_CHUNK]
+            solved = _chisep_chunk([states[i] for i in chunk], [cfgs[i] for i in chunk], *dims)
+            for i, res in zip(chunk, solved):
+                results[i] = res
+    return results
+
+
+def _chisep_chunk(states, cfgs, dim_a: int, dim_b: int) -> list[SepApproxResult]:
+    """:func:`chisep_batch` of states of one bipartition, in one batch."""
+    d = dim_a * dim_b
+    method = _method_tag(dim_a, dim_b)
+    taus = np.stack([s.matrix for s in states])
+    ppt_min = np.linalg.eigvalsh(la.herm_part(la.partial_transpose(taus, dim_a, dim_b)))[:, 0]
+    results = [
+        SepApproxResult(
+            value=0.0, minimizer=s.state, method=method, iterations=0, converged=True,
+            extras={"note": "input is PPT; chi-square distance zero in the closure",
+                    "ppt_min_eig": float(m), "lower": 0.0, "gap": 0.0, "certified": True},
+        ) if m >= -PSD_TOL else None
+        for s, m in zip(states, ppt_min)
+    ]
+    todo = [i for i, res in enumerate(results) if res is None]
+    if not todo:
+        return results
+    taus = taus[todo]
+    cfgs = [cfgs[i] for i in todo]
+
+    def solve(starts, rows):
+        # One start per problem, projected once; then its certificate.
+        runs = _min_chi2(
+            taus[rows, None], np.ones((len(rows), 1)),
+            project_pt_trace(starts[:, None], dim_a, dim_b), dim_a, dim_b,
+            [cfgs[i] for i in rows],
+        )
+        return runs, (runs.w[:, 0], runs.v[:, 0])
+
+    rows = np.arange(len(todo))
+    first, eig = solve(np.broadcast_to(np.eye(d, dtype=complex) / d, taus.shape), rows)
+    value = first.value
+    lower = _chi2_lower(taus, eig, dim_a, dim_b, value - CHISEP_GAP_TOL * np.maximum(1.0, value))
+    iterations, converged = first.iterations, first.converged
+    starts = [[v] for v in value.tolist()]
+    # The twirl start runs only where the gap is above the verdict slack; no
+    # start can go below the bound, so skipping it moves a value by at most
+    # the gap.
+    rows = np.flatnonzero(value - lower > VERDICT_SLACK)
+    if len(rows):
+        twirls = np.stack([separable_twirl(taus[i], dim_a, dim_b) for i in rows])
+        second, eig = solve(twirls, rows)
+        value, lower = value.copy(), lower.copy()
+        value[rows] = np.minimum(value[rows], second.value)
+        target = value[rows] - CHISEP_GAP_TOL * np.maximum(1.0, value[rows])
+        lower[rows] = np.maximum(lower[rows], _chi2_lower(taus[rows], eig, dim_a, dim_b, target))
+        iterations, converged = iterations.copy(), converged.copy()
+        iterations[rows] += second.iterations
+        converged[rows] &= second.converged
+        for i, v in zip(rows.tolist(), second.value.tolist()):
+            starts[i].append(v)
+    for k, i in enumerate(todo):
+        val, low = float(value[k]), float(lower[k])
+        results[i] = SepApproxResult(
+            value=val,
+            minimizer=None,
+            method=method,
+            iterations=int(iterations[k]),
+            converged=bool(converged[k]),
+            extras={
+                "ppt_min_eig_input": float(ppt_min[i]),
+                "start_values": starts[k],
+                "lower": low,
+                "gap": val - low,
+                "certified": val - low <= CHISEP_GAP_TOL * max(1.0, val),
+            },
+        )
+    return results
 
 
 def chisep(s: BipartiteState, cfg: SepConfig = SepConfig()) -> SepApproxResult:
@@ -614,44 +903,12 @@ def chisep(s: BipartiteState, cfg: SepConfig = SepConfig()) -> SepApproxResult:
     hold ``lower``, ``gap``, ``certified`` (gap within ``CHISEP_GAP_TOL *
     max(1, value)``) and the value of each start that ran
     (``start_values``).
+
+    This is :func:`chisep_batch` of the one state: a batch of one problem
+    of the same solver that batches trajectories, and the same result that
+    state gets in any batch.
     """
-    _check_desk_scale(s)
-    tau = s.matrix
-    d = s.dim_a * s.dim_b
-    ppt_min = ppt_min_eigenvalue(s)
-    if ppt_min >= -PSD_TOL:
-        return SepApproxResult(
-            value=0.0, minimizer=s.state, method=_method_tag(s.dim_a, s.dim_b),
-            iterations=0, converged=True,
-            extras={"note": "input is PPT; chi-square distance zero in the closure",
-                    "ppt_min_eig": ppt_min, "lower": 0.0, "gap": 0.0, "certified": True},
-        )
-    dims = (s.dim_a, s.dim_b)
-    runs, lower = [], 0.0
-    # The twirl is built only if its start runs.
-    for start in (lambda: np.eye(d, dtype=complex) / d, lambda: separable_twirl(tau, *dims)):
-        run = _min_chi2(tau[None], [1.0], project_pt_trace(start()[None], *dims), *dims, cfg)
-        runs.append(run)
-        value = min(r[0] for r in runs)
-        w, v = run[4]
-        target = value - CHISEP_GAP_TOL * max(1.0, value)
-        lower = max(lower, _chi2_lower(tau, (w[0], v[0]), *dims, target))
-        if value - lower <= VERDICT_SLACK:
-            break
-    return SepApproxResult(
-        value=value,
-        minimizer=None,
-        method=_method_tag(s.dim_a, s.dim_b),
-        iterations=sum(run[2] for run in runs),
-        converged=all(run[3] for run in runs),
-        extras={
-            "ppt_min_eig_input": ppt_min,
-            "start_values": [run[0] for run in runs],
-            "lower": lower,
-            "gap": value - lower,
-            "certified": value - lower <= CHISEP_GAP_TOL * max(1.0, value),
-        },
-    )
+    return chisep_batch([s], [cfg])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -700,25 +957,27 @@ def dsep(s: BipartiteState) -> SepApproxResult:
 # ---------------------------------------------------------------------------
 
 
-def chisep_ccqq(s: CcQqState, cfg: SepConfig = SepConfig()) -> SepApproxResult:
-    """Chi-square distance to the separable set across (XA : BY) for a cc-qq
-    state, via per-block values combined as (sum_xy p sqrt(chi+1))^2 - 1.
+def _ccqq_blocks(s: CcQqState) -> list[BipartiteState]:
+    """The blocks whose chisep the block formula reads: those of
+    probability above 1e-15 (the others contribute nothing)."""
+    return [
+        BipartiteState.from_matrix(b.rho, s.dim_a, s.dim_b) for b in s.blocks if b.prob > 1e-15
+    ]
 
-    The optimal block weights q_xy = p sqrt(chi+1) / Z are exposed in the
-    extras for diagnostics.  ``extras["lower"]`` pushes the per-block
-    certified lower bounds of :func:`chisep` through the same formula, which
-    is increasing in each chi, so it is a certified lower bound too once
-    shrunk by the formula's own rounding.
-    """
+
+def _ccqq_result(s: CcQqState, solved) -> SepApproxResult:
+    """The block formula of :func:`chisep_ccqq` from the chisep results of
+    the blocks of :func:`_ccqq_blocks`, in order."""
     per_block, per_lower = [], []
     iters = 0
     conv = True
+    solved = iter(solved)
     for blk in s.blocks:
         if blk.prob <= 1e-15:
             per_block.append(0.0)
             per_lower.append(0.0)
             continue
-        res = chisep(BipartiteState.from_matrix(blk.rho, s.dim_a, s.dim_b), cfg)
+        res = next(solved)
         per_block.append(res.value)
         per_lower.append(res.extras["lower"])
         iters += res.iterations
@@ -744,31 +1003,83 @@ def chisep_ccqq(s: CcQqState, cfg: SepConfig = SepConfig()) -> SepApproxResult:
     )
 
 
+def chisep_ccqq_stream(states, cfg: SepConfig = SepConfig()):
+    """Yield ``(state, chisep_ccqq(state, cfg))`` for each cc-qq state of
+    the iterable ``states``, in order.
+
+    The blocks of consecutive states are solved together by
+    :func:`chisep_batch`, ``CHISEP_CHUNK`` at a time, and the states are
+    read lazily: a chunk is solved once enough blocks are waiting (or the
+    states run out), and a state is yielded as soon as its last block is
+    solved.  So the blocks held at once are one chunk plus those of the
+    state just read, whatever the number of states.  Each block gets the
+    result of its solo solve, so a state's result does not depend on the
+    states around it.
+    """
+    held = deque()  # (state, number of its blocks) read but not yielded
+    queue = []  # their blocks not solved yet
+    solved = []  # results of their blocks solved so far
+
+    def ready(flush: bool):
+        while len(queue) >= CHISEP_CHUNK or (flush and queue):
+            solved.extend(chisep_batch(queue[:CHISEP_CHUNK], [cfg] * len(queue[:CHISEP_CHUNK])))
+            del queue[:CHISEP_CHUNK]
+        while held and len(solved) >= held[0][1]:
+            state, count = held.popleft()
+            result = _ccqq_result(state, solved[:count])
+            del solved[:count]
+            yield state, result
+
+    for state in states:
+        blocks = _ccqq_blocks(state)
+        held.append((state, len(blocks)))
+        queue.extend(blocks)
+        yield from ready(False)
+    yield from ready(True)
+
+
+def chisep_ccqq(s: CcQqState, cfg: SepConfig = SepConfig()) -> SepApproxResult:
+    """Chi-square distance to the separable set across (XA : BY) for a cc-qq
+    state, via per-block values combined as (sum_xy p sqrt(chi+1))^2 - 1.
+
+    The blocks of probability above 1e-15 are solved in one
+    :func:`chisep_batch` call (one chunk per ``CHISEP_CHUNK`` blocks); the
+    others contribute nothing.  The optimal block weights
+    q_xy = p sqrt(chi+1) / Z are exposed in the extras for diagnostics.
+    ``extras["lower"]`` pushes the per-block certified lower bounds of
+    :func:`chisep` through the same formula, which is increasing in each
+    chi, so it is a certified lower bound too once shrunk by the formula's
+    own rounding.  :func:`chisep_ccqq_stream` gives the same result for
+    each of many states with their blocks solved together.
+    """
+    return next(chisep_ccqq_stream([s], cfg))[1]
+
+
 def chisep_ccqq_blockdiag(s: CcQqState) -> SepApproxResult:
     """Direct minimization of chi2 over block-diagonal PPT states.
 
     The variable is one unnormalized PSD-and-PT-PSD matrix per classical
     label with unit total trace; the objective sum_b p_b^2 Tr(rho_b S_b^-1/2
     rho_b S_b^-1/2) - 1 is minimized over all blocks at once by the same
-    :func:`_min_chi2` that :func:`chisep` runs per block.  Serves as the
-    independent cross-check of the closed block formula, which solves each
-    block alone and combines the values.
+    :func:`_min_chi2` that :func:`chisep` runs per block, as one problem of
+    n blocks.  Serves as the independent cross-check of the closed block
+    formula, which solves each block alone and combines the values.
     """
     blocks = [b for b in s.blocks if b.prob > 1e-15]
     n = len(blocks)
     d = s.dim_a * s.dim_b
     # The start I / (n d) is feasible and strictly positive.
-    value, mats, iters, converged, _ = _min_chi2(
-        [b.rho for b in blocks], [b.prob**2 for b in blocks],
-        np.stack([np.eye(d) / (n * d)] * n), s.dim_a, s.dim_b, SepConfig(),
+    runs = _min_chi2(
+        np.array([b.rho for b in blocks])[None], np.array([[b.prob**2 for b in blocks]]),
+        np.stack([np.eye(d) / (n * d)] * n)[None], s.dim_a, s.dim_b, [SepConfig()],
     )
     return SepApproxResult(
-        value=value,
+        value=float(runs.value[0]),
         minimizer=None,
         method=_method_tag(s.dim_a, s.dim_b),
-        iterations=iters,
-        converged=converged,
-        extras={"block_traces": [float(np.real(np.trace(m))) for m in mats]},
+        iterations=int(runs.iterations[0]),
+        converged=bool(runs.converged[0]),
+        extras={"block_traces": [float(np.real(np.trace(m))) for m in runs.x[0]]},
     )
 
 
@@ -881,18 +1192,19 @@ def verify_contraction_step(
     trace-norm contraction coefficient of ``t``, estimated from ``seed``;
     it upper-bounds the chi-square coefficient, making the right side
     sound.  Both chi-square distances run with the default
-    :class:`SepConfig`.  The check passes with ``VERDICT_SLACK`` (1e-6).  An
-    input with chi_in below ``epsilon`` raises :class:`PreconditionError`.
+    :class:`SepConfig`, their blocks solved in one batch.  The check
+    passes with ``VERDICT_SLACK`` (1e-6).  An input with chi_in below
+    ``epsilon`` raises :class:`PreconditionError`, once both are solved.
     """
     if not 0.0 < epsilon < 1.0:
         raise ChannelError("epsilon must lie in (0, 1)")
-    chi_in = chisep_ccqq(s).value
+    out = apply_separable_to_ccqq(s, t)
+    (_, before), (_, after) = chisep_ccqq_stream([s, out])
+    chi_in, chi_out = before.value, after.value
     if chi_in < epsilon:
         raise PreconditionError(
             f"precondition violated: chi-square distance {chi_in:.6f} below epsilon {epsilon}"
         )
-    out = apply_separable_to_ccqq(s, t)
-    chi_out = chisep_ccqq(out).value
     eta_up = eta_tr_upper_minoutev(t.channel, seed=seed).value
     rhs = (1.0 - epsilon**2 / 100.0 * (1.0 - eta_up)) * chi_in
     return ContractionStepReport(

@@ -30,7 +30,7 @@ from .separability import (
     CcQqState,
     SeparableChannel,
     block_label,
-    chisep_ccqq,
+    chisep_ccqq_stream,
     dsep,
     local_product_channel,
 )
@@ -473,19 +473,42 @@ def run_noisy_circuit(
     set by ``circuit.noise_order`` (noise before the layer by default);
     classical layers execute between time steps without noise.  The
     trajectory records probability mass, block counts, and optionally the
-    chi-square distance to the separable set after every step.  Every input
+    chi-square distance to the separable set after every step.  Those
+    distances never feed back into the state, so they are not solved step
+    by step: the blocks of consecutive steps wait and are solved together,
+    ``CHISEP_CHUNK`` at a time (:func:`chisep_ccqq_stream`).  Each equals
+    the step's own :func:`chisep_ccqq` value, whatever the number of steps.
+    Every input
     block's classical label must fit the layout's registers, or
     ``ChannelError`` is raised before the first step.
     """
     layout = circuit.layout
     _check_labels(input_state, layout)
     state = input_state
-    steps = []
 
-    def measure(idx, st):
-        chi = None
-        if record_chisep:
-            chi = chisep_ccqq(st).value
+    def evolve():
+        # The state after every time step; classical layers run between.
+        nonlocal state
+        yield state
+        for layer in circuit.layers:
+            if isinstance(layer, ClassicalLayer):
+                state = apply_layer(state, layer, layout)
+                continue
+            if circuit.noise_order == "noise-first":
+                state = apply_iid_noise(state, circuit.noise, layout)
+                state = apply_layer(state, layer, layout)
+            else:
+                state = apply_layer(state, layer, layout)
+                state = apply_iid_noise(state, circuit.noise, layout)
+            yield state
+        if circuit.trailing_noise:
+            state = apply_iid_noise(state, circuit.noise, layout)
+            yield state
+
+    measured = chisep_ccqq_stream(evolve()) if record_chisep else ((st, None) for st in evolve())
+    steps = []
+    for idx, (step_state, res) in enumerate(measured):
+        chi = None if res is None else res.value
         prev = steps[-1].chisep_value if steps else None
         ratio = None
         if chi is not None and prev is not None and prev > RATIO_FLOOR:
@@ -493,28 +516,12 @@ def run_noisy_circuit(
         steps.append(
             TrajectoryStep(
                 index=idx,
-                total_prob=total_probability(st),
-                block_count=len(st.blocks),
+                total_prob=total_probability(step_state),
+                block_count=len(step_state.blocks),
                 chisep_value=chi,
                 ratio=ratio,
             )
         )
-
-    measure(0, state)
-    for layer in circuit.layers:
-        if isinstance(layer, ClassicalLayer):
-            state = apply_layer(state, layer, layout)
-            continue
-        if circuit.noise_order == "noise-first":
-            state = apply_iid_noise(state, circuit.noise, layout)
-            state = apply_layer(state, layer, layout)
-        else:
-            state = apply_layer(state, layer, layout)
-            state = apply_iid_noise(state, circuit.noise, layout)
-        measure(len(steps), state)
-    if circuit.trailing_noise:
-        state = apply_iid_noise(state, circuit.noise, layout)
-        measure(len(steps), state)
     width, length = circuit_metrics(circuit)
     return TrajectoryReport(
         steps=tuple(steps),
@@ -559,8 +566,13 @@ def doubled_memory_experiment(
     checked at every step; otherwise only while the distance stays at or
     above the 1/16 threshold.  Once the distance falls below the threshold,
     the 1-norm distance to the separable set of that state is recorded as
-    the endgame check, with the solver's convergence flag.  Needs n >= 1,
-    steps >= 0 and, when given, a ``p_value`` in (0, 1].
+    the endgame check, with the solver's convergence flag.  The distances
+    never feed back into the state, so they are not solved step by step:
+    the blocks of consecutive steps wait and are solved together,
+    ``CHISEP_CHUNK`` at a time (:func:`chisep_ccqq_stream`).  Each equals
+    the step's own :func:`chisep_ccqq` value, so the first k + 1 steps of a
+    longer run are those of a run of k steps.  Needs n >= 1, steps >= 0
+    and, when given, a ``p_value`` in (0, 1].
     """
     if n < 1 or steps < 0:
         raise ChannelError(f"doubled runs need n >= 1 and steps >= 0, got n={n}, steps={steps}")
@@ -575,19 +587,28 @@ def doubled_memory_experiment(
     factor = 1.0 - p_value ** (2 * n)
 
     layer = None if gate is None else GateLayer(channel=local_product_channel(gate, gate))
-    state = CcQqState.single(input_state)
-    chi = chisep_ccqq(state).value
-    out_steps = [
-        TrajectoryStep(index=0, total_prob=total_probability(state), block_count=1, chisep_value=chi)
-    ]
+
+    def evolve():
+        state = CcQqState.single(input_state)
+        yield state
+        for _ in range(steps):
+            state = apply_iid_noise(state, noise, layout)
+            if layer is not None:
+                state = apply_layer(state, layer, layout)
+            yield state
+
+    out_steps = []
     endgame_step = None
     endgame = None
-    for i in range(1, steps + 1):
-        prev_chi = chi
-        state = apply_iid_noise(state, noise, layout)
-        if layer is not None:
-            state = apply_layer(state, layer, layout)
-        chi = chisep_ccqq(state).value
+    chi = None
+    for i, (state, res) in enumerate(chisep_ccqq_stream(evolve())):
+        prev_chi, chi = chi, res.value
+        if i == 0:
+            out_steps.append(
+                TrajectoryStep(index=0, total_prob=total_probability(state), block_count=1,
+                               chisep_value=chi)
+            )
+            continue
         precondition = prev_chi >= CHISEP_THRESHOLD
         ok = None
         if unital_noise or precondition:

@@ -27,11 +27,11 @@ from chcon.separability import (
     BARRIER_STAGES,
     CERT_MIX,
     CERT_STEPS,
-    _accelerated_pgd,
-    _chi2_lower,
+    _chi2_eval,
     _chi2_grad,
+    _chi2_grad_at,
+    _chi2_lower,
     _chi2_values,
-    _interior_chi2,
     _min_chi2,
     BipartiteState,
     CcQqState,
@@ -40,6 +40,7 @@ from chcon.separability import (
     apply_separable_to_ccqq,
     check_total_probability,
     chisep,
+    chisep_batch,
     chisep_ccqq,
     chisep_ccqq_blockdiag,
     dsep,
@@ -305,41 +306,50 @@ class TestChi2Kernel:
             assert vals[k] + barrier == pytest.approx(chi2_divergence(taus[k], xs[k]), abs=1e-10)
 
     @pytest.mark.parametrize("mu", [0.0, 1e-2])
-    def test_lazy_gradient_is_the_eager_kernel(self, mu):
+    def test_batched_evaluation_is_the_eager_kernel(self, mu):
+        # Two problems of three blocks each, evaluated and differentiated in
+        # one batch, against the eager kernel on each problem alone.
         rng = seeded(87)
-        taus = np.stack([random_density(rng, 6) for _ in range(3)])
-        xs = np.stack([0.8 * random_density(rng, 6) + 0.2 * np.eye(6) / 6 for _ in range(3)])
-        weights = np.array([0.5, 0.3, 0.2])
-        f, grad, score, eig = _interior_chi2(taus, weights, mu)(xs)
-        w, v = np.linalg.eigh(xs)
-        assert np.array_equal(eig[0], w) and np.array_equal(eig[1], v)
-        values, grads = _chi2_value_grad(taus, w, v, mu)
-        assert f == float(weights @ (values + 1.0)) - 1.0
-        assert np.array_equal(grad(), weights[:, None, None] * grads)
-        assert grad() is grad()
-        chi, _ = _chi2_value_grad(taus, w, v)
-        assert score() == float(weights @ (chi + 1.0)) - 1.0
+        taus = np.stack([random_density(rng, 6) for _ in range(6)]).reshape(2, 3, 6, 6)
+        xs = np.stack(
+            [0.8 * random_density(rng, 6) + 0.2 * np.eye(6) / 6 for _ in range(6)]
+        ).reshape(2, 3, 6, 6)
+        weights = np.array([[0.5, 0.3, 0.2], [0.1, 0.6, 0.3]])
+        f, point = _chi2_eval(taus, weights, xs, np.full(2, mu))
+        grad = _chi2_grad_at(weights, point, np.full(2, mu))
+        for p in range(2):
+            w, v = np.linalg.eigh(xs[p])
+            assert np.array_equal(point[1][p], w) and np.array_equal(point[2][p], v)
+            values, grads = _chi2_value_grad(taus[p], w, v, mu)
+            assert f[p] == float(weights[p] @ (values + 1.0)) - 1.0
+            assert np.array_equal(grad[p], weights[p][:, None, None] * grads)
 
-    def test_outside_the_cone_has_no_gradient(self):
-        x = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)[None]
-        assert _interior_chi2(bell().matrix[None], np.ones(1), 1e-4)(x) == (math.inf, None, None, None)
+    def test_outside_the_cone_scores_infinity(self):
+        # The first problem has a singular block, the second is inside.
+        x = np.stack([np.diag([0.5, 0.5, 0.0, 0.0]), np.eye(4) / 4]).astype(complex)[:, None]
+        taus = np.stack([bell().matrix] * 2)[:, None]
+        f, point = _chi2_eval(taus, np.ones((2, 1)), x, np.full(2, 1e-4))
+        assert f[0] == math.inf and not point[3][0].any()
+        alone, _ = _chi2_eval(taus[1:], np.ones((1, 1)), x[1:], np.full(1, 1e-4))
+        assert f[1] == alone[0] and np.isfinite(alone[0])
 
-    @pytest.mark.parametrize("mu", [1e-4, 1e-8])
-    def test_stage_value_is_a_fresh_score(self, mu):
-        taus = np.stack([bell().matrix, werner(0.8).matrix])
-        weights = np.array([0.36, 0.16])
-        x0 = np.stack([np.eye(4, dtype=complex) / 8] * 2)
-        x, value, iters, _, _ = _accelerated_pgd(
-            _interior_chi2(taus, weights, mu), lambda z: project_pt_trace(z, 2, 2), x0, 300, 1e-8
-        )
-        assert iters > 0 and not np.array_equal(x, x0)
-        assert value == _interior_chi2(taus, weights, 0.0)(x)[0]
+    @pytest.mark.parametrize("max_iter", [40, 300])
+    def test_stage_value_is_a_fresh_score(self, max_iter):
+        # The best stage value, also of a run its budget cuts short, is the
+        # barrier-free objective at the returned iterate.
+        taus = np.stack([bell().matrix, werner(0.8).matrix])[None]
+        weights = np.array([[0.36, 0.16]])
+        x0 = np.stack([np.eye(4, dtype=complex) / 8] * 2)[None]
+        runs = _min_chi2(taus, weights, x0, 2, 2, [SepConfig(max_iter=max_iter, obj_tol=1e-6)])
+        assert runs.iterations[0] > 0 and not np.array_equal(runs.x, x0)
+        fresh, _ = _chi2_eval(taus, weights, runs.x, np.zeros(1))
+        assert runs.value[0] == fresh[0]
 
 
-# Eager reference for the lazy chi-square loop in chcon.separability: value
-# and gradient at every point, one eigendecomposition per evaluation and a
-# fresh barrier-free eigensolve per stage.  The lazy loop must follow it bit
-# for bit.
+# Eager reference for the batched chi-square loop in chcon.separability, one
+# problem at a time: value and gradient at every point, one eigendecomposition
+# per evaluation, and a fresh eigensolve of every stage's start and to score
+# every stage.  The batched loop must follow it bit for bit.
 
 
 def eager_interior_chi2(taus, weights, mu):
@@ -382,8 +392,12 @@ def eager_pgd(value_grad, proj, x0, max_iter, stall_tol):
             decrease = f_x - f_c
             t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
             beta = (t - 1.0) / t_new
-            y = cand + beta * (cand - x)
-            f_y, g_y = value_grad(y)
+            if beta == 0.0:
+                # The launch point is the candidate itself.
+                y, f_y, g_y = cand, f_c, g_c
+            else:
+                y = cand + beta * (cand - x)
+                f_y, g_y = value_grad(y)
             x, f_x, g_x = cand, f_c, g_c
             t = t_new
             momentum = True
@@ -456,45 +470,39 @@ class TestLazyLoopMatchesEagerReference:
             st = BipartiteState.from_matrix(random_density(rng_from(7, 2, 3, 3), 6, 1), 2, 3)
             cfg = SepConfig(max_iter=300)
         d = st.dim_a * st.dim_b
-        args = (
-            st.matrix[None], [1.0],
-            project_pt_trace(np.eye(d, dtype=complex)[None] / d, st.dim_a, st.dim_b),
-            st.dim_a, st.dim_b, cfg,
-        )
+        x0 = project_pt_trace(np.eye(d, dtype=complex)[None] / d, st.dim_a, st.dim_b)
         calls = counting_eigh(monkeypatch)
-        ref = eager_min_chi2(*args)
+        ref = eager_min_chi2(st.matrix[None], [1.0], x0, st.dim_a, st.dim_b, cfg)
         ref_calls, calls[0] = calls[0], 0
-        got = _min_chi2(*args)
-        assert got[0] == ref[0] and got[2:4] == ref[2:]
-        assert got[3] is (name != "2x3-rank1-i3")
-        assert np.array_equal(got[1], ref[1])
+        got = _min_chi2(st.matrix[None, None], [[1.0]], x0[None], st.dim_a, st.dim_b, [cfg])
+        assert got.value[0] == ref[0]
+        assert (got.iterations[0], got.converged[0]) == ref[2:]
+        assert got.converged[0] == (name != "2x3-rank1-i3")
+        assert np.array_equal(got.x[0], ref[1])
         assert 0 < calls[0] < ref_calls
         # The returned eigendata are those of the returned iterate.
-        w, v = np.linalg.eigh(got[1])
-        assert np.array_equal(got[4][0], w) and np.array_equal(got[4][1], v)
+        w, v = np.linalg.eigh(got.x[0])
+        assert np.array_equal(got.w[0], w) and np.array_equal(got.v[0], v)
 
     def test_stage_boundaries_and_certificate_take_no_eigensolve(self, monkeypatch):
+        # With one halving per line-search round the kernel tries the eager
+        # loop's candidates one at a time.  The eager loop also takes a fresh
+        # eigensolve of every stage's start but the first, and one to score
+        # every stage; the kernel carries both over from the iterate.
+        monkeypatch.setattr("chcon.separability.SEARCH_HALVINGS", 1)
         st = doubled_step(amplitude_damping(0.28))
-        taus, cfg = st.matrix[None], SepConfig()
+        cfg = SepConfig()
         x0 = project_pt_trace(np.eye(4, dtype=complex)[None] / 4, 2, 2)
         calls = counting_eigh(monkeypatch)
-        value, x, iters, _, eig = _min_chi2(taus, [1.0], x0, 2, 2, cfg)
+        runs = _min_chi2(st.matrix[None, None], [[1.0]], x0[None], 2, 2, [cfg])
         carried, calls[0] = calls[0], 0
-        # The same stages, each started with a fresh eigensolve of its warm
-        # start, follow the same path with one more eigensolve per boundary.
-        xs, total, best = x0, 0, math.inf
-        for mu in BARRIER_STAGES:
-            xs, score, it, _, _ = _accelerated_pgd(
-                _interior_chi2(taus, np.ones(1), mu), lambda z: project_pt_trace(z, 2, 2),
-                xs, cfg.max_iter - total, 1e-2 * max(cfg.obj_tol, mu),
-            )
-            total, best = total + it, min(best, score)
-        assert (total, best) == (iters, value)
-        assert calls[0] == carried + len(BARRIER_STAGES) - 1
+        value, _, iters, _ = eager_min_chi2(st.matrix[None], [1.0], x0, 2, 2, cfg)
+        assert (runs.iterations[0], runs.value[0]) == (iters, value)
+        assert calls[0] == carried + 2 * len(BARRIER_STAGES) - 1
         # The certificate reads the iterate's eigendata: its only eigensolves
         # are the projections that pick its multipliers.
         calls[0] = 0
-        _chi2_lower(st.matrix, (eig[0][0], eig[1][0]), 2, 2, math.inf)
+        _chi2_lower(st.matrix[None], (runs.w[:, 0], runs.v[:, 0]), 2, 2, np.array([math.inf]))
         assert calls[0] == len(CERT_MIX) * len(CERT_STEPS)
 
 
@@ -509,7 +517,7 @@ def assert_lower_below_both_starts(dim_a, dim_b, rank, cfg):
         values = list(res.extras["start_values"])
         if len(values) == 1:
             start = project_pt_trace(separable_twirl(tau, dim_a, dim_b)[None], dim_a, dim_b)
-            values.append(_min_chi2(tau[None], [1.0], start, dim_a, dim_b, cfg)[0])
+            values.append(_min_chi2(tau[None, None], [[1.0]], start[None], dim_a, dim_b, [cfg]).value[0])
         assert 0.0 < res.extras["lower"] <= min(values)
 
 
@@ -574,7 +582,9 @@ class TestChisep:
     def test_entangled_call_skips_minimizer_eigensolves(self, monkeypatch):
         # chisep returns no minimizer (an eigh to project it, an eigvalsh to
         # validate it) and no smallest iterate eigenvalue (an eigvalsh): three
-        # fewer than the 172 eigensolves that building them takes here.
+        # fewer than the 172 eigensolves that building them takes here, with
+        # the line search trying one halving per round.
+        monkeypatch.setattr("chcon.separability.SEARCH_HALVINGS", 1)
         st = doubled_step(amplitude_damping(0.28))
         calls = counting_eigh(monkeypatch)
         eigvalsh = np.linalg.eigvalsh
@@ -602,7 +612,7 @@ class TestChisep:
         assert len(res.extras["start_values"]) == 1
         assert 0.0 <= res.extras["gap"] <= 1e-6
         start = project_pt_trace(separable_twirl(tau, 2, 2)[None], 2, 2)
-        twirl = _min_chi2(tau[None], [1.0], start, 2, 2, SepConfig())[0]
+        twirl = _min_chi2(tau[None, None], [[1.0]], start[None], 2, 2, [SepConfig()]).value[0]
         assert res.extras["lower"] <= twirl
         monkeypatch.setattr("chcon.separability.CERT_MIX", (0.0,))
         assert chisep(st).extras["gap"] > 1e-4
@@ -660,6 +670,117 @@ class TestChisep:
                 assert chisep(out, cfg).value <= chi_in + 1e-6
                 checked += 1
         assert checked == 200
+
+
+def solo_fields(res):
+    """Every field of a chisep result that a batch must leave unchanged."""
+    return (res.value, res.method, res.iterations, res.converged, res.extras,
+            None if res.minimizer is None else res.minimizer.matrix.tobytes())
+
+
+def mixed_batch():
+    """4x4 problems that leave a batch at different iterations, with the
+    settings each is solved under."""
+    twirl = random_density(rng_from(7, 2, 2, 0), 4, 1)
+    cut = random_density(rng_from(7, 2, 2, 0), 4, 2)
+    return [
+        ("ppt", product_state(seeded(73)), SepConfig()),
+        ("bell", bell(), SepConfig()),
+        ("ad", doubled_step(amplitude_damping(0.28)), SepConfig()),
+        ("depolarizing", doubled_step(depolarizing(0.3)), SepConfig()),
+        ("dephasing", doubled_step(dephasing(0.1)), SepConfig()),
+        ("cut", BipartiteState.from_matrix(cut, 2, 2), SepConfig(max_iter=60)),
+        ("twirl", BipartiteState.from_matrix(twirl, 2, 2), SepConfig()),
+    ]
+
+
+def counting_kernel(monkeypatch):
+    """Record the number of problems of every batched solver call."""
+    sizes = []
+    kernel = chcon.separability._min_chi2
+
+    def counted(taus, *args):
+        sizes.append(len(taus))
+        return kernel(taus, *args)
+
+    monkeypatch.setattr(chcon.separability, "_min_chi2", counted)
+    return sizes
+
+
+class TestBatchedChisep:
+    def test_batch_equals_solo_solves(self, monkeypatch):
+        names, states, cfgs = zip(*mixed_batch())
+        solo = {name: chisep(s, cfg) for name, s, cfg in mixed_batch()}
+        sizes = counting_kernel(monkeypatch)
+        batch = dict(zip(names, chisep_batch(states, cfgs)))
+        # One call for the maximally mixed start of the six entangled
+        # inputs, one for the twirl start of the two whose gap stays open.
+        assert sizes == [6, 2]
+        for name in names:
+            assert solo_fields(batch[name]) == solo_fields(solo[name]), name
+        assert batch["ppt"].value == 0.0 and "closure" in batch["ppt"].extras["note"]
+        assert len(batch["twirl"].extras["start_values"]) == 2
+        assert batch["twirl"].extras["gap"] > VERDICT_SLACK
+        # Each start of the cut-short problem runs to its own budget.
+        assert len(batch["cut"].extras["start_values"]) == 2
+        assert batch["cut"].iterations == 120 and not batch["cut"].converged
+        # The problems leave the batch at different iterations.
+        iterations = [batch[name].iterations for name in names[1:]]
+        assert len(set(iterations)) == len(iterations)
+
+    def test_chunks_leave_every_problem_unchanged(self, monkeypatch):
+        names, states, cfgs = zip(*mixed_batch())
+        whole = chisep_batch(states, cfgs)
+        monkeypatch.setattr(chcon.separability, "CHISEP_CHUNK", 2)
+        sizes = counting_kernel(monkeypatch)
+        chunked = chisep_batch(states, cfgs)
+        # Chunks of two states: the PPT input leaves one problem in the
+        # first, and the twirl starts of the last two chunks run one each.
+        assert sizes == [1, 2, 2, 1, 1, 1]
+        assert [solo_fields(r) for r in chunked] == [solo_fields(r) for r in whole]
+
+    def test_mixed_bipartitions_are_solved_per_bipartition(self, monkeypatch):
+        s23 = BipartiteState.from_matrix(random_density(seeded(87, 2, 3), 6, 2), 2, 3)
+        states = [bell(), s23, doubled_step(amplitude_damping(0.28))]
+        sizes = counting_kernel(monkeypatch)
+        batch = chisep_batch(states)
+        # The two 2x2 states in one call; the 2x3 state alone, then its
+        # twirl start.
+        assert sizes == [2, 1, 1]
+        assert [solo_fields(r) for r in batch] == [solo_fields(chisep(s)) for s in states]
+
+    def test_settings_must_match_the_states(self):
+        with pytest.raises(ChannelError, match="settings"):
+            chisep_batch([bell(), bell()], [SepConfig()])
+
+    def test_blockdiag_still_matches_the_block_formula(self):
+        rng = seeded(88)
+        p = rng.dirichlet((1, 1, 1))
+        s = CcQqState.from_blocks(
+            2, 2, [((b,), (b,), p[b], random_density(rng, 4)) for b in range(3)]
+        )
+        formula = chisep_ccqq(s)
+        direct = chisep_ccqq_blockdiag(s)
+        assert abs(formula.value - direct.value) < 1e-3
+        assert formula.extras["lower"] <= direct.value
+        np.testing.assert_allclose(
+            formula.extras["q_weights"], direct.extras["block_traces"], atol=1e-3
+        )
+
+    def test_rowwise_simplex_shift_is_the_vector_one(self):
+        rng = seeded(89)
+        for m in (1, 2, 4, 12, 16):
+            rows = np.concatenate([
+                rng.standard_normal((20, m)) * 10.0 ** rng.uniform(-3, 3, (20, 1)),
+                np.round(rng.standard_normal((5, m)), 1),  # ties
+                np.full((1, m), 1.0 / m),
+            ])
+            shifts = la.simplex_shift(rows)
+            assert shifts.shape == (len(rows),)
+            for row, shift in zip(rows, shifts):
+                assert shift == la.simplex_shift(row)
+                projected = np.clip(row - shift, 0.0, None)
+                assert projected.sum() == pytest.approx(1.0, abs=1e-9)
 
 
 class TestCcQq:
@@ -850,3 +971,13 @@ class TestContractionStep:
         t = local_product_channel(identity_channel(), identity_channel())
         with pytest.raises(PreconditionError, match="precondition"):
             verify_contraction_step(s, t, 0.9)
+
+    def test_both_sides_solved_in_one_batch(self, monkeypatch):
+        blocks = [((0,), (0,), 0.6, bell().matrix), ((1,), (1,), 0.4, werner(0.8).matrix)]
+        s = CcQqState.from_blocks(2, 2, blocks)
+        t = local_product_channel(depolarizing(0.3), depolarizing(0.3))
+        expected = (chisep_ccqq(s).value, chisep_ccqq(apply_separable_to_ccqq(s, t)).value)
+        sizes = counting_kernel(monkeypatch)
+        rep = verify_contraction_step(s, t, 1 / 16)
+        assert sizes == [4]
+        assert (rep.chi_in, rep.chi_out) == expected

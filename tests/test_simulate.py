@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import chcon.linalg as la
+import chcon.separability
 import chcon.simulate
 from chcon.channels import (
     ChannelError,
@@ -14,11 +15,13 @@ from chcon.channels import (
     amplitude_damping,
     bell_state,
     completely_depolarizing,
+    dephasing,
     depolarizing,
     identity_channel,
 )
 from chcon.config import MAX_BLOCKS
 from chcon.separability import BipartiteState, CcQqBlock, CcQqState
+from chcon.serialize import trajectory_to_json_lines
 from chcon.simulate import (
     ClassicalLayer,
     ClassicalReg,
@@ -554,3 +557,119 @@ class TestDoubledExperiment:
             doubled_memory_experiment(
                 2, depolarizing(0.2), 1, bell()
             )
+
+
+def bell_pairs(n: int) -> BipartiteState:
+    """n Bell pairs across the copies: sum_k |k>|k> / sqrt(2^n)."""
+    d = 2**n
+    psi = np.eye(d).reshape(d * d) / np.sqrt(d)
+    return BipartiteState.from_matrix(np.outer(psi, psi), d, d)
+
+
+def weak_measurement(qubit: int, store: str) -> InstrumentLayer:
+    """A 70/30 weak Z measurement of one of two qubits into a register."""
+    ops = [np.diag([np.sqrt(0.7), np.sqrt(0.3)]), np.diag([np.sqrt(0.3), np.sqrt(0.7)])]
+    lift = [np.kron(m, np.eye(2)) if qubit == 0 else np.kron(np.eye(2), m) for m in ops]
+    return InstrumentLayer(outcomes=((0, (lift[0],)), (1, (lift[1],))), store=store)
+
+
+def chisep_circuit_layers() -> tuple:
+    """Measurements into both registers, a controlled local gate and a
+    stochastic classical update: a two-qubit circuit of up to eight blocks."""
+    h = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+    s = np.diag([1, 1j])
+    local = KrausChannel.from_kraus([np.kron(h, s)])
+    alt = KrausChannel.from_kraus([np.kron(s, h)])
+    flip = ClassicalLayer(update={((1,), (0,)): [(0.7, ((1,), (1,))), (0.3, ((0,), (0,)))]})
+    return (
+        weak_measurement(0, "ca"),
+        GateLayer(channel=local, controls={((1,), (0,)): alt}),
+        flip,
+        weak_measurement(1, "cb"),
+        GateLayer(channel=alt),
+        weak_measurement(0, "ca"),
+        GateLayer(channel=local, controls={((0,), (1,)): alt}),
+    )
+
+
+def chisep_circuit_run(quantum_layers: int):
+    layout = RegisterLayout(
+        qubits=(QubitReg("a", "A"), QubitReg("b", "B")),
+        classical=(ClassicalReg("ca", 2, "A"), ClassicalReg("cb", 2, "B")),
+    )
+    layers, count = [], 0
+    for layer in chisep_circuit_layers():
+        if count == quantum_layers:
+            break
+        layers.append(layer)
+        count += not isinstance(layer, ClassicalLayer)
+    circ = NoisyCircuit(layout=layout, layers=tuple(layers), noise=depolarizing(0.05))
+    state = CcQqState.from_blocks(2, 2, [((0,), (0,), 1.0, bell_state().matrix)])
+    return run_noisy_circuit(circ, state, record_chisep=True)
+
+
+def counting_kernel(monkeypatch):
+    """Record the number of problems of every batched chi-square solve."""
+    sizes = []
+    kernel = chcon.separability._min_chi2
+
+    def counted(taus, *args):
+        sizes.append(len(taus))
+        return kernel(taus, *args)
+
+    monkeypatch.setattr(chcon.separability, "_min_chi2", counted)
+    return sizes
+
+
+class TestTrajectoryBatches:
+    """Trajectory chi-square distances are solved after the evolution, all
+    steps together in chunks; a step's value does not depend on the run."""
+
+    @pytest.mark.parametrize("n, steps", [(1, 2), (2, 1)])
+    @pytest.mark.parametrize("noise", [amplitude_damping(0.2), depolarizing(0.1), dephasing(0.1)],
+                             ids=["ad", "depolarizing", "dephasing"])
+    def test_doubled_prefix_is_the_shorter_run(self, noise, n, steps):
+        short = doubled_memory_experiment(n, noise, steps, bell_pairs(n), p_value=0.05)
+        long = doubled_memory_experiment(n, noise, steps + 2, bell_pairs(n), p_value=0.05)
+        short_lines = trajectory_to_json_lines(short)
+        assert len(short_lines) == steps + 1
+        assert trajectory_to_json_lines(long)[: steps + 1] == short_lines
+
+    def test_circuit_prefix_is_the_shorter_run(self):
+        short, long = chisep_circuit_run(3), chisep_circuit_run(5)
+        assert max(s.block_count for s in long.steps) > 2
+        assert all(s.chisep_value is not None for s in long.steps)
+        short_lines = trajectory_to_json_lines(short)
+        assert len(short_lines) == 4
+        assert trajectory_to_json_lines(long)[:4] == short_lines
+
+    def test_one_kernel_call_per_chunk(self, monkeypatch):
+        # Amplitude damping keeps every step entangled: six problems.
+        sizes = counting_kernel(monkeypatch)
+        doubled_memory_experiment(1, amplitude_damping(0.1), 5, bell(), p_value=0.05)
+        assert sizes == [6]
+        monkeypatch.setattr(chcon.separability, "CHISEP_CHUNK", 4)
+        sizes.clear()
+        doubled_memory_experiment(1, amplitude_damping(0.1), 5, bell(), p_value=0.05)
+        assert sizes == [4, 2]
+
+    def test_circuit_blocks_of_all_steps_share_chunks(self, monkeypatch):
+        sizes = counting_kernel(monkeypatch)
+        rep = chisep_circuit_run(5)
+        blocks = sum(s.block_count for s in rep.steps)
+        # Every block of every step is entangled here: one call for them all.
+        assert sizes == [blocks] and len(rep.steps) < blocks
+        monkeypatch.setattr(chcon.separability, "CHISEP_CHUNK", 3)
+        sizes.clear()
+        chisep_circuit_run(5)
+        # Full chunks of three, across the step boundaries.
+        assert sizes == [3] * (blocks // 3) + [blocks % 3] * (blocks % 3 > 0)
+
+    def test_chunking_leaves_the_lines_unchanged(self, monkeypatch):
+        doubled = doubled_memory_experiment(1, amplitude_damping(0.2), 6, bell(), p_value=0.05)
+        circuit = chisep_circuit_run(5)
+        monkeypatch.setattr(chcon.separability, "CHISEP_CHUNK", 2)
+        assert trajectory_to_json_lines(
+            doubled_memory_experiment(1, amplitude_damping(0.2), 6, bell(), p_value=0.05)
+        ) == trajectory_to_json_lines(doubled)
+        assert trajectory_to_json_lines(chisep_circuit_run(5)) == trajectory_to_json_lines(circuit)
