@@ -74,16 +74,18 @@ def partial_transpose(rho: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
     return t.swapaxes(-3, -1).reshape(rho.shape)
 
 
-def simplex_shift(y: np.ndarray):
+def simplex_shift(y: np.ndarray, ascending: bool = False):
     """The shift theta with ``(y - theta)_+`` the Euclidean projection of a
     real vector onto the probability simplex, or the shifts ``(P,)`` of the
     rows of a ``(P, m)`` array, each computed as for that row alone.
+    ``ascending`` says the entries (of each row) are already in ascending
+    order, as eigenvalues from ``eigh`` are, and skips the sort.
 
     theta is (sum of the k largest entries - 1) / k for the last k at which
     the k-th largest entry exceeds that ratio.
     """
     rows = y.reshape(-1, y.shape[-1])
-    u = np.sort(rows, axis=-1)[:, ::-1]
+    u = (rows if ascending else np.sort(rows, axis=-1))[:, ::-1]
     idx = np.arange(1, u.shape[-1] + 1)
     ratio = (u.cumsum(axis=-1) - 1.0) / idx
     cond = u > ratio
@@ -92,15 +94,16 @@ def simplex_shift(y: np.ndarray):
     return theta if y.ndim > 1 else theta[0]
 
 
-def simplex_project(y: np.ndarray) -> np.ndarray:
-    """Euclidean projection of a real vector onto the probability simplex."""
-    return np.clip(y - simplex_shift(y), 0.0, None)
+def simplex_project(y: np.ndarray, ascending: bool = False) -> np.ndarray:
+    """Euclidean projection of a real vector onto the probability simplex;
+    ``ascending`` as for :func:`simplex_shift`."""
+    return np.clip(y - simplex_shift(y, ascending), 0.0, None)
 
 
 def density_project(a: np.ndarray) -> np.ndarray:
     """Frobenius projection onto {rho >= 0, Tr rho = 1}."""
     w, v = np.linalg.eigh(herm_part(a))
-    w = simplex_project(w)
+    w = simplex_project(w, ascending=True)
     return (v * w) @ dag(v)
 
 

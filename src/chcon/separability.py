@@ -64,10 +64,10 @@ CERT_MARGIN_ULPS = 64.0
 # Problems per call of the batched chi-square solver; its memory grows with
 # the chunk, not with the number of problems.
 CHISEP_CHUNK = 64
-# Halvings of a line-search step tried together in one round once the full
-# step has failed, each the step the sequential search would try next: four
-# for blocks of dimension up to 8, where a round's fixed cost outweighs the
-# extra eigensolves, one above.
+# Halvings of a line-search step tried together in each round after the
+# first, for blocks of dimension up to ``SEARCH_HALVINGS_DIM`` (one above):
+# there the extra eigensolves cost less than the fixed cost of the rounds
+# they save, and from 9x9 blocks up they cost more.
 SEARCH_HALVINGS = 4
 SEARCH_HALVINGS_DIM = 8
 
@@ -271,6 +271,14 @@ def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a.reshape(count, 1, -1) @ b.reshape(count, -1, 1))[:, 0, 0]
 
 
+def _norm(a: np.ndarray) -> float:
+    """``np.linalg.norm`` of a contiguous complex array, summed the same way
+    (one BLAS dot of the real parts, one of the imaginary parts)."""
+    flat = a.reshape(-1)
+    re, im = flat.real, flat.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
+
+
 def _norms(a: np.ndarray) -> np.ndarray:
     """Frobenius norms ``(P,)`` of the rows of a complex ``(P, ...)`` stack,
     each summed as ``np.linalg.norm`` sums that row alone."""
@@ -307,10 +315,9 @@ def _chi2_grad(w: np.ndarray, v: np.ndarray, eig_data, mu) -> np.ndarray:
     phi = -1.0 / ((r_row * r_col) * (r_row + r_col))
     b = t2 @ (h[..., :, None] * t2)  # = tau' G tau' in the eigenbasis
     grad_eig = 2.0 * b * phi
-    if np.any(mu):
-        d = w.shape[-1]
-        # The diagonal of each block, as a view.
-        grad_eig.reshape(grad_eig.shape[:-2] + (d * d,))[..., :: d + 1] -= mu * (1.0 / w)
+    d = w.shape[-1]
+    # The diagonal of each block, as a view; mu = 0 subtracts exact zeros.
+    grad_eig.reshape(grad_eig.shape[:-2] + (d * d,))[..., :: d + 1] -= mu * (1.0 / w)
     grad = v @ grad_eig @ la.dag(v)
     return la.herm_part(grad)
 
@@ -340,6 +347,9 @@ def _chi2_eval(taus, weights, x, mu, eig=None) -> tuple:
         return f, point
     chi, (_, _, t2) = _chi2_values(taus, w, v)
     values = chi - mu[:, None] * np.add.reduce(np.log(w), axis=-1)
+    if values.shape[1] == 1:
+        # One block per problem: the dot product is its one term.
+        return weights[:, 0] * (values[:, 0] + 1.0) - 1.0, [x, w, v, t2]
     return _dots(weights, values + 1.0) - 1.0, [x, w, v, t2]
 
 
@@ -370,9 +380,11 @@ def _pt_eig_step(x: np.ndarray, dim_a: int, dim_b: int):
     projection.
     """
     w, v = np.linalg.eigh(la.partial_transpose(la.herm_part(np.asarray(x)), dim_a, dim_b))
+    # The eigenvalues of one block come in ascending order.
+    one = w.ndim == 1 or w.shape[-2] == 1
     if w.ndim < 3:
-        return w, v, la.simplex_shift(w.reshape(-1))
-    return w, v, la.simplex_shift(w.reshape(len(w), -1))[:, None, None]
+        return w, v, la.simplex_shift(w.reshape(-1), one)
+    return w, v, la.simplex_shift(w.reshape(len(w), -1), one)[:, None, None]
 
 
 def project_pt_trace(x: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
@@ -501,13 +513,14 @@ class _Run:
     def passes(self, f_c: float, grad, move) -> bool:
         """The sufficient-decrease test of a candidate at the current step:
         value ``f_c`` against the quadratic model of the ``move`` to it."""
-        model = float(np.real(np.vdot(grad, move))) + np.linalg.norm(move) ** 2 / (2 * self.step)
+        model = float(np.vdot(grad, move).real) + _norm(move) ** 2 / (2 * self.step)
         return f_c <= self.f_y + model + 1e-14
 
 
-def _take(point: list, rows) -> list:
-    """The rows ``rows`` of every array of ``point``."""
-    return [a[rows] for a in point]
+def _take(arrays: list, rows) -> list:
+    """The rows ``rows`` of every array of ``arrays``; all of them, as they
+    are, for ``rows`` None."""
+    return arrays if rows is None else [a[rows] for a in arrays]
 
 
 def _put(point: list, rows, values: list) -> list:
@@ -517,6 +530,16 @@ def _put(point: list, rows, values: list) -> list:
     for a, b in zip(out, values):
         a[rows] = b
     return out
+
+
+def _factors(values: list):
+    """Real factors, one per problem, to scale a ``(P, n, d, d)`` stack by: a
+    float for one problem, a complex column for more.  A real factor enters
+    a complex product as (a + 0i) either way, so each problem's product is
+    the one it gets alone."""
+    if len(values) == 1:
+        return values[0]
+    return np.array(values, dtype=complex)[:, None, None, None]
 
 
 def _min_chi2(taus, weights, x0, dim_a: int, dim_b: int, cfgs) -> _Chi2Runs:
@@ -555,11 +578,14 @@ def _min_chi2(taus, weights, x0, dim_a: int, dim_b: int, cfgs) -> _Chi2Runs:
     gradient, line-search rounds that each project and evaluate the
     candidates of every problem still searching in one stacked call, and
     one batched evaluation of the extrapolated points.  The first round
-    tries each problem's step, each later round the next halvings of each
-    problem that has not passed: ``SEARCH_HALVINGS`` of them for blocks of
-    dimension up to ``SEARCH_HALVINGS_DIM``, one above.  The scalar state
-    of each problem is its own :class:`_Run`, updated as for that problem
-    alone, and a problem leaves the batch once it finishes.  Stacked
+    tries each problem's step, each later round the next
+    ``SEARCH_HALVINGS`` halvings of each problem that has not passed (one
+    for blocks above ``SEARCH_HALVINGS_DIM``), each the step its own
+    search tries next, of which it takes the first to pass.  The scalar
+    state of each problem is its own :class:`_Run`, updated as for
+    that problem alone, and a problem leaves the batch once it finishes.
+    Work on all the problems skips the row selection, and the factors of
+    one problem are plain floats (:func:`_factors`).  Stacked
     eigensolves and products are row-wise, and every norm and inner
     product is taken on the problem's own rows, so its results do not
     depend on the others in its batch.  ``x0`` must be feasible and
@@ -582,15 +608,13 @@ def _min_chi2(taus, weights, x0, dim_a: int, dim_b: int, cfgs) -> _Chi2Runs:
     runs = [_Run(i, cfg, value) for i, (cfg, value) in enumerate(zip(cfgs, f.tolist()))]
     y, grad = x, None
     span = SEARCH_HALVINGS if x0.shape[-1] <= SEARCH_HALVINGS_DIM else 1
-    scales = [0.5**j for j in range(1, span + 1)]
 
     def trial(rows, steps):
-        # Candidates of the problems ``rows`` at the step lengths ``steps``,
-        # stacked.  A real factor enters a complex product as (a + 0i).
-        y0 = y[0][rows]
-        alpha = np.array(steps, dtype=complex)[:, None, None, None]
-        c = project_pt_trace(y0 - alpha * grad[rows], dim_a, dim_b)
-        f, point = _chi2_eval(taus[rows], weights[rows], c, mu[rows])
+        # Candidates of the problems ``rows`` (all for None) at the step
+        # lengths ``steps``, stacked.
+        y0, g, t, wt, m = _take([y[0], grad, taus, weights, mu], rows)
+        c = project_pt_trace(y0 - _factors(steps) * g, dim_a, dim_b)
+        f, point = _chi2_eval(t, wt, c, m)
         return f.tolist(), point, c - y0
 
     while runs:
@@ -600,24 +624,26 @@ def _min_chi2(taus, weights, x0, dim_a: int, dim_b: int, cfgs) -> _Chi2Runs:
         if len(new) == len(runs):
             grad = _chi2_grad_at(weights, y, mu)
         elif new:
-            grad = grad.copy()
             grad[new] = _chi2_grad_at(weights[new], _take(y, new), mu[new])
         for k in new:
-            gnorm = float(np.linalg.norm(grad[k]))
+            gnorm = _norm(grad[k])
             runs[k].cap = 1e3 / gnorm if gnorm > 0 else math.inf
-        caps = [run.cap for run in runs]
-        f_cand, cand, move = trial(slice(None), [min(r.step, c) for r, c in zip(runs, caps)])
+        f_cand, cand, move = trial(None, [min(run.step, run.cap) for run in runs])
         retry = []
-        for k, (run, f_c) in enumerate(zip(runs, f_cand)):
+        for k, run in enumerate(runs):
             run.halvings = 0
-            if not run.passes(f_c, grad[k], move[k]):
+            if not run.passes(f_cand[k], grad[k], move[k]):
                 retry.append(k)
         while retry:
-            # The next halvings of every problem still searching, stacked.
-            steps = [min(runs[k].step * s, caps[k]) for k in retry for s in scales]
+            # The next ``span`` halvings of every problem still searching,
+            # stacked, each the step its own search tries next.
+            rows, steps = [], []
+            for k in retry:
+                run = runs[k]
+                rows += [k] * span
+                steps += [min(run.step * 0.5**j, run.cap) for j in range(1, span + 1)]
             every = span == 1 and len(retry) == len(runs)
-            rows = slice(None) if every else [k for k in retry for _ in scales]
-            f_point, point, move = trial(rows, steps)
+            f_point, point, move = trial(None if every else rows, steps)
             found, picks, still = [], [], []
             for i, k in enumerate(retry):
                 run = runs[k]
@@ -633,7 +659,7 @@ def _min_chi2(taus, weights, x0, dim_a: int, dim_b: int, cfgs) -> _Chi2Runs:
                     still.append(k)
             if every and not still:
                 cand = point
-            else:
+            elif found:
                 for a, b in zip(cand, point):
                     a[found] = b[picks]
             retry = still
@@ -668,10 +694,9 @@ def _min_chi2(taus, weights, x0, dim_a: int, dim_b: int, cfgs) -> _Chi2Runs:
             if not run.stalled:
                 run.stall = 0
         if launch:
-            rows = slice(None) if len(launch) == len(runs) else launch
-            cx = cand[0][rows]
-            beta = np.array(betas, dtype=complex)[:, None, None, None]
-            f_far, far = _chi2_eval(taus[rows], weights[rows], cx + beta * (cx - x[0][rows]), mu[rows])
+            rows = None if len(launch) == len(runs) else launch
+            cx, px, t, wt, m = _take([cand[0], x[0], taus, weights, mu], rows)
+            f_far, far = _chi2_eval(t, wt, cx + _factors(betas) * (cx - px), m)
             for k, f_y in zip(launch, f_far.tolist()):
                 runs[k].f_y = f_y
                 runs[k].restart = not math.isfinite(f_y)
@@ -754,7 +779,8 @@ def _chi2_lower(taus: np.ndarray, eig, dim_a: int, dim_b: int, targets: np.ndarr
     ``CERT_MIX``, the iterate itself first, which share sigma's eigenbasis.
     Mixing tames the gradient at near-singular iterates.  Y is the
     multiplier N of the projection of (x - alpha G)^PT, over alpha, for
-    each alpha in ``CERT_STEPS``; at a minimizer the bound equals f.  Each
+    each alpha in ``CERT_STEPS``, all of them projected in one stacked
+    call; at a minimizer the bound equals f.  Each
     bound is lowered by a margin for the rounding of the eigensolves and
     inner products and clipped at 0.  Returns the highest per problem, and
     takes no further point for a problem once its bound reaches its
@@ -765,17 +791,22 @@ def _chi2_lower(taus: np.ndarray, eig, dim_a: int, dim_b: int, targets: np.ndarr
     ulp = CERT_MARGIN_ULPS * d * EPS
     best = np.zeros(len(w0))
     rows = np.arange(len(w0))
+    alphas = np.array(CERT_STEPS)
     for eps in CERT_MIX:
         w, v = (1.0 - eps) * w0[rows] + eps / d, v0[rows]
         f, eig_data = _chi2_values(taus[rows], w, v)
         g = _chi2_grad(w, v, eig_data, 0.0)
         x = (v * w[:, None, :]) @ la.dag(v)
-        dual = np.full(len(rows), -math.inf)
-        for alpha in CERT_STEPS:
-            wp, vp, theta = _pt_eig_step((x - alpha * g)[:, None], dim_a, dim_b)
-            y = ((vp * (np.clip(theta - wp, 0.0, None) / alpha)[..., None, :]) @ la.dag(vp))[:, 0]
-            lam = np.linalg.eigvalsh(g - la.partial_transpose(y, dim_a, dim_b))[:, 0]
-            dual = np.maximum(dual, lam - ulp * _norms(y))
+        # The multipliers of every alpha at once, stacked alpha-major, each
+        # row projected as its own problem.
+        count = len(rows)
+        points = (x - alphas[:, None, None, None] * g).reshape(-1, 1, d, d)
+        wp, vp, theta = _pt_eig_step(points, dim_a, dim_b)
+        scaled = np.clip(theta - wp, 0.0, None) / np.repeat(alphas, count)[:, None, None]
+        y = ((vp * scaled[..., None, :]) @ la.dag(vp))[:, 0]
+        pt = la.partial_transpose(y, dim_a, dim_b).reshape(-1, count, d, d)
+        lam = np.linalg.eigvalsh(g - pt)[..., 0]
+        dual = np.max(lam - ulp * _norms(y).reshape(-1, count), axis=0)
         roots = np.sqrt(np.maximum(f + 1.0, 0.0)) * np.sum(w**-0.5, axis=1)
         scale = np.abs(f) + 1.0 + _norms(g) + roots
         best[rows] = np.maximum(best[rows], 2.0 * f + 1.0 + dual - ulp * scale)
@@ -785,10 +816,9 @@ def _chi2_lower(taus: np.ndarray, eig, dim_a: int, dim_b: int, targets: np.ndarr
     return best
 
 
-def chisep_batch(states, cfgs=None) -> list[SepApproxResult]:
-    """:func:`chisep` of each state of ``states``, under the matching
-    :class:`SepConfig` of ``cfgs`` (the default settings for every state
-    when ``cfgs`` is None), solved together.
+def chisep_batch(states, cfg: SepConfig = SepConfig()) -> list[SepApproxResult]:
+    """:func:`chisep` of each state of ``states`` under the settings
+    ``cfg``, solved together.
 
     States of one bipartition are solved in chunks of at most
     ``CHISEP_CHUNK``: one :func:`_min_chi2` call runs the maximally mixed
@@ -798,9 +828,6 @@ def chisep_batch(states, cfgs=None) -> list[SepApproxResult]:
     bit-identical to its solo solve, whatever else is in the batch.
     """
     states = list(states)
-    cfgs = [SepConfig()] * len(states) if cfgs is None else list(cfgs)
-    if len(cfgs) != len(states):
-        raise ChannelError(f"{len(cfgs)} solver settings for {len(states)} states")
     groups: dict = {}
     for i, s in enumerate(states):
         _check_desk_scale(s)
@@ -809,13 +836,13 @@ def chisep_batch(states, cfgs=None) -> list[SepApproxResult]:
     for dims, members in groups.items():
         for lo in range(0, len(members), CHISEP_CHUNK):
             chunk = members[lo:lo + CHISEP_CHUNK]
-            solved = _chisep_chunk([states[i] for i in chunk], [cfgs[i] for i in chunk], *dims)
+            solved = _chisep_chunk([states[i] for i in chunk], cfg, *dims)
             for i, res in zip(chunk, solved):
                 results[i] = res
     return results
 
 
-def _chisep_chunk(states, cfgs, dim_a: int, dim_b: int) -> list[SepApproxResult]:
+def _chisep_chunk(states, cfg: SepConfig, dim_a: int, dim_b: int) -> list[SepApproxResult]:
     """:func:`chisep_batch` of states of one bipartition, in one batch."""
     d = dim_a * dim_b
     method = _method_tag(dim_a, dim_b)
@@ -833,14 +860,12 @@ def _chisep_chunk(states, cfgs, dim_a: int, dim_b: int) -> list[SepApproxResult]
     if not todo:
         return results
     taus = taus[todo]
-    cfgs = [cfgs[i] for i in todo]
 
     def solve(starts, rows):
         # One start per problem, projected once; then its certificate.
         runs = _min_chi2(
             taus[rows, None], np.ones((len(rows), 1)),
-            project_pt_trace(starts[:, None], dim_a, dim_b), dim_a, dim_b,
-            [cfgs[i] for i in rows],
+            project_pt_trace(starts[:, None], dim_a, dim_b), dim_a, dim_b, [cfg] * len(rows),
         )
         return runs, (runs.w[:, 0], runs.v[:, 0])
 
@@ -908,7 +933,7 @@ def chisep(s: BipartiteState, cfg: SepConfig = SepConfig()) -> SepApproxResult:
     of the same solver that batches trajectories, and the same result that
     state gets in any batch.
     """
-    return chisep_batch([s], [cfg])[0]
+    return chisep_batch([s], cfg)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -1022,7 +1047,7 @@ def chisep_ccqq_stream(states, cfg: SepConfig = SepConfig()):
 
     def ready(flush: bool):
         while len(queue) >= CHISEP_CHUNK or (flush and queue):
-            solved.extend(chisep_batch(queue[:CHISEP_CHUNK], [cfg] * len(queue[:CHISEP_CHUNK])))
+            solved.extend(chisep_batch(queue[:CHISEP_CHUNK], cfg))
             del queue[:CHISEP_CHUNK]
         while held and len(solved) >= held[0][1]:
             state, count = held.popleft()

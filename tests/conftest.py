@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import chcon.linalg as la
+import chcon.separability
 from chcon.channels import KrausChannel, extremality_gap
 from chcon.sampling import random_channel, rng_from
 
@@ -9,6 +10,21 @@ from chcon.sampling import random_channel, rng_from
 @pytest.fixture
 def rng():
     return rng_from(20240817)
+
+
+@pytest.fixture
+def kernel_sizes(monkeypatch) -> list:
+    """The number of problems of every batched chi-square solver call
+    (``separability._min_chi2``) made during the test, in order."""
+    sizes = []
+    kernel = chcon.separability._min_chi2
+
+    def counted(taus, *args):
+        sizes.append(len(taus))
+        return kernel(taus, *args)
+
+    monkeypatch.setattr(chcon.separability, "_min_chi2", counted)
+    return sizes
 
 
 def seeded(*indices) -> np.random.Generator:

@@ -26,7 +26,7 @@ from chcon.simulate import GateLayer, apply_iid_noise, apply_layer, doubled_layo
 from chcon.separability import (
     BARRIER_STAGES,
     CERT_MIX,
-    CERT_STEPS,
+    SEARCH_HALVINGS,
     _chi2_eval,
     _chi2_grad,
     _chi2_grad_at,
@@ -500,10 +500,29 @@ class TestLazyLoopMatchesEagerReference:
         assert (runs.iterations[0], runs.value[0]) == (iters, value)
         assert calls[0] == carried + 2 * len(BARRIER_STAGES) - 1
         # The certificate reads the iterate's eigendata: its only eigensolves
-        # are the projections that pick its multipliers.
+        # are the projections that pick its multipliers, one stacked call
+        # for all of CERT_STEPS at each mixing point.
         calls[0] = 0
         _chi2_lower(st.matrix[None], (runs.w[:, 0], runs.v[:, 0]), 2, 2, np.array([math.inf]))
-        assert calls[0] == len(CERT_MIX) * len(CERT_STEPS)
+        assert calls[0] == len(CERT_MIX)
+
+    def test_speculative_halvings_take_the_same_path(self, monkeypatch):
+        # 4x4 blocks try SEARCH_HALVINGS halvings per line-search round after
+        # the first: the same iterates as one at a time, in fewer rounds and
+        # eigensolve calls.
+        st = doubled_step(amplitude_damping(0.28))
+        x0 = project_pt_trace(np.eye(4, dtype=complex)[None] / 4, 2, 2)
+        calls = counting_eigh(monkeypatch)
+        runs = {}
+        for span in (SEARCH_HALVINGS, 1):
+            monkeypatch.setattr("chcon.separability.SEARCH_HALVINGS", span)
+            calls[0] = 0
+            runs[span] = (_min_chi2(st.matrix[None, None], [[1.0]], x0[None], 2, 2, [SepConfig()]), calls[0])
+        (fast, fast_calls), (slow, slow_calls) = runs[SEARCH_HALVINGS], runs[1]
+        for got, alone in zip(fast, slow):
+            assert np.array_equal(got, alone)
+        assert fast.iterations[0] == 38
+        assert (fast_calls, slow_calls) == (125, 155)
 
 
 def assert_lower_below_both_starts(dim_a, dim_b, rank, cfg):
@@ -581,10 +600,10 @@ class TestChisep:
 
     def test_entangled_call_skips_minimizer_eigensolves(self, monkeypatch):
         # chisep returns no minimizer (an eigh to project it, an eigvalsh to
-        # validate it) and no smallest iterate eigenvalue (an eigvalsh): three
-        # fewer than the 172 eigensolves that building them takes here, with
-        # the line search trying one halving per round.
-        monkeypatch.setattr("chcon.separability.SEARCH_HALVINGS", 1)
+        # validate it) and no smallest iterate eigenvalue (an eigvalsh).  Its
+        # 131 eigensolves here are the PPT test, the start's projection, the
+        # solver's 125 and the certificate's two mixing points, each one
+        # stacked projection and one stacked eigvalsh.
         st = doubled_step(amplitude_damping(0.28))
         calls = counting_eigh(monkeypatch)
         eigvalsh = np.linalg.eigvalsh
@@ -595,7 +614,7 @@ class TestChisep:
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counted)
         res = chisep(st)
-        assert calls[0] == 172 - 3
+        assert calls[0] == 131
         assert res.minimizer is None
         assert "final_min_eig_sigma" not in res.extras
         assert res.value == pytest.approx(0.2841913922476371, rel=1e-12)
@@ -679,79 +698,84 @@ def solo_fields(res):
 
 
 def mixed_batch():
-    """4x4 problems that leave a batch at different iterations, with the
-    settings each is solved under."""
+    """Named 4x4 problems that leave a batch at different iterations."""
     twirl = random_density(rng_from(7, 2, 2, 0), 4, 1)
-    cut = random_density(rng_from(7, 2, 2, 0), 4, 2)
+    rank2 = random_density(rng_from(7, 2, 2, 0), 4, 2)
     return [
-        ("ppt", product_state(seeded(73)), SepConfig()),
-        ("bell", bell(), SepConfig()),
-        ("ad", doubled_step(amplitude_damping(0.28)), SepConfig()),
-        ("depolarizing", doubled_step(depolarizing(0.3)), SepConfig()),
-        ("dephasing", doubled_step(dephasing(0.1)), SepConfig()),
-        ("cut", BipartiteState.from_matrix(cut, 2, 2), SepConfig(max_iter=60)),
-        ("twirl", BipartiteState.from_matrix(twirl, 2, 2), SepConfig()),
+        ("ppt", product_state(seeded(73))),
+        ("bell", bell()),
+        ("ad", doubled_step(amplitude_damping(0.28))),
+        ("depolarizing", doubled_step(depolarizing(0.3))),
+        ("dephasing", doubled_step(dephasing(0.1))),
+        ("rank2", BipartiteState.from_matrix(rank2, 2, 2)),
+        ("twirl", BipartiteState.from_matrix(twirl, 2, 2)),
     ]
 
 
-def counting_kernel(monkeypatch):
-    """Record the number of problems of every batched solver call."""
-    sizes = []
-    kernel = chcon.separability._min_chi2
-
-    def counted(taus, *args):
-        sizes.append(len(taus))
-        return kernel(taus, *args)
-
-    monkeypatch.setattr(chcon.separability, "_min_chi2", counted)
-    return sizes
-
-
 class TestBatchedChisep:
-    def test_batch_equals_solo_solves(self, monkeypatch):
-        names, states, cfgs = zip(*mixed_batch())
-        solo = {name: chisep(s, cfg) for name, s, cfg in mixed_batch()}
-        sizes = counting_kernel(monkeypatch)
-        batch = dict(zip(names, chisep_batch(states, cfgs)))
+    def test_batch_equals_solo_solves(self, kernel_sizes):
+        names, states = zip(*mixed_batch())
+        solo = {name: chisep(s) for name, s in mixed_batch()}
+        kernel_sizes.clear()
+        batch = dict(zip(names, chisep_batch(states)))
         # One call for the maximally mixed start of the six entangled
-        # inputs, one for the twirl start of the two whose gap stays open.
-        assert sizes == [6, 2]
+        # inputs, one for the twirl start of those whose gap stays open.
+        assert kernel_sizes == [6, 1]
         for name in names:
             assert solo_fields(batch[name]) == solo_fields(solo[name]), name
         assert batch["ppt"].value == 0.0 and "closure" in batch["ppt"].extras["note"]
         assert len(batch["twirl"].extras["start_values"]) == 2
         assert batch["twirl"].extras["gap"] > VERDICT_SLACK
-        # Each start of the cut-short problem runs to its own budget.
-        assert len(batch["cut"].extras["start_values"]) == 2
-        assert batch["cut"].iterations == 120 and not batch["cut"].converged
         # The problems leave the batch at different iterations.
         iterations = [batch[name].iterations for name in names[1:]]
         assert len(set(iterations)) == len(iterations)
 
-    def test_chunks_leave_every_problem_unchanged(self, monkeypatch):
-        names, states, cfgs = zip(*mixed_batch())
-        whole = chisep_batch(states, cfgs)
+    def test_cut_short_batch_equals_solo_solves(self):
+        names, states = zip(*mixed_batch())
+        cfg = SepConfig(max_iter=60)
+        batch = dict(zip(names, chisep_batch(states, cfg)))
+        for name, s in mixed_batch():
+            assert solo_fields(batch[name]) == solo_fields(chisep(s, cfg)), name
+        # Each start of the rank-2 problem runs to its own budget.
+        assert len(batch["rank2"].extras["start_values"]) == 2
+        assert batch["rank2"].iterations == 120 and not batch["rank2"].converged
+
+    def test_kernel_budgets_are_per_problem(self):
+        # One kernel batch whose problems run under different budgets, each
+        # as it runs alone under its own.
+        _, states = zip(*mixed_batch()[1:])
+        taus = np.stack([s.matrix for s in states])[:, None]
+        x0 = project_pt_trace(np.eye(4, dtype=complex)[None, None] / 4, 2, 2)
+        starts = np.broadcast_to(x0, taus.shape)
+        cfgs = [SepConfig(max_iter=m) for m in (10000, 20, 10000, 7, 10000, 25)]
+        ones = np.ones((len(states), 1))
+        batch = _min_chi2(taus, ones, starts, 2, 2, cfgs)
+        for p, cfg in enumerate(cfgs):
+            solo = _min_chi2(taus[p:p + 1], ones[:1], starts[:1], 2, 2, [cfg])
+            for got, alone in zip(batch, solo):
+                assert np.array_equal(got[p], alone[0]), p
+        assert [int(i) for i in batch.iterations[[1, 3, 5]]] == [20, 7, 25]
+        assert not batch.converged[[1, 3, 5]].any()
+
+    def test_chunks_leave_every_problem_unchanged(self, monkeypatch, kernel_sizes):
+        _, states = zip(*mixed_batch())
+        whole = chisep_batch(states)
         monkeypatch.setattr(chcon.separability, "CHISEP_CHUNK", 2)
-        sizes = counting_kernel(monkeypatch)
-        chunked = chisep_batch(states, cfgs)
+        kernel_sizes.clear()
+        chunked = chisep_batch(states)
         # Chunks of two states: the PPT input leaves one problem in the
-        # first, and the twirl starts of the last two chunks run one each.
-        assert sizes == [1, 2, 2, 1, 1, 1]
+        # first, and the twirl start of the last chunk runs alone.
+        assert kernel_sizes == [1, 2, 2, 1, 1]
         assert [solo_fields(r) for r in chunked] == [solo_fields(r) for r in whole]
 
-    def test_mixed_bipartitions_are_solved_per_bipartition(self, monkeypatch):
+    def test_mixed_bipartitions_are_solved_per_bipartition(self, kernel_sizes):
         s23 = BipartiteState.from_matrix(random_density(seeded(87, 2, 3), 6, 2), 2, 3)
         states = [bell(), s23, doubled_step(amplitude_damping(0.28))]
-        sizes = counting_kernel(monkeypatch)
         batch = chisep_batch(states)
         # The two 2x2 states in one call; the 2x3 state alone, then its
         # twirl start.
-        assert sizes == [2, 1, 1]
+        assert kernel_sizes == [2, 1, 1]
         assert [solo_fields(r) for r in batch] == [solo_fields(chisep(s)) for s in states]
-
-    def test_settings_must_match_the_states(self):
-        with pytest.raises(ChannelError, match="settings"):
-            chisep_batch([bell(), bell()], [SepConfig()])
 
     def test_blockdiag_still_matches_the_block_formula(self):
         rng = seeded(88)
@@ -781,6 +805,8 @@ class TestBatchedChisep:
                 assert shift == la.simplex_shift(row)
                 projected = np.clip(row - shift, 0.0, None)
                 assert projected.sum() == pytest.approx(1.0, abs=1e-9)
+            # Rows given in ascending order skip the sort and keep every shift.
+            assert np.array_equal(la.simplex_shift(np.sort(rows), ascending=True), shifts)
 
 
 class TestCcQq:
@@ -972,12 +998,12 @@ class TestContractionStep:
         with pytest.raises(PreconditionError, match="precondition"):
             verify_contraction_step(s, t, 0.9)
 
-    def test_both_sides_solved_in_one_batch(self, monkeypatch):
+    def test_both_sides_solved_in_one_batch(self, kernel_sizes):
         blocks = [((0,), (0,), 0.6, bell().matrix), ((1,), (1,), 0.4, werner(0.8).matrix)]
         s = CcQqState.from_blocks(2, 2, blocks)
         t = local_product_channel(depolarizing(0.3), depolarizing(0.3))
         expected = (chisep_ccqq(s).value, chisep_ccqq(apply_separable_to_ccqq(s, t)).value)
-        sizes = counting_kernel(monkeypatch)
+        kernel_sizes.clear()
         rep = verify_contraction_step(s, t, 1 / 16)
-        assert sizes == [4]
+        assert kernel_sizes == [4]
         assert (rep.chi_in, rep.chi_out) == expected

@@ -608,19 +608,6 @@ def chisep_circuit_run(quantum_layers: int):
     return run_noisy_circuit(circ, state, record_chisep=True)
 
 
-def counting_kernel(monkeypatch):
-    """Record the number of problems of every batched chi-square solve."""
-    sizes = []
-    kernel = chcon.separability._min_chi2
-
-    def counted(taus, *args):
-        sizes.append(len(taus))
-        return kernel(taus, *args)
-
-    monkeypatch.setattr(chcon.separability, "_min_chi2", counted)
-    return sizes
-
-
 class TestTrajectoryBatches:
     """Trajectory chi-square distances are solved after the evolution, all
     steps together in chunks; a step's value does not depend on the run."""
@@ -643,9 +630,9 @@ class TestTrajectoryBatches:
         assert len(short_lines) == 4
         assert trajectory_to_json_lines(long)[:4] == short_lines
 
-    def test_one_kernel_call_per_chunk(self, monkeypatch):
+    def test_one_kernel_call_per_chunk(self, monkeypatch, kernel_sizes):
         # Amplitude damping keeps every step entangled: six problems.
-        sizes = counting_kernel(monkeypatch)
+        sizes = kernel_sizes
         doubled_memory_experiment(1, amplitude_damping(0.1), 5, bell(), p_value=0.05)
         assert sizes == [6]
         monkeypatch.setattr(chcon.separability, "CHISEP_CHUNK", 4)
@@ -653,8 +640,8 @@ class TestTrajectoryBatches:
         doubled_memory_experiment(1, amplitude_damping(0.1), 5, bell(), p_value=0.05)
         assert sizes == [4, 2]
 
-    def test_circuit_blocks_of_all_steps_share_chunks(self, monkeypatch):
-        sizes = counting_kernel(monkeypatch)
+    def test_circuit_blocks_of_all_steps_share_chunks(self, monkeypatch, kernel_sizes):
+        sizes = kernel_sizes
         rep = chisep_circuit_run(5)
         blocks = sum(s.block_count for s in rep.steps)
         # Every block of every step is entangled here: one call for them all.
