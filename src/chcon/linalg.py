@@ -94,16 +94,11 @@ def simplex_shift(y: np.ndarray, ascending: bool = False):
     return theta if y.ndim > 1 else theta[0]
 
 
-def simplex_project(y: np.ndarray, ascending: bool = False) -> np.ndarray:
-    """Euclidean projection of a real vector onto the probability simplex;
-    ``ascending`` as for :func:`simplex_shift`."""
-    return np.clip(y - simplex_shift(y, ascending), 0.0, None)
-
-
 def density_project(a: np.ndarray) -> np.ndarray:
-    """Frobenius projection onto {rho >= 0, Tr rho = 1}."""
+    """Frobenius projection onto {rho >= 0, Tr rho = 1}: the eigenvalues
+    projected onto the probability simplex."""
     w, v = np.linalg.eigh(herm_part(a))
-    w = simplex_project(w, ascending=True)
+    w = np.clip(w - simplex_shift(w, ascending=True), 0.0, None)
     return (v * w) @ dag(v)
 
 
