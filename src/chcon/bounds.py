@@ -11,10 +11,17 @@ That maximization writes a qubit input with Bloch vector x as
 I/2 + sum_i x_i sigma_i/2, so its images under T and under the complement
 T^c are affine in x with fixed coefficient stacks A_i and E_i.  All
 restarts climb together in one projected-gradient ascent over the Bloch
-ball: one batched eigensolve per side gives I_c = S(A) - S(E) and its
-gradient -Tr(A_i log2 A) + Tr(E_i log2 E).  Armijo backtracking keeps every
-step from lowering the value, and every value is I_c at a valid input, so
-the maximum found is a certified lower bound on Q (Devetak 2005).
+ball on I_c = S(A) - S(E) and its gradient
+-Tr(A_i log2 A) + Tr(E_i log2 E).  A 2x2 image tau I + b . sigma (the
+output side always, the environment side at Choi rank 2) takes these from
+its eigenvalues tau -/+ |b| in closed form; a larger one takes one batched
+eigensolve.  Each point is evaluated once: the value and gradient of an
+accepted step are carried into the next one.  The Armijo backtracking tries
+a ladder of halvings, round r the next 2^r of them in one stacked
+evaluation, and takes the largest step that passes, which is the step a
+one-at-a-time search would take.  So no step lowers the value, and every
+value is I_c at a valid input: the maximum found is a certified lower
+bound on Q (Devetak 2005).
 """
 
 from __future__ import annotations
@@ -108,33 +115,61 @@ def memory_time_bound(n: int, p_report: PConstantReport | float) -> MemoryTimeBo
 
 def _bloch_images(ch: KrausChannel) -> tuple[np.ndarray, np.ndarray]:
     """Images of I/2 and sigma_i/2 under a qubit channel T and under its
-    complement T^c, as (4, 2, 2) and (4, r, r) stacks (r the Choi rank).
+    complement T^c, one side each.
 
     The input with Bloch vector x maps to a[0] + sum_i x_i a[i] and to
     e[0] + sum_i x_i e[i]; T^c(X)_jk = Tr(K_j X K_k^dag) for the minimal
-    Kraus list.
+    Kraus list, so e is (4, r, r) with r the Choi rank.  A side of 2x2
+    images comes as its (4, 4) real Pauli coordinates: row i holds
+    (tau_i, b_i) with image i = tau_i I + b_i . sigma.  Any other side
+    stays a (4, r, r) stack.
     """
     k = np.array(canonical_kraus(ch).kraus)
-    basis = 0.5 * np.array(la.PAULIS)
-    a = np.einsum("kij,ajl,kml->aim", k, basis, k.conj())
-    e = np.einsum("jmn,anl,kml->ajk", k, basis, k.conj())
-    return a, e
+    paulis = np.array(la.PAULIS)
+    a = np.einsum("kij,ajl,kml->aim", k, 0.5 * paulis, k.conj())
+    e = np.einsum("jmn,anl,kml->ajk", k, 0.5 * paulis, k.conj())
+    return tuple(
+        0.5 * np.einsum("aij,bji->ab", s, paulis).real if s.shape[-1] == 2 else s
+        for s in (a, e)
+    )
 
 
-def _entropy_value_grad(images: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """S(images[0] + sum_i x_i images[i]) in bits for each row of ``x``, and
-    its gradient -Tr(images[i] log2 rho), from one batched eigensolve.
+def _floored_entropy(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """S in bits from the eigenvalues ``w`` (n, d), dropping those at or below
+    ``ENTROPY_EIG_FLOOR``, and log2 w floored there."""
+    log_w = np.log2(np.maximum(w, ENTROPY_EIG_FLOOR))
+    return -np.einsum("rs,rs->r", np.where(w > ENTROPY_EIG_FLOOR, w, 0.0), log_w), log_w
 
-    The value drops eigenvalues at or below ``ENTROPY_EIG_FLOOR``; the
-    logarithm is floored there.  The gradient
-    omits -Tr(images[i]) / ln 2, which is zero for a trace-preserving map.
+
+_SIGNS = np.array([-1.0, 1.0])
+
+
+def _entropy_value_grad(side: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """S(rho) in bits of rho = side[0] + sum_i x_i side[i] for each row of
+    ``x``, and its gradient -Tr(side[i] log2 rho).
+
+    A qubit side (Pauli coordinates, see ``_bloch_images``) takes the
+    closed form: rho = tau I + b . sigma has eigenvalues tau -/+ |b| with
+    eigenprojectors (I -/+ b . sigma / |b|) / 2, so the gradient is
+    -tau_i (log2 w_+ + log2 w_-) - (b_i . b) (log2 w_+ - log2 w_-) / |b|,
+    whose second term is 0 at b = 0.  Any other side takes one batched
+    eigensolve.  The gradient omits -Tr(side[i]) / ln 2, which is zero for a
+    trace-preserving map.  Every row is computed as for that point alone (no
+    matrix product spans rows), so a stacked evaluation gives the bits of
+    separate ones.
     """
-    w, v = np.linalg.eigh(images[0] + np.einsum("ri,ijk->rjk", x, images[1:]))
-    keep = w > ENTROPY_EIG_FLOOR
-    log_w = np.log2(np.where(keep, w, ENTROPY_EIG_FLOOR))
-    value = -np.sum(np.where(keep, w * log_w, 0.0), axis=-1)
+    if side.ndim == 2:
+        c = side[0] + np.einsum("ri,ij->rj", x, side[1:])
+        b = c[:, 1:]
+        length = np.sqrt(np.einsum("rj,rj->r", b, b))
+        value, log_w = _floored_entropy(c[:, :1] + np.multiply.outer(length, _SIGNS))
+        spread = (log_w[:, 1] - log_w[:, 0]) / np.where(length > 0.0, length, 1.0)
+        return value, -(np.multiply.outer(log_w[:, 0] + log_w[:, 1], side[1:, 0])
+                        + np.einsum("rj,ij,r->ri", b, side[1:, 1:], spread))
+    w, v = np.linalg.eigh(side[0] + np.einsum("ri,ijk->rjk", x, side[1:]))
+    value, log_w = _floored_entropy(w)
     log_rho = (v * log_w[:, None, :]) @ la.dag(v)
-    return value, -np.einsum("ijk,rkj->ri", images[1:], log_rho).real
+    return value, -np.sum((side[1:] * log_rho[:, None].swapaxes(-1, -2)).real, axis=(-2, -1))
 
 
 def _coherent_info_value_grad(a, e, x):
@@ -147,6 +182,8 @@ def _coherent_info_value_grad(a, e, x):
 _BLOCH_RADIUS = 1.0 - 1e-12
 _ARMIJO = 1e-4
 _HALVINGS = 60
+# The factors 2^-k of the step sizes a line search tries, k < _HALVINGS.
+_LADDER = 0.5 ** np.arange(_HALVINGS)
 
 
 def _into_ball(x: np.ndarray) -> np.ndarray:
@@ -155,27 +192,39 @@ def _into_ball(x: np.ndarray) -> np.ndarray:
     return x * (_BLOCH_RADIUS / np.maximum(nrm, _BLOCH_RADIUS))
 
 
-def _coherent_info_step(a, e, x, t):
-    """One projected-gradient step of I_c per restart, with step sizes ``t``.
+def _coherent_info_step(a, e, x, t, value, grad):
+    """One projected-gradient step of I_c per restart, from its point ``x``,
+    step size ``t``, and the value and gradient carried at ``x``.
 
-    Each restart halves its step until the Armijo test passes, so its value
-    never falls, and keeps its point when no step passes.  An accepted step
-    size is doubled for the next step.
+    Each restart takes the largest of the steps t, t/2, ..., t/2^59 that
+    passes the Armijo test, so its value never falls, and keeps its point
+    when none passes.  Round r tries the next 2^r of these steps of every
+    restart still searching in one stacked evaluation, whose value and
+    gradient at the accepted point are carried to the next step.  An
+    accepted step size is doubled for the next step.
     """
-    value, grad = _coherent_info_value_grad(a, e, x)
-    x_next, t_next = x.copy(), t.copy()
+    x_next, t_next, value_next, grad_next = x.copy(), t.copy(), value.copy(), grad.copy()
     todo = np.arange(len(x))
-    for _ in range(_HALVINGS):
-        cand = _into_ball(x[todo] + t_next[todo] * grad[todo])
-        cand_value, _ = _coherent_info_value_grad(a, e, cand)
-        ok = cand_value >= value[todo] + _ARMIJO * np.sum(grad[todo] * (cand - x[todo]), axis=-1)
-        x_next[todo[ok]] = cand[ok]
-        t_next[todo[ok]] *= 2.0
-        t_next[todo[~ok]] *= 0.5
-        todo = todo[~ok]
-        if todo.size == 0:
-            break
-    return value, (x, t), (x_next, t_next)
+    tried, span = 0, 1
+    while todo.size and tried < _HALVINGS:
+        span = min(span, _HALVINGS - tried)
+        steps = t[todo] * _LADDER[tried:tried + span]
+        here, slope = x[todo, None], grad[todo, None]
+        cand = _into_ball(here + steps[..., None] * slope)
+        cand_value, cand_grad = _coherent_info_value_grad(a, e, cand.reshape(-1, 3))
+        cand_value = cand_value.reshape(steps.shape)
+        ok = cand_value >= value[todo] + _ARMIJO * np.sum(slope * (cand - here), axis=-1)
+        hit = ok.any(axis=1)
+        rows, k = np.flatnonzero(hit), ok[hit].argmax(axis=1)
+        done = todo[rows]
+        x_next[done] = cand[rows, k]
+        t_next[done, 0] = 2.0 * steps[rows, k]
+        value_next[done, 0] = cand_value[rows, k]
+        grad_next[done] = cand_grad.reshape(*steps.shape, 3)[rows, k]
+        todo = todo[~hit]
+        tried, span = tried + span, 2 * span
+    t_next[todo] = t[todo] * 0.5**_HALVINGS
+    return value[:, 0], (x, t, value, grad), (x_next, t_next, value_next, grad_next)
 
 
 def coherent_info_lower(ch: KrausChannel, restarts: int = 16, seed: int = 0) -> float:
@@ -191,13 +240,14 @@ def coherent_info_lower(ch: KrausChannel, restarts: int = 16, seed: int = 0) -> 
     if not ch.is_qubit():
         raise ChannelError("the coherent-information search is implemented for qubit channels")
     a, e = _bloch_images(ch)
-    starts = np.array(
+    starts = _into_ball(np.array(
         [np.zeros(3) if i == 0 else rng_from(seed, i).uniform(-0.7, 0.7, size=3)
          for i in range(restarts)]
-    )
+    ).reshape(restarts, 3))
+    value, grad = _coherent_info_value_grad(a, e, starts)
     values, _, _ = _batched_ascent(
         partial(_coherent_info_step, a, e),
-        (_into_ball(starts), np.ones((restarts, 1))), 400, 0.0,
+        (starts, np.ones((restarts, 1)), value[:, None], grad), 400, 0.0,
     )
     return float(np.max(values, initial=0.0))
 

@@ -332,35 +332,36 @@ def _chi2_eval(taus, weights, x, mu, eig=None) -> tuple:
     enforced by exact projection without a second wall.
 
     Takes one batched eigendecomposition ``eig = (w, v)`` of x, or reuses
-    the one given.  Returns f ``(P,)`` and the point ``[x, w, v, t2]``, with
-    the eigenbasis data ``t2`` from which :func:`_chi2_grad_at` reads the
-    gradient (zero for a problem outside the cone).  Every row is computed
+    the one given.  Returns f ``(P,)`` and the point
+    ``[x, w, v, roots, h, t2]``, with the eigenbasis data ``(roots, h, t2)``
+    of :func:`_chi2_values` from which :func:`_chi2_grad_at` reads the
+    gradient (zeros for a problem outside the cone).  Every row is computed
     as for that problem alone.
     """
     w, v = np.linalg.eigh(x) if eig is None else eig
     if not w[:, :, 0].min() > 0.0:
-        f, point = np.full(len(x), math.inf), [x, w, v, np.zeros_like(v)]
+        f = np.full(len(x), math.inf)
+        point = [x, w, v, np.zeros_like(w), np.zeros_like(w), np.zeros_like(v)]
         rows = np.flatnonzero(w[:, :, 0].min(axis=1) > 0.0)
         if len(rows):
             f[rows], part = _chi2_eval(taus[rows], weights[rows], x[rows], mu[rows], (w[rows], v[rows]))
-            point[3][rows] = part[3]
+            for data, rows_data in zip(point[3:], part[3:]):
+                data[rows] = rows_data
         return f, point
-    chi, (_, _, t2) = _chi2_values(taus, w, v)
+    chi, eig_data = _chi2_values(taus, w, v)
     values = chi - mu[:, None] * np.add.reduce(np.log(w), axis=-1)
     if values.shape[1] == 1:
         # One block per problem: the dot product is its one term.
-        return weights[:, 0] * (values[:, 0] + 1.0) - 1.0, [x, w, v, t2]
-    return _dots(weights, values + 1.0) - 1.0, [x, w, v, t2]
+        return weights[:, 0] * (values[:, 0] + 1.0) - 1.0, [x, w, v, *eig_data]
+    return _dots(weights, values + 1.0) - 1.0, [x, w, v, *eig_data]
 
 
 def _chi2_grad_at(weights, point, mu) -> np.ndarray:
     """Weighted gradients ``(P, n, d, d)`` of the barrier objective of
     :func:`_chi2_eval` at a batch of points inside the cone, read from
     their eigendata."""
-    _, w, v, t2 = point
-    roots = np.sqrt(w)
-    grad = _chi2_grad(w, v, (roots, 1.0 / roots, t2), mu[:, None, None])
-    return weights[:, :, None, None] * grad
+    _, w, v, *eig_data = point
+    return weights[:, :, None, None] * _chi2_grad(w, v, eig_data, mu[:, None, None])
 
 
 # ---------------------------------------------------------------------------
@@ -730,7 +731,7 @@ def _min_chi2(taus, weights, x0, dim_a: int, dim_b: int, cfgs) -> _Chi2Runs:
             run = runs[k]
             run.spent += run.iters
             # The stage's value without barrier, from the iterate's eigensolve.
-            _, w, v, _ = (a[k] for a in x)
+            w, v = x[1][k], x[2][k]
             chi = _chi2_values(taus[k], w, v)[0]
             score = float(weights[k] @ (chi + 1.0)) - 1.0
             if score < run.best:
@@ -984,9 +985,12 @@ def dsep(s: BipartiteState) -> SepApproxResult:
 
 def _ccqq_blocks(s: CcQqState) -> list[BipartiteState]:
     """The blocks whose chisep the block formula reads: those of
-    probability above 1e-15 (the others contribute nothing)."""
+    probability above 1e-15 (the others contribute nothing), as views into
+    the checked stack of :meth:`CcQqState.rho_stack`."""
+    d = s.dim_a * s.dim_b
     return [
-        BipartiteState.from_matrix(b.rho, s.dim_a, s.dim_b) for b in s.blocks if b.prob > 1e-15
+        BipartiteState(s.dim_a, s.dim_b, DensityState(dim=d, matrix=rho))
+        for b, rho in zip(s.blocks, s.rho_stack()) if b.prob > 1e-15
     ]
 
 

@@ -1,16 +1,24 @@
 """Memory-time thresholds, capacity brackets, overhead bounds, stability."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 
+import chcon.bounds as bounds
 import chcon.linalg as la
 from chcon.bounds import (
+    _ARMIJO,
+    _BLOCH_RADIUS,
+    _HALVINGS,
     ENTROPY_EIG_FLOOR,
     CapacityBracket,
     _bloch_images,
+    _coherent_info_step,
     _coherent_info_value_grad,
+    _entropy_value_grad,
+    _into_ball,
     MemoryTimeBound,
     capacity_bracket,
     coherent_info_lower,
@@ -28,6 +36,7 @@ from chcon.channels import (
     depolarizing,
     identity_channel,
 )
+from chcon.contraction import _batched_ascent
 from chcon.decompose import p_constant
 from chcon.sampling import random_channel, random_near_identity_qubit_channel, rng_from
 
@@ -159,6 +168,47 @@ def interior_points(rng, n):
     return x / np.linalg.norm(x, axis=1, keepdims=True) * rng.uniform(0.0, 0.95, (n, 1))
 
 
+def one_halving_step(a, e, x, t):
+    """The search step that the halving ladder replaced: it evaluates its
+    point again and tries one halving per round, each its own call."""
+    value, grad = bounds._coherent_info_value_grad(a, e, x)
+    x_next, t_next = x.copy(), t.copy()
+    todo = np.arange(len(x))
+    for _ in range(_HALVINGS):
+        cand = _into_ball(x[todo] + t_next[todo] * grad[todo])
+        cand_value, _ = bounds._coherent_info_value_grad(a, e, cand)
+        ok = cand_value >= value[todo] + _ARMIJO * np.sum(grad[todo] * (cand - x[todo]), axis=-1)
+        x_next[todo[ok]] = cand[ok]
+        t_next[todo[ok]] *= 2.0
+        t_next[todo[~ok]] *= 0.5
+        todo = todo[~ok]
+        if todo.size == 0:
+            break
+    return value, (x, t), (x_next, t_next)
+
+
+def qubit_stack(coords: np.ndarray) -> np.ndarray:
+    """The 2x2 images tau I + b . sigma of Pauli coordinates (tau, b)."""
+    return np.einsum("ab,bij->aij", coords.astype(complex), np.array(la.PAULIS))
+
+
+def eigh_entropy_value_grad(images: np.ndarray, x: np.ndarray):
+    """Eigensolver reference for the entropy and its gradient -Tr(images[i] log2 rho)."""
+    w, v = np.linalg.eigh(images[0] + np.einsum("ri,ijk->rjk", x, images[1:]))
+    keep = w > ENTROPY_EIG_FLOOR
+    log_w = np.log2(np.where(keep, w, ENTROPY_EIG_FLOOR))
+    log_rho = (v * log_w[:, None, :]) @ la.dag(v)
+    value = -np.sum(np.where(keep, w * log_w, 0.0), axis=-1)
+    return value, -np.einsum("ijk,rkj->ri", images[1:], log_rho).real, w
+
+
+def on_sphere(polar, azimuth):
+    polar, azimuth = np.asarray(polar, dtype=float), np.asarray(azimuth, dtype=float)
+    return _BLOCH_RADIUS * np.stack(
+        [np.sin(polar) * np.cos(azimuth), np.sin(polar) * np.sin(azimuth), np.cos(polar)], axis=1
+    )
+
+
 class TestCoherentInfoKernel:
     @pytest.mark.parametrize("index", range(27))
     def test_never_below_nelder_mead(self, index):
@@ -185,6 +235,68 @@ class TestCoherentInfoKernel:
                 up, _ = _coherent_info_value_grad(a, e, x + step)
                 down, _ = _coherent_info_value_grad(a, e, x - step)
                 assert grad[:, i] == pytest.approx((up - down) / (2 * h), abs=1e-6)
+
+    @pytest.mark.parametrize("index", range(27))
+    def test_ladder_takes_the_one_halving_path(self, index, monkeypatch):
+        calls = []
+        value_grad = _coherent_info_value_grad
+
+        def counted(a, e, x):
+            calls.append(len(x))
+            return value_grad(a, e, x)
+
+        monkeypatch.setattr("chcon.bounds._coherent_info_value_grad", counted)
+        a, e = _bloch_images(kernel_channels()[index])
+        starts = np.vstack([np.zeros((1, 3)), interior_points(seeded(98, index), 5)])
+        ones = np.ones((len(starts), 1))
+        old_values, (old_x, old_t), old_steps = _batched_ascent(
+            partial(one_halving_step, a, e), (starts, ones), 400, 0.0
+        )
+        old_calls = len(calls)
+        value, grad = counted(a, e, starts)
+        values, (x, t, carried, _), steps = _batched_ascent(
+            partial(_coherent_info_step, a, e), (starts, ones, value[:, None], grad), 400, 0.0
+        )
+        assert np.array_equal(values, old_values)
+        assert np.array_equal(carried[:, 0], values)
+        assert np.array_equal(x, old_x) and np.array_equal(t, old_t)
+        assert np.array_equal(steps, old_steps)
+        assert len(calls) - old_calls < old_calls
+
+    def test_closed_form_entropy_matches_eigensolver(self):
+        chans = kernel_channels() + [amplitude_damping(0.3)]
+        cases = []
+        for index, ch in enumerate(chans):
+            x = interior_points(seeded(99, index), 6)
+            cases += [(side, x) for side in _bloch_images(ch) if side.ndim == 2]
+        # Sphere points whose smaller eigenvalue lies below the floor: near |0>
+        # the output of AD(0.99), the environment of AD(0.01) (rank 2), and
+        # every output of the reset channel AD(1).
+        near_zero = on_sphere([0.0, 1e-9, 1e-8], [0.0, 1.0, 2.0])
+        cases += [
+            (_bloch_images(amplitude_damping(0.99))[0], near_zero),
+            (_bloch_images(amplitude_damping(0.01))[1], near_zero),
+            (_bloch_images(amplitude_damping(1.0))[0], on_sphere([0.3, 1.7, 2.9], [0.5, 4.0, 6.0])),
+        ]
+        floored = len(cases) - 3
+        # The maximally mixed input, where the output has b = 0 (exactly so
+        # for dephasing).
+        cases += [(_bloch_images(ch)[0], np.zeros((1, 3))) for ch in (depolarizing(0.2), dephasing(0.3))]
+        assert np.all(_bloch_images(dephasing(0.3))[0][0, 1:] == 0.0)
+        for i, (side, x) in enumerate(cases):
+            value, grad = _entropy_value_grad(side, x)
+            ref_value, ref_grad, w = eigh_entropy_value_grad(qubit_stack(side), x)
+            assert np.isfinite(grad).all()
+            assert np.abs(value - ref_value).max() < 1e-13
+            assert np.abs(grad - ref_grad).max() < 1e-13
+            if floored <= i < floored + 3:
+                assert np.all(w[:, 0] <= ENTROPY_EIG_FLOOR)
+
+    def test_qubit_sides_take_the_closed_form(self):
+        a, e = _bloch_images(amplitude_damping(0.3))
+        assert a.shape == e.shape == (4, 4) and a.dtype == e.dtype == float
+        a, e = _bloch_images(depolarizing(0.2))
+        assert a.shape == (4, 4) and e.shape == (4, 4, 4)
 
     def test_repeat_calls_are_identical(self):
         ch = kernel_channels()[19]

@@ -11,6 +11,7 @@ import sys
 import numpy as np
 import pytest
 
+import chcon.channels as channels
 import chcon.separability as separability
 import chcon.simulate as simulate
 from chcon.channels import (
@@ -244,6 +245,23 @@ class TestOneCertificatePerComputedStack:
         bad = CcQqState(dim_a=2, dim_b=1, blocks=(CcQqBlock(x=(0,), y=(), prob=1.0, rho=2 * rho),))
         with pytest.raises(ChannelError, match="trace differs"):
             bad.rho_stack()
+
+    def test_ccqq_blocks_read_the_certified_stack(self, monkeypatch):
+        state = random_state(np.random.default_rng(5), 2, 3)
+        counter = CountingCheck(separability.check_density_stack)
+        monkeypatch.setattr(separability, "check_density_stack", counter)
+        monkeypatch.setattr(channels, "check_density_stack", counter)
+        blocks = separability._ccqq_blocks(state)
+        assert counter.calls == 0
+        assert all(b.matrix.tobytes() == blk.rho.tobytes() for b, blk in zip(blocks, state.blocks))
+        # A directly built state is checked once, as one stack.
+        rho = np.diag([1.0, 0.0]).astype(complex)
+        direct = CcQqState(dim_a=2, dim_b=1, blocks=(
+            CcQqBlock(x=(0,), y=(), prob=0.5, rho=rho), CcQqBlock(x=(1,), y=(), prob=0.5, rho=rho)))
+        assert len(separability._ccqq_blocks(direct)) == 2 and counter.calls == 1
+        bad = CcQqState(dim_a=2, dim_b=1, blocks=(CcQqBlock(x=(0,), y=(), prob=1.0, rho=2 * rho),))
+        with pytest.raises(ChannelError, match="trace differs"):
+            separability._ccqq_blocks(bad)
 
     def test_relabelling_keeps_the_stack_bit_for_bit(self):
         rng = np.random.default_rng(6)
