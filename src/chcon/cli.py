@@ -307,7 +307,6 @@ def cmd_simulate(args) -> int:
                 "factor": rep.extras["factor"],
                 "endgame_step": rep.endgame_step,
                 "endgame_dsep": rep.endgame_dsep,
-                "endgame_dsep_converged": rep.endgame_dsep_converged,
                 "width": rep.width,
                 "length": rep.length,
             }

@@ -3,9 +3,9 @@ the classical-quantum block formula for the chi-square distance.
 
 The separable set is represented by the positive-partial-transpose (PPT)
 spectrahedron, which is exact for 2x2 and 2x3 bipartitions and a relaxation
-above; results carry a method tag making the distinction explicit.  Over
-the PPT set, dsep runs a split ADMM whose steps are closed-form density
-projections, and the chi-square solvers share one path: one stacked
+above; results carry a method tag making the distinction explicit.  The
+1-norm distance is read off the chi-square minimizer (:func:`dsep_upper`),
+and the chi-square solvers share one path: one stacked
 chi-square kernel whose gradient is evaluated only where it is read, one
 closed-form projection (:func:`project_pt_trace`, a matrix, a stack of
 blocks with a joint trace, or a batch of such stacks) and one barrier
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from numbers import Real
 from typing import NamedTuple
@@ -42,9 +42,9 @@ from .config import DIM_CAP, PSD_TOL, TP_TOL, VERDICT_SLACK
 from .contraction import eta_tr_upper_minoutev
 
 PPT_EXACT_DIMS = {(2, 2), (2, 3), (3, 2)}
-# Proximal step of the split ADMM (the soft threshold of dsep's 1-norm).
+# Proximal step of the split ADMM of project_ppt_density.
 ADMM_STEP = 0.25
-# Iteration cap of the split ADMM.
+# Iteration cap of that ADMM.
 ADMM_ITERS = 3000
 # Barrier weights laddered down by the chi-square solvers, one stage each.
 BARRIER_STAGES = (1e-4, 1e-6, 1e-8, 1e-10, 1e-12)
@@ -59,8 +59,10 @@ CERT_STEPS = (1.0, 0.1, 0.01)
 # Weights eps of I/d in the points (1 - eps) sigma + eps I/d at which that
 # lower bound is taken, the iterate sigma itself first.
 CERT_MIX = (0.0, 1e-4)
-# Rounding margin of that lower bound, in units of d * eps times its scale.
+# Rounding margin of that bound (times its scale) and of dsep_upper, in d * eps.
 CERT_MARGIN_ULPS = 64.0
+# Weights of I/d that dsep_upper tries in turn: 0, then 2^-52 up to 1.
+_DSEP_MIX = (0.0,) + tuple(2.0**-k for k in range(52, -1, -1))
 # Problems per call of the batched chi-square solver; its memory grows with
 # the chunk, not with the number of problems.
 CHISEP_CHUNK = 64
@@ -250,11 +252,6 @@ def ppt_min_eigenvalue(s: BipartiteState) -> float:
     return la.min_eig(la.partial_transpose(s.matrix, s.dim_a, s.dim_b))
 
 
-def _check_desk_scale(s: BipartiteState):
-    if s.dim_a * s.dim_b > DIM_CAP:
-        raise ChannelError(f"separability machinery capped at total dimension {DIM_CAP}")
-
-
 def _method_tag(dim_a: int, dim_b: int) -> str:
     return "ppt_exact_2x2" if (dim_a, dim_b) in PPT_EXACT_DIMS else "ppt_lower_bound"
 
@@ -404,21 +401,22 @@ def project_pt_trace(x: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
     return la.partial_transpose((v * w[..., None, :]) @ la.dag(v), dim_a, dim_b)
 
 
-def _ppt_split(x_step, dim_a: int, dim_b: int) -> tuple[np.ndarray, int, bool]:
-    """ADMM over the density matrices z with z^PT >= 0, using a copy x = z
-    for the objective, whose proximal map with step ``ADMM_STEP`` is
-    ``x_step``, and a density copy y = z^PT.  The z-step is one density
-    projection of the average of x + u1 and (y + u2)^PT, because the partial
-    transpose is a Frobenius isometry.  Stops when x - z, y - z^PT and the
-    step in z are below 1e-10, or after ``ADMM_ITERS`` iterations.  Returns
-    (z, iterations, converged).
+def project_ppt_density(x: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
+    """Frobenius projection onto {rho >= 0, Tr rho = 1} intersect {rho^PT >= 0}.
+
+    Split ADMM: a copy x = z takes the proximal map of ||x - rho||^2 / 2, a
+    copy y = z^PT the density projection, and z the density projection of
+    the average of x + u1 and (y + u2)^PT (the partial transpose is a
+    Frobenius isometry).  Stops when x - z, y - z^PT and the step in z are
+    below 1e-10; raises ``ChannelError`` after ``ADMM_ITERS`` iterations.
     """
+    x0 = la.herm_part(np.asarray(x, dtype=complex))
     d = dim_a * dim_b
     z = np.eye(d, dtype=complex) / d
     u1 = np.zeros_like(z)
     u2 = np.zeros_like(z)
-    for it in range(1, ADMM_ITERS + 1):
-        x = x_step(z - u1)
+    for _ in range(ADMM_ITERS):
+        x = (z - u1 + ADMM_STEP * x0) / (1.0 + ADMM_STEP)
         y = la.density_project(la.partial_transpose(z, dim_a, dim_b) - u2)
         z_new = la.density_project(0.5 * (x + u1 + la.partial_transpose(y + u2, dim_a, dim_b)))
         zt_new = la.partial_transpose(z_new, dim_a, dim_b)
@@ -427,23 +425,8 @@ def _ppt_split(x_step, dim_a: int, dim_b: int) -> tuple[np.ndarray, int, bool]:
         done = max(map(np.linalg.norm, (x - z_new, y - zt_new, z_new - z))) < 1e-10
         z = z_new
         if done:
-            return z, it, True
-    return z, ADMM_ITERS, False
-
-
-def project_ppt_density(x: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
-    """Frobenius projection onto {rho >= 0, Tr rho = 1} intersect {rho^PT >= 0}.
-
-    The split ADMM of :func:`_ppt_split` with the proximal map of
-    ||x - rho||^2 / 2.  Raises ``ChannelError`` if it stops at ``ADMM_ITERS``.
-    """
-    x0 = la.herm_part(np.asarray(x, dtype=complex))
-    z, it, converged = _ppt_split(
-        lambda v: (v + ADMM_STEP * x0) / (1.0 + ADMM_STEP), dim_a, dim_b
-    )
-    if not converged:
-        raise ChannelError(f"PPT density projection did not converge in {it} iterations")
-    return z
+            return z
+    raise ChannelError(f"PPT density projection did not converge in {ADMM_ITERS} iterations")
 
 
 def separable_twirl(tau: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
@@ -831,7 +814,8 @@ def chisep_batch(states, cfg: SepConfig = SepConfig()) -> list[SepApproxResult]:
     states = list(states)
     groups: dict = {}
     for i, s in enumerate(states):
-        _check_desk_scale(s)
+        if s.dim_a * s.dim_b > DIM_CAP:
+            raise ChannelError(f"separability machinery capped at total dimension {DIM_CAP}")
         groups.setdefault((s.dim_a, s.dim_b), []).append(i)
     results = [None] * len(states)
     for dims, members in groups.items():
@@ -873,6 +857,7 @@ def _chisep_chunk(states, cfg: SepConfig, dim_a: int, dim_b: int) -> list[SepApp
     rows = np.arange(len(todo))
     first, eig = solve(np.broadcast_to(np.eye(d, dtype=complex) / d, taus.shape), rows)
     value = first.value
+    sigma = first.x[:, 0]  # the iterate each value was scored at
     lower = _chi2_lower(taus, eig, dim_a, dim_b, value - CHISEP_GAP_TOL * np.maximum(1.0, value))
     iterations, converged = first.iterations, first.converged
     starts = [[v] for v in value.tolist()]
@@ -884,6 +869,8 @@ def _chisep_chunk(states, cfg: SepConfig, dim_a: int, dim_b: int) -> list[SepApp
         twirls = np.stack([separable_twirl(taus[i], dim_a, dim_b) for i in rows])
         second, eig = solve(twirls, rows)
         value, lower = value.copy(), lower.copy()
+        better = second.value < value[rows]
+        sigma[rows[better]] = second.x[better, 0]
         value[rows] = np.minimum(value[rows], second.value)
         target = value[rows] - CHISEP_GAP_TOL * np.maximum(1.0, value[rows])
         lower[rows] = np.maximum(lower[rows], _chi2_lower(taus[rows], eig, dim_a, dim_b, target))
@@ -896,7 +883,7 @@ def _chisep_chunk(states, cfg: SepConfig, dim_a: int, dim_b: int) -> list[SepApp
         val, low = float(value[k]), float(lower[k])
         results[i] = SepApproxResult(
             value=val,
-            minimizer=None,
+            minimizer=DensityState(dim=d, matrix=la.frozen(sigma[k])),
             method=method,
             iterations=int(iterations[k]),
             converged=bool(converged[k]),
@@ -924,11 +911,11 @@ def chisep(s: BipartiteState, cfg: SepConfig = SepConfig()) -> SepApproxResult:
     does a second run start from the input's separable twirl, certified
     the same way; no start can go below the bound, so skipping it moves the
     value by at most the gap.  Each start is projected once.  The lowest
-    feasible value and the highest lower bound are returned, with no
-    minimizer (its callers read only the value and the bound); ``extras``
-    hold ``lower``, ``gap``, ``certified`` (gap within ``CHISEP_GAP_TOL *
-    max(1, value)``) and the value of each start that ran
-    (``start_values``).
+    feasible value, the iterate that scored it (``minimizer``, frozen, not
+    validated again; the input itself when PPT) and the highest lower bound
+    are returned; ``extras`` hold ``lower``, ``gap``, ``certified`` (gap
+    within ``CHISEP_GAP_TOL * max(1, value)``) and the value of each start
+    that ran (``start_values``).
 
     This is :func:`chisep_batch` of the one state: a batch of one problem
     of the same solver that batches trajectories, and the same result that
@@ -942,40 +929,49 @@ def chisep(s: BipartiteState, cfg: SepConfig = SepConfig()) -> SepApproxResult:
 # ---------------------------------------------------------------------------
 
 
-def _soft_threshold_eig(x: np.ndarray, t: float) -> np.ndarray:
-    w, v = np.linalg.eigh(la.herm_part(x))
-    w = np.sign(w) * np.clip(np.abs(w) - t, 0.0, None)
-    return (v * w) @ la.dag(v)
+def dsep_upper(tau: np.ndarray, sigma: np.ndarray, dim_a: int, dim_b: int) -> tuple[float, np.ndarray]:
+    """``(||tau - sigma'||_1, sigma')`` for sigma' = (1 - eps) sigma + eps I/d
+    with the first eps of ``_DSEP_MIX`` at which the smallest eigenvalues of
+    sigma' and sigma'^PT clear the eigensolver's rounding, ``CERT_MARGIN_ULPS
+    * d`` machine epsilons: an upper value of min ||tau - zeta||_1 over the
+    PPT states zeta.  Mixing lifts both eigenvalues from lam to (1 - eps) lam
+    + eps / d (I/d is its own partial transpose), so rungs that cannot clear
+    the margin take no eigensolve; I/d itself always does.  The mix costs at
+    most 2 eps in 1-norm.  At chisep's minimizer sigma > 0 the value is at
+    most sqrt(chisep) + 2 eps, as ||tau - sigma||_1^2 <= chi2(tau, sigma) by
+    Cauchy-Schwarz on the chi-square kernel (Temme et al., arXiv:1005.2358).
+    ``sigma`` equal to ``tau`` gives 0: chisep's minimizer for an input it
+    found PPT within ``PSD_TOL``, the tolerance at which tau is a state.
+    """
+    if np.array_equal(sigma, tau):
+        return 0.0, tau
+    d = dim_a * dim_b
+    margin = CERT_MARGIN_ULPS * d * EPS
+    sigma = la.herm_part(sigma)
+    lam = math.inf  # the smallest eigenvalue seen, first at sigma itself
+    for eps in _DSEP_MIX:
+        if (1.0 - eps) * lam + eps / d < margin:
+            continue
+        point = (1.0 - eps) * sigma + eps * np.eye(d) / d
+        low = np.linalg.eigvalsh(np.stack([point, la.partial_transpose(point, dim_a, dim_b)]))[:, 0].min()
+        if low >= margin:
+            return la.trace_norm(tau - point), point
+        lam = min(lam, low)
+    raise AssertionError("I/d failed the PPT margin")
 
 
 def dsep(s: BipartiteState) -> SepApproxResult:
-    """Minimum of ||tau - zeta||_1 over the PPT set by the split ADMM.
-
-    The 1-norm enters through its proximal map, an eigenvalue soft
-    threshold.  The value is ||tau - z||_1 at the final iterate z, a density
-    matrix whose partial transpose is positive within the stop tolerance
-    once ``converged``: a feasible, hence upper, value of the PPT minimum.
-    That minimum is the separable distance for 2x2 and 2x3 and a lower
-    bound on it above.
+    """A feasible, hence upper, value of the minimum of ||tau - zeta||_1
+    over the PPT set: :func:`dsep_upper` at the minimizer of
+    :func:`chisep`, so at most sqrt(chisep) plus the 1-norm cost of
+    dsep_upper's mix.  That minimum is the separable distance for 2x2 and
+    2x3 and a lower bound on it above.  ``iterations`` and ``converged``
+    are chisep's, and ``extras["chisep"]`` is its value.
     """
-    _check_desk_scale(s)
-    tau = s.matrix
-    if is_ppt(s):
-        return SepApproxResult(
-            value=0.0, minimizer=s.state, method=_method_tag(s.dim_a, s.dim_b),
-            iterations=0, converged=True, extras={"note": "input is PPT"},
-        )
-    z, it, converged = _ppt_split(
-        lambda v: tau - _soft_threshold_eig(tau - v, ADMM_STEP), s.dim_a, s.dim_b
-    )
-    return SepApproxResult(
-        value=la.trace_norm(tau - z),
-        minimizer=DensityState.from_matrix(z),
-        method=_method_tag(s.dim_a, s.dim_b),
-        iterations=it,
-        converged=converged,
-        extras={},
-    )
+    res = chisep(s)
+    value, point = dsep_upper(s.matrix, res.minimizer.matrix, s.dim_a, s.dim_b)
+    minimizer = DensityState(dim=len(point), matrix=la.frozen(point))
+    return replace(res, value=value, minimizer=minimizer, extras={"chisep": res.value})
 
 
 # ---------------------------------------------------------------------------
@@ -997,7 +993,7 @@ def _ccqq_blocks(s: CcQqState) -> list[BipartiteState]:
 def _ccqq_result(s: CcQqState, solved) -> SepApproxResult:
     """The block formula of :func:`chisep_ccqq` from the chisep results of
     the blocks of :func:`_ccqq_blocks`, in order."""
-    per_block, per_lower = [], []
+    per_block, per_lower, minimizers = [], [], []
     iters = 0
     conv = True
     solved = iter(solved)
@@ -1005,10 +1001,12 @@ def _ccqq_result(s: CcQqState, solved) -> SepApproxResult:
         if blk.prob <= 1e-15:
             per_block.append(0.0)
             per_lower.append(0.0)
+            minimizers.append(None)
             continue
         res = next(solved)
         per_block.append(res.value)
         per_lower.append(res.extras["lower"])
+        minimizers.append(res.minimizer)
         iters += res.iterations
         conv = conv and res.converged
 
@@ -1028,7 +1026,7 @@ def _ccqq_result(s: CcQqState, solved) -> SepApproxResult:
         method=_method_tag(s.dim_a, s.dim_b),
         iterations=iters,
         converged=conv,
-        extras={"per_block": per_block, "q_weights": q, "lower": lower},
+        extras={"per_block": per_block, "q_weights": q, "lower": lower, "minimizers": minimizers},
     )
 
 
@@ -1078,8 +1076,10 @@ def chisep_ccqq(s: CcQqState, cfg: SepConfig = SepConfig()) -> SepApproxResult:
     ``extras["lower"]`` pushes the per-block certified lower bounds of
     :func:`chisep` through the same formula, which is increasing in each
     chi, so it is a certified lower bound too once shrunk by the formula's
-    own rounding.  :func:`chisep_ccqq_stream` gives the same result for
-    each of many states with their blocks solved together.
+    own rounding.  ``extras["minimizers"]`` holds each block's chisep
+    minimizer, None for the blocks left out.  :func:`chisep_ccqq_stream`
+    gives the same result for each of many states with their blocks solved
+    together.
     """
     return next(chisep_ccqq_stream([s], cfg))[1]
 

@@ -31,7 +31,7 @@ from .separability import (
     SeparableChannel,
     block_label,
     chisep_ccqq_stream,
-    dsep,
+    dsep_upper,
     local_product_channel,
 )
 
@@ -453,7 +453,6 @@ class TrajectoryReport:
     length: int
     endgame_step: int | None = None
     endgame_dsep: float | None = None
-    endgame_dsep_converged: bool | None = None
     final_state: CcQqState | None = None
     extras: dict = field(default_factory=dict)
 
@@ -565,8 +564,10 @@ def doubled_memory_experiment(
     demand when ``p_value`` is not given).  For unital noise the factor is
     checked at every step; otherwise only while the distance stays at or
     above the 1/16 threshold.  Once the distance falls below the threshold,
-    the 1-norm distance to the separable set of that state is recorded as
-    the endgame check, with the solver's convergence flag.  The distances
+    the endgame check records :func:`dsep_upper` of the most probable block
+    at the chi-square minimizer its step already found: an upper side of
+    its 1-norm distance to the PPT set, at most sqrt(chisep) < 1/4 up to
+    its mix towards I/d (below 1e-10).  The distances
     never feed back into the state, so they are not solved step by step:
     the blocks of consecutive steps wait and are solved together,
     ``CHISEP_CHUNK`` at a time (:func:`chisep_ccqq_stream`).  Each equals
@@ -628,15 +629,15 @@ def doubled_memory_experiment(
         )
         if endgame_step is None and chi < CHISEP_THRESHOLD:
             endgame_step = i
-            blk = max(state.blocks, key=lambda b: b.prob)
-            endgame = dsep(BipartiteState.from_matrix(blk.rho, state.dim_a, state.dim_b))
+            k = max(range(len(state.blocks)), key=lambda k: state.blocks[k].prob)
+            sigma = res.extras["minimizers"][k].matrix
+            endgame = dsep_upper(state.blocks[k].rho, sigma, state.dim_a, state.dim_b)[0]
     return TrajectoryReport(
         steps=tuple(out_steps),
         width=2 * n,
         length=steps,
         endgame_step=endgame_step,
-        endgame_dsep=None if endgame is None else endgame.value,
-        endgame_dsep_converged=None if endgame is None else endgame.converged,
+        endgame_dsep=endgame,
         final_state=state,
         extras={
             "p_value": p_value,

@@ -309,7 +309,7 @@ def _bell() -> BipartiteState:
 def _trajectory_checks(index, noise, steps, cfg, p_value=None):
     """Run one doubled-memory trajectory; return its report and a (record,
     violates) pair for every step's contraction factor and for the endgame
-    distance, which also violates when its solver did not converge."""
+    distance, an upper side that violates above 1/4 with no slack."""
     rep = doubled_memory_experiment(1, noise, steps, _bell(), p_value=p_value, seed=cfg.seed)
     context = {
         "index": index,
@@ -328,9 +328,8 @@ def _trajectory_checks(index, noise, steps, cfg, p_value=None):
     ]
     if rep.endgame_dsep is not None:
         checks.append((
-            {**context, "endgame_step": rep.endgame_step, "endgame_dsep": rep.endgame_dsep,
-             "endgame_dsep_converged": rep.endgame_dsep_converged},
-            rep.endgame_dsep > 0.25 + 1e-3 or rep.endgame_dsep_converged is False,
+            {**context, "endgame_step": rep.endgame_step, "endgame_dsep": rep.endgame_dsep},
+            rep.endgame_dsep > 0.25,
         ))
     return rep, checks
 

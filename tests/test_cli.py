@@ -189,8 +189,11 @@ class TestSimulate:
         summary = [l for l in lines if l.get("type") == "summary"][0]
         assert len(steps) == 4
         assert steps[1]["factor_ok"] is True
-        assert summary["endgame_dsep"] is not None
-        assert summary["endgame_dsep_converged"] is True
+        # The endgame number is at most sqrt(chisep) at its step, up to the
+        # 1-norm cost of the mix that certifies its point PPT.
+        assert set(summary) == {"type", "p_value", "factor", "endgame_step", "endgame_dsep",
+                                "width", "length"}
+        assert summary["endgame_dsep"] ** 2 <= steps[summary["endgame_step"]]["chisep"] + 1e-10
 
     def test_plain_circuit(self, tmp_path):
         circuit = {

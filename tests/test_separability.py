@@ -599,11 +599,12 @@ class TestChisep:
         assert res.value <= 0.2841913922476358 + 1e-12
 
     def test_entangled_call_skips_minimizer_eigensolves(self, monkeypatch):
-        # chisep returns no minimizer (an eigh to project it, an eigvalsh to
-        # validate it) and no smallest iterate eigenvalue (an eigvalsh).  Its
-        # 131 eigensolves here are the PPT test, the start's projection, the
-        # solver's 125 and the certificate's two mixing points, each one
-        # stacked projection and one stacked eigvalsh.
+        # chisep keeps the iterate it scored as its minimizer, with no eigh
+        # to project it and no eigvalsh to validate it, and reports no
+        # smallest iterate eigenvalue (an eigvalsh).  Its 131 eigensolves
+        # here are the PPT test, the start's projection, the solver's 125
+        # and the certificate's two mixing points, each one stacked
+        # projection and one stacked eigvalsh.
         st = doubled_step(amplitude_damping(0.28))
         calls = counting_eigh(monkeypatch)
         eigvalsh = np.linalg.eigvalsh
@@ -615,7 +616,9 @@ class TestChisep:
         monkeypatch.setattr(np.linalg, "eigvalsh", counted)
         res = chisep(st)
         assert calls[0] == 131
-        assert res.minimizer is None
+        sigma = res.minimizer.matrix
+        assert not sigma.flags.writeable
+        assert chi2_divergence(st.matrix, sigma) == pytest.approx(res.value, rel=1e-9)
         assert "final_min_eig_sigma" not in res.extras
         assert res.value == pytest.approx(0.2841913922476371, rel=1e-12)
         assert res.extras["lower"] == pytest.approx(0.2841913542141693, rel=1e-12)

@@ -46,6 +46,34 @@ def bell() -> BipartiteState:
     return BipartiteState.from_matrix(bell_state().matrix, 2, 2)
 
 
+def bell_pairs(n: int) -> BipartiteState:
+    """n Bell pairs across A:B, qubit k of A paired with qubit k of B."""
+    d = 2**n
+    psi = np.eye(d).reshape(-1) / np.sqrt(d)
+    return BipartiteState.from_matrix(np.outer(psi, psi), d, d)
+
+
+# The 1-norm cost of dsep_upper's mix towards I/d, at most 2 eps with eps
+# below 1e-11 up to 4x4, plus rounding.
+ENDGAME_MIX_TOL = 1e-10
+
+
+def assert_endgame_sandwich(n: int, noise, input_state: BipartiteState, rep):
+    """-lambda_min(tau^PT) <= endgame_dsep <= sqrt(chisep) at the endgame
+    step, tau that step's state.  For any PPT state zeta,
+    lambda_min(tau^PT) >= -||(tau - zeta)^PT||_inf >= -||tau - zeta||_2
+    >= -||tau - zeta||_1, so the left side is below the PPT distance; the
+    right side is Cauchy-Schwarz at chisep's minimizer."""
+    k = rep.endgame_step
+    state = CcQqState.single(input_state)
+    for _ in range(k):
+        state = apply_iid_noise(state, noise, chcon.simulate.doubled_layout(n))
+    tau = state.blocks[0].rho
+    lower = -la.min_eig(la.partial_transpose(tau, 2**n, 2**n))
+    upper = np.sqrt(rep.steps[k].chisep_value)
+    assert lower - 1e-12 <= rep.endgame_dsep <= upper + ENDGAME_MIX_TOL
+
+
 def bloch_vector(rho: np.ndarray) -> np.ndarray:
     return np.array([np.real(np.trace(p @ rho)) for p in la.PAULIS[1:]])
 
@@ -493,7 +521,7 @@ class TestDoubledExperiment:
         assert rep.steps[1].chisep_value == pytest.approx(0.0, abs=1e-9)
         assert rep.endgame_step == 1
         assert rep.endgame_dsep == pytest.approx(0.0, abs=1e-9)
-        assert rep.endgame_dsep_converged is True
+        assert_endgame_sandwich(1, completely_depolarizing(), bell(), rep)
 
     @pytest.mark.parametrize("noise, p", [(depolarizing(0.25), 0.375), (amplitude_damping(0.3), None)])
     def test_gateless_run_is_the_identity_gate_run(self, monkeypatch, noise, p):
@@ -505,8 +533,8 @@ class TestDoubledExperiment:
         monkeypatch.setattr(chcon.simulate, "_apply_gate_layer", no_gate)
         bare = doubled_memory_experiment(1, noise, 6, bell(), p_value=p)
         assert bare.steps == gated.steps and bare.extras == gated.extras
-        assert (bare.endgame_step, bare.endgame_dsep, bare.endgame_dsep_converged) == (
-            gated.endgame_step, gated.endgame_dsep, gated.endgame_dsep_converged)
+        assert (bare.endgame_step, bare.endgame_dsep) == (gated.endgame_step, gated.endgame_dsep)
+        assert_endgame_sandwich(1, noise, bell(), bare)
         assert bare.final_state.rho_stack().tobytes() == gated.final_state.rho_stack().tobytes()
 
     def test_depolarizing_025_case(self):
@@ -537,7 +565,35 @@ class TestDoubledExperiment:
         assert all(b <= a + 1e-9 for a, b in zip(chis, chis[1:]))
         assert rep.endgame_step is not None
         assert rep.endgame_dsep <= 0.25 + 1e-3
-        assert rep.endgame_dsep_converged is True
+        assert_endgame_sandwich(1, amplitude_damping(0.3), bell(), rep)
+
+    @pytest.mark.parametrize("n, noise, steps", [
+        (1, amplitude_damping(0.2), 4), (1, dephasing(0.1), 7), (1, depolarizing(0.1), 4),
+        (2, amplitude_damping(0.2), 5), (2, amplitude_damping(0.3), 3), (2, depolarizing(0.1), 4),
+    ])
+    def test_endgame_between_its_sound_sides(self, n, noise, steps):
+        # Each run stops at its endgame step.
+        rep = doubled_memory_experiment(n, noise, steps, bell_pairs(n))
+        assert rep.endgame_step == steps
+        assert_endgame_sandwich(n, noise, bell_pairs(n), rep)
+
+    def test_endgame_between_its_sound_sides_on_the_doubled_suites(self, monkeypatch):
+        import chcon.verify as V
+
+        runs = []
+
+        def recording(n, noise, steps, input_state, **kwargs):
+            rep = doubled_memory_experiment(n, noise, steps, input_state, **kwargs)
+            runs.append((n, noise, input_state, rep))
+            return rep
+
+        monkeypatch.setattr(V, "doubled_memory_experiment", recording)
+        cfg = V.VerifyConfig()
+        assert V.suite_doubled_unital(cfg).passed and V.suite_doubled_nonunital(cfg).passed
+        ended = [run for run in runs if run[3].endgame_step is not None]
+        assert len(runs) == 42 and ended
+        for run in ended:
+            assert_endgame_sandwich(*run)
 
     def test_cap_exceeded(self):
         with pytest.raises(ChannelError, match="cap"):

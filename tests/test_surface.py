@@ -16,8 +16,11 @@ PACKAGE = Path(chcon.__file__).resolve().parent
 
 # Kept although nothing in the package calls them, each with its reason.
 ALLOWLIST = {
-    "separability.chisep": "the one-state entry point of chisep_batch; perfbench/tracer.py wraps it by name",
     "separability.project_ppt_density": "perfbench/tracer.py wraps it by name",
+    "separability.dsep": "the one-state entry point of dsep_upper at chisep's minimizer; "
+    "perfbench/tracer.py wraps it by name",
+    "separability.is_ppt": "the PPT test that README lists; dsep, its last caller, reads "
+    "chisep's PPT short-circuit instead",
     "decompose.max_cp_weight": "perfbench/tracer.py wraps it by name",
 }
 

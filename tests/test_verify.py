@@ -22,7 +22,7 @@ from chcon.sampling import (
     random_unital_qubit_channel,
     rng_from,
 )
-from chcon.separability import PreconditionError, SepApproxResult, SepConfig, chisep_ccqq
+from chcon.separability import PreconditionError, SepConfig, chisep_ccqq
 
 SEED = 7
 
@@ -110,24 +110,24 @@ def test_trajectory_records_cover_the_endgame():
         assert any("endgame_dsep" in r for r, _ in SEEDED_CHECKS[suite](cfg))
 
 
-def test_unconverged_endgame_dsep_violates(monkeypatch):
-    # Completely depolarizing noise reaches the endgame at step 1, where a
-    # small but unconverged distance must still fail the check.
+def test_endgame_verdict_has_no_slack(monkeypatch):
+    # Completely depolarizing noise reaches the endgame at step 1; its
+    # number, stubbed here, violates exactly when it is above 1/4.
     import chcon.simulate
 
-    stub = SepApproxResult(value=0.01, minimizer=None, method="ppt_exact_2x2",
-                           iterations=3000, converged=False)
-    monkeypatch.setattr(chcon.simulate, "dsep", lambda s: stub)
     cfg = V.VerifyConfig(seed=SEED)
-    rep, checks = V._trajectory_checks("stub", completely_depolarizing(), 1, cfg, 1.0)
-    assert rep.endgame_dsep == 0.01 and rep.endgame_dsep_converged is False
-    [(record, violates)] = [(r, bad) for r, bad in checks if "endgame_dsep" in r]
-    assert record["endgame_dsep"] == 0.01 and record["endgame_dsep_converged"] is False
-    assert violates
-    monkeypatch.undo()
-    rep, checks = V._trajectory_checks("real", completely_depolarizing(), 1, cfg, 1.0)
-    assert rep.endgame_dsep_converged is True
-    assert not any(bad for r, bad in checks if "endgame_dsep" in r)
+
+    def violates(value):
+        monkeypatch.setattr(chcon.simulate, "dsep_upper", lambda tau, sigma, *dims: (value, sigma))
+        rep, checks = V._trajectory_checks("stub", completely_depolarizing(), 1, cfg, 1.0)
+        assert rep.endgame_step == 1
+        [(record, bad)] = [(r, bad) for r, bad in checks if "endgame_dsep" in r]
+        assert record["endgame_dsep"] == value
+        assert sorted(k for k in record if k.startswith("endgame")) == ["endgame_dsep", "endgame_step"]
+        return bad
+
+    assert not violates(0.25)
+    assert violates(np.nextafter(0.25, 1.0))
 
 
 def test_unital_split_error_witness_replays():
