@@ -15,13 +15,13 @@ ball on I_c = S(A) - S(E) and its gradient
 -Tr(A_i log2 A) + Tr(E_i log2 E).  A 2x2 image tau I + b . sigma (the
 output side always, the environment side at Choi rank 2) takes these from
 its eigenvalues tau -/+ |b| in closed form; a larger one takes one batched
-eigensolve.  Each point is evaluated once: the value and gradient of an
-accepted step are carried into the next one.  The Armijo backtracking tries
-a ladder of halvings, round r the next 2^r of them in one stacked
-evaluation, and takes the largest step that passes, which is the step a
-one-at-a-time search would take.  So no step lowers the value, and every
-value is I_c at a valid input: the maximum found is a certified lower
-bound on Q (Devetak 2005).
+eigensolve.  The line search is ``contraction._armijo_step``, shared with
+the chi-square ascent: each point is evaluated once, the value and gradient
+of an accepted step being carried into the next one, and of the step sizes
+2t, t, t/2, ... tried in stacked rounds it takes the largest that passes
+the Armijo test, the step a one-at-a-time search would take.  So no step
+lowers the value, and every value is I_c at a valid input: the maximum
+found is a certified lower bound on Q (Devetak 2005).
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from .channels import (
     ChannelError,
     KrausChannel,
     canonical_kraus,
+    check_int,
     choi_distance,
     depolarizing,
     identity_channel,
@@ -44,7 +45,7 @@ from .channels import (
     to_bloch_affine,
 )
 from .config import CONV_TOL, EPSILON_0
-from .contraction import _batched_ascent, sign_ascent
+from .contraction import _armijo_step, _batched_ascent, sign_ascent
 from .decompose import PConstantReport
 from .sampling import random_pure, rng_from
 
@@ -180,10 +181,6 @@ def _coherent_info_value_grad(a, e, x):
 
 
 _BLOCH_RADIUS = 1.0 - 1e-12
-_ARMIJO = 1e-4
-_HALVINGS = 60
-# The factors 2^-k of the step sizes a line search tries, k < _HALVINGS.
-_LADDER = 0.5 ** np.arange(_HALVINGS)
 
 
 def _into_ball(x: np.ndarray) -> np.ndarray:
@@ -193,38 +190,10 @@ def _into_ball(x: np.ndarray) -> np.ndarray:
 
 
 def _coherent_info_step(a, e, x, t, value, grad):
-    """One projected-gradient step of I_c per restart, from its point ``x``,
-    step size ``t``, and the value and gradient carried at ``x``.
-
-    Each restart takes the largest of the steps t, t/2, ..., t/2^59 that
-    passes the Armijo test, so its value never falls, and keeps its point
-    when none passes.  Round r tries the next 2^r of these steps of every
-    restart still searching in one stacked evaluation, whose value and
-    gradient at the accepted point are carried to the next step.  An
-    accepted step size is doubled for the next step.
-    """
-    x_next, t_next, value_next, grad_next = x.copy(), t.copy(), value.copy(), grad.copy()
-    todo = np.arange(len(x))
-    tried, span = 0, 1
-    while todo.size and tried < _HALVINGS:
-        span = min(span, _HALVINGS - tried)
-        steps = t[todo] * _LADDER[tried:tried + span]
-        here, slope = x[todo, None], grad[todo, None]
-        cand = _into_ball(here + steps[..., None] * slope)
-        cand_value, cand_grad = _coherent_info_value_grad(a, e, cand.reshape(-1, 3))
-        cand_value = cand_value.reshape(steps.shape)
-        ok = cand_value >= value[todo] + _ARMIJO * np.sum(slope * (cand - here), axis=-1)
-        hit = ok.any(axis=1)
-        rows, k = np.flatnonzero(hit), ok[hit].argmax(axis=1)
-        done = todo[rows]
-        x_next[done] = cand[rows, k]
-        t_next[done, 0] = 2.0 * steps[rows, k]
-        value_next[done, 0] = cand_value[rows, k]
-        grad_next[done] = cand_grad.reshape(*steps.shape, 3)[rows, k]
-        todo = todo[~hit]
-        tried, span = tried + span, 2 * span
-    t_next[todo] = t[todo] * 0.5**_HALVINGS
-    return value[:, 0], (x, t, value, grad), (x_next, t_next, value_next, grad_next)
+    """One projected-gradient step of I_c per restart over the Bloch ball,
+    from its point ``x``, step size ``t``, and the value and gradient
+    carried at ``x`` (see ``contraction._armijo_step``)."""
+    return _armijo_step(partial(_coherent_info_value_grad, a, e), _into_ball, 0.0, x, t, value, grad)
 
 
 def coherent_info_lower(ch: KrausChannel, restarts: int = 16, seed: int = 0) -> float:
@@ -239,6 +208,7 @@ def coherent_info_lower(ch: KrausChannel, restarts: int = 16, seed: int = 0) -> 
     """
     if not ch.is_qubit():
         raise ChannelError("the coherent-information search is implemented for qubit channels")
+    check_int("restarts", restarts, 1)
     a, e = _bloch_images(ch)
     starts = _into_ball(np.array(
         [np.zeros(3) if i == 0 else rng_from(seed, i).uniform(-0.7, 0.7, size=3)

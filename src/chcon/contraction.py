@@ -7,7 +7,9 @@ the minimal-output-eigenvalue bound sqrt(1 - lmin_out/d^2) and the weaker
 Choi-eigenvalue bound sqrt(1 - lmin(C)/d^2).  The chi-square coefficient is
 computed exactly at each full-rank reference state sigma by one spectral
 kernel, batched over stacks of sigma; its supremum over sigma is reported
-as a lower estimate from a seeded search.
+as a lower estimate from a seeded search.  That search ends in a
+projected-gradient ascent whose Armijo line search, ``_armijo_step``, is
+also the one of the coherent-information ascent in ``chcon.bounds``.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from math import isqrt
 import numpy as np
 
 from . import linalg as la
-from .channels import ChannelError, KrausChannel, bloch_transfer, reshuffle
+from .channels import ChannelError, KrausChannel, bloch_transfer, check_int, reshuffle
 from .config import SUPP_TOL
 from .sampling import random_full_rank_density, random_pure, rng_from
 
@@ -32,14 +34,14 @@ ETA_TR_TOL = 1e-9
 MIN_OUT_MAX_ITER = 200
 MIN_OUT_TOL = 1e-12
 # eta_chi_lower scores reference states CHI_CHUNK per kernel call, and
-# ascends from the best CHI_STARTS candidates for at most CHI_ROUNDS steps,
-# each trying CHI_LADDER step lengths from CHI_STEP down by factors of
-# sqrt(2).  A start stops once a step gains no more than CHI_TOL.  Every
-# reference state keeps at least CHI_FLOOR of I/d mixed in.
+# ascends from the best CHI_STARTS candidates for at most CHI_ROUNDS
+# projected-gradient steps (``_armijo_step``), each start's step size first
+# set to move CHI_STEP along its gradient.  A start stops once a step gains
+# no more than CHI_TOL.  Every reference state keeps at least CHI_FLOOR of
+# I/d mixed in.
 CHI_CHUNK = 32
 CHI_STARTS = 2
 CHI_ROUNDS = 8
-CHI_LADDER = 16
 CHI_STEP = 0.5
 CHI_TOL = 1e-12
 CHI_FLOOR = 1e-2
@@ -141,6 +143,66 @@ def _batched_ascent(step, state, max_iter: int, tol: float, sense: float = 1.0):
     return sense * best, state, steps
 
 
+# The Armijo constant of the projected ascents' line search, and its ladder
+# of step sizes 2t, t, t/2, ..., t/2^(_HALVINGS - 1) as factors of t.
+_ARMIJO = 1e-4
+_HALVINGS = 60
+_LADDER = 0.5 ** np.arange(-1, _HALVINGS)
+
+
+def _inner(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Real inner product of each pair of rows (the Frobenius one for flattened matrices)."""
+    return np.sum(u.conj() * v, axis=-1).real
+
+
+def _armijo_step(evaluate, retract, tol: float, x, t, value, grad):
+    """One projected-gradient step per restart of an ascent run by
+    ``_batched_ascent`` with stop tolerance ``tol``.
+
+    The state is each restart's point ``x``, step size ``t`` (a column) and
+    the value (a column) and gradient carried at ``x``.  ``evaluate`` maps
+    stacked points to their values and gradients, each row computed as for
+    that point alone; ``retract`` maps stacked points back into the feasible
+    set.  A restart tries retract(x + s grad) at the sizes s of ``_LADDER``
+    times t and takes the largest one that passes the Armijo test, so its
+    value never falls.  The first round tries 2t and t, each later round
+    the next twice as many sizes, of every restart still searching in one
+    stacked evaluation, whose value and gradient at the accepted point are
+    carried on.  The accepted size is the next step's t.  The search ends without a step at the first size whose first-order
+    gain s ||grad||^2 is at most ``tol``: such a step would stop the ascent
+    anyway.  A restart that takes no step keeps its point with step size 0,
+    so the next call, on which the ascent stops it, evaluates nothing.
+    """
+    x_next, t_next, value_next, grad_next = x.copy(), np.zeros_like(t), value.copy(), grad.copy()
+    gain = t[:, 0] * _inner(grad, grad)
+    todo = np.arange(len(x))
+    tried, span = 0, 2
+    while tried < len(_LADDER):
+        ladder = _LADDER[tried:tried + span]
+        todo = todo[gain[todo] * ladder[0] > tol]
+        if todo.size == 0:
+            break
+        steps = t[todo] * ladder
+        live = gain[todo, None] * ladder > tol
+        here, slope = x[todo, None], grad[todo, None]
+        cand = here + steps[..., None] * slope
+        cand[live] = retract(cand[live])
+        cand_value = np.full(steps.shape, -np.inf)
+        cand_grad = np.zeros_like(cand)
+        cand_value[live], cand_grad[live] = evaluate(cand[live])
+        ok = cand_value >= value[todo] + _ARMIJO * _inner(slope, cand - here)
+        hit = ok.any(axis=1)
+        rows, k = np.flatnonzero(hit), ok[hit].argmax(axis=1)
+        done = todo[rows]
+        x_next[done] = cand[rows, k]
+        t_next[done, 0] = steps[rows, k]
+        value_next[done, 0] = cand_value[rows, k]
+        grad_next[done] = cand_grad[rows, k]
+        todo = todo[~hit]
+        tried, span = tried + span, 2 * span
+    return value[:, 0], (x, t, value, grad), (x_next, t_next, value_next, grad_next)
+
+
 def _sign_step(tmat: np.ndarray, tadj: np.ndarray, psi: np.ndarray, phi: np.ndarray | None = None):
     """One sign-operator step on Delta = psi psi^dag (- phi phi^dag).
 
@@ -190,6 +252,7 @@ def eta_tr(ch: KrausChannel, restarts: int = 64, seed: int = 0) -> ContractionRe
     multi-start alternating ascent and report a certified lower bound.
     """
     _require_endomorphism(ch)
+    check_int("restarts", restarts, 1)
     d = ch.in_dim
     if ch.is_qubit():
         _, m = bloch_transfer(ch)
@@ -235,6 +298,7 @@ def min_output_eigenvalue(
     true minimum.
     """
     _require_endomorphism(ch)
+    check_int("restarts", restarts, 1)
     d = ch.in_dim
     tmat = ch.transfer_matrix()
     amat = la.dag(tmat) @ tmat
@@ -331,8 +395,8 @@ def _chi_kernel(tmat: np.ndarray, sigma: np.ndarray):
     For X = rho - sigma = B Y B, ||Y||_F^2 = chi2(rho, sigma) and
     ||K(Y)||_F^2 = chi2(T(rho), T(sigma)).  K's top singular pair is
     v = vec(sigma^{1/2}) with singular value 1; Tr X = 0 means Y is
-    orthogonal to v.  Returns K^dag K, v, and the eigenbases and quarter
-    powers behind B and A as (w, u, f) triples.
+    orthogonal to v.  Returns K^dag K, v, and B and A each with the
+    eigenbasis and quarter powers behind it, as (B, w, u, f) and (A, w, u, f).
     """
     ws, us = np.linalg.eigh(la.herm_part(sigma))
     wt, ut = np.linalg.eigh(la.herm_part(_apply_transfer(tmat, sigma)))
@@ -343,7 +407,7 @@ def _chi_kernel(tmat: np.ndarray, sigma: np.ndarray):
     k = _kron_t(a) @ tmat @ _kron_t(b)
     v = (b @ b).reshape(*sigma.shape[:-2], -1)
     v = v / np.linalg.norm(v, axis=-1, keepdims=True)
-    return la.dag(k) @ k, v, (ws, us, fb), (wt, ut, fa)
+    return la.dag(k) @ k, v, (b, ws, us, fb), (a, wt, ut, fa)
 
 
 def _deflate(gram: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -388,10 +452,13 @@ def _chi_top(tmat: np.ndarray, sigma: np.ndarray):
     held fixed, taken through A and B by their divided differences.
     """
     tadj = la.dag(tmat)
-    gram, v, (ws, us, fb), (wt, ut, fa) = _chi_kernel(tmat, sigma)
+    gram, v, (b, ws, us, fb), (a, wt, ut, fa) = _chi_kernel(tmat, sigma)
     residual = np.linalg.norm((gram @ v[..., None])[..., 0] - v, axis=-1)
-    lam, vec = np.linalg.eigh(_deflate(gram, v))
-    top = vec[..., -1].reshape(sigma.shape)
+    deflated = _deflate(gram, v)
+    # The value is the eigvalsh of ``_chi_at``, bit for bit; the eigenvalues
+    # of eigh, which gives the direction, may differ from it in the last place.
+    value = np.linalg.eigvalsh(deflated)[..., -1]
+    top = np.linalg.eigh(deflated)[1][..., -1].reshape(sigma.shape)
     re, im = la.herm_part(top), la.herm_part(-1j * top)
     y = np.where(
         (np.linalg.norm(re, axis=(-2, -1)) >= np.linalg.norm(im, axis=(-2, -1)))[..., None, None], re, im
@@ -399,7 +466,6 @@ def _chi_top(tmat: np.ndarray, sigma: np.ndarray):
     # Remove rounding along v so that Tr X = 0 holds to machine precision.
     along = np.einsum("...i,...i->...", v.conj(), y.reshape(v.shape)).real
     y = y - along[..., None, None] * v.reshape(y.shape)
-    b, a = _from_eig(us, fb), _from_eig(ut, fa)
     w_out = la.herm_part(_apply_transfer(tmat, b @ y @ b))
     z = a @ w_out @ a
     s = la.herm_part(_apply_transfer(tadj, a @ z @ a))
@@ -409,34 +475,33 @@ def _chi_top(tmat: np.ndarray, sigma: np.ndarray):
     grad_a = ut @ (_divided_differences(wt, fa, -0.25) * (la.dag(ut) @ grad_a @ ut)) @ la.dag(ut)
     grad_b = us @ (_divided_differences(ws, fb, 0.25) * (la.dag(us) @ grad_b @ us)) @ la.dag(us)
     grad = la.herm_part(_apply_transfer(tadj, grad_a) + grad_b)
-    return lam[..., -1], b @ y @ b, grad, residual
+    return value, b @ y @ b, grad, residual
 
 
-def _chi_step(tmat: np.ndarray, rows: np.ndarray):
-    """One ascent step from each state of a stack (rows are flattened states).
-
-    The traceless gradient direction is tried at ``CHI_LADDER`` step lengths
-    in one kernel call; each candidate is retracted into the floored state
-    set by clipping the eigenvalues of its floor-free part at zero.  The best
-    candidate is the next iterate if it beats the current value.
-    """
+def _chi_value_grad(tmat: np.ndarray, rows: np.ndarray):
+    """The chi-square contraction and its traceless gradient at each state
+    of a stack (rows are flattened states)."""
     d = isqrt(rows.shape[-1])
-    sigma = rows.reshape(-1, d, d)
-    value, _, grad, _ = _chi_top(tmat, sigma)
+    value, _, grad, _ = _chi_top(tmat, rows.reshape(-1, d, d))
+    grad = grad - np.trace(grad, axis1=-2, axis2=-1)[..., None, None] * np.eye(d) / d
+    return value, grad.reshape(rows.shape)
+
+
+def _floored_clip(rows: np.ndarray) -> np.ndarray:
+    """Retract unit-trace Hermitian rows into the states that keep
+    ``CHI_FLOOR`` of I/d: clip the spectrum of the floor-free part at zero
+    and renormalize it."""
+    d = isqrt(rows.shape[-1])
     eye = np.eye(d)
-    grad = grad - np.trace(grad, axis1=-2, axis2=-1)[..., None, None] * eye / d
-    norm = np.linalg.norm(grad, axis=(-2, -1))[..., None, None]
-    direction = np.where(norm > 0, grad / np.where(norm > 0, norm, 1.0), 0.0)
-    steps = CHI_STEP * 0.5 ** (np.arange(CHI_LADDER) / 2)
-    base = (sigma - CHI_FLOOR * eye / d) / (1.0 - CHI_FLOOR)
-    w, u = np.linalg.eigh(base[:, None] + steps[:, None, None] * direction[:, None] / (1.0 - CHI_FLOOR))
+    w, u = np.linalg.eigh((rows.reshape(-1, d, d) - CHI_FLOOR * eye / d) / (1.0 - CHI_FLOOR))
     w = np.clip(w, 0.0, None)
-    cand = (1.0 - CHI_FLOOR) * _from_eig(u, w / w.sum(axis=-1, keepdims=True)) + CHI_FLOOR * eye / d
-    cvals = _chi_at(tmat, cand.reshape(-1, d, d)).reshape(len(sigma), CHI_LADDER)
-    pick = np.argmax(cvals, axis=1)
-    better = cvals[np.arange(len(sigma)), pick] > value
-    nxt = np.where(better[:, None, None], cand[np.arange(len(sigma)), pick], sigma)
-    return value, (rows,), (nxt.reshape(rows.shape),)
+    out = (1.0 - CHI_FLOOR) * _from_eig(u, w / w.sum(axis=-1, keepdims=True)) + CHI_FLOOR * eye / d
+    return out.reshape(rows.shape)
+
+
+def _chi_step(tmat: np.ndarray, x, t, value, grad):
+    """One projected-gradient step of the chi-square contraction per start."""
+    return _armijo_step(partial(_chi_value_grad, tmat), _floored_clip, CHI_TOL, x, t, value, grad)
 
 
 def eta_chi_lower(ch: KrausChannel, trials: int = 200, seed: int = 0) -> ContractionReport:
@@ -449,26 +514,31 @@ def eta_chi_lower(ch: KrausChannel, trials: int = 200, seed: int = 0) -> Contrac
     Temme et al., arXiv:1005.2358).  That value is exact at each sigma; the
     coefficient is its supremum over sigma, estimated from ``trials``
     candidates (I/d and Hilbert-Schmidt draws, all mixed with ``CHI_FLOOR``
-    of I/d) and a batched gradient ascent from the best ``CHI_STARTS`` of
-    them.  The witness is sigma* and rho = sigma* + t X on the top
-    eigenvector.  The deflation residual ||K^dag K v - v|| at sigma* is
-    checked, and a value outside [0, 1] beyond rounding raises.
+    of I/d) and a batched projected-gradient ascent from the best
+    ``CHI_STARTS`` of them, whose steps never lower the value.  The witness
+    is sigma* and rho = sigma* + t X on the top eigenvector.  The deflation
+    residual ||K^dag K v - v|| at sigma* is checked, and a value outside
+    [0, 1] beyond rounding raises.
     """
     _require_endomorphism(ch)
+    check_int("trials", trials, 1)
     d = ch.in_dim
     tmat = ch.transfer_matrix()
     draws = random_full_rank_density(rng_from(seed, 0), d, floor=CHI_FLOOR, count=trials - 1)
     sigmas = np.concatenate([np.eye(d)[None] / d, draws])
-    starts = sigmas[np.argsort(-_chi_at(tmat, sigmas), kind="stable")[:CHI_STARTS]]
-    _, (rows,), steps = _batched_ascent(
-        partial(_chi_step, tmat), (starts.reshape(len(starts), -1),), CHI_ROUNDS, CHI_TOL
+    starts = sigmas[np.argsort(-_chi_at(tmat, sigmas), kind="stable")[:CHI_STARTS]].reshape(-1, d * d)
+    value, grad = _chi_value_grad(tmat, starts)
+    norm = np.sqrt(_inner(grad, grad))
+    size = CHI_STEP / np.where(norm > 0, norm, 1.0)
+    _, (rows, _, values, _), steps = _batched_ascent(
+        partial(_chi_step, tmat), (starts, size[:, None], value[:, None], grad), CHI_ROUNDS, CHI_TOL
     )
-    # A start still climbing at the step budget ends on an iterate it has not
-    # scored yet, so the final states are scored once more.
-    finals = rows.reshape(-1, d, d)
-    sigma = finals[int(np.argmax(_chi_at(tmat, finals)))]
-    lam, x, _, res = _chi_top(tmat, sigma[None])
-    value, x, residual = float(lam[0]), x[0], float(res[0])
+    # The ascent carries each start's value at its final state, so no state
+    # is scored again.
+    best = int(np.argmax(values[:, 0]))
+    sigma = rows[best].reshape(d, d)
+    _, x, _, res = _chi_top(tmat, sigma[None])
+    value, x, residual = float(values[best, 0]), x[0], float(res[0])
     if residual > CHI_RESIDUAL_TOL:
         raise ChannelError(f"chi-square kernel deflation residual {residual:.3e} above {CHI_RESIDUAL_TOL}")
     if not -CHI_VALUE_BAND <= value <= 1.0 + CHI_VALUE_BAND:

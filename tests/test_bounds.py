@@ -6,12 +6,9 @@ from functools import partial
 import numpy as np
 import pytest
 
-import chcon.bounds as bounds
 import chcon.linalg as la
 from chcon.bounds import (
-    _ARMIJO,
     _BLOCH_RADIUS,
-    _HALVINGS,
     ENTROPY_EIG_FLOOR,
     CapacityBracket,
     _bloch_images,
@@ -36,11 +33,28 @@ from chcon.channels import (
     depolarizing,
     identity_channel,
 )
-from chcon.contraction import _batched_ascent
+from chcon.contraction import (
+    _ARMIJO,
+    _HALVINGS,
+    CHI_FLOOR,
+    CHI_ROUNDS,
+    CHI_STEP,
+    CHI_TOL,
+    _batched_ascent,
+    _chi_step,
+    _chi_value_grad,
+    _floored_clip,
+)
 from chcon.decompose import p_constant
-from chcon.sampling import random_channel, random_near_identity_qubit_channel, rng_from
+from chcon.sampling import (
+    random_channel,
+    random_full_rank_density,
+    random_near_identity_qubit_channel,
+    rng_from,
+)
 
 from conftest import seeded
+from test_contraction import _kernel_corpus
 
 
 # Loop reference for the batched coherent-information ascent in chcon.bounds.
@@ -120,6 +134,10 @@ class TestCoherentInformation:
         )
         assert best == pytest.approx(sweep, abs=1e-5)
 
+    def test_zero_restarts_rejected(self):
+        with pytest.raises(ChannelError, match="restarts must be an integer >= 1"):
+            coherent_info_lower(amplitude_damping(0.25), restarts=0)
+
     def test_entropy_convention(self):
         assert entropy_bits(np.diag([1.0, 0.0])) == pytest.approx(0.0)
         assert entropy_bits(np.eye(2) / 2) == pytest.approx(1.0)
@@ -168,23 +186,57 @@ def interior_points(rng, n):
     return x / np.linalg.norm(x, axis=1, keepdims=True) * rng.uniform(0.0, 0.95, (n, 1))
 
 
-def one_halving_step(a, e, x, t):
-    """The search step that the halving ladder replaced: it evaluates its
-    point again and tries one halving per round, each its own call."""
-    value, grad = bounds._coherent_info_value_grad(a, e, x)
-    x_next, t_next = x.copy(), t.copy()
+def one_rung_step(evaluate, retract, tol, x, t, value, grad):
+    """The line search that the rung ladder of ``_armijo_step`` batches: it
+    tries 2t, then t, t/2, ..., one size per call, stops before the first
+    size whose first-order gain is at most ``tol``, and keeps the accepted
+    size for the next step, or 0 if it takes no step."""
+    x_next, t_next, value_next, grad_next = x.copy(), np.zeros_like(t), value.copy(), grad.copy()
+    slope_sq = np.sum(grad.conj() * grad, axis=-1).real
     todo = np.arange(len(x))
-    for _ in range(_HALVINGS):
-        cand = _into_ball(x[todo] + t_next[todo] * grad[todo])
-        cand_value, _ = bounds._coherent_info_value_grad(a, e, cand)
-        ok = cand_value >= value[todo] + _ARMIJO * np.sum(grad[todo] * (cand - x[todo]), axis=-1)
-        x_next[todo[ok]] = cand[ok]
-        t_next[todo[ok]] *= 2.0
-        t_next[todo[~ok]] *= 0.5
-        todo = todo[~ok]
+    for k in range(_HALVINGS + 1):
+        step = t[todo] * 2.0 ** (1 - k)
+        live = step[:, 0] * slope_sq[todo] > tol
+        todo, step = todo[live], step[live]
         if todo.size == 0:
             break
-    return value, (x, t), (x_next, t_next)
+        cand = retract(x[todo] + step * grad[todo])
+        cand_value, cand_grad = evaluate(cand)
+        gain = np.sum(grad[todo].conj() * (cand - x[todo]), axis=-1).real
+        ok = cand_value >= value[todo, 0] + _ARMIJO * gain
+        x_next[todo[ok]] = cand[ok]
+        t_next[todo[ok]] = step[ok]
+        value_next[todo[ok], 0] = cand_value[ok]
+        grad_next[todo[ok]] = cand_grad[ok]
+        todo = todo[~ok]
+    return value[:, 0], (x, t, value, grad), (x_next, t_next, value_next, grad_next)
+
+
+def coherent_info_case(index):
+    """The coherent-information ascent on ``kernel_channels()[index]``: the
+    path of its evaluate function, that function bound to the channel, its
+    retraction, stop tolerance and step, the starts, their first step sizes
+    and the step budget."""
+    a, e = _bloch_images(kernel_channels()[index])
+    starts = np.vstack([np.zeros((1, 3)), interior_points(seeded(98, index), 5)])
+    return ("chcon.bounds._coherent_info_value_grad", partial(_coherent_info_value_grad, a, e),
+            _into_ball, 0.0, partial(_coherent_info_step, a, e), starts, np.ones((len(starts), 1)), 400)
+
+
+def chi_case(index):
+    """The same for the chi-square ascent on ``_kernel_corpus()[index]``,
+    from I/d and three floored draws, run past its usual step budget."""
+    ch = _kernel_corpus()[index]
+    d, tmat = ch.in_dim, ch.transfer_matrix()
+    draws = random_full_rank_density(seeded(99, index), d, floor=CHI_FLOOR, count=3)
+    starts = np.concatenate([np.eye(d)[None] / d, draws]).reshape(4, -1).astype(complex)
+    evaluate = partial(_chi_value_grad, tmat)
+    t = CHI_STEP / np.linalg.norm(evaluate(starts)[1], axis=-1, keepdims=True)
+    return ("chcon.contraction._chi_value_grad", evaluate,
+            _floored_clip, CHI_TOL, partial(_chi_step, tmat), starts, t, 5 * CHI_ROUNDS)
+
+
+LADDER_CASES = [("coherent_info", i) for i in range(27)] + [("chi", i) for i in range(10)]
 
 
 def qubit_stack(coords: np.ndarray) -> np.ndarray:
@@ -236,31 +288,32 @@ class TestCoherentInfoKernel:
                 down, _ = _coherent_info_value_grad(a, e, x - step)
                 assert grad[:, i] == pytest.approx((up - down) / (2 * h), abs=1e-6)
 
-    @pytest.mark.parametrize("index", range(27))
-    def test_ladder_takes_the_one_halving_path(self, index, monkeypatch):
+    @pytest.mark.parametrize("ascent, index", LADDER_CASES)
+    def test_ladder_takes_the_one_rung_path(self, ascent, index, monkeypatch):
+        target, evaluate, retract, tol, step, starts, t, max_iter = (
+            coherent_info_case if ascent == "coherent_info" else chi_case
+        )(index)
         calls = []
-        value_grad = _coherent_info_value_grad
 
-        def counted(a, e, x):
+        def counted(x):
             calls.append(len(x))
-            return value_grad(a, e, x)
+            return evaluate(x)
 
-        monkeypatch.setattr("chcon.bounds._coherent_info_value_grad", counted)
-        a, e = _bloch_images(kernel_channels()[index])
-        starts = np.vstack([np.zeros((1, 3)), interior_points(seeded(98, index), 5)])
-        ones = np.ones((len(starts), 1))
-        old_values, (old_x, old_t), old_steps = _batched_ascent(
-            partial(one_halving_step, a, e), (starts, ones), 400, 0.0
+        value, grad = evaluate(starts)
+        state = (starts, t, value[:, None], grad)
+        old_values, old_state, old_steps = _batched_ascent(
+            partial(one_rung_step, counted, retract, tol), state, max_iter, tol
         )
         old_calls = len(calls)
-        value, grad = counted(a, e, starts)
-        values, (x, t, carried, _), steps = _batched_ascent(
-            partial(_coherent_info_step, a, e), (starts, ones, value[:, None], grad), 400, 0.0
-        )
+        # The step's evaluations, of the same function, go through the counter.
+        monkeypatch.setattr(target, lambda *args: counted(args[-1]))
+        values, new_state, steps = _batched_ascent(step, state, max_iter, tol)
         assert np.array_equal(values, old_values)
-        assert np.array_equal(carried[:, 0], values)
-        assert np.array_equal(x, old_x) and np.array_equal(t, old_t)
         assert np.array_equal(steps, old_steps)
+        for new, old in zip(new_state, old_state):
+            assert np.array_equal(new, old)
+        stopped = steps < max_iter
+        assert np.array_equal(new_state[2][stopped, 0], values[stopped])
         assert len(calls) - old_calls < old_calls
 
     def test_closed_form_entropy_matches_eigensolver(self):

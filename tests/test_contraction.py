@@ -87,6 +87,10 @@ class TestEtaTr:
         assert est >= single - 1e-6
         assert est <= eta_tr_upper_choi(a, n_copies=2).value + 1e-6
 
+    def test_zero_restarts_rejected(self):
+        with pytest.raises(ChannelError, match="restarts must be an integer >= 1"):
+            eta_tr(random_channel(seeded(63), 3), restarts=0)
+
 
 class TestMinOutputEigenvalue:
     def test_completely_depolarizing(self):
@@ -95,6 +99,10 @@ class TestMinOutputEigenvalue:
         assert rep.value == pytest.approx(np.sqrt(1 - 1 / 8), abs=1e-9)
         # Vacuous but valid against the true coefficient of zero.
         assert eta_tr(completely_depolarizing()).value <= rep.value
+
+    def test_zero_restarts_rejected(self):
+        with pytest.raises(ChannelError, match="restarts must be an integer >= 1"):
+            eta_tr_upper_minoutev(random_channel(seeded(64), 3), restarts=0)
 
     def test_identity_gives_bound_one(self):
         rep = eta_tr_upper_minoutev(identity_channel(), restarts=8, seed=1)
@@ -403,6 +411,28 @@ class TestChiKernel:
         for i, ch in enumerate(_kernel_corpus()):
             rep = eta_chi_lower(ch, trials=20, seed=i)
             assert rep.extras["deflation_residual"] < 1e-10
+
+    def test_value_is_exact_at_the_witness(self, monkeypatch):
+        # The ascent carries the value of each iterate, so the report scores
+        # no state again: its value is the kernel value at its witness sigma,
+        # bit for bit, and no step lowered it below the best scored candidate.
+        scored = []
+
+        def recording(tmat, sigma):
+            scored.append(_chi_at(tmat, sigma))
+            return scored[-1]
+
+        monkeypatch.setattr(contraction, "_chi_at", recording)
+        for i, ch in enumerate(_kernel_corpus()):
+            scored.clear()
+            rep = eta_chi_lower(ch, trials=20, seed=i)
+            assert len(scored) == 1 and len(scored[0]) == 20
+            assert rep.value == _chi_at(ch.transfer_matrix(), np.array(rep.witness.sigma)[None])[0]
+            assert rep.value >= scored[0].max()
+
+    def test_zero_trials_rejected(self):
+        with pytest.raises(ChannelError, match="trials must be an integer >= 1"):
+            eta_chi_lower(random_channel(seeded(78), 3), trials=0)
 
     def test_same_seed_same_report(self):
         ch = random_channel(seeded(76), 3)
